@@ -54,9 +54,7 @@ from .resources import (
 from .sampling import (
     EXACT_ENUM_LIMIT,
     OutcomeStats,
-    SampleDraw,
     binary_stats,
-    draw_samples,
     enumerate_binomial,
     povm_stats,
 )
@@ -87,7 +85,6 @@ __all__ = [
     "ProbeKind",
     "ProbePhaseState",
     "ReportMode",
-    "SampleDraw",
     "ScalingReport",
     "StrategyConfig",
     "StrategyKind",
@@ -100,7 +97,6 @@ __all__ = [
     "classical_fisher_information",
     "critical_fidelity",
     "distinguishable_binary",
-    "draw_samples",
     "enumerate_binomial",
     "exact_bias_report",
     "fidelity",

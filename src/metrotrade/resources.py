@@ -68,7 +68,12 @@ class StrategyConfig:
         if self.strategy is StrategyKind.GHZ:
             return float(self.m)
         if self.strategy is StrategyKind.NONLINEAR:
-            return float(self.m) ** self.nonlinear_exponent
+            try:
+                return float(self.m) ** self.nonlinear_exponent
+            except OverflowError:
+                raise ValueError(
+                    f"M**k = {self.m}**{self.nonlinear_exponent:g} overflows a float"
+                ) from None
         return 1.0
 
 

@@ -2,8 +2,8 @@
 
 Projection noise for an outcome with probability p over n shots is
 sqrt(p (1 - p) / n).  OutcomeStats bundles a probability vector with
-those standard deviations; draw_samples produces multinomial counts
-from it.
+those standard deviations; draw_count_matrix produces multinomial
+counts from it.
 
 Reproducibility contract: trial t consumes a substream derived only
 from (seed, t), so results are independent of evaluation order and of
@@ -11,7 +11,10 @@ how many trials are requested (the first T trials of a longer run are
 bit-identical to a run of T trials).  The substream is a counter-based
 hash (splitmix-style finalizer), not a stateful generator.  Counts are
 produced by exact inversion of the binomial CDF; no normal
-approximation anywhere.
+approximation anywhere.  For n <= EXACT_ENUM_LIMIT the CDF table holds
+every exact math.comb term; beyond it, the table covers only a window
+around the mode whose excluded tails each hold less than 2**-64 of the
+mass, built with numpy alone from the pmf ratio recurrence.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _scipy_stats
-from scipy.special import gammaln
 
 from .errors import BudgetError
 from .states import ProbePhaseState, fidelity
@@ -30,6 +31,12 @@ EXACT_ENUM_LIMIT = 64
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
 _SEED_MAX = 2**64 - 1
+# CDF window: starting half-width in standard deviations plus a pad,
+# the tail mass each excluded side may hold, and the largest table built.
+_WINDOW_SIGMAS = 12
+_WINDOW_PAD = 64
+_TAIL_MASS = 2.0**-64
+_WINDOW_MAX = 2**22
 
 
 @dataclass(frozen=True)
@@ -60,23 +67,6 @@ class OutcomeStats:
         object.__setattr__(
             self, "std_devs", tuple(math.sqrt(p * (1.0 - p) / n) for p in probs)
         )
-
-
-@dataclass(frozen=True)
-class SampleDraw:
-    """One multinomial draw: counts per outcome for a total of n shots."""
-
-    counts: tuple
-    seed: int
-    n: int
-
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        object.__setattr__(self, "counts", counts)
-        if any(c < 0 for c in counts):
-            raise ValueError("counts must be non-negative")
-        if sum(counts) != self.n:
-            raise ValueError("counts must sum to n")
 
 
 def binary_stats(p: float, n: int) -> OutcomeStats:
@@ -128,7 +118,7 @@ def _mix64(z):
 
 
 def _substream_uniforms(seed: int, trials: int, draw_index: int) -> np.ndarray:
-    """One uniform in (0, 1) per trial, from the (seed, trial, draw) counter."""
+    """One uniform in (0, 1] per trial, from the (seed, trial, draw) counter."""
     t = np.arange(trials, dtype=np.uint64)
     with np.errstate(over="ignore"):
         # uint64 wraparound is the point of the hash, not an accident
@@ -137,21 +127,52 @@ def _substream_uniforms(seed: int, trials: int, draw_index: int) -> np.ndarray:
     return ((h >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
-def _binomial_cdf_table(p: float, n: int) -> np.ndarray:
-    """Binomial CDF over k = 0..n, exact terms for small n, log-gamma beyond."""
+def _binomial_cdf_table(p: float, n: int):
+    """Binomial CDF as (lo, cdf) with cdf[i] = P(K <= lo + i), for 0 < p < 1.
+
+    n <= EXACT_ENUM_LIMIT: exact math.comb terms over k = 0..n.  Beyond,
+    a window lo..hi around the mode: the pmf relative to the mode comes
+    from the ratio recurrence pmf[k+1]/pmf[k] = (n-k) p / ((k+1) q),
+    a running product on each side, and is normalised by the window's
+    sum.  The window starts at +-(12 sigma + 64) and doubles until a
+    geometric bound puts each excluded tail below 2**-64: the ratios
+    fall monotonically away from the mode, so the first ratio past an
+    edge bounds every later one.  Substream uniforms are multiples of
+    2**-54 in [2**-54, 1], so no draw below 1 can land in an excluded
+    tail, and the table's last entry is exactly 1.
+    """
     if n <= EXACT_ENUM_LIMIT:
-        pmf = np.array([w for _, w in enumerate_binomial(p, n)])
-    else:
-        k = np.arange(n + 1, dtype=np.float64)
-        logpmf = (
-            gammaln(n + 1.0)
-            - gammaln(k + 1.0)
-            - gammaln(n - k + 1.0)
-            + k * math.log(p)
-            + (n - k) * math.log1p(-p)
-        )
-        pmf = np.exp(logpmf)
-    return np.cumsum(pmf)
+        return 0, np.cumsum([w for _, w in enumerate_binomial(p, n)])
+    q = 1.0 - p
+    # q rounds when p < 1/2: the exact 1 - p is q (1 + drift), so the j-th
+    # running product below is off by (1 + drift)**j, undone by exp(j drift).
+    drift = ((1.0 - q) - p) / q
+    mode = min(int((n + 1) * p), n)
+    half = math.ceil(_WINDOW_SIGMAS * math.sqrt(n * p * q)) + _WINDOW_PAD
+    while True:
+        lo, hi = max(mode - half, 0), min(mode + half, n)
+        if hi - lo + 1 > _WINDOW_MAX:
+            raise BudgetError(
+                f"binomial CDF window of {hi - lo + 1} entries exceeds "
+                f"{_WINDOW_MAX}; n p (1 - p) is too large to sample"
+            )
+        i = np.arange(hi - mode, dtype=np.float64)
+        up = np.cumprod((float(n - mode) - i) * p / ((mode + 1.0 + i) * q))
+        up *= np.exp(-drift * (i + 1.0))
+        i = np.arange(mode - lo, dtype=np.float64)
+        down = np.cumprod((mode - i) * q / ((float(n - mode) + 1.0 + i) * p))
+        down *= np.exp(drift * (i + 1.0))
+        # ratio to the first excluded term on each side, and the tail bound
+        r_hi = (n - hi) * p / ((hi + 1) * q)
+        r_lo = lo * q / ((n - lo + 1) * p)
+        if max(r_hi, r_lo) < 1.0:
+            tail_hi = up[-1] * r_hi / (1.0 - r_hi) if hi < n else 0.0
+            tail_lo = down[-1] * r_lo / (1.0 - r_lo) if lo > 0 else 0.0
+            if max(tail_hi, tail_lo) < _TAIL_MASS:
+                break
+        half *= 2
+    cdf = np.cumsum(np.concatenate((down[::-1], [1.0], up)))
+    return lo, cdf / cdf[-1]
 
 
 def _invert_binomial_fixed(u: np.ndarray, n: int, p: float) -> np.ndarray:
@@ -160,19 +181,25 @@ def _invert_binomial_fixed(u: np.ndarray, n: int, p: float) -> np.ndarray:
         return np.zeros(u.shape, dtype=np.int64)
     if p >= 1.0:
         return np.full(u.shape, n, dtype=np.int64)
-    cdf = _binomial_cdf_table(p, n)
+    lo, cdf = _binomial_cdf_table(p, n)
     k = np.searchsorted(cdf, u, side="left")
-    return np.minimum(k, n).astype(np.int64)
+    return lo + np.minimum(k, cdf.size - 1).astype(np.int64)
 
 
 def _invert_binomial_varying(u: np.ndarray, n: np.ndarray, p: float) -> np.ndarray:
-    """Exact CDF inversion with a per-trial shot count (conditional splits)."""
-    if p <= 0.0:
-        return np.zeros(u.shape, dtype=np.int64)
-    if p >= 1.0:
-        return n.astype(np.int64)
-    k = _scipy_stats.binom.ppf(u, n, p)
-    return np.clip(k, 0, n).astype(np.int64)
+    """Exact CDF inversion with a per-trial shot count (conditional splits).
+
+    Trials are grouped on their shot count and each group is inverted
+    against its own fixed-n table, so a trial's count still depends only
+    on its own uniform and shot count.
+    """
+    k = np.zeros(u.shape, dtype=np.int64)
+    order = np.argsort(n, kind="stable")
+    counts, starts = np.unique(n[order], return_index=True)
+    for m, idx in zip(counts.tolist(), np.split(order, starts[1:])):
+        if m > 0:
+            k[idx] = _invert_binomial_fixed(u[idx], m, p)
+    return k
 
 
 def _check_seed(seed: int):
@@ -211,9 +238,3 @@ def draw_count_matrix(stats: OutcomeStats, seed: int, trials: int) -> np.ndarray
     counts[:, -1] = remaining
     return counts
 
-
-def draw_samples(stats: OutcomeStats, seed: int, trials: int):
-    """Like draw_count_matrix, wrapped as a list of SampleDraw records."""
-    matrix = draw_count_matrix(stats, seed, trials)
-    n = stats.sample_budget
-    return [SampleDraw(tuple(row), seed, n) for row in matrix.tolist()]

@@ -1,13 +1,14 @@
 """Independent oracles used by the test suite.
 
 Everything here is written against first principles (statevectors,
-bisection on the defining inequality, scipy reference distributions)
+bisection on the defining inequality, high-precision mpmath sums)
 rather than the package's own closed forms, so a shared bug cannot
 cancel out.
 """
 
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -87,3 +88,39 @@ def ghz_fidelity_bruteforce(phi_a: float, phi_b: float, m: int) -> float:
 def phase_estimate(p_hat: float) -> float:
     """Reference inversion p = (1 + cos phi)/2 -> phi, written separately."""
     return math.acos(min(1.0, max(-1.0, 2.0 * p_hat - 1.0)))
+
+
+def binomial_cdf_mp(n: int, p: float, k: int, prec: int = 160):
+    """P(K <= k) for K ~ Binomial(n, p) as an mpmath float, p taken exactly.
+
+    The pmf at k comes from log-gamma at `prec` bits; the tail on the
+    side of k away from the mean is summed term by term with the pmf
+    ratio, whose terms shrink geometrically, until a term falls below
+    2**-100 of the running sum.  Below the mean that tail is the CDF
+    itself, above it the CDF is one minus the upper tail.
+    """
+    with mpmath.workprec(prec):
+        big_p = mpmath.mpf(p)
+        big_q = 1 - big_p
+        lg = mpmath.loggamma
+        term = mpmath.exp(
+            lg(n + 1) - lg(k + 1) - lg(n - k + 1)
+            + k * mpmath.log(big_p) + (n - k) * mpmath.log(big_q)
+        )
+        eps = mpmath.mpf(2) ** -100
+        total = mpmath.mpf(0)
+        if k < n * p:
+            j = k
+            while j >= 0 and term > total * eps:
+                total += term
+                term = term * j * big_q / ((n - j + 1) * big_p)
+                j -= 1
+            return +total
+        j = k
+        while j < n:
+            term = term * (n - j) * big_p / ((j + 1) * big_q)
+            j += 1
+            total += term
+            if term <= total * eps:
+                break
+        return 1 - total

@@ -3,8 +3,12 @@ import io
 import math
 import subprocess
 import sys
+import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
 
 from metrotrade.cli import main
 
@@ -147,6 +151,20 @@ def test_bias_mc_skips_enumeration_for_large_budget():
     assert [r[0] for r in rows] == ["MonteCarlo"]
 
 
+def test_bias_mc_huge_budget_uses_a_window():
+    # an n+1 table here would take ~8 GB; the windowed one is ~2.7e5 entries
+    tracemalloc.start()
+    start = time.perf_counter()
+    code, out, _ = run_cli(["bias-mc", "--n", "1000000000", "--trials", "100"])
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 0
+    assert [r[0] for r in parse_csv(out)[1]] == ["MonteCarlo"]
+    assert elapsed < 1.0
+    assert peak < 64 * 2**20
+
+
 def test_csv_determinism():
     for argv in (
         ["tradeoff"],
@@ -216,6 +234,17 @@ def test_domain_errors_exit_two():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["resources", "--k", "1e308"],  # M**k overflows a float
+    ["bias-mc", "--n", str(2**62), "--trials", "100"],  # CDF window too wide
+])
+def test_out_of_range_inputs_exit_two_with_one_line(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_passes_and_reports():
     code, out, _ = run_cli(["verify"])
     assert code == 0
@@ -252,3 +281,17 @@ def test_module_entry_point():
     assert header[0] == "n"
     # n = alpha^2 pins the exact bound at a right angle
     assert float(rows[0][2]) == math.pi / 2.0
+
+
+def test_runtime_does_not_import_scipy():
+    script = (
+        "import contextlib, io, sys\n"
+        "import metrotrade.cli as c\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = c.main(['verify'])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "[]"]

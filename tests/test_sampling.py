@@ -1,18 +1,22 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from helpers import binomial_cdf_mp
 from metrotrade.errors import BudgetError
 from metrotrade.sampling import (
     EXACT_ENUM_LIMIT,
+    _binomial_cdf_table,
+    _invert_binomial_fixed,
+    _substream_uniforms,
     OutcomeStats,
     binary_stats,
     draw_count_matrix,
-    draw_samples,
     enumerate_binomial,
     povm_stats,
 )
@@ -119,15 +123,15 @@ def test_enumerate_binomial_budget():
 
 
 def test_draw_samples_certain_outcome():
-    draws = draw_samples(binary_stats(1.0, 7), seed=123, trials=20)
-    assert all(d.counts == (7, 0) for d in draws)
+    counts = draw_count_matrix(binary_stats(1.0, 7), seed=123, trials=20)
+    assert counts.tolist() == [[7, 0]] * 20
 
 
 def test_draw_samples_deterministic():
     s = binary_stats(0.42, 30)
-    a = draw_samples(s, seed=99, trials=50)
-    b = draw_samples(s, seed=99, trials=50)
-    assert [d.counts for d in a] == [d.counts for d in b]
+    a = draw_count_matrix(s, seed=99, trials=50)
+    b = draw_count_matrix(s, seed=99, trials=50)
+    assert np.array_equal(a, b)
 
 
 def test_draw_samples_prefix_stable():
@@ -188,23 +192,70 @@ def test_multinomial_matches_exact_marginal():
 def test_seed_validation():
     s = binary_stats(0.5, 4)
     with pytest.raises(ValueError):
-        draw_samples(s, seed=-1, trials=5)
+        draw_count_matrix(s, seed=-1, trials=5)
     with pytest.raises(ValueError):
-        draw_samples(s, seed=2**64, trials=5)
+        draw_count_matrix(s, seed=2**64, trials=5)
     with pytest.raises(ValueError):
-        draw_samples(s, seed=0, trials=0)
+        draw_count_matrix(s, seed=0, trials=0)
     # extreme seeds are legal
-    assert draw_samples(s, seed=2**64 - 1, trials=2)
-    assert draw_samples(s, seed=0, trials=2)
+    assert draw_count_matrix(s, seed=2**64 - 1, trials=2).shape == (2, 2)
+    assert draw_count_matrix(s, seed=0, trials=2).shape == (2, 2)
 
 
-def test_sample_draw_checks_totals():
-    from metrotrade.sampling import SampleDraw
+def test_windowed_table_fixes_off_by_one_draw():
+    # a log-gamma table over 0..n lost ~1e-9 of relative accuracy at
+    # n = 1e7 and inverted this draw one count low
+    n, p = 10**7, (1.0 + math.cos(0.9)) / 2.0
+    u = _substream_uniforms(12345, 10**6, 0)[105301]
+    k = int(_invert_binomial_fixed(np.array([u]), n, p)[0])
+    assert k == 8112212
+    assert binomial_cdf_mp(n, p, k - 1) < mpmath.mpf(u) <= binomial_cdf_mp(n, p, k)
 
-    with pytest.raises(ValueError):
-        SampleDraw((3, 2), seed=0, n=6)
-    with pytest.raises(ValueError):
-        SampleDraw((-1, 7), seed=0, n=6)
+
+@pytest.mark.parametrize("n", [65, 10**5, 10**7])
+@pytest.mark.parametrize("phi", [0.9, 2.5])
+def test_windowed_cdf_matches_mpmath(n, phi):
+    p = (1.0 + math.cos(phi)) / 2.0
+    lo, cdf = _binomial_cdf_table(p, n)
+    mode = int((n + 1) * p)
+    sd = math.sqrt(n * p * (1.0 - p))
+    for k in (mode - round(5 * sd), mode, mode + round(5 * sd)):
+        k = min(max(k, 0), n)
+        ref = binomial_cdf_mp(n, p, k)
+        assert abs(mpmath.mpf(cdf[k - lo]) - ref) <= 1e-12 * ref, (n, p, k)
+
+
+def test_windowed_cdf_corrects_rounded_complement():
+    # at phi = 2.5, 1 - p rounds by 6e-17 relative; uncorrected, the
+    # running product 5 sigma below the mode at n = 1e9 is off by 3e-12
+    n, p = 10**9, (1.0 + math.cos(2.5)) / 2.0
+    lo, cdf = _binomial_cdf_table(p, n)
+    k = int((n + 1) * p) - round(5 * math.sqrt(n * p * (1.0 - p)))
+    ref = binomial_cdf_mp(n, p, k)
+    assert abs(mpmath.mpf(cdf[k - lo]) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("n", [65, 10**9])
+@pytest.mark.parametrize("p", [1e-12, 0.5, 1.0 - 1e-12])
+def test_cdf_window_stays_near_the_mode(n, p):
+    lo, cdf = _binomial_cdf_table(p, n)
+    half = 12 * math.sqrt(n * p * (1.0 - p)) + 64
+    assert cdf.size <= 4 * half + 1
+    assert 0 <= lo and lo + cdf.size - 1 <= n
+    assert cdf[-1] == 1.0 and (np.diff(cdf) >= 0.0).all()
+
+
+def test_multinomial_three_outcomes_large_budget():
+    n, trials = 10**6, 2000
+    s = OutcomeStats((0.2, 0.5, 0.3), n)
+    counts = draw_count_matrix(s, seed=17, trials=trials)
+    assert (counts.sum(axis=1) == n).all()
+    assert (counts >= 0).all()
+    for i, p in enumerate(s.probabilities):
+        se = math.sqrt(n * p * (1.0 - p) / trials)
+        assert abs(counts[:, i].mean() - n * p) <= 4.0 * se
+    # prefix contract: shorter runs repeat the leading rows exactly
+    assert np.array_equal(draw_count_matrix(s, seed=17, trials=300), counts[:300])
 
 
 @given(
