@@ -56,7 +56,6 @@ from .sampling import (
     OutcomeStats,
     binary_stats,
     enumerate_binomial,
-    povm_stats,
 )
 from .states import (
     GeneratorSpec,
@@ -108,7 +107,6 @@ __all__ = [
     "min_detectable_signal",
     "monte_carlo_report",
     "povm_statistic",
-    "povm_stats",
     "precision_from_snr",
     "quantum_fisher_information",
     "run_all",

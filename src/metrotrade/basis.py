@@ -104,12 +104,12 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-9) -> float:
     return (a + b) / 2.0
 
 
-def find_optimal_basis(phi: float, n: int, grid: int = 400):
-    """Best measurement direction for resolving a shift of size phi.
+def snr_grid(phi: float, n: int, grid: int):
+    """Signal-to-noise ratio on a grid x grid mesh of measurement directions.
 
-    Evaluates the ratio on a grid x grid mesh over theta in [0, pi],
-    phi_b in [0, 2 pi), then polishes each angle with golden-section
-    search around the best cell.  Returns (basis, snr).
+    theta runs over [0, pi] with both ends included, phi_b over
+    [0, 2 pi) in equal steps.  Returns (thetas, phibs, values) with
+    values[i, j] the ratio in direction (thetas[i], phibs[j]).
     """
     if not (isinstance(n, int) and n >= 1):
         raise ValueError("n must be a positive integer")
@@ -119,7 +119,17 @@ def find_optimal_basis(phi: float, n: int, grid: int = 400):
         raise ValueError("phi must be finite")
     thetas = np.linspace(0.0, math.pi, grid)
     phibs = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    values = _snr_values(thetas[:, None], phibs[None, :], phi, n)
+    return thetas, phibs, _snr_values(thetas[:, None], phibs[None, :], phi, n)
+
+
+def find_optimal_basis(phi: float, n: int, grid: int = 400):
+    """Best measurement direction for resolving a shift of size phi.
+
+    Evaluates the ratio on snr_grid's mesh, then polishes each angle
+    with golden-section search around the best cell.  Returns
+    (basis, snr).
+    """
+    thetas, phibs, values = snr_grid(phi, n, grid)
     i, j = np.unravel_index(np.argmax(values), values.shape)
     theta0, phib0 = float(thetas[i]), float(phibs[j])
     dth = math.pi / (grid - 1)

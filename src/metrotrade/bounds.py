@@ -15,7 +15,7 @@ each side costs twice the naive one-sigma estimate.  correction_ratio
 tracks that factor.  Conversely accuracy_of reads off the confidence
 level a given precision actually buys.
 
-inherent_precision has no alpha at all: with n shots the probability
+inherent_steps has no alpha at all: with n shots the probability
 scale is quantized in steps of 1/n, and the smallest phase step that
 moves the outcome probability by one quantum is itself bounded below.
 """
@@ -25,31 +25,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import UnreachableSignalError
 from .sampling import OutcomeStats
 
 
 @dataclass(frozen=True)
 class AccuracySpec:
-    """Confidence level alpha (in noise-sigma units) and sample budget n.
-
-    split optionally records a factorization n = M * N into probe size
-    and repetitions for bookkeeping; it must multiply out to n.
-    """
+    """Confidence level alpha (in noise-sigma units) and sample budget n."""
 
     alpha: float
     n: int
-    split: tuple | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError("alpha must be positive and finite")
         if not (isinstance(self.n, int) and self.n >= 1):
             raise ValueError("n must be a positive integer")
-        if self.split is not None:
-            m, reps = self.split
-            if m * reps != self.n:
-                raise ValueError("split must factor n exactly")
 
 
 @dataclass(frozen=True)
@@ -162,31 +155,31 @@ def povm_statistic(stats_initial: OutcomeStats, stats_final: OutcomeStats) -> fl
     return math.sqrt(stats_initial.sample_budget) * math.sqrt(total)
 
 
-def inherent_precision(phi0: float, n: int, mirror: bool = False):
-    """Smallest phase step from phi0 that shifts the outcome probability
-    by one quantum 1/n, and the accuracy dphi * sqrt(n) / 2 it carries.
+def inherent_steps(phi0, n: int):
+    """Smallest phase step down from each working point phi0 that raises
+    the outcome probability by one quantum 1/n: phi0 - arccos(2/n + cos phi0).
 
-    Returns (delta_phi, accuracy).  The default form steps the phase
-    downward from phi0 (the probability rises by 1/n); mirror=True
-    steps upward instead.  When the quantum cannot be bridged from this
-    working point (arccos argument outside [-1, 1]) the signal is
-    unreachable and UnreachableSignalError is raised.
+    Vectorized over phi0 (scalar or array, each in (0, pi)).  Where the
+    quantum cannot be bridged (arccos argument above 1) the step is NaN.
+    """
+    with np.errstate(invalid="ignore"):
+        return phi0 - np.arccos(2.0 / n + np.cos(phi0))
+
+
+def inherent_precision(phi0: float, n: int):
+    """inherent_steps at one working point, with the accuracy
+    dphi * sqrt(n) / 2 it carries.
+
+    Returns (delta_phi, accuracy).  When the quantum cannot be bridged
+    from this working point, UnreachableSignalError is raised.
     """
     if not (0.0 < phi0 < math.pi):
         raise ValueError("phi0 must lie in (0, pi)")
     if not (isinstance(n, int) and n >= 1):
         raise ValueError("n must be a positive integer")
-    step = 2.0 / n
-    if mirror:
-        arg = math.cos(phi0) - step
-    else:
-        arg = step + math.cos(phi0)
-    if not -1.0 <= arg <= 1.0:
+    delta = float(inherent_steps(phi0, n))
+    if math.isnan(delta):
         raise UnreachableSignalError(
             f"probability step 1/{n} is not reachable from phi0={phi0:.6g}"
         )
-    if mirror:
-        delta = math.acos(arg) - phi0
-    else:
-        delta = phi0 - math.acos(arg)
     return delta, delta * math.sqrt(n) / 2.0

@@ -12,8 +12,9 @@ Exit codes: 0 success, 1 usage error, 2 domain/precondition error,
 3 verification failure.
 
 CSV is the primary output (full 17-digit floats, LF line endings,
-deterministic row order); SVG charts are rendered from the same rows.
---format both writes <out>.csv and <out>.svg next to each other.
+deterministic row order); SVG charts of the same rows are rendered only
+for --format svg or both.  --format both writes <out>.csv and <out>.svg
+next to each other.  Each command takes only the flags it reads.
 """
 
 from __future__ import annotations
@@ -23,10 +24,14 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import __version__
-from .basis import MeasurementBasis, basis_snr
-from .bounds import AccuracySpec, inherent_precision, min_detectable_signal
-from .errors import UnreachableSignalError
+# basis_snr and inherent_precision go uncalled: perfbench/tracing.py patches them here.
+from .basis import basis_snr, snr_grid  # noqa: F401
+from .bounds import (  # noqa: F401
+    AccuracySpec, inherent_precision, inherent_steps, min_detectable_signal,
+)
 from .estimation import exact_bias_report, monte_carlo_report
 from .resources import StrategyKind, fit_scaling
 from .sampling import EXACT_ENUM_LIMIT, _SEED_MAX
@@ -69,6 +74,18 @@ def _float_list(text: str):
     if not values:
         raise argparse.ArgumentTypeError("empty list")
     return values
+
+
+def _one(parse_list):
+    """Argument type for a flag that takes one value of parse_list's kind."""
+
+    def parse(text: str):
+        values = parse_list(text)
+        if len(values) != 1:
+            raise argparse.ArgumentTypeError(f"expected a single value: {text!r}")
+        return values
+
+    return parse
 
 
 def _uint64(text: str) -> int:
@@ -176,74 +193,58 @@ def cmd_tradeoff(cfg: RunConfig):
         Series("asymptotic_bound", tuple(range(len(rows))), tuple(r[3] for r in rows)),
         Series("qcrb", tuple(range(len(rows))), tuple(r[4] for r in rows)),
     ]
-    svg = render_chart([
+    return header, rows, [
         Panel("detection bounds across the (n, alpha) grid", "row", "radians",
               tuple(series)),
-    ])
-    return header, rows, svg
+    ]
 
 
 def _inherent_grid(n_points: int):
     """Interior grid over (0, pi) with pi/2 always included."""
-    step = math.pi / (n_points + 1)
-    values = [i * step for i in range(1, n_points + 1)]
-    half = math.pi / 2.0
-    if half not in values:
-        values.append(half)
-        values.sort()
-    return values
+    grid = np.arange(1, n_points + 1) * (math.pi / (n_points + 1))
+    if not (grid == math.pi / 2.0).any():
+        grid = np.sort(np.append(grid, math.pi / 2.0))
+    return grid
 
 
 def cmd_inherent(cfg: RunConfig):
     n = cfg.n_list[0]
     header = ["phi0", "resolution", "accuracy"]
     if cfg.phi0 is not None:
-        grid = [cfg.phi0]
+        phi0 = np.array([cfg.phi0])
     else:
-        grid = _inherent_grid(cfg.grid)
-    rows = []
-    for phi0 in grid:
-        try:
-            dphi, acc = inherent_precision(phi0, n)
-            rows.append([phi0, 1.0 / dphi, acc])
-        except UnreachableSignalError:
-            rows.append([phi0, math.nan, math.nan])
-    xs = tuple(r[0] for r in rows)
-    svg = render_chart([
+        phi0 = _inherent_grid(cfg.grid)
+    delta = inherent_steps(phi0, n)
+    resolution = 1.0 / delta
+    accuracy = delta * math.sqrt(n) / 2.0
+    rows = np.column_stack((phi0, resolution, accuracy)).tolist()
+    xs = tuple(phi0.tolist())
+    return header, rows, [
         Panel(f"resolution vs phi0 (n={n})", "phi0", "1/dphi",
-              (Series("resolution", xs, tuple(r[1] for r in rows)),)),
+              (Series("resolution", xs, tuple(resolution.tolist())),)),
         Panel(f"accuracy vs phi0 (n={n})", "phi0", "alpha",
-              (Series("accuracy", xs, tuple(r[2] for r in rows)),)),
-    ])
-    return header, rows, svg
+              (Series("accuracy", xs, tuple(accuracy.tolist())),)),
+    ]
 
 
 def cmd_basis_sweep(cfg: RunConfig):
     phi, n, grid = cfg.phi, cfg.n_list[0], cfg.grid
     header = ["theta", "phi_b", "snr"]
-    rows = []
-    thetas = [i * math.pi / (grid - 1) for i in range(grid)]
-    phibs = [j * 2.0 * math.pi / grid for j in range(grid)]
-    grid_max = 0.0
-    for theta in thetas:
-        for phi_b in phibs:
-            snr = basis_snr(MeasurementBasis(theta, phi_b), phi, n)
-            grid_max = max(grid_max, snr)
-            rows.append([theta, phi_b, snr])
+    thetas, phibs, values = snr_grid(phi, n, grid)
+    rows = np.column_stack(
+        (np.repeat(thetas, grid), np.tile(phibs, grid), values.ravel())
+    ).tolist()
     analytic = math.sqrt(n) * abs(math.tan(phi / 2.0))
-    rows.append(["summary", grid_max, analytic])
+    rows.append(["summary", float(values.max()), analytic])
     # Equatorial slice for the chart: theta closest to pi/2.
-    eq_theta = min(thetas, key=lambda t: abs(t - math.pi / 2.0))
-    eq = [(r[1], r[2]) for r in rows[:-1] if r[0] == eq_theta]
-    svg = render_chart([
+    eq = values[np.argmin(np.abs(thetas - math.pi / 2.0))]
+    return header, rows, [
         Panel(
             f"snr vs phi_b on the equatorial slice (phi={phi:.6g}, n={n})",
             "phi_b", "snr",
-            (Series("snr(theta~pi/2)", tuple(x for x, _ in eq),
-                    tuple(y for _, y in eq)),),
+            (Series("snr(theta~pi/2)", tuple(phibs.tolist()), tuple(eq.tolist())),),
         ),
-    ])
-    return header, rows, svg
+    ]
 
 
 def cmd_resources(cfg: RunConfig):
@@ -257,11 +258,10 @@ def cmd_resources(cfg: RunConfig):
         for m, floor in zip(rep.m_values, rep.phis):
             rows.append([strat.value, m, cfg.big_n, floor, rep.fitted_exponent])
         panels.append(Series(strat.value, rep.m_values, rep.phis))
-    svg = render_chart([
+    return header, rows, [
         Panel(f"detection floor vs M (N={cfg.big_n}, alpha={alpha:.6g})",
               "M", "min signal", tuple(panels)),
-    ])
-    return header, rows, svg
+    ]
 
 
 def cmd_bias_mc(cfg: RunConfig):
@@ -279,11 +279,10 @@ def cmd_bias_mc(cfg: RunConfig):
             rep.bias_phi, rep.var_phi, rep.mse_phi,
         ])
     xs = tuple(range(len(rows)))
-    svg = render_chart([
+    return header, rows, [
         Panel(f"estimator bias at phi={phi:.6g}, n={n}", "row", "bias_phi",
               (Series("bias_phi", xs, tuple(r[4] for r in rows)),)),
-    ])
-    return header, rows, svg
+    ]
 
 
 def _write_text(path: str, text: str):
@@ -291,25 +290,22 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
-def _emit(cfg: RunConfig, header, rows, svg: str) -> int:
-    csv_text = _csv_text(header, rows)
-    if cfg.fmt == "csv":
-        if cfg.out:
-            _write_text(cfg.out, csv_text)
-        else:
-            sys.stdout.write(csv_text)
-    elif cfg.fmt == "svg":
-        if cfg.out:
-            _write_text(cfg.out, svg)
-        else:
-            sys.stdout.write(svg)
-    else:
+def _emit(cfg: RunConfig, header, rows, panels) -> int:
+    """Write the rows as CSV, their chart as SVG, or both; each is
+    rendered only when it is written."""
+    if cfg.fmt == "both":
         stem = cfg.out
         for suffix in (".csv", ".svg"):
             if stem.endswith(suffix):
                 stem = stem[: -len(suffix)]
-        _write_text(stem + ".csv", csv_text)
-        _write_text(stem + ".svg", svg)
+        _write_text(stem + ".csv", _csv_text(header, rows))
+        _write_text(stem + ".svg", render_chart(panels))
+        return EXIT_OK
+    text = _csv_text(header, rows) if cfg.fmt == "csv" else render_chart(panels)
+    if cfg.out:
+        _write_text(cfg.out, text)
+    else:
+        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -321,6 +317,26 @@ _COMMANDS = {
     "bias-mc": cmd_bias_mc,
 }
 
+# Flags a command can take, by the keyword build_parser's add() names
+# them with: (flag, RunConfig field, type, help).  --n and --alpha take a
+# comma list under n_list/alpha_list and a single value under n/alpha.
+_FLAGS = {
+    "n_list": ("--n", "n_list", _int_list, "comma list of sample budgets"),
+    "n": ("--n", "n_list", _one(_int_list), "sample budget"),
+    "alpha_list": ("--alpha", "alpha_list", _float_list,
+                   "comma list of confidence levels in noise-sigma units"),
+    "alpha": ("--alpha", "alpha_list", _one(_float_list),
+              "confidence level in noise-sigma units"),
+    "phi0": ("--phi0", "phi0", float, "working-point phase in (0, pi)"),
+    "phi": ("--phi", "phi", float, "phase shift under test"),
+    "m_grid": ("--m-grid", "m_grid", _int_list, "comma list of probe sizes M"),
+    "big_n": ("--big-n", "big_n", int, "repetition count N"),
+    "k": ("--k", "k", float, "nonlinear generator order"),
+    "trials": ("--trials", "trials", int, "Monte Carlo trial count"),
+    "seed": ("--seed", "seed", _uint64, "64-bit unsigned sampling seed"),
+    "grid": ("--grid", "grid", int, "grid resolution"),
+}
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="metrotrade", description=__doc__,
@@ -329,44 +345,26 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text, **defaults):
+        """A command taking --out, --format and the _FLAGS named in defaults."""
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--n", type=_int_list, default=defaults.get("n"),
-                       help="sample budget, or comma list of budgets")
-        p.add_argument("--alpha", type=_float_list,
-                       default=defaults.get("alpha"),
-                       help="confidence level(s) in noise-sigma units")
-        p.add_argument("--phi0", type=float, default=None,
-                       help="working-point phase in (0, pi)")
-        p.add_argument("--phi", type=float, default=defaults.get("phi"),
-                       help="phase shift under test")
-        p.add_argument("--m-grid", type=_int_list,
-                       default=defaults.get("m_grid"),
-                       help="comma list of probe sizes M")
-        p.add_argument("--big-n", type=int, default=100,
-                       help="repetition count N")
-        p.add_argument("--k", type=float, default=2.0,
-                       help="nonlinear generator order")
-        p.add_argument("--trials", type=int, default=defaults.get("trials"),
-                       help="Monte Carlo trial count")
-        p.add_argument("--seed", type=_uint64, default=0,
-                       help="64-bit unsigned sampling seed")
-        p.add_argument("--grid", type=int, default=defaults.get("grid"),
-                       help="grid resolution")
+        for key, default in defaults.items():
+            flag, dest, kind, flag_help = _FLAGS[key]
+            p.add_argument(flag, dest=dest, type=kind, default=default,
+                           help=flag_help)
         p.add_argument("--out", type=str, default=None, help="output path")
         p.add_argument("--format", dest="fmt", choices=("csv", "svg", "both"),
                        default="csv", help="output format")
-        return p
 
     add("tradeoff", "detection bounds over an (n, alpha) grid",
-        n=[10, 100, 1000, 10000], alpha=[0.25, 0.5, 1.0, 2.0, 4.0])
+        n_list=[10, 100, 1000, 10000], alpha_list=[0.25, 0.5, 1.0, 2.0, 4.0])
     add("inherent", "quantization-limited resolution/accuracy vs phi0",
-        n=[100], grid=999)
+        n=[100], phi0=None, grid=999)
     add("basis-sweep", "snr landscape over measurement directions",
         n=[1], phi=math.pi / 10.0, grid=400)
     add("resources", "detection floor scaling per strategy",
-        alpha=[1.0], m_grid=[2, 4, 8, 16, 32])
+        m_grid=[2, 4, 8, 16, 32], big_n=100, alpha=[1.0], k=2.0)
     add("bias-mc", "estimator bias, exact vs Monte Carlo",
-        n=[10], phi=math.pi / 4.0, trials=10**5)
+        n=[10], phi=math.pi / 4.0, trials=10**5, seed=0)
     pv = sub.add_parser("verify", help="run the built-in invariant suite")
     pv.add_argument("--seed", type=_uint64, default=0)
     pv.add_argument("--corrupt", choices=CHECK_NAMES, default=None,
@@ -388,27 +386,12 @@ def run_verify(seed: int, corrupt, out) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "verify":
-            return run_verify(args.seed, args.corrupt, args.out)
-        cfg = RunConfig(
-            command=args.command,
-            n_list=args.n,
-            alpha_list=args.alpha if args.alpha else [1.0],
-            phi0=args.phi0,
-            phi=args.phi if args.phi is not None else math.pi / 4.0,
-            m_grid=args.m_grid if args.m_grid else [2, 4, 8, 16, 32],
-            big_n=args.big_n,
-            k=args.k,
-            trials=args.trials if args.trials is not None else 10**5,
-            seed=args.seed,
-            grid=args.grid if args.grid is not None else 400,
-            out=args.out,
-            fmt=args.fmt,
-        )
+        cfg = RunConfig(**vars(parser.parse_args(argv)))
+        if cfg.command == "verify":
+            return run_verify(cfg.seed, cfg.corrupt, cfg.out)
         cfg.validate()
-        header, rows, svg = _COMMANDS[args.command](cfg)
-        return _emit(cfg, header, rows, svg)
+        header, rows, panels = _COMMANDS[cfg.command](cfg)
+        return _emit(cfg, header, rows, panels)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,8 +8,12 @@ that split (bias_p vs bias_phi) together with the variance and mean
 squared error of the phase estimate.
 
 Two routes are provided.  exact_bias_report enumerates the binomial
-distribution outright (n <= 64), monte_carlo_report samples it.  Both
-must agree within sampling error; the tests hold them to that.
+distribution outright (n <= 64), monte_carlo_report samples it and
+histograms the sampled counts.  Both feed one moment reduction over the
+distinct counts k with their weights (the pmf, or the fraction of
+trials that drew k), summed with math.fsum so that no accumulation
+order can shift the result.  The two must agree within sampling error;
+the tests hold them to that.
 """
 
 from __future__ import annotations
@@ -22,6 +26,10 @@ import numpy as np
 
 from .basis import MeasurementBasis
 from .sampling import binary_stats, draw_count_matrix, enumerate_binomial
+
+
+# Trials drawn per draw_count_matrix call in monte_carlo_report.
+_MC_CHUNK = 2**18
 
 
 class ReportMode(Enum):
@@ -64,16 +72,19 @@ def invert_phase(p_hat: float) -> float:
     return math.acos(2.0 * p_hat - 1.0)
 
 
-def _report_from_moments(phi, mean_p, p, phi_hats, weights, mode, trials=None):
-    mean_phi = math.fsum(w * f for w, f in zip(weights, phi_hats))
-    bias_phi = mean_phi - phi
-    var_phi = math.fsum(w * (f - mean_phi) ** 2 for w, f in zip(weights, phi_hats))
-    mse_phi = math.fsum(w * (f - phi) ** 2 for w, f in zip(weights, phi_hats))
+def _report_from_pmf(phi, p, n, ks, weights, mode, trials=None):
+    """Estimator moments over the counts ks drawn with the given weights."""
+    p_hats = ks / n
+    phi_hats = np.arccos(2.0 * p_hats - 1.0)
+    mean_p = math.fsum((weights * p_hats).tolist())
+    mean_phi = math.fsum((weights * phi_hats).tolist())
+    var_phi = math.fsum((weights * (phi_hats - mean_phi) ** 2).tolist())
+    mse_phi = math.fsum((weights * (phi_hats - phi) ** 2).tolist())
     return EstimatorReport(
         mean_p_hat=mean_p,
         bias_p=mean_p - p,
         mean_phi_hat=mean_phi,
-        bias_phi=bias_phi,
+        bias_phi=mean_phi - phi,
         var_phi=var_phi,
         mse_phi=mse_phi,
         mode=mode,
@@ -86,33 +97,50 @@ def exact_bias_report(phi: float, n: int) -> EstimatorReport:
     if not (0.0 < phi < math.pi):
         raise ValueError("phi must lie in (0, pi)")
     p = (1.0 + math.cos(phi)) / 2.0
-    pmf = enumerate_binomial(p, n)
-    weights = [w for _, w in pmf]
-    mean_p = math.fsum(w * (k / n) for k, w in pmf)
-    phi_hats = [invert_phase(k / n) for k, _ in pmf]
-    return _report_from_moments(
-        phi, mean_p, p, phi_hats, weights, ReportMode.EXACT_ENUMERATION
+    weights = np.array([w for _, w in enumerate_binomial(p, n)])
+    return _report_from_pmf(
+        phi, p, n, np.arange(n + 1), weights, ReportMode.EXACT_ENUMERATION
     )
+
+
+def _add_histogram(lo, hist, counts):
+    """Add counts to the histogram hist of the values lo, lo + 1, ...,
+    widening it as needed.  Returns the new (lo, hist)."""
+    c_lo = int(counts.min())
+    add = np.bincount(counts - c_lo)
+    if hist is None:
+        return c_lo, add
+    new_lo = min(lo, c_lo)
+    merged = np.zeros(max(lo + hist.size, c_lo + add.size) - new_lo, dtype=np.int64)
+    merged[lo - new_lo:lo - new_lo + hist.size] += hist
+    merged[c_lo - new_lo:c_lo - new_lo + add.size] += add
+    return new_lo, merged
 
 
 def monte_carlo_report(phi: float, n: int, trials: int, seed: int) -> EstimatorReport:
     """Estimator moments from sampled counts (seeded, reproducible).
 
-    Uses exact summation for the moment reductions, so the result does
-    not depend on accumulation order.
+    Trials are drawn in chunks of _MC_CHUNK, so memory does not grow with
+    the trial count, and reduced to a histogram over the sampled counts.
+    Integer histograms add exactly, so the result does not depend on the
+    chunking.  Counts lie inside the sampler's CDF window, so the
+    histogram holds at most 2**22 entries.
     """
     if not (0.0 < phi < math.pi):
         raise ValueError("phi must lie in (0, pi)")
-    if trials < 100:
-        raise ValueError("need at least 100 trials for a meaningful report")
+    if not (isinstance(trials, int) and trials >= 100):
+        raise ValueError("need an integer of at least 100 trials")
     p = (1.0 + math.cos(phi)) / 2.0
-    counts = draw_count_matrix(binary_stats(p, n), seed, trials)[:, 0]
-    p_hat = counts / n
-    phi_hat = np.arccos(2.0 * p_hat - 1.0)
-    mean_p = math.fsum(p_hat) / trials
-    w = 1.0 / trials
-    return _report_from_moments(
-        phi, mean_p, p, phi_hat.tolist(), [w] * trials, ReportMode.MONTE_CARLO, trials
+    stats = binary_stats(p, n)
+    lo, hist = 0, None
+    for first in range(0, trials, _MC_CHUNK):
+        counts = draw_count_matrix(
+            stats, seed, min(_MC_CHUNK, trials - first), _first=first
+        )[:, 0]
+        lo, hist = _add_histogram(lo, hist, counts)
+    return _report_from_pmf(
+        phi, p, n, lo + np.arange(hist.size), hist / trials,
+        ReportMode.MONTE_CARLO, trials,
     )
 
 

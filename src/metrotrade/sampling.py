@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError
-from .states import ProbePhaseState, fidelity
 
 EXACT_ENUM_LIMIT = 64
 _U64 = np.uint64
@@ -78,21 +77,6 @@ def binary_stats(p: float, n: int) -> OutcomeStats:
     return OutcomeStats((p, 1.0 - p), n)
 
 
-def povm_stats(initial: ProbePhaseState, final: ProbePhaseState, n: int):
-    """Outcome stats before and after a phase shift, for the projector
-    onto the initial state plus its complement.
-
-    Returns (initial_stats, final_stats).  The initial state projects
-    onto itself with certainty, so its distribution is (1, 0); the
-    final state hits the projector with probability F and everything
-    else is lumped into the complement, giving (F, 1 - F).
-    """
-    if initial.kind is not final.kind or initial.particles != final.particles:
-        raise ValueError("initial and final probes must share kind and size")
-    f = fidelity(final, initial.phase)
-    return binary_stats(1.0, n), binary_stats(f, n)
-
-
 def enumerate_binomial(p: float, n: int):
     """Exact binomial pmf as a list of (k, probability) pairs.
 
@@ -117,9 +101,11 @@ def _mix64(z):
     return z ^ (z >> _U64(31))
 
 
-def _substream_uniforms(seed: int, trials: int, draw_index: int) -> np.ndarray:
-    """One uniform in (0, 1] per trial, from the (seed, trial, draw) counter."""
-    t = np.arange(trials, dtype=np.uint64)
+def _substream_uniforms(seed: int, trials: int, draw_index: int,
+                        first: int = 0) -> np.ndarray:
+    """One uniform in (0, 1] for each trial first..first+trials-1, from the
+    (seed, trial, draw) counter."""
+    t = np.arange(first, first + trials, dtype=np.uint64)
     with np.errstate(over="ignore"):
         # uint64 wraparound is the point of the hash, not an accident
         h = _mix64(_U64(seed) + _GOLDEN * (t + _U64(1)))
@@ -207,12 +193,15 @@ def _check_seed(seed: int):
         raise ValueError("seed must be an unsigned 64-bit integer")
 
 
-def draw_count_matrix(stats: OutcomeStats, seed: int, trials: int) -> np.ndarray:
+def draw_count_matrix(stats: OutcomeStats, seed: int, trials: int,
+                      _first: int = 0) -> np.ndarray:
     """Multinomial counts for `trials` independent trials, one row each.
 
     Categories are split off sequentially: category i is a binomial
     draw on the shots remaining after categories 0..i-1, with the
-    conditional probability p_i / (p_i + ... + p_last).
+    conditional probability p_i / (p_i + ... + p_last).  _first is the
+    index of the first trial drawn, so a long run can be drawn in
+    chunks that match one call row for row.
     """
     _check_seed(seed)
     if not (isinstance(trials, int) and trials >= 1):
@@ -227,7 +216,7 @@ def draw_count_matrix(stats: OutcomeStats, seed: int, trials: int) -> np.ndarray
         if tail_mass <= 0.0:
             break
         cond = min(p_i / tail_mass, 1.0)
-        u = _substream_uniforms(seed, trials, i)
+        u = _substream_uniforms(seed, trials, i, _first)
         if i == 0:
             k = _invert_binomial_fixed(u, n, cond)
         else:

@@ -60,13 +60,7 @@ def check_inherent_optimum(tol: float) -> CheckResult:
     ok_res = abs(res - 49.9967) <= tol * 49.9967
     ok_acc = abs(acc - 0.100007) <= tol * 0.100007
     grid = np.linspace(0.0, math.pi, 2003)[1:-1]
-    best_res = 0.0
-    for phi0 in grid:
-        try:
-            d, _ = bounds.inherent_precision(float(phi0), n)
-        except ValueError:
-            continue
-        best_res = max(best_res, 1.0 / d)
+    best_res = float(np.nanmax(1.0 / bounds.inherent_steps(grid, n)))
     ok_peak = best_res - res <= tol * res
     passed = ok_res and ok_acc and ok_peak
     return _result(

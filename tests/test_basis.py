@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from metrotrade.basis import (
@@ -8,6 +9,7 @@ from metrotrade.basis import (
     basis_snr,
     find_optimal_basis,
     precision_from_snr,
+    snr_grid,
 )
 from metrotrade.bounds import AccuracySpec, min_detectable_signal
 from metrotrade.estimation import classical_fisher_information
@@ -117,6 +119,17 @@ def test_find_optimal_basis_validation():
         find_optimal_basis(0.5, 1, grid=50)
     with pytest.raises(ValueError):
         find_optimal_basis(math.nan, 1)
+
+
+def test_snr_grid_matches_basis_snr():
+    phi, n, grid = 0.3, 7, 200
+    thetas, phibs, values = snr_grid(phi, n, grid)
+    assert values.shape == (grid, grid)
+    assert thetas[0] == 0.0 and thetas[-1] == math.pi and phibs[0] == 0.0
+    cells = np.random.default_rng(0).integers(0, grid, size=(50, 2)).tolist()
+    for i, j in cells + [[0, 0], [grid - 1, grid - 1]]:
+        ref = basis_snr(MeasurementBasis(float(thetas[i]), float(phibs[j])), phi, n)
+        assert abs(values[i, j] - ref) <= 4.0 * math.ulp(ref)
 
 
 def test_precision_from_snr_values():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,10 +12,12 @@ from metrotrade.bounds import (
     critical_fidelity,
     distinguishable_binary,
     inherent_precision,
+    inherent_steps,
     min_detectable_signal,
     povm_statistic,
     tradeoff_bound,
 )
+from metrotrade.cli import _inherent_grid
 from metrotrade.errors import UnreachableSignalError
 from metrotrade.sampling import binary_stats
 
@@ -202,18 +205,28 @@ def test_inherent_precision_vs_bisection():
         assert abs(dphi - oracle) < 1e-9
 
 
-def test_inherent_precision_mirror():
-    phi0, n = 1.0, 50
-    dphi, _ = inherent_precision(phi0, n, mirror=True)
-    # stepping up by dphi lowers the outcome probability by exactly 1/n
-    drop = 0.5 * (math.cos(phi0) - math.cos(phi0 + dphi))
-    assert abs(drop - 1.0 / n) < 1e-12
-
-
 def test_inherent_precision_unreachable():
     with pytest.raises(UnreachableSignalError):
         inherent_precision(0.1, 3)
     assert bisect_inherent_shift(0.1, 3) is None
+
+
+@pytest.mark.parametrize("n, points", [(3, 199), (10**6, 999)])
+def test_inherent_steps_matches_scalar_form(n, points):
+    # the grids of `inherent --n 3 --grid 199` and `inherent --n 1000000`
+    grid = _inherent_grid(points).tolist()
+    steps = inherent_steps(np.array(grid), n).tolist()
+    unreachable = 0
+    for phi0, step in zip(grid, steps):
+        try:
+            dphi, _ = inherent_precision(phi0, n)
+        except UnreachableSignalError:
+            assert math.isnan(step)
+            unreachable += 1
+            continue
+        assert abs(step - dphi) <= 4.0 * math.ulp(dphi)
+    # only n = 3 leaves shallow working points unreachable
+    assert (unreachable > 0) == (n == 3)
 
 
 def test_inherent_accuracy_decreases_with_budget():
@@ -222,10 +235,6 @@ def test_inherent_accuracy_decreases_with_budget():
 
 
 def test_accuracy_spec_split():
-    spec = AccuracySpec(1.0, 12, split=(3, 4))
-    assert spec.split == (3, 4)
-    with pytest.raises(ValueError):
-        AccuracySpec(1.0, 12, split=(5, 2))
     with pytest.raises(ValueError):
         AccuracySpec(0.0, 12)
     with pytest.raises(ValueError):

@@ -7,9 +7,11 @@ import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+from metrotrade import cli, estimation, verify
 from metrotrade.cli import main
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -218,6 +220,46 @@ def test_usage_errors_exit_one():
     code, _, err = run_cli(["tradeoff", "--format", "both"])
     assert code == 1
     assert "requires --out" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["inherent", "--n", "100,5"],  # one budget only
+    ["resources", "--alpha", "1,2"],  # one confidence level only
+    ["basis-sweep", "--alpha", "3", "--trials", "7"],  # flags it does not read
+])
+def test_flags_a_command_cannot_use_exit_one(argv):
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_csv_output_renders_no_chart(monkeypatch):
+    def refuse(panels):
+        raise AssertionError("render_chart called for --format csv")
+
+    monkeypatch.setattr(cli, "render_chart", refuse)
+    code, _, _ = run_cli(["inherent", "--grid", "49"])
+    assert code == 0
+
+
+def test_benchmark_tracing_installs_and_unpatches(monkeypatch):
+    # perfbench/tracing.py patches names on these modules by lookup; a
+    # name it cannot find would break `perfbench/run.py --trace 1`.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    original_main, original_checks = cli.main, verify._CHECKS
+    tracer = tracing.Tracer()
+    tracing.install(tracer, cli, verify, estimation)
+    try:
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["tradeoff"]) == 0
+    finally:
+        tracer.unpatch()
+    assert tracer.summary()["cli.compute"][0] == 1
+    assert cli.main is original_main
+    assert verify._CHECKS is original_checks
 
 
 def test_domain_errors_exit_two():

@@ -1,18 +1,26 @@
 import math
+import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from metrotrade.basis import MeasurementBasis, basis_probabilities
 from metrotrade.estimation import (
+    _MC_CHUNK,
     EstimatorReport,
     ReportMode,
     classical_fisher_information,
     exact_bias_report,
     invert_phase,
+    _report_from_pmf,
     monte_carlo_report,
 )
+from metrotrade.sampling import binary_stats, draw_count_matrix
 
 from helpers import phase_estimate
+
+EPS = sys.float_info.epsilon
 
 # Enumeration moments at phi = pi/4, n = 10, evaluated beforehand with
 # 50-digit arithmetic and rounded to the nearest double.
@@ -101,6 +109,49 @@ def test_monte_carlo_reproducible():
     a = monte_carlo_report(1.2, 25, trials=2000, seed=77)
     b = monte_carlo_report(1.2, 25, trials=2000, seed=77)
     assert a == b
+
+
+def test_monte_carlo_chunks_match_one_draw():
+    # two chunks reduce to the report of one draw over all the trials
+    phi, n, seed, trials = 0.9, 12, 5, _MC_CHUNK + 1000
+    p = (1.0 + math.cos(phi)) / 2.0
+    counts = draw_count_matrix(binary_stats(p, n), seed, trials)[:, 0]
+    weights = np.bincount(counts, minlength=n + 1) / trials
+    one_draw = _report_from_pmf(
+        phi, p, n, np.arange(n + 1), weights, ReportMode.MONTE_CARLO, trials
+    )
+    assert monte_carlo_report(phi, n, trials, seed) == one_draw
+
+
+def test_monte_carlo_matches_per_trial_sums():
+    # reference: the moments summed trial by trial, each weighted 1/trials;
+    # per term the two differ by at most two roundings, so the sums of
+    # these non-negative terms agree to 4 eps relative
+    phi, n, seed, trials = 0.7, 10, 3, 10**5
+    p = (1.0 + math.cos(phi)) / 2.0
+    p_hat = draw_count_matrix(binary_stats(p, n), seed, trials)[:, 0] / n
+    phi_hat = np.arccos(2.0 * p_hat - 1.0)
+    w = 1.0 / trials
+    mean_phi = math.fsum((w * phi_hat).tolist())
+    ref = {
+        "mean_p_hat": math.fsum(p_hat.tolist()) / trials,
+        "mean_phi_hat": mean_phi,
+        "var_phi": math.fsum((w * (phi_hat - mean_phi) ** 2).tolist()),
+        "mse_phi": math.fsum((w * (phi_hat - phi) ** 2).tolist()),
+    }
+    rep = monte_carlo_report(phi, n, trials, seed)
+    for name, value in ref.items():
+        assert abs(getattr(rep, name) - value) <= 4.0 * EPS * value, name
+
+
+def test_monte_carlo_memory_does_not_grow_with_trials():
+    tracemalloc.start()
+    try:
+        monte_carlo_report(1.0, 10, trials=2**22, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_bias_decays_with_budget():

@@ -18,9 +18,7 @@ from metrotrade.sampling import (
     binary_stats,
     draw_count_matrix,
     enumerate_binomial,
-    povm_stats,
 )
-from metrotrade.states import ProbeKind, ProbePhaseState
 
 
 def test_binary_stats_deterministic_outcome():
@@ -58,34 +56,6 @@ def test_outcome_stats_rejects_bad_input():
         OutcomeStats((-0.1, 1.1), 10)
     with pytest.raises(ValueError):
         binary_stats(1.5, 10)
-
-
-def test_povm_stats_identical_states():
-    a = ProbePhaseState(0.7)
-    s0, s1 = povm_stats(a, ProbePhaseState(0.7), 10)
-    assert s0.probabilities == (1.0, 0.0)
-    assert s1.probabilities == (1.0, 0.0)
-
-
-def test_povm_stats_orthogonal():
-    s0, s1 = povm_stats(ProbePhaseState(0.0), ProbePhaseState(math.pi), 10)
-    assert s1.probabilities[0] == pytest.approx(0.0, abs=1e-15)
-    assert s1.probabilities[1] == pytest.approx(1.0, abs=1e-15)
-
-
-def test_povm_stats_pi_over_3():
-    _, s1 = povm_stats(ProbePhaseState(0.0), ProbePhaseState(math.pi / 3.0), 12)
-    assert abs(s1.probabilities[0] - 0.75) < 1e-15
-
-
-def test_povm_stats_rejects_mismatched_probes():
-    a = ProbePhaseState(0.0, particles=2, kind=ProbeKind.GHZ)
-    b = ProbePhaseState(0.1, particles=3, kind=ProbeKind.GHZ)
-    with pytest.raises(ValueError):
-        povm_stats(a, b, 5)
-    c = ProbePhaseState(0.1, particles=2, kind=ProbeKind.PRODUCT)
-    with pytest.raises(ValueError):
-        povm_stats(a, c, 5)
 
 
 def test_enumerate_binomial_two_shots():
@@ -254,8 +224,12 @@ def test_multinomial_three_outcomes_large_budget():
     for i, p in enumerate(s.probabilities):
         se = math.sqrt(n * p * (1.0 - p) / trials)
         assert abs(counts[:, i].mean() - n * p) <= 4.0 * se
-    # prefix contract: shorter runs repeat the leading rows exactly
+    # prefix contract: shorter runs repeat the leading rows exactly, and a
+    # run that starts at a later trial repeats the rows from there on
     assert np.array_equal(draw_count_matrix(s, seed=17, trials=300), counts[:300])
+    assert np.array_equal(
+        draw_count_matrix(s, seed=17, trials=700, _first=1300), counts[1300:]
+    )
 
 
 @given(
