@@ -91,13 +91,14 @@ def critical_fidelity(spec: AccuracySpec) -> float:
 def min_detectable_signal(spec: AccuracySpec) -> BoundReport:
     """Smallest phase shift resolvable at confidence alpha with n shots.
 
-    Exact form arccos((n - a2)/(n + a2)); asymptotic form 2 alpha /
-    sqrt(n); inverse-root benchmark 1/sqrt(n) for unit Fisher
+    Exact form arccos((n - a2)/(n + a2)), evaluated as the equal
+    2 atan(alpha / sqrt(n)), which keeps full precision where the arccos
+    argument rounds to 1 (it returns 0 from n ~ 1e16); asymptotic form
+    2 alpha / sqrt(n); inverse-root benchmark 1/sqrt(n) for unit Fisher
     information.
     """
-    a2 = spec.alpha**2
     n = spec.n
-    exact = math.acos((n - a2) / (n + a2))
+    exact = 2.0 * math.atan(spec.alpha / math.sqrt(n))
     asymptotic = 2.0 * spec.alpha / math.sqrt(n)
     qcrb = 1.0 / math.sqrt(n)
     return BoundReport(

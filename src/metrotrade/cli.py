@@ -98,19 +98,49 @@ def _uint64(text: str) -> int:
     return value
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.17g}"
+# Rows formatted by one % in _csv_text, and the most grid rows a command
+# may write (the same cap as the sampler's CDF window).
+_BLOCK_ROWS = 2**16
+_GRID_ROWS_MAX = 2**22
+
+
+class _RowBlocks:
+    """CSV data rows held as consecutive blocks, each a 2-D float array or
+    a list of rows; len() counts rows, as for a list of rows."""
+
+    def __init__(self, *blocks):
+        self.blocks = blocks
+
+    def __len__(self):
+        return sum(len(block) for block in self.blocks)
+
+
+def _row_template(row) -> str:
+    """%-template of one CSV line: str and int cells as str() writes them,
+    any other cell as a 17-significant-digit float."""
+    return ",".join(
+        "%s" if isinstance(cell, (str, int)) else "%.17g" for cell in row
+    ) + "\n"
 
 
 def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt_cell(cell) for cell in row))
-    return "\n".join(lines) + "\n"
+    """CSV text of header and rows, every line ending in LF.
+
+    rows is a list of rows, a 2-D float array or a _RowBlocks of those.
+    A float array is written _BLOCK_ROWS rows at a time with a single %
+    on one line template repeated; a list row gets the template of its
+    own cells.
+    """
+    parts = [",".join(header) + "\n"]
+    for block in rows.blocks if isinstance(rows, _RowBlocks) else (rows,):
+        if isinstance(block, np.ndarray):
+            template = ",".join(["%.17g"] * block.shape[1]) + "\n"
+            for start in range(0, len(block), _BLOCK_ROWS):
+                chunk = block[start:start + _BLOCK_ROWS]
+                parts.append(template * len(chunk) % tuple(chunk.ravel().tolist()))
+        else:
+            parts.extend(_row_template(row) % tuple(row) for row in block)
+    return "".join(parts)
 
 
 @dataclass
@@ -148,11 +178,17 @@ class RunConfig:
                 raise ValueError("phi0 must lie in (0, pi)")
             if self.grid < 1:
                 raise ValueError("grid must be >= 1")
+            if self.grid >= _GRID_ROWS_MAX:
+                raise ValueError(f"grid must be <= {_GRID_ROWS_MAX - 1}")
         elif cmd == "basis-sweep":
             if self.n_list[0] < 1:
                 raise ValueError("n must be >= 1")
             if self.grid < 200:
                 raise ValueError("grid must be >= 200 points per axis")
+            if self.grid**2 > _GRID_ROWS_MAX:
+                raise ValueError(
+                    f"grid must be <= {math.isqrt(_GRID_ROWS_MAX)} points per axis"
+                )
             if not math.isfinite(self.phi):
                 raise ValueError("phi must be finite")
         elif cmd == "resources":
@@ -217,7 +253,7 @@ def cmd_inherent(cfg: RunConfig):
     delta = inherent_steps(phi0, n)
     resolution = 1.0 / delta
     accuracy = delta * math.sqrt(n) / 2.0
-    rows = np.column_stack((phi0, resolution, accuracy)).tolist()
+    rows = np.column_stack((phi0, resolution, accuracy))
     xs = tuple(phi0.tolist())
     return header, rows, [
         Panel(f"resolution vs phi0 (n={n})", "phi0", "1/dphi",
@@ -231,11 +267,11 @@ def cmd_basis_sweep(cfg: RunConfig):
     phi, n, grid = cfg.phi, cfg.n_list[0], cfg.grid
     header = ["theta", "phi_b", "snr"]
     thetas, phibs, values = snr_grid(phi, n, grid)
-    rows = np.column_stack(
+    block = np.column_stack(
         (np.repeat(thetas, grid), np.tile(phibs, grid), values.ravel())
-    ).tolist()
+    )
     analytic = math.sqrt(n) * abs(math.tan(phi / 2.0))
-    rows.append(["summary", float(values.max()), analytic])
+    rows = _RowBlocks(block, [["summary", float(values.max()), analytic]])
     # Equatorial slice for the chart: theta closest to pi/2.
     eq = values[np.argmin(np.abs(thetas - math.pi / 2.0))]
     return header, rows, [

@@ -19,6 +19,7 @@ mass, built with numpy alone from the pmf ratio recurrence.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -113,8 +114,12 @@ def _substream_uniforms(seed: int, trials: int, draw_index: int,
     return ((h >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
+@functools.lru_cache(maxsize=1)
 def _binomial_cdf_table(p: float, n: int):
     """Binomial CDF as (lo, cdf) with cdf[i] = P(K <= lo + i), for 0 < p < 1.
+
+    The last table is kept, read-only, so a Monte Carlo run drawn in
+    chunks builds it once.
 
     n <= EXACT_ENUM_LIMIT: exact math.comb terms over k = 0..n.  Beyond,
     a window lo..hi around the mode: the pmf relative to the mode comes
@@ -128,7 +133,9 @@ def _binomial_cdf_table(p: float, n: int):
     tail, and the table's last entry is exactly 1.
     """
     if n <= EXACT_ENUM_LIMIT:
-        return 0, np.cumsum([w for _, w in enumerate_binomial(p, n)])
+        cdf = np.cumsum([w for _, w in enumerate_binomial(p, n)])
+        cdf.flags.writeable = False
+        return 0, cdf
     q = 1.0 - p
     # q rounds when p < 1/2: the exact 1 - p is q (1 + drift), so the j-th
     # running product below is off by (1 + drift)**j, undone by exp(j drift).
@@ -158,7 +165,9 @@ def _binomial_cdf_table(p: float, n: int):
                 break
         half *= 2
     cdf = np.cumsum(np.concatenate((down[::-1], [1.0], up)))
-    return lo, cdf / cdf[-1]
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return lo, cdf
 
 
 def _invert_binomial_fixed(u: np.ndarray, n: int, p: float) -> np.ndarray:

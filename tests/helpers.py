@@ -124,3 +124,20 @@ def binomial_cdf_mp(n: int, p: float, k: int, prec: int = 160):
             if term <= total * eps:
                 break
         return 1 - total
+
+
+def _cell_text(cell) -> str:
+    if isinstance(cell, str):
+        return cell
+    if isinstance(cell, int):
+        return str(cell)
+    return f"{cell:.17g}"
+
+
+def csv_text_per_cell(header, rows) -> str:
+    """Reference for cli._csv_text, formatting one cell at a time: str
+    as is, int by str(), anything else f"{x:.17g}"; LF after every line."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_cell_text(cell) for cell in row))
+    return "\n".join(lines) + "\n"

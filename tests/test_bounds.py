@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -92,6 +93,21 @@ def test_correction_ratio_window_and_monotonicity():
         assert 2.0 * (1.0 - 1.0 / n) < rep.correction_ratio <= 2.0
         assert rep.correction_ratio > prev
         prev = rep.correction_ratio
+
+
+@pytest.mark.parametrize("alpha", [0.25, 1.0, 4.0, 1000.0])
+def test_min_signal_matches_mpmath_oracle(alpha):
+    # arccos((n - a2)/(n + a2)) at 200 bits over n = 1 .. 1e18 and 2**63 - 1;
+    # an arccos of that argument in doubles reads 0 from n ~ 1e16
+    ns = sorted({round(10 ** (k / 4)) for k in range(73)} | {2**53 + 1, 2**63 - 1})
+    for n in ns:
+        rep = min_detectable_signal(AccuracySpec(alpha, n))
+        with mpmath.workprec(200):
+            a2 = mpmath.mpf(alpha) ** 2
+            ref = float(mpmath.acos((n - a2) / (n + a2)))
+        assert abs(rep.min_signal_exact - ref) <= 3 * math.ulp(ref), n
+        assert abs(rep.correction_ratio - ref * math.sqrt(n)) <= 4 * math.ulp(
+            rep.correction_ratio), n
 
 
 def test_min_signal_vs_bisection_oracle():

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import os
 import subprocess
 import sys
 import time
@@ -9,8 +10,12 @@ import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from helpers import csv_text_per_cell
 from metrotrade import cli, estimation, verify
 from metrotrade.cli import main
 
@@ -23,6 +28,12 @@ def run_cli(argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def child_env():
+    """Environment for a child interpreter that imports this package."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 def parse_csv(text):
@@ -179,6 +190,72 @@ def test_csv_determinism():
         assert out1 == out2
 
 
+_EDGE_FLOATS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+    2.2250738585072009e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+    0.1, 1.0 / 3.0, 1e16, 123456789.0,
+]
+_CELLS = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from(_EDGE_FLOATS),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.sampled_from([2**53 + 1, -(2**63), 2**64 + 3, np.int64(2**60 + 1)]),
+    st.text(max_size=8),
+)
+
+
+def _rows_of(rows):
+    """The rows of a command's output as lists, blocks expanded."""
+    blocks = rows.blocks if isinstance(rows, cli._RowBlocks) else (rows,)
+    return [row.tolist() if isinstance(row, np.ndarray) else row
+            for block in blocks for row in block]
+
+
+@given(st.lists(st.lists(_CELLS, min_size=1, max_size=5), max_size=30))
+def test_csv_text_matches_per_cell_reference(rows):
+    header = ["a", "b"]
+    assert cli._csv_text(header, rows) == csv_text_per_cell(header, rows)
+
+
+@given(st.lists(st.lists(st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS)),
+                         min_size=3, max_size=3), max_size=30))
+def test_csv_text_of_float_block_matches_reference(rows):
+    block = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
+    expected = csv_text_per_cell(["x", "y", "z"], rows)
+    assert cli._csv_text(["x", "y", "z"], block) == expected
+    both = cli._RowBlocks(block, [["summary", 1, math.nan]])
+    assert len(both) == len(rows) + 1
+    assert cli._csv_text(["x", "y", "z"], both) == csv_text_per_cell(
+        ["x", "y", "z"], rows + [["summary", 1, math.nan]])
+
+
+def test_csv_text_across_a_block_boundary():
+    n = cli._BLOCK_ROWS + 1
+    block = np.column_stack((np.arange(n) * (math.pi / n), np.full(n, -0.0),
+                             np.linspace(-1e300, 1e-300, n)))
+    rows = block.tolist()
+    rows[-1][1] = math.nan
+    block[-1, 1] = math.nan
+    expected = csv_text_per_cell(["a", "b", "c"], rows)
+    assert cli._csv_text(["a", "b", "c"], block) == expected
+    assert cli._csv_text(["a", "b", "c"], rows) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["tradeoff"], ["inherent"], ["basis-sweep"], ["resources"], ["bias-mc"],
+    ["basis-sweep", "--grid", "200", "--phi", "0.4371"],
+    ["inherent", "--n", "1000000", "--grid", "100000"],
+])
+def test_command_csv_matches_per_cell_reference(argv):
+    cfg = cli.RunConfig(**vars(cli.build_parser().parse_args(argv)))
+    header, rows, _ = cli._COMMANDS[cfg.command](cfg)
+    text = cli._csv_text(header, rows)
+    assert text == csv_text_per_cell(header, _rows_of(rows))
+    assert len(rows) == text.count("\n") - 1
+    assert run_cli(argv)[1] == text
+
+
 def test_svg_output_well_formed(tmp_path):
     path = tmp_path / "chart.svg"
     code, _, _ = run_cli(["inherent", "--grid", "49", "--format", "svg",
@@ -287,6 +364,32 @@ def test_out_of_range_inputs_exit_two_with_one_line(argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["basis-sweep", "--grid", "2049"],
+    ["basis-sweep", "--grid", "100000"],
+    ["inherent", "--grid", str(2**22)],
+    ["inherent", "--grid", str(10**12)],
+])
+def test_grid_past_the_row_cap_exits_two(monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("grid computed past the row cap")
+
+    monkeypatch.setattr(cli, "snr_grid", refuse)
+    monkeypatch.setattr(cli, "inherent_steps", refuse)
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: grid must be <= ") and err.count("\n") == 1
+
+
+def test_grid_at_the_row_cap_is_accepted():
+    # validation only: building these grids would write 2**22 rows
+    for argv in (["basis-sweep", "--grid", "2048"], ["inherent", "--grid", str(2**22 - 1)]):
+        cli.RunConfig(**vars(cli.build_parser().parse_args(argv))).validate()
+    # an odd grid already holds pi/2, so 2**22 - 1 points give 2**22 - 1 rows
+    assert len(cli._inherent_grid(7)) == 7
+
+
 def test_verify_passes_and_reports():
     code, out, _ = run_cli(["verify"])
     assert code == 0
@@ -315,6 +418,7 @@ def test_verify_report_to_file(tmp_path):
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "metrotrade", "tradeoff", "--n", "4", "--alpha", "2"],
+        env=child_env(),
         capture_output=True,
         text=True,
     )
@@ -333,7 +437,7 @@ def test_runtime_does_not_import_scipy():
         "    code = c.main(['verify'])\n"
         "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True)
+    proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "[]"]

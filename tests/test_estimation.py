@@ -16,6 +16,7 @@ from metrotrade.estimation import (
     _report_from_pmf,
     monte_carlo_report,
 )
+from metrotrade import sampling
 from metrotrade.sampling import binary_stats, draw_count_matrix
 
 from helpers import phase_estimate
@@ -121,6 +122,24 @@ def test_monte_carlo_chunks_match_one_draw():
         phi, p, n, np.arange(n + 1), weights, ReportMode.MONTE_CARLO, trials
     )
     assert monte_carlo_report(phi, n, trials, seed) == one_draw
+
+
+def test_monte_carlo_builds_the_cdf_table_once():
+    # n = 2**34 at p = 1/2 needs a 1.57M-entry window; four chunks share it
+    phi, n, seed, trials = math.pi / 2.0, 2**34, 11, 2**20
+    assert trials == 4 * _MC_CHUNK
+    p = (1.0 + math.cos(phi)) / 2.0
+    sampling._binomial_cdf_table.cache_clear()
+    rep = monte_carlo_report(phi, n, trials, seed)
+    assert sampling._binomial_cdf_table.cache_info().misses == 1
+    assert not sampling._binomial_cdf_table(p, n)[1].flags.writeable
+    counts = draw_count_matrix(binary_stats(p, n), seed, trials)[:, 0]
+    lo = int(counts.min())
+    weights = np.bincount(counts - lo) / trials
+    one_draw = _report_from_pmf(
+        phi, p, n, lo + np.arange(weights.size), weights, ReportMode.MONTE_CARLO, trials
+    )
+    assert rep == one_draw
 
 
 def test_monte_carlo_matches_per_trial_sums():
