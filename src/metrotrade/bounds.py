@@ -158,13 +158,19 @@ def povm_statistic(stats_initial: OutcomeStats, stats_final: OutcomeStats) -> fl
 
 def inherent_steps(phi0, n: int):
     """Smallest phase step down from each working point phi0 that raises
-    the outcome probability by one quantum 1/n: phi0 - arccos(2/n + cos phi0).
+    the outcome probability by one quantum 1/n: phi0 - theta2 with
+    theta2 = arccos(2/n + cos phi0).
+
+    The difference is evaluated as 2 asin((1/n) / sin((phi0 + theta2)/2)),
+    from cos theta2 - cos phi0 = 2 sin((phi0 + theta2)/2) sin((phi0 - theta2)/2),
+    so it does not cancel when the step is small against phi0 (large n).
 
     Vectorized over phi0 (scalar or array, each in (0, pi)).  Where the
     quantum cannot be bridged (arccos argument above 1) the step is NaN.
     """
     with np.errstate(invalid="ignore"):
-        return phi0 - np.arccos(2.0 / n + np.cos(phi0))
+        theta2 = np.arccos(2.0 / n + np.cos(phi0))
+    return 2.0 * np.arcsin((1.0 / n) / np.sin((phi0 + theta2) / 2.0))
 
 
 def inherent_precision(phi0: float, n: int):

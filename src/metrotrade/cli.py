@@ -176,10 +176,11 @@ class RunConfig:
                 raise ValueError("n must be >= 3 for a reachable interior point")
             if self.phi0 is not None and not 0.0 < self.phi0 < math.pi:
                 raise ValueError("phi0 must lie in (0, pi)")
-            if self.grid < 1:
-                raise ValueError("grid must be >= 1")
-            if self.grid >= _GRID_ROWS_MAX:
-                raise ValueError(f"grid must be <= {_GRID_ROWS_MAX - 1}")
+            if self.phi0 is None:  # --grid is read only without --phi0
+                if self.grid < 1:
+                    raise ValueError("grid must be >= 1")
+                if self.grid >= _GRID_ROWS_MAX:
+                    raise ValueError(f"grid must be <= {_GRID_ROWS_MAX - 1}")
         elif cmd == "basis-sweep":
             if self.n_list[0] < 1:
                 raise ValueError("n must be >= 1")

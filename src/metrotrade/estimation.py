@@ -19,8 +19,11 @@ the tests hold them to that.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -28,8 +31,10 @@ from .basis import MeasurementBasis
 from .sampling import binary_stats, draw_count_matrix, enumerate_binomial
 
 
-# Trials drawn per draw_count_matrix call in monte_carlo_report.
-_MC_CHUNK = 2**18
+# Trials drawn per draw_count_matrix call in monte_carlo_report (arrays
+# of 2**16 trials stay in L2), and the most threads that draw them.
+_MC_CHUNK = 2**16
+_MC_WORKERS = 4
 
 
 class ReportMode(Enum):
@@ -103,13 +108,19 @@ def exact_bias_report(phi: float, n: int) -> EstimatorReport:
     )
 
 
-def _add_histogram(lo, hist, counts):
-    """Add counts to the histogram hist of the values lo, lo + 1, ...,
-    widening it as needed.  Returns the new (lo, hist)."""
-    c_lo = int(counts.min())
-    add = np.bincount(counts - c_lo)
-    if hist is None:
-        return c_lo, add
+def _chunk_histogram(stats, seed, trials, first):
+    """(lo, bincount) of the first-category counts of trials first,
+    first + 1, ... of a run of `trials`, at most _MC_CHUNK of them."""
+    counts = draw_count_matrix(
+        stats, seed, min(_MC_CHUNK, trials - first), _first=first
+    )[:, 0]
+    lo = int(counts.min())
+    return lo, np.bincount(counts - lo)
+
+
+def _add_histogram(lo, hist, c_lo, add):
+    """Add the histogram add of the values c_lo, c_lo + 1, ... to hist of
+    lo, lo + 1, ..., widening it as needed.  Returns the new (lo, hist)."""
     new_lo = min(lo, c_lo)
     merged = np.zeros(max(lo + hist.size, c_lo + add.size) - new_lo, dtype=np.int64)
     merged[lo - new_lo:lo - new_lo + hist.size] += hist
@@ -117,27 +128,66 @@ def _add_histogram(lo, hist, counts):
     return new_lo, merged
 
 
+def _mc_workers():
+    """Threads for a Monte Carlo report: the CPUs this process may run
+    on, at most _MC_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(_MC_WORKERS, cpus)
+
+
+def _histograms_in_order(draw, firsts):
+    """draw(first) for each first, in order.
+
+    The first chunk is drawn on the calling thread, before any worker
+    starts, so it builds the memoised CDF table once (or raises
+    BudgetError) for them all.  With at least two chunks per worker the
+    rest are drawn on a thread pool (numpy releases the GIL in the
+    sampler), at most two per worker ahead of the one being merged, so
+    memory does not grow with the chunk count.  Smaller runs stay on the
+    calling thread: there a pool costs more, in start-up and per-thread
+    malloc arenas, than it saves.
+    """
+    yield draw(firsts[0])
+    workers = _mc_workers()
+    if workers < 2 or len(firsts) < 2 * workers:
+        yield from map(draw, firsts[1:])
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque()
+        for first in firsts[1:]:
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(draw, first))
+        while pending:
+            yield pending.popleft().result()
+
+
 def monte_carlo_report(phi: float, n: int, trials: int, seed: int) -> EstimatorReport:
     """Estimator moments from sampled counts (seeded, reproducible).
 
-    Trials are drawn in chunks of _MC_CHUNK, so memory does not grow with
-    the trial count, and reduced to a histogram over the sampled counts.
-    Integer histograms add exactly, so the result does not depend on the
-    chunking.  Counts lie inside the sampler's CDF window, so the
-    histogram holds at most 2**22 entries.
+    Trials are drawn in chunks of _MC_CHUNK, on up to _MC_WORKERS threads,
+    so memory does not grow with the trial count, and each chunk is
+    reduced to a histogram over its sampled counts.  The histograms are
+    merged in chunk order and integer histograms add exactly, so the
+    result depends neither on the chunking nor on the thread count.
+    Counts lie inside the sampler's CDF window, so the histogram holds at
+    most 2**22 entries.
     """
     if not (0.0 < phi < math.pi):
         raise ValueError("phi must lie in (0, pi)")
     if not (isinstance(trials, int) and trials >= 100):
         raise ValueError("need an integer of at least 100 trials")
     p = (1.0 + math.cos(phi)) / 2.0
-    stats = binary_stats(p, n)
-    lo, hist = 0, None
-    for first in range(0, trials, _MC_CHUNK):
-        counts = draw_count_matrix(
-            stats, seed, min(_MC_CHUNK, trials - first), _first=first
-        )[:, 0]
-        lo, hist = _add_histogram(lo, hist, counts)
+    draw = partial(_chunk_histogram, binary_stats(p, n), seed, trials)
+    parts = _histograms_in_order(draw, range(0, trials, _MC_CHUNK))
+    lo, hist = next(parts)
+    for c_lo, add in parts:
+        lo, hist = _add_histogram(lo, hist, c_lo, add)
     return _report_from_pmf(
         phi, p, n, lo + np.arange(hist.size), hist / trials,
         ReportMode.MONTE_CARLO, trials,

@@ -119,7 +119,11 @@ def check_povm_reduction(tol: float) -> CheckResult:
 
 
 def _bisection_min_signal(n_arr: np.ndarray, alpha: float) -> np.ndarray:
-    """Oracle: smallest phi with |p(phi) - 1| >= alpha * noise, by bisection."""
+    """Oracle: smallest phi with |p(phi) - 1| >= alpha * noise, by bisection.
+
+    Stops at the fixed point: once lo and hi are adjacent doubles, mid
+    equals the end it would replace, and no later step changes either.
+    """
     lo = np.full(n_arr.shape, 1e-12)
     hi = np.full(n_arr.shape, math.pi - 1e-12)
     for _ in range(100):
@@ -128,6 +132,8 @@ def _bisection_min_signal(n_arr: np.ndarray, alpha: float) -> np.ndarray:
         sep = 1.0 - p
         noise = np.sqrt(p * (1.0 - p) / n_arr)
         ok = sep >= alpha * noise
+        if np.array_equal(mid, np.where(ok, hi, lo)):
+            break
         hi = np.where(ok, mid, hi)
         lo = np.where(ok, lo, mid)
     return hi

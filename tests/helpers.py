@@ -58,6 +58,33 @@ def bisect_inherent_shift(phi0: float, n: int, iters: int = 200):
     return hi
 
 
+def inherent_step_mp(phi0: float, n: int, prec: int = 200):
+    """phi0 - arccos(2/n + cos phi0) at `prec` bits, phi0 taken exactly,
+    as a float; None where the arccos argument exceeds 1."""
+    with mpmath.workprec(prec):
+        x = mpmath.mpf(phi0)
+        c = mpmath.mpf(2) / n + mpmath.cos(x)
+        if c > 1:
+            return None
+        return float(x - mpmath.acos(c))
+
+
+def bisection_min_signal_100(n_arr: np.ndarray, alpha: float) -> np.ndarray:
+    """verify's bisection oracle run for a fixed 100 iterations, with no
+    stop at its fixed point: the reference for the early-stopped form."""
+    lo = np.full(n_arr.shape, 1e-12)
+    hi = np.full(n_arr.shape, math.pi - 1e-12)
+    for _ in range(100):
+        mid = (lo + hi) / 2.0
+        p = (1.0 + np.cos(mid)) / 2.0
+        sep = 1.0 - p
+        noise = np.sqrt(p * (1.0 - p) / n_arr)
+        ok = sep >= alpha * noise
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid)
+    return hi
+
+
 def _qubit(phi: float) -> np.ndarray:
     return np.array([1.0, np.exp(1j * phi)]) / math.sqrt(2.0)
 

@@ -22,7 +22,7 @@ from metrotrade.cli import _inherent_grid
 from metrotrade.errors import UnreachableSignalError
 from metrotrade.sampling import binary_stats
 
-from helpers import bisect_inherent_shift, bisect_min_signal
+from helpers import bisect_inherent_shift, bisect_min_signal, inherent_step_mp
 
 # pi/4 - arccos(0.02 + cos(pi/4)) at n = 100, from 50-digit arithmetic
 INHERENT_PI4_N100 = 0.028700028633896672
@@ -243,6 +243,31 @@ def test_inherent_steps_matches_scalar_form(n, points):
         assert abs(step - dphi) <= 4.0 * math.ulp(dphi)
     # only n = 3 leaves shallow working points unreachable
     assert (unreachable > 0) == (n == 3)
+
+
+@pytest.mark.parametrize("n", [3, 100, 10**6, 10**12, 10**15])
+def test_inherent_steps_match_mpmath(n):
+    # over the default `inherent` grid.  Rounding 2/n + cos(phi0) moves
+    # theta2 = arccos of it by up to eps (|cos phi0| + 2/n) / sin(theta2),
+    # which reaches the step relatively through cot((phi0 + theta2) / 2) / 2;
+    # the tolerance grows with that near the unreachable edge (theta2 -> 0)
+    # and is a few eps elsewhere.  phi0 - theta2 in doubles fails it from
+    # n = 100 on (relative error 0.13 at n = 10**15).
+    grid = _inherent_grid(999)
+    steps = inherent_steps(grid, n)
+    arg = 2.0 / n + np.cos(grid)
+    assert np.array_equal(np.isnan(steps), arg > 1.0)
+    with np.errstate(invalid="ignore"):
+        theta2 = np.arccos(arg)
+    cond = np.abs(1.0 / np.tan((grid + theta2) / 2.0)) * (
+        (np.abs(np.cos(grid)) + 2.0 / n) / np.sin(theta2) + theta2
+    )
+    tol = 4.0 * np.finfo(float).eps * (1.0 + cond)
+    for phi0, step, t in zip(grid.tolist(), steps.tolist(), tol.tolist()):
+        ref = inherent_step_mp(phi0, n)
+        if ref is None:
+            continue
+        assert abs(step - ref) <= t * ref, (phi0, step, ref)
 
 
 def test_inherent_accuracy_decreases_with_budget():

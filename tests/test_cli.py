@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import csv_text_per_cell
+from helpers import bisection_min_signal_100, csv_text_per_cell
 from metrotrade import cli, estimation, verify
 from metrotrade.cli import main
 
@@ -382,6 +382,16 @@ def test_grid_past_the_row_cap_exits_two(monkeypatch, argv):
     assert err.startswith("error: grid must be <= ") and err.count("\n") == 1
 
 
+def test_grid_is_checked_only_where_it_is_read():
+    # a single --phi0 makes the grid unused
+    code, out, err = run_cli(["inherent", "--phi0", "1", "--grid", "0"])
+    assert code == 0 and err == ""
+    assert len(parse_csv(out)[1]) == 1
+    code, out, err = run_cli(["inherent", "--grid", "0"])
+    assert code == 2
+    assert out == "" and err == "error: grid must be >= 1\n"
+
+
 def test_grid_at_the_row_cap_is_accepted():
     # validation only: building these grids would write 2**22 rows
     for argv in (["basis-sweep", "--grid", "2048"], ["inherent", "--grid", str(2**22 - 1)]):
@@ -398,6 +408,16 @@ def test_verify_passes_and_reports():
     # the factor-2 line carries the measured n=100 bound
     line = [l for l in out.splitlines() if "factor2" in l][0]
     assert "1.9933730498" in line
+
+
+def test_bisection_oracle_stops_at_its_fixed_point():
+    # stopping once lo and hi no longer move gives the 100-step result
+    n_arr = np.arange(1, 10**4 + 1, dtype=np.float64)
+    for alpha in verify._ALPHA_GRID:
+        assert np.array_equal(
+            verify._bisection_min_signal(n_arr, alpha),
+            bisection_min_signal_100(n_arr, alpha),
+        )
 
 
 def test_verify_corrupt_hook_exits_three():

@@ -1,13 +1,17 @@
+import concurrent.futures
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from metrotrade import estimation
 from metrotrade.basis import MeasurementBasis, basis_probabilities
 from metrotrade.estimation import (
     _MC_CHUNK,
+    _MC_WORKERS,
     EstimatorReport,
     ReportMode,
     classical_fisher_information,
@@ -124,22 +128,68 @@ def test_monte_carlo_chunks_match_one_draw():
     assert monte_carlo_report(phi, n, trials, seed) == one_draw
 
 
-def test_monte_carlo_builds_the_cdf_table_once():
-    # n = 2**34 at p = 1/2 needs a 1.57M-entry window; four chunks share it
+def _one_draw_report(phi, n, trials, seed):
+    """The reduction of one unchunked draw_count_matrix call."""
+    p = (1.0 + math.cos(phi)) / 2.0
+    counts = draw_count_matrix(binary_stats(p, n), seed, trials)[:, 0]
+    lo = int(counts.min())
+    weights = np.bincount(counts - lo) / trials
+    return _report_from_pmf(
+        phi, p, n, lo + np.arange(weights.size), weights, ReportMode.MONTE_CARLO, trials
+    )
+
+
+@pytest.mark.parametrize("workers", [1, _MC_WORKERS])
+def test_monte_carlo_pool_matches_one_draw(monkeypatch, workers):
+    # 16 chunks: drawn on the calling thread alone, or on the widest pool
+    # whatever this host's CPU count; every chunk goes through the module
+    # global, where a tracer wraps it
+    phi, n, seed, trials = 0.9, 12, 5, 2**20
+    callers = []
+
+    def spy(*args, **kwargs):
+        callers.append(threading.current_thread())
+        return draw_count_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "_mc_workers", lambda: workers)
+    monkeypatch.setattr(estimation, "draw_count_matrix", spy)
+    rep = monte_carlo_report(phi, n, trials, seed)
+    assert len(callers) == trials // _MC_CHUNK
+    assert callers[0] is threading.main_thread()
+    on_main = [t is threading.main_thread() for t in callers]
+    assert all(on_main) == (workers == 1)
+    monkeypatch.undo()
+    assert rep == _one_draw_report(phi, n, trials, seed)
+
+
+def test_monte_carlo_builds_the_cdf_table_once(monkeypatch):
+    # n = 2**34 at p = 1/2 needs a 1.57M-entry window; the chunks share it,
+    # also when drawn on a pool
     phi, n, seed, trials = math.pi / 2.0, 2**34, 11, 2**20
-    assert trials == 4 * _MC_CHUNK
+    assert trials >= 4 * _MC_CHUNK
+    monkeypatch.setattr(estimation, "_mc_workers", lambda: _MC_WORKERS)
     p = (1.0 + math.cos(phi)) / 2.0
     sampling._binomial_cdf_table.cache_clear()
     rep = monte_carlo_report(phi, n, trials, seed)
     assert sampling._binomial_cdf_table.cache_info().misses == 1
     assert not sampling._binomial_cdf_table(p, n)[1].flags.writeable
-    counts = draw_count_matrix(binary_stats(p, n), seed, trials)[:, 0]
-    lo = int(counts.min())
-    weights = np.bincount(counts - lo) / trials
-    one_draw = _report_from_pmf(
-        phi, p, n, lo + np.arange(weights.size), weights, ReportMode.MONTE_CARLO, trials
-    )
-    assert rep == one_draw
+    assert rep == _one_draw_report(phi, n, trials, seed)
+
+
+@pytest.mark.parametrize("workers", [2, _MC_WORKERS])
+def test_monte_carlo_pool_starts_below_two_chunks_per_worker(monkeypatch, workers):
+    class NoPool(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise NoPool
+
+    monkeypatch.setattr(estimation, "_mc_workers", lambda: workers)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    below = (2 * workers - 1) * _MC_CHUNK
+    assert monte_carlo_report(1.0, 10, below, 0).trials == below
+    with pytest.raises(NoPool):
+        monte_carlo_report(1.0, 10, below + 1, 0)
 
 
 def test_monte_carlo_matches_per_trial_sums():
@@ -163,7 +213,8 @@ def test_monte_carlo_matches_per_trial_sums():
         assert abs(getattr(rep, name) - value) <= 4.0 * EPS * value, name
 
 
-def test_monte_carlo_memory_does_not_grow_with_trials():
+def test_monte_carlo_memory_does_not_grow_with_trials(monkeypatch):
+    monkeypatch.setattr(estimation, "_mc_workers", lambda: _MC_WORKERS)
     tracemalloc.start()
     try:
         monte_carlo_report(1.0, 10, trials=2**22, seed=0)
