@@ -21,7 +21,6 @@ from .basis import (
     basis_probabilities,
     basis_snr,
     find_optimal_basis,
-    precision_from_snr,
 )
 from .bounds import (
     AccuracySpec,
@@ -32,15 +31,15 @@ from .bounds import (
     inherent_precision,
     min_detectable_signal,
     povm_statistic,
-    tradeoff_bound,
+    povm_statistics,
 )
 from .errors import BranchError, BudgetError, UnreachableSignalError
 from .estimation import (
     EstimatorReport,
     ReportMode,
     classical_fisher_information,
+    classical_fisher_values,
     exact_bias_report,
-    invert_phase,
     monte_carlo_report,
 )
 from .resources import (
@@ -94,6 +93,7 @@ __all__ = [
     "binary_stats",
     "canonical_spread",
     "classical_fisher_information",
+    "classical_fisher_values",
     "critical_fidelity",
     "distinguishable_binary",
     "enumerate_binomial",
@@ -103,16 +103,14 @@ __all__ = [
     "fit_scaling",
     "format_report",
     "inherent_precision",
-    "invert_phase",
     "min_detectable_signal",
     "monte_carlo_report",
     "povm_statistic",
-    "precision_from_snr",
+    "povm_statistics",
     "quantum_fisher_information",
     "run_all",
     "signal",
     "strategy_min_signal",
     "strategy_signal_noise",
-    "tradeoff_bound",
     "__version__",
 ]

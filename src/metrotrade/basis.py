@@ -152,15 +152,3 @@ def find_optimal_basis(phi: float, n: int, grid: int = 400):
     best = MeasurementBasis(theta1, phib1)
     return best, basis_snr(best, phi, n)
 
-
-def precision_from_snr(alpha: float, n: int) -> float:
-    """Invert the optimal ratio sqrt(n) tan(dphi/2) = alpha for the phase.
-
-    Gives 2 arctan(alpha / sqrt(n)), the same quantity as the closed
-    form arccos((n - alpha**2) / (n + alpha**2)).
-    """
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError("alpha must be positive and finite")
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError("n must be a positive integer")
-    return 2.0 * math.atan(alpha / math.sqrt(n))

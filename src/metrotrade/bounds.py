@@ -9,11 +9,18 @@ phase-shifted copy gives a chain of closed forms:
     minimum signal         dphi >= arccos((n - alpha**2) / (n + alpha**2))
     trade-off bound        dphi >= 2 alpha / (sqrt(n + alpha**2) sqrt(Fq))
 
-The exact minimum signal exceeds the inverse-root Cramer-Rao value
-1/sqrt(n Fq) by a factor approaching 2: resolving one noise width on
-each side costs twice the naive one-sigma estimate.  correction_ratio
-tracks that factor.  Conversely accuracy_of reads off the confidence
-level a given precision actually buys.
+At Fq = 1 the trade-off bound is the chord 2 sin(dphi_min / 2) of the
+exact minimum signal dphi_min = 2 atan(alpha / sqrt(n)), so it needs no
+function of its own.  The exact minimum signal exceeds the inverse-root
+Cramer-Rao value 1/sqrt(n Fq) by a factor approaching 2: resolving one
+noise width on each side costs twice the naive one-sigma estimate.
+correction_ratio tracks that factor.  Conversely accuracy_of reads off
+the confidence level a given precision actually buys.
+
+The same criterion over a k-outcome measurement is the separation
+statistic of povm_statistics, an array kernel over any grid of
+probability vectors; povm_statistic is its scalar form for one pair of
+OutcomeStats.
 
 inherent_steps has no alpha at all: with n shots the probability
 scale is quantized in steps of 1/n, and the smallest phase step that
@@ -110,17 +117,6 @@ def min_detectable_signal(spec: AccuracySpec) -> BoundReport:
     )
 
 
-def tradeoff_bound(spec: AccuracySpec, fq: float) -> float:
-    """Lower bound 2 alpha / (sqrt(n + alpha**2) sqrt(fq)) on the signal.
-
-    fq is the quantum Fisher information of one shot; zero information
-    admits no bound and is rejected.
-    """
-    if not (math.isfinite(fq) and fq > 0.0):
-        raise ValueError("fq must be positive (no information, no bound)")
-    return 2.0 * spec.alpha / (math.sqrt(spec.n + spec.alpha**2) * math.sqrt(fq))
-
-
 def accuracy_of(delta_phi: float, n: int, fq: float) -> float:
     """Confidence level alpha = delta_phi * sqrt(n fq) / 2 a precision buys."""
     if not (math.isfinite(delta_phi) and delta_phi >= 0.0):
@@ -132,28 +128,40 @@ def accuracy_of(delta_phi: float, n: int, fq: float) -> float:
     return delta_phi * math.sqrt(n * fq) / 2.0
 
 
-def povm_statistic(stats_initial: OutcomeStats, stats_final: OutcomeStats) -> float:
-    """Separation statistic sqrt(n) sqrt(sum (p'_i - p_i)**2 / p'_i).
+def povm_statistics(p, p_final, n):
+    """Separation statistic sqrt(n) sqrt(sum (p'_i - p_i)**2 / p'_i), vectorized.
 
-    p are the initial and p' the final outcome probabilities over the
-    same outcome set.  Cells where p' vanishes contribute nothing if p
+    p are the initial and p' the final outcome probabilities, broadcast
+    together with outcomes on the last axis; n broadcasts against the
+    remaining axes.  Cells where p' vanishes contribute nothing if p
     vanishes too, and make the statistic infinite otherwise (a formerly
-    occupied outcome became impossible: certain separation).
+    occupied outcome became impossible: certain separation).  The cells
+    are added in outcome order, as a scalar loop over them would.
     """
+    p, p_final = np.broadcast_arrays(
+        np.asarray(p, dtype=np.float64), np.asarray(p_final, dtype=np.float64)
+    )
+    occupied = p_final != 0.0
+    diff = p_final - p
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cells = np.where(occupied, diff * diff / p_final, 0.0)
+    total = cells[..., 0]
+    for i in range(1, cells.shape[-1]):
+        total = total + cells[..., i]
+    vanished = np.any(~occupied & (p != 0.0), axis=-1)
+    return np.where(vanished, np.inf, np.sqrt(n) * np.sqrt(total))
+
+
+def povm_statistic(stats_initial: OutcomeStats, stats_final: OutcomeStats) -> float:
+    """povm_statistics for one pair of outcome stats over the same outcome
+    set and sample budget."""
     p = stats_initial.probabilities
     pf = stats_final.probabilities
     if len(p) != len(pf):
         raise ValueError("outcome sets must have equal size")
     if stats_initial.sample_budget != stats_final.sample_budget:
         raise ValueError("stats must share the same sample budget")
-    total = 0.0
-    for pi, pfi in zip(p, pf):
-        if pfi == 0.0:
-            if pi == 0.0:
-                continue
-            return math.inf
-        total += (pfi - pi) ** 2 / pfi
-    return math.sqrt(stats_initial.sample_budget) * math.sqrt(total)
+    return float(povm_statistics(p, pf, float(stats_initial.sample_budget)))
 
 
 def inherent_steps(phi0, n: int):

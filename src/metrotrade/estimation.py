@@ -14,6 +14,11 @@ distinct counts k with their weights (the pmf, or the fraction of
 trials that drew k), summed with math.fsum so that no accumulation
 order can shift the result.  The two must agree within sampling error;
 the tests hold them to that.
+
+classical_fisher_values is the Fisher information the measurement
+itself carries, an array kernel over Bloch directions and phases;
+classical_fisher_information is its scalar form for one
+MeasurementBasis.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from .basis import MeasurementBasis
+from .basis import TWO_PI, MeasurementBasis
 from .sampling import binary_stats, draw_count_matrix, enumerate_binomial
 
 
@@ -65,16 +70,6 @@ class EstimatorReport:
             raise ValueError(
                 f"mse/variance/bias decomposition violated by {residual:.3e}"
             )
-
-
-def invert_phase(p_hat: float) -> float:
-    """Map an observed frequency back to a phase via arccos(2 p - 1).
-
-    Total on [0, 1]: the endpoints map to pi and 0.
-    """
-    if not (0.0 <= p_hat <= 1.0):
-        raise ValueError("p_hat must lie in [0, 1]")
-    return math.acos(2.0 * p_hat - 1.0)
 
 
 def _report_from_pmf(phi, p, n, ks, weights, mode, trials=None):
@@ -194,8 +189,9 @@ def monte_carlo_report(phi: float, n: int, trials: int, seed: int) -> EstimatorR
     )
 
 
-def classical_fisher_information(basis: MeasurementBasis, phi: float) -> float:
-    """Fisher information of the two-outcome measurement about the phase.
+def classical_fisher_values(theta, phi_b, phi):
+    """Fisher information of two-outcome measurements about the phase,
+    vectorized over broadcast arrays of Bloch angles and phases.
 
     For outcome probability p = (1 + sin(theta) cos(phi - phi_b)) / 2
     the information (dp/dphi)**2 * (1/p + 1/(1-p)) reduces to
@@ -206,17 +202,24 @@ def classical_fisher_information(basis: MeasurementBasis, phi: float) -> float:
 
     which is bounded by 1 and equals 1 on the theta = pi/2 circle.  The
     denominator is written in this cancellation-free form rather than
-    1 - sin2 cos2.  When p lands exactly on {0, 1} (only possible on
-    that circle, where the numerator vanishes at the same rate) the
-    on-circle limit 1 is returned.
+    1 - sin2 cos2.  phi_b is reduced modulo 2 pi first, as
+    MeasurementBasis does.  Where p lands exactly on {0, 1} (only
+    possible on that circle, where the numerator vanishes at the same
+    rate) the on-circle limit 1 is returned.
     """
+    st = np.sin(theta)
+    ct = np.cos(theta)
+    delta = phi - np.mod(phi_b, TWO_PI)
+    s = st * np.cos(delta)
+    x = st * np.sin(delta)
+    num = x * x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = num / (num + ct * ct)
+    return np.where(np.abs(s) == 1.0, 1.0, values)
+
+
+def classical_fisher_information(basis: MeasurementBasis, phi: float) -> float:
+    """classical_fisher_values for one basis at one phase."""
     if not math.isfinite(phi):
         raise ValueError("phi must be finite")
-    st = math.sin(basis.theta)
-    ct = math.cos(basis.theta)
-    delta = phi - basis.phi_b
-    s = st * math.cos(delta)
-    if abs(s) == 1.0:
-        return 1.0
-    num = (st * math.sin(delta)) ** 2
-    return num / (num + ct * ct)
+    return float(classical_fisher_values(basis.theta, basis.phi_b, phi))

@@ -24,7 +24,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import BranchError
-from .states import ProbeKind, ProbePhaseState, fidelity
 
 
 class StrategyKind(Enum):
@@ -77,52 +76,48 @@ class StrategyConfig:
         return 1.0
 
 
-def _probe(cfg: StrategyConfig, phi: float) -> ProbePhaseState:
-    kind = {
-        StrategyKind.ENSEMBLE: ProbeKind.SINGLE,
-        StrategyKind.PRODUCT: ProbeKind.PRODUCT,
-        StrategyKind.GHZ: ProbeKind.GHZ,
-        StrategyKind.NONLINEAR: ProbeKind.NONLINEAR,
-    }[cfg.strategy]
-    particles = 1 if kind is ProbeKind.SINGLE else cfg.m
-    return ProbePhaseState(
-        phi, particles=particles, kind=kind, nonlinear_exponent=cfg.nonlinear_exponent
-    )
-
-
 def strategy_signal_noise(cfg: StrategyConfig, phi: float):
     """Probability signal 1 - F(phi) and projection noise sqrt(F(1-F)/shots).
 
     phi must lie in the monotone branch (0, pi / frequency_factor) where
-    the fidelity falls from 1 without wrapping.
+    the fidelity falls from 1 without wrapping.  The signal is formed
+    without the cancelling 1 - F: sin2(f phi / 2) at fringe frequency f,
+    and -expm1(2 M log cos(phi / 2)) for the M-body product probe, with
+    2 log cos(phi / 2) taken as log1p(-sin2(phi / 2)).
     """
     limit = math.pi / cfg.frequency_factor
     if not (0.0 < phi < limit):
         raise BranchError(
             f"phi={phi:.6g} outside the monotone branch (0, {limit:.6g})"
         )
-    f = fidelity(_probe(cfg, phi), 0.0)
-    sig = 1.0 - f
-    noise = math.sqrt(f * (1.0 - f) / cfg.effective_samples)
+    half = math.sin(cfg.frequency_factor * phi / 2.0)
+    if cfg.strategy is StrategyKind.PRODUCT:
+        sig = -math.expm1(cfg.m * math.log1p(-half * half))
+    else:
+        sig = half * half
+    noise = math.sqrt((1.0 - sig) * sig / cfg.effective_samples)
     return sig, noise
 
 
 def strategy_min_signal(cfg: StrategyConfig) -> float:
     """Smallest detectable phase shift of the strategy at confidence alpha.
 
-    Built from the critical fidelity F0 = n / (n + alpha**2) on the
-    repetition count (the ensemble case folds everything into one pool
-    of m*n shots, for which the same expression reduces to the
-    single-body closed form arccos((mn - a2)/(mn + a2))).
+    Where the fidelity falls to the critical F0 = n / (n + alpha**2) on
+    the repetition count n, in forms that keep full precision however
+    close F0 is to 1:
+
+        ensemble   2 atan(alpha / sqrt(m n))   (one pool of m n shots)
+        product    2 atan(sqrt(expm1(log1p(alpha**2 / n) / m)))
+        ghz        (2 / f) atan(alpha / sqrt(n)), f = frequency_factor
+        nonlinear  as ghz
     """
-    a2 = cfg.alpha**2
+    alpha = cfg.alpha
     if cfg.strategy is StrategyKind.ENSEMBLE:
-        pool = cfg.m * cfg.n
-        return math.acos((pool - a2) / (pool + a2))
-    f0 = cfg.n / (cfg.n + a2)
+        return 2.0 * math.atan(alpha / math.sqrt(cfg.m * cfg.n))
     if cfg.strategy is StrategyKind.PRODUCT:
-        return 2.0 * math.acos(f0 ** (1.0 / (2.0 * cfg.m)))
-    return (2.0 / cfg.frequency_factor) * math.acos(math.sqrt(f0))
+        tan2 = math.expm1(math.log1p(alpha * alpha / cfg.n) / cfg.m)
+        return 2.0 * math.atan(math.sqrt(tan2))
+    return (2.0 / cfg.frequency_factor) * math.atan(alpha / math.sqrt(cfg.n))
 
 
 @dataclass(frozen=True)

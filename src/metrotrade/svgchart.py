@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
@@ -54,6 +53,12 @@ def _axis_range(values):
     return lo - pad, hi + pad
 
 
+def _escape(text: str) -> str:
+    """&, > and < as XML entities, in that order (as xml.sax.saxutils.escape
+    does without extra entities, whose import pulls in urllib and email)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
@@ -95,7 +100,7 @@ def render_chart(panels) -> str:
 
         out.append(
             f'<text x="{plot_x0}" y="{top + 18}" font-size="14">'
-            f"{escape(panel.title)}</text>"
+            f"{_escape(panel.title)}</text>"
         )
         axis = f'stroke="black" stroke-width="1"'
         out.append(
@@ -111,20 +116,20 @@ def render_chart(panels) -> str:
             _, py = to_px(x_lo, yv)
             out.append(
                 f'<text x="{_fmt(px)}" y="{plot_y1 + 16}" text-anchor="middle">'
-                f"{escape(_tick_label(xv))}</text>"
+                f"{_escape(_tick_label(xv))}</text>"
             )
             out.append(
                 f'<text x="{plot_x0 - 6}" y="{_fmt(py + 4)}" text-anchor="end">'
-                f"{escape(_tick_label(yv))}</text>"
+                f"{_escape(_tick_label(yv))}</text>"
             )
         out.append(
             f'<text x="{(plot_x0 + plot_x1) / 2:.0f}" y="{plot_y1 + 34}" '
-            f'text-anchor="middle">{escape(panel.x_label)}</text>'
+            f'text-anchor="middle">{_escape(panel.x_label)}</text>'
         )
         out.append(
             f'<text x="16" y="{(plot_y0 + plot_y1) / 2:.0f}" text-anchor="middle" '
             f'transform="rotate(-90 16 {(plot_y0 + plot_y1) / 2:.0f})">'
-            f"{escape(panel.y_label)}</text>"
+            f"{_escape(panel.y_label)}</text>"
         )
         for s_idx, series in enumerate(panel.series):
             color = _COLORS[s_idx % len(_COLORS)]
@@ -138,7 +143,7 @@ def render_chart(panels) -> str:
             )
             out.append(
                 f'<text x="{plot_x1 - 150}" y="{plot_y0 + 14 + 14 * s_idx}" '
-                f'fill="{color}">{escape(series.label)}</text>'
+                f'fill="{color}">{_escape(series.label)}</text>'
             )
     out.append("</svg>")
     return "\n".join(out) + "\n"

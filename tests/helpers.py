@@ -85,6 +85,32 @@ def bisection_min_signal_100(n_arr: np.ndarray, alpha: float) -> np.ndarray:
     return hi
 
 
+def strategy_floor_mp(strategy: str, m: int, n: int, alpha: float, k: float,
+                      prec: int = 300) -> float:
+    """Phase where the strategy's fidelity falls to n_eff / (n_eff + alpha**2),
+    from the naive inverse forms at `prec` bits: acos(2 F0 - 1) over the
+    fringe frequency, or 2 acos(F0**(1/(2m))) for the product probe.
+    strategy is the StrategyKind value; n_eff is m n for the ensemble."""
+    with mpmath.workprec(prec):
+        n_eff = m * n if strategy == "ensemble" else n
+        f0 = mpmath.mpf(n_eff) / (n_eff + mpmath.mpf(alpha) ** 2)
+        if strategy == "product":
+            return float(2 * mpmath.acos(f0 ** (mpmath.mpf(1) / (2 * m))))
+        freq = {"ensemble": 1, "ghz": m, "nonlinear": mpmath.mpf(m) ** k}[strategy]
+        return float(mpmath.acos(2 * f0 - 1) / freq)
+
+
+def strategy_signal_mp(strategy: str, m: int, phi: float, k: float,
+                       prec: int = 300) -> float:
+    """1 - F(phi) of the strategy's probe at `prec` bits, phi taken exactly."""
+    with mpmath.workprec(prec):
+        d = mpmath.mpf(phi)
+        if strategy == "product":
+            return float(1 - mpmath.cos(d / 2) ** (2 * m))
+        freq = {"ensemble": 1, "ghz": m, "nonlinear": mpmath.mpf(m) ** k}[strategy]
+        return float(1 - (1 + mpmath.cos(freq * d)) / 2)
+
+
 def _qubit(phi: float) -> np.ndarray:
     return np.array([1.0, np.exp(1j * phi)]) / math.sqrt(2.0)
 
@@ -112,9 +138,43 @@ def ghz_fidelity_bruteforce(phi_a: float, phi_b: float, m: int) -> float:
     return float(abs(np.vdot(va, vb)) ** 2)
 
 
-def phase_estimate(p_hat: float) -> float:
-    """Reference inversion p = (1 + cos phi)/2 -> phi, written separately."""
-    return math.acos(min(1.0, max(-1.0, 2.0 * p_hat - 1.0)))
+def povm_statistic_scalar(p, p_final, n) -> float:
+    """Separation statistic sqrt(n) sqrt(sum (p'_i - p_i)**2 / p'_i) one
+    cell at a time, in outcome order: the reference for
+    bounds.povm_statistics.  A cell with p' = 0 is skipped if p = 0 too
+    and makes the statistic infinite otherwise.
+
+    Squares are products: CPython's float ** 2 goes through the C
+    library's pow, which is not correctly rounded everywhere (glibc 2.36
+    misses x * x by one ulp for about 7 in 10**4 arguments).
+    """
+    total = 0.0
+    for pi, pfi in zip(p, p_final):
+        if pfi == 0.0:
+            if pi == 0.0:
+                continue
+            return math.inf
+        d = pfi - pi
+        total += d * d / pfi
+    return math.sqrt(n) * math.sqrt(total)
+
+
+def classical_fisher_scalar(theta: float, phi_b: float, phi: float) -> float:
+    """Fisher information of the two-outcome measurement along
+    (theta, phi_b) at phase phi, with math-module scalars: the reference
+    for estimation.classical_fisher_values.  phi_b is reduced modulo
+    2 pi as MeasurementBasis does; where sin(theta) cos(phi - phi_b) is
+    exactly +-1 the on-circle limit 1 is returned."""
+    phi_b = phi_b % (2.0 * math.pi)
+    st = math.sin(theta)
+    ct = math.cos(theta)
+    delta = phi - phi_b
+    s = st * math.cos(delta)
+    if abs(s) == 1.0:
+        return 1.0
+    x = st * math.sin(delta)
+    num = x * x
+    return num / (num + ct * ct)
 
 
 def binomial_cdf_mp(n: int, p: float, k: int, prec: int = 160):

@@ -8,7 +8,6 @@ from metrotrade.basis import (
     basis_probabilities,
     basis_snr,
     find_optimal_basis,
-    precision_from_snr,
     snr_grid,
 )
 from metrotrade.bounds import AccuracySpec, min_detectable_signal
@@ -132,18 +131,12 @@ def test_snr_grid_matches_basis_snr():
         assert abs(values[i, j] - ref) <= 4.0 * math.ulp(ref)
 
 
-def test_precision_from_snr_values():
-    assert abs(precision_from_snr(1.0, 1) - HALF_PI) < 1e-15
-    assert abs(precision_from_snr(0.5, 100) - 2.0 * math.atan(0.05)) < 1e-15
-    assert abs(precision_from_snr(0.5, 100) - 0.0999168) < 1e-7
-
-
 def test_precision_matches_arccos_bound():
     # 2 arctan(a/sqrt(n)) and arccos((n-a2)/(n+a2)) are the same number
     for n in (1, 2, 10, 100, 10**4):
         for alpha in (0.25, 0.5, 1.0, 2.0, 4.0):
-            lhs = precision_from_snr(alpha, n)
-            rhs = min_detectable_signal(AccuracySpec(alpha, n)).min_signal_exact
+            lhs = min_detectable_signal(AccuracySpec(alpha, n)).min_signal_exact
+            rhs = math.acos((n - alpha**2) / (n + alpha**2))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, rhs)
 
 

@@ -16,13 +16,18 @@ from metrotrade.bounds import (
     inherent_steps,
     min_detectable_signal,
     povm_statistic,
-    tradeoff_bound,
+    povm_statistics,
 )
 from metrotrade.cli import _inherent_grid
 from metrotrade.errors import UnreachableSignalError
 from metrotrade.sampling import binary_stats
 
-from helpers import bisect_inherent_shift, bisect_min_signal, inherent_step_mp
+from helpers import (
+    bisect_inherent_shift,
+    bisect_min_signal,
+    inherent_step_mp,
+    povm_statistic_scalar,
+)
 
 # pi/4 - arccos(0.02 + cos(pi/4)) at n = 100, from 50-digit arithmetic
 INHERENT_PI4_N100 = 0.028700028633896672
@@ -118,21 +123,23 @@ def test_min_signal_vs_bisection_oracle():
             assert abs(rep.min_signal_exact - oracle) < 1e-9
 
 
+def _tradeoff_chord(spec, fq):
+    # the trade-off bound 2 alpha / (sqrt(n + alpha**2) sqrt(fq)) as the
+    # chord 2 sin(dphi_min / 2) of the exact bound, over sqrt(fq)
+    exact = min_detectable_signal(spec).min_signal_exact
+    return 2.0 * math.sin(exact / 2.0) / math.sqrt(fq)
+
+
 def test_tradeoff_bound_values():
     spec = AccuracySpec(1.0, 100)
-    assert abs(tradeoff_bound(spec, 1.0) - 2.0 / math.sqrt(101.0)) < 1e-15
-    assert abs(tradeoff_bound(spec, 1.0) - 0.199007) < 1e-6
-    assert abs(tradeoff_bound(spec, 25.0) - 2.0 / (math.sqrt(101.0) * 5.0)) < 1e-15
-    assert abs(tradeoff_bound(spec, 25.0) - 0.0398) < 1e-4
+    assert abs(_tradeoff_chord(spec, 1.0) - 2.0 / math.sqrt(101.0)) < 1e-15
+    assert abs(_tradeoff_chord(spec, 1.0) - 0.199007) < 1e-6
+    assert abs(_tradeoff_chord(spec, 25.0) - 2.0 / (math.sqrt(101.0) * 5.0)) < 1e-15
+    assert abs(_tradeoff_chord(spec, 25.0) - 0.0398) < 1e-4
 
 
 def test_tradeoff_bound_saturates_at_two():
-    assert abs(tradeoff_bound(AccuracySpec(1e8, 100), 1.0) - 2.0) < 1e-8
-
-
-def test_tradeoff_bound_rejects_zero_information():
-    with pytest.raises(ValueError):
-        tradeoff_bound(AccuracySpec(1.0, 10), 0.0)
+    assert abs(_tradeoff_chord(AccuracySpec(1e8, 100), 1.0) - 2.0) < 1e-8
 
 
 def test_tradeoff_product_invariance():
@@ -192,6 +199,61 @@ def test_povm_statistic_length_check():
 
     with pytest.raises(ValueError):
         povm_statistic(OutcomeStats((0.2, 0.3, 0.5), 10), binary_stats(0.5, 10))
+
+
+# Probability cells for the kernel properties: empty cells and cells
+# that vanish after the shift are drawn often enough to meet both rules.
+_CELLS = st.one_of(
+    st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=1e-300, max_value=1e-150),
+)
+
+
+@st.composite
+def _povm_grids(draw):
+    rows = draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=2, max_value=6))
+    cells = st.lists(_CELLS, min_size=k, max_size=k)
+    p = draw(st.lists(cells, min_size=rows, max_size=rows))
+    p_final = draw(st.lists(cells, min_size=rows, max_size=rows))
+    n = draw(st.lists(st.integers(min_value=1, max_value=10**18),
+                      min_size=rows, max_size=rows))
+    return np.array(p), np.array(p_final), np.array(n)
+
+
+@given(_povm_grids())
+def test_povm_statistics_match_scalar_reference(grids):
+    p, p_final, n = grids
+    got = povm_statistics(p, p_final, n)
+    rows = zip(p.tolist(), p_final.tolist(), n.tolist())
+    ref = np.array([povm_statistic_scalar(*row) for row in rows])
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_povm_statistics_zero_cell_rules():
+    # k = 3: an empty cell on both sides is skipped, one that empties
+    # after the shift is certain separation
+    p = np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+    p_final = np.array([[0.25, 0.75, 0.0], [0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
+    got = povm_statistics(p, p_final, 16)
+    assert got[0] == 4.0 * math.sqrt(0.0625 / 0.25 + 0.0625 / 0.75)
+    assert got[1] == math.inf
+    assert got[2] == 0.0
+
+
+def test_povm_statistics_broadcast_over_budgets():
+    # one initial vector against a grid of final vectors and budgets,
+    # the shape check_povm_reduction evaluates
+    n = np.arange(1, 6)[:, None]
+    alpha = np.array([0.5, 1.0, 2.0])
+    a2 = alpha * alpha
+    final = np.stack((n / (n + a2), a2 / (n + a2)), axis=-1)
+    got = povm_statistics((1.0, 0.0), final, n)
+    assert got.shape == (5, 3)
+    for i in range(5):
+        for j in range(3):
+            ref = povm_statistic_scalar((1.0, 0.0), final[i, j], int(n[i, 0]))
+            assert got[i, j] == ref
 
 
 def test_inherent_precision_half_pi():
@@ -311,5 +373,5 @@ def test_min_signal_bracket_property(n, alpha):
     # arccos conditioning when the argument sits next to 1
     rep = min_detectable_signal(AccuracySpec(alpha, n))
     assert 0.0 < rep.min_signal_exact <= math.pi
-    assert tradeoff_bound(AccuracySpec(alpha, n), 1.0) <= rep.min_signal_exact + 1e-9
+    assert _tradeoff_chord(AccuracySpec(alpha, n), 1.0) <= rep.min_signal_exact + 1e-9
     assert rep.min_signal_exact <= rep.min_signal_asymptotic + 1e-9

@@ -450,14 +450,33 @@ def test_module_entry_point():
 
 
 def test_runtime_does_not_import_scipy():
+    # verify and an SVG chart load none of scipy or the xml/urllib/http/
+    # email stack, whose import cost every cold start would pay.  Site
+    # hooks may load some of these before the package is imported, so
+    # only modules the run itself adds are counted.
     script = (
         "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
         "import metrotrade.cli as c\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = c.main(['verify'])\n"
-        "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "    codes = [c.main(['verify']), c.main(['tradeoff', '--format', 'svg'])]\n"
+        "banned = ('scipy', 'xml', 'urllib', 'http', 'email')\n"
+        "added = set(sys.modules) - before\n"
+        "print(codes, sorted(m for m in added if m.split('.')[0] in banned))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "[]"]
+    assert proc.stdout.split() == ["[0,", "0]", "[]"]
+
+
+def test_resources_keeps_a_floor_at_huge_budgets():
+    # at N = 1e16 the critical fidelity rounds to 1; the floor must not
+    # collapse to 0 (which once surfaced as a phase the user never gave)
+    code, out, err = run_cli(["resources", "--big-n", str(10**16)])
+    assert code == 0, err
+    _, rows = parse_csv(out)
+    assert all(float(r[3]) > 0.0 for r in rows)
+    slopes = {r[0]: float(r[4]) for r in rows}
+    assert abs(slopes["ensemble"] + 0.5) < 1e-12
+    assert abs(slopes["ghz"] + 1.0) < 1e-12

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from metrotrade import estimation
 from metrotrade.basis import MeasurementBasis, basis_probabilities
@@ -15,15 +17,15 @@ from metrotrade.estimation import (
     EstimatorReport,
     ReportMode,
     classical_fisher_information,
+    classical_fisher_values,
     exact_bias_report,
-    invert_phase,
     _report_from_pmf,
     monte_carlo_report,
 )
 from metrotrade import sampling
 from metrotrade.sampling import binary_stats, draw_count_matrix
 
-from helpers import phase_estimate
+from helpers import classical_fisher_scalar
 
 EPS = sys.float_info.epsilon
 
@@ -32,28 +34,6 @@ EPS = sys.float_info.epsilon
 BIAS_PHI_PI4_N10 = -0.097009403104363581
 VAR_PHI_PI4_N10 = 0.16588530539771888
 MSE_PHI_PI4_N10 = 0.17529612968838378
-
-
-def test_invert_phase_endpoints():
-    assert invert_phase(1.0) == 0.0
-    assert abs(invert_phase(0.5) - math.pi / 2.0) < 1e-15
-    assert abs(invert_phase(0.0) - math.pi) < 1e-15
-
-
-def test_invert_phase_pi_over_3():
-    assert abs(invert_phase(0.75) - math.pi / 3.0) < 1e-15
-
-
-def test_invert_phase_matches_reference():
-    for p in (0.0, 0.1, 0.37, 0.5, 0.77, 1.0):
-        assert abs(invert_phase(p) - phase_estimate(p)) < 1e-15
-
-
-def test_invert_phase_domain():
-    with pytest.raises(ValueError):
-        invert_phase(-0.01)
-    with pytest.raises(ValueError):
-        invert_phase(1.01)
 
 
 def test_exact_report_frozen_values():
@@ -291,3 +271,43 @@ def test_fisher_never_exceeds_quantum_limit():
             phi_b = 2.0 * math.pi * j / 50.0
             fc = classical_fisher_information(MeasurementBasis(theta, phi_b), 0.8)
             assert fc <= 1.0 + 1e-10
+
+
+_ANGLES = st.floats(min_value=-50.0, max_value=50.0)
+
+
+@given(
+    st.one_of(
+        st.sampled_from([0.0, math.pi / 2.0, math.pi]),
+        st.floats(min_value=0.0, max_value=math.pi),
+    ),
+    st.lists(_ANGLES, min_size=1, max_size=8),
+    _ANGLES,
+    st.sampled_from([None, 0.0, math.pi]),
+)
+# phi_b outside [0, 2 pi), and |sin(theta) cos(phi - phi_b)| == 1 exactly
+@example(math.pi / 2.0, [-3.0, 7.5, 2.0 * math.pi], 0.3, 0.0)
+@example(math.pi / 2.0, [0.4, 12.0], 0.0, math.pi)
+def test_fisher_values_match_scalar_reference(theta, phi_bs, phi, offset):
+    # offset pins phi on phi_b's reduced value (or opposite it), where
+    # the outcome is certain and the on-circle limit applies
+    phi_b = np.array(phi_bs)
+    if offset is not None:
+        phi = (phi_b % (2.0 * math.pi)) + offset
+    got = classical_fisher_values(theta, phi_b, phi)
+    phis = np.broadcast_to(phi, phi_b.shape).tolist()
+    ref = np.array([
+        classical_fisher_scalar(theta, b, x) for b, x in zip(phi_bs, phis)
+    ])
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_fisher_values_on_circle_limit():
+    # sin(pi/2) cos(0) and sin(pi/2) cos(pi) are exactly +-1 in floats:
+    # a certain outcome, where the on-circle limit 1 is returned
+    got = classical_fisher_values(
+        math.pi / 2.0, np.array([0.7, 0.0]), np.array([0.7, math.pi])
+    )
+    assert got.tolist() == [1.0, 1.0]
+    scalar = classical_fisher_information(MeasurementBasis(math.pi / 2.0, 0.0), 0.0)
+    assert scalar == 1.0

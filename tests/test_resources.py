@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -13,7 +14,13 @@ from metrotrade.resources import (
 )
 from metrotrade.sampling import binary_stats, draw_count_matrix
 
-from helpers import product_fidelity_bruteforce
+from helpers import (
+    product_fidelity_bruteforce,
+    strategy_floor_mp,
+    strategy_signal_mp,
+)
+
+EPS = sys.float_info.epsilon
 
 
 def test_ensemble_noise_value():
@@ -195,3 +202,26 @@ def test_monte_carlo_confirms_floor():
                 assert rate >= 0.45
             else:
                 assert rate <= 0.25
+
+
+@pytest.mark.parametrize("strat", list(StrategyKind), ids=lambda s: s.value)
+def test_floor_and_signal_match_mpmath(strat):
+    # N from 1 to 1e18: the floor keeps a few-ulp relative error where
+    # the critical fidelity rounds to 1, and the signal at the floor,
+    # far below the rounding of 1, keeps it too
+    k = 2.0 if strat is StrategyKind.NONLINEAR else 1.0
+    worst_floor = worst_signal = 0.0
+    for e in range(19):
+        for m in (1, 2, 7, 32):
+            for alpha in (0.25, 1.0, 3.0):
+                cfg = StrategyConfig(strat, m, 10**e, alpha=alpha, nonlinear_exponent=k)
+                floor = strategy_min_signal(cfg)
+                ref = strategy_floor_mp(strat.value, m, 10**e, alpha, k)
+                worst_floor = max(worst_floor, abs(floor - ref) / ref)
+                sig, noise = strategy_signal_noise(cfg, floor)
+                ref = strategy_signal_mp(strat.value, m, floor, k)
+                worst_signal = max(worst_signal, abs(sig - ref) / ref)
+                assert noise > 0.0
+    assert worst_floor <= 4.0 * EPS
+    assert worst_signal <= 4.0 * EPS
+
