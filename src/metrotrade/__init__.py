@@ -18,7 +18,6 @@ Modules
 
 from .basis import (
     MeasurementBasis,
-    basis_probabilities,
     basis_snr,
     find_optimal_basis,
 )
@@ -27,17 +26,14 @@ from .bounds import (
     BoundReport,
     accuracy_of,
     critical_fidelity,
-    distinguishable_binary,
     inherent_precision,
     min_detectable_signal,
-    povm_statistic,
     povm_statistics,
 )
 from .errors import BranchError, BudgetError, UnreachableSignalError
 from .estimation import (
     EstimatorReport,
     ReportMode,
-    classical_fisher_information,
     classical_fisher_values,
     exact_bias_report,
     monte_carlo_report,
@@ -63,7 +59,6 @@ from .states import (
     canonical_spread,
     fidelity,
     quantum_fisher_information,
-    signal,
 )
 from .verify import CheckResult, format_report, run_all
 
@@ -88,14 +83,11 @@ __all__ = [
     "StrategyKind",
     "UnreachableSignalError",
     "accuracy_of",
-    "basis_probabilities",
     "basis_snr",
     "binary_stats",
     "canonical_spread",
-    "classical_fisher_information",
     "classical_fisher_values",
     "critical_fidelity",
-    "distinguishable_binary",
     "enumerate_binomial",
     "exact_bias_report",
     "fidelity",
@@ -105,11 +97,9 @@ __all__ = [
     "inherent_precision",
     "min_detectable_signal",
     "monte_carlo_report",
-    "povm_statistic",
     "povm_statistics",
     "quantum_fisher_information",
     "run_all",
-    "signal",
     "strategy_min_signal",
     "strategy_signal_noise",
     "__version__",

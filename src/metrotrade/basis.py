@@ -43,16 +43,6 @@ class MeasurementBasis:
         object.__setattr__(self, "phi_b", self.phi_b % TWO_PI)
 
 
-def basis_probabilities(basis: MeasurementBasis, phi: float):
-    """Outcome probabilities (initial, final) of the basis at phase phi."""
-    if not math.isfinite(phi):
-        raise ValueError("phi must be finite")
-    st = math.sin(basis.theta)
-    p_initial = (1.0 + st * math.cos(basis.phi_b)) / 2.0
-    p_final = (1.0 + st * math.cos(phi - basis.phi_b)) / 2.0
-    return p_initial, p_final
-
-
 def _radicand(st, ct, x):
     # 1 - sin2(theta) cos2(x) without the cancellation: the two forms
     # are algebraically identical, this one stays accurate near zero.

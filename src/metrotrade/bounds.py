@@ -19,8 +19,7 @@ the confidence level a given precision actually buys.
 
 The same criterion over a k-outcome measurement is the separation
 statistic of povm_statistics, an array kernel over any grid of
-probability vectors; povm_statistic is its scalar form for one pair of
-OutcomeStats.
+probability vectors.
 
 inherent_steps has no alpha at all: with n shots the probability
 scale is quantized in steps of 1/n, and the smallest phase step that
@@ -35,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnreachableSignalError
-from .sampling import OutcomeStats
 
 
 @dataclass(frozen=True)
@@ -68,31 +66,9 @@ class BoundReport:
             raise ValueError("correction_ratio inconsistent with exact/qcrb")
 
 
-def distinguishable_binary(
-    stats0: OutcomeStats, stats1: OutcomeStats, alpha: float
-) -> bool:
-    """Whether two binary outcome estimates are alpha-sigma separable.
-
-    True when |p1 - p0| >= alpha * (dp1 + dp0).  Identical
-    deterministic estimates (zero separation, zero noise) are declared
-    indistinguishable rather than letting 0 >= 0 slip through.
-    """
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError("alpha must be positive and finite")
-    if len(stats0.probabilities) != 2 or len(stats1.probabilities) != 2:
-        raise ValueError("expected binary outcome stats")
-    if stats0.sample_budget != stats1.sample_budget:
-        raise ValueError("stats must share the same sample budget")
-    separation = abs(stats1.probabilities[0] - stats0.probabilities[0])
-    noise = stats0.std_devs[0] + stats1.std_devs[0]
-    if separation == 0.0 and noise == 0.0:
-        return False
-    return separation >= alpha * noise
-
-
 def critical_fidelity(spec: AccuracySpec) -> float:
     """Largest fidelity still distinguishable from the initial state."""
-    return spec.n / (spec.n + spec.alpha**2)
+    return spec.n / (spec.n + spec.alpha * spec.alpha)
 
 
 def min_detectable_signal(spec: AccuracySpec) -> BoundReport:
@@ -117,9 +93,13 @@ def min_detectable_signal(spec: AccuracySpec) -> BoundReport:
     )
 
 
-def accuracy_of(delta_phi: float, n: int, fq: float) -> float:
-    """Confidence level alpha = delta_phi * sqrt(n fq) / 2 a precision buys."""
-    if not (math.isfinite(delta_phi) and delta_phi >= 0.0):
+def accuracy_of(delta_phi, n: int, fq: float):
+    """Confidence level alpha = delta_phi * sqrt(n fq) / 2 a precision buys.
+
+    Elementwise over delta_phi (scalar or array); a NaN step, one that
+    cannot be reached, gives NaN.
+    """
+    if np.any(np.less(delta_phi, 0.0)):
         raise ValueError("delta_phi must be non-negative")
     if not (isinstance(n, int) and n >= 1):
         raise ValueError("n must be a positive integer")
@@ -152,18 +132,6 @@ def povm_statistics(p, p_final, n):
     return np.where(vanished, np.inf, np.sqrt(n) * np.sqrt(total))
 
 
-def povm_statistic(stats_initial: OutcomeStats, stats_final: OutcomeStats) -> float:
-    """povm_statistics for one pair of outcome stats over the same outcome
-    set and sample budget."""
-    p = stats_initial.probabilities
-    pf = stats_final.probabilities
-    if len(p) != len(pf):
-        raise ValueError("outcome sets must have equal size")
-    if stats_initial.sample_budget != stats_final.sample_budget:
-        raise ValueError("stats must share the same sample budget")
-    return float(povm_statistics(p, pf, float(stats_initial.sample_budget)))
-
-
 def inherent_steps(phi0, n: int):
     """Smallest phase step down from each working point phi0 that raises
     the outcome probability by one quantum 1/n: phi0 - theta2 with
@@ -183,7 +151,7 @@ def inherent_steps(phi0, n: int):
 
 def inherent_precision(phi0: float, n: int):
     """inherent_steps at one working point, with the accuracy
-    dphi * sqrt(n) / 2 it carries.
+    accuracy_of(dphi, n, 1) it carries.
 
     Returns (delta_phi, accuracy).  When the quantum cannot be bridged
     from this working point, UnreachableSignalError is raised.
@@ -197,4 +165,4 @@ def inherent_precision(phi0: float, n: int):
         raise UnreachableSignalError(
             f"probability step 1/{n} is not reachable from phi0={phi0:.6g}"
         )
-    return delta, delta * math.sqrt(n) / 2.0
+    return delta, accuracy_of(delta, n, 1.0)

@@ -30,7 +30,8 @@ from . import __version__
 # basis_snr and inherent_precision go uncalled: perfbench/tracing.py patches them here.
 from .basis import basis_snr, snr_grid  # noqa: F401
 from .bounds import (  # noqa: F401
-    AccuracySpec, inherent_precision, inherent_steps, min_detectable_signal,
+    AccuracySpec, accuracy_of, inherent_precision, inherent_steps,
+    min_detectable_signal,
 )
 from .estimation import exact_bias_report, monte_carlo_report
 from .resources import StrategyKind, fit_scaling
@@ -163,16 +164,12 @@ class RunConfig:
     corrupt: str | None = None
 
     def validate(self):
-        """Check every numeric flag against its command's preconditions."""
-        cmd = self.command
-        if cmd == "tradeoff":
-            if any(n < 1 for n in self.n_list):
-                raise ValueError("every n must be >= 1")
-            if any(not (a > 0.0 and math.isfinite(a)) for a in self.alpha_list):
-                raise ValueError("every alpha must be positive and finite")
-        elif cmd == "inherent":
-            n = self.n_list[0]
-            if n < 3:
+        """Check what no library call checks before output: inherent's
+        interior-point preconditions, the --grid row caps (ahead of any
+        allocation) and --format both without --out.  Every other flag
+        value is checked where the library reads it."""
+        if self.command == "inherent":
+            if self.n_list[0] < 3:
                 raise ValueError("n must be >= 3 for a reachable interior point")
             if self.phi0 is not None and not 0.0 < self.phi0 < math.pi:
                 raise ValueError("phi0 must lie in (0, pi)")
@@ -181,35 +178,10 @@ class RunConfig:
                     raise ValueError("grid must be >= 1")
                 if self.grid >= _GRID_ROWS_MAX:
                     raise ValueError(f"grid must be <= {_GRID_ROWS_MAX - 1}")
-        elif cmd == "basis-sweep":
-            if self.n_list[0] < 1:
-                raise ValueError("n must be >= 1")
-            if self.grid < 200:
-                raise ValueError("grid must be >= 200 points per axis")
-            if self.grid**2 > _GRID_ROWS_MAX:
-                raise ValueError(
-                    f"grid must be <= {math.isqrt(_GRID_ROWS_MAX)} points per axis"
-                )
-            if not math.isfinite(self.phi):
-                raise ValueError("phi must be finite")
-        elif cmd == "resources":
-            if any(m < 1 for m in self.m_grid):
-                raise ValueError("every M must be >= 1")
-            if len(set(self.m_grid)) < 2:
-                raise ValueError("degenerate M grid: need two distinct values")
-            if self.big_n < 1:
-                raise ValueError("N must be >= 1")
-            if not (self.alpha_list[0] > 0.0 and math.isfinite(self.alpha_list[0])):
-                raise ValueError("alpha must be positive and finite")
-            if self.k < 1.0:
-                raise ValueError("k must be >= 1")
-        elif cmd == "bias-mc":
-            if not 0.0 < self.phi < math.pi:
-                raise ValueError("phi must lie in (0, pi)")
-            if self.n_list[0] < 1:
-                raise ValueError("n must be >= 1")
-            if self.trials < 100:
-                raise ValueError("trials must be >= 100")
+        elif self.command == "basis-sweep" and self.grid**2 > _GRID_ROWS_MAX:
+            raise ValueError(
+                f"grid must be <= {math.isqrt(_GRID_ROWS_MAX)} points per axis"
+            )
         if self.fmt == "both" and self.out is None:
             raise UsageError("--format both requires --out")
 
@@ -253,7 +225,7 @@ def cmd_inherent(cfg: RunConfig):
         phi0 = _inherent_grid(cfg.grid)
     delta = inherent_steps(phi0, n)
     resolution = 1.0 / delta
-    accuracy = delta * math.sqrt(n) / 2.0
+    accuracy = accuracy_of(delta, n, 1.0)
     rows = np.column_stack((phi0, resolution, accuracy))
     xs = tuple(phi0.tolist())
     return header, rows, [
@@ -432,7 +404,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -16,9 +16,7 @@ order can shift the result.  The two must agree within sampling error;
 the tests hold them to that.
 
 classical_fisher_values is the Fisher information the measurement
-itself carries, an array kernel over Bloch directions and phases;
-classical_fisher_information is its scalar form for one
-MeasurementBasis.
+itself carries, an array kernel over Bloch directions and phases.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from .basis import TWO_PI, MeasurementBasis
+from .basis import TWO_PI
 from .sampling import binary_stats, draw_count_matrix, enumerate_binomial
 
 
@@ -216,10 +214,3 @@ def classical_fisher_values(theta, phi_b, phi):
     with np.errstate(divide="ignore", invalid="ignore"):
         values = num / (num + ct * ct)
     return np.where(np.abs(s) == 1.0, 1.0, values)
-
-
-def classical_fisher_information(basis: MeasurementBasis, phi: float) -> float:
-    """classical_fisher_values for one basis at one phase."""
-    if not math.isfinite(phi):
-        raise ValueError("phi must be finite")
-    return float(classical_fisher_values(basis.theta, basis.phi_b, phi))

@@ -124,16 +124,11 @@ def strategy_min_signal(cfg: StrategyConfig) -> float:
 class ScalingReport:
     """Detection floor across a resource grid, with the fitted exponent.
 
-    phis holds the per-m minimum detectable signal; signals and noises
-    are the probability signal and projection noise evaluated exactly
-    at that floor (where signal = alpha * noise by construction).
+    phis holds the per-m minimum detectable signal.
     """
 
     m_values: tuple
     phis: tuple
-    signals: tuple
-    noises: tuple
-    min_signal: float
     fitted_exponent: float
 
 
@@ -151,22 +146,13 @@ def fit_scaling(
     ms = [int(m) for m in m_values]
     if len(set(ms)) < 2:
         raise ValueError("degenerate grid: need at least two distinct m values")
-    phis, signals, noises = [], [], []
-    for m in ms:
-        cfg = StrategyConfig(
+    phis = [
+        strategy_min_signal(StrategyConfig(
             strategy, m, n, alpha=alpha, nonlinear_exponent=nonlinear_exponent
-        )
-        floor = strategy_min_signal(cfg)
-        sig, noi = strategy_signal_noise(cfg, floor)
-        phis.append(floor)
-        signals.append(sig)
-        noises.append(noi)
-    slope = float(np.polyfit(np.log(ms), np.log(phis), 1)[0])
-    return ScalingReport(
-        m_values=tuple(ms),
-        phis=tuple(phis),
-        signals=tuple(signals),
-        noises=tuple(noises),
-        min_signal=min(phis),
-        fitted_exponent=slope,
-    )
+        ))
+        for m in ms
+    ]
+    # float64 before the log: an m past 2**64 would make an object array
+    log_m = np.log(np.array(ms, dtype=np.float64))
+    slope = float(np.polyfit(log_m, np.log(phis), 1)[0])
+    return ScalingReport(m_values=tuple(ms), phis=tuple(phis), fitted_exponent=slope)

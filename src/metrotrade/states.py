@@ -92,11 +92,6 @@ def fidelity(state: ProbePhaseState, reference_phase: float) -> float:
     return (1.0 + math.cos(freq * delta)) / 2.0
 
 
-def signal(state: ProbePhaseState, reference_phase: float) -> float:
-    """Probability weight moved out of the reference state: 1 - fidelity."""
-    return 1.0 - fidelity(state, reference_phase)
-
-
 def canonical_spread(state: ProbePhaseState) -> GeneratorSpec:
     """Generator spread for the optimal preparation of each probe kind.
 

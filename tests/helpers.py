@@ -177,6 +177,33 @@ def classical_fisher_scalar(theta: float, phi_b: float, phi: float) -> float:
     return num / (num + ct * ct)
 
 
+def basis_probabilities(theta: float, phi_b: float, phi: float):
+    """Outcome probabilities (initial, final) of the measurement along
+    (theta, phi_b) before and after a phase shift phi."""
+    st = math.sin(theta)
+    return (1.0 + st * math.cos(phi_b)) / 2.0, (1.0 + st * math.cos(phi - phi_b)) / 2.0
+
+
+def distinguishable_binary(stats0, stats1, alpha: float) -> bool:
+    """Whether two binary OutcomeStats are alpha-sigma separable, straight
+    from the defining criterion |p1 - p0| >= alpha * (dp1 + dp0).
+
+    Identical deterministic estimates (zero separation, zero noise) are
+    declared indistinguishable rather than letting 0 >= 0 slip through.
+    """
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError("alpha must be positive and finite")
+    if len(stats0.probabilities) != 2 or len(stats1.probabilities) != 2:
+        raise ValueError("expected binary outcome stats")
+    if stats0.sample_budget != stats1.sample_budget:
+        raise ValueError("stats must share the same sample budget")
+    separation = abs(stats1.probabilities[0] - stats0.probabilities[0])
+    noise = stats0.std_devs[0] + stats1.std_devs[0]
+    if separation == 0.0 and noise == 0.0:
+        return False
+    return separation >= alpha * noise
+
+
 def binomial_cdf_mp(n: int, p: float, k: int, prec: int = 160):
     """P(K <= k) for K ~ Binomial(n, p) as an mpmath float, p taken exactly.
 

@@ -5,31 +5,32 @@ import pytest
 
 from metrotrade.basis import (
     MeasurementBasis,
-    basis_probabilities,
     basis_snr,
     find_optimal_basis,
     snr_grid,
 )
 from metrotrade.bounds import AccuracySpec, min_detectable_signal
-from metrotrade.estimation import classical_fisher_information
+from metrotrade.estimation import classical_fisher_values
+
+from helpers import basis_probabilities
 
 HALF_PI = math.pi / 2.0
 
 
 def test_probabilities_basis_equals_state():
-    p0, p1 = basis_probabilities(MeasurementBasis(HALF_PI, 0.0), 0.0)
+    p0, p1 = basis_probabilities(HALF_PI, 0.0, 0.0)
     assert abs(p0 - 1.0) < 1e-15
     assert abs(p1 - 1.0) < 1e-15
 
 
 def test_probabilities_pole():
-    p0, p1 = basis_probabilities(MeasurementBasis(0.0, 1.3), 0.8)
+    p0, p1 = basis_probabilities(0.0, 1.3, 0.8)
     assert p0 == 0.5
     assert p1 == 0.5
 
 
 def test_probabilities_basis_equals_final():
-    _, p1 = basis_probabilities(MeasurementBasis(HALF_PI, 0.7), 0.7)
+    _, p1 = basis_probabilities(HALF_PI, 0.7, 0.7)
     assert abs(p1 - 1.0) < 1e-15
 
 
@@ -159,5 +160,5 @@ def test_fisher_flat_where_snr_varies():
     assert snr_mid < 1e-12
     assert snr_best > 1.0
     for phi_b in (phi / 2.0, phi, 2.0, 3.0):
-        fc = classical_fisher_information(MeasurementBasis(HALF_PI, phi_b), phi)
+        fc = classical_fisher_values(HALF_PI, phi_b, phi)
         assert abs(fc - 1.0) < 1e-10

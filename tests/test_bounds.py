@@ -11,11 +11,9 @@ from metrotrade.bounds import (
     BoundReport,
     accuracy_of,
     critical_fidelity,
-    distinguishable_binary,
     inherent_precision,
     inherent_steps,
     min_detectable_signal,
-    povm_statistic,
     povm_statistics,
 )
 from metrotrade.cli import _inherent_grid
@@ -25,6 +23,7 @@ from metrotrade.sampling import binary_stats
 from helpers import (
     bisect_inherent_shift,
     bisect_min_signal,
+    distinguishable_binary,
     inherent_step_mp,
     povm_statistic_scalar,
 )
@@ -69,6 +68,10 @@ def test_critical_fidelity_values():
     assert critical_fidelity(AccuracySpec(1.0, 1)) == 0.5
     assert abs(critical_fidelity(AccuracySpec(1.0, 100)) - 100.0 / 101.0) < 1e-15
     assert critical_fidelity(AccuracySpec(10.0, 100)) == 0.5
+    # alpha squared by multiplication: pow(a, 2) is one ulp off a * a here
+    a = 9.849361880353003
+    assert critical_fidelity(AccuracySpec(a, 1)) == 1.0 / (1.0 + a * a)
+    assert critical_fidelity(AccuracySpec(a, 1)) == 0.010203047850459002
 
 
 def test_min_signal_single_shot():
@@ -155,32 +158,33 @@ def test_accuracy_of_values():
     assert abs(accuracy_of(0.2, 100, 1.0) - 1.0) < 1e-15
     assert abs(accuracy_of(0.02, 100, 1.0) - 0.1) < 1e-15
     assert accuracy_of(0.5, 10, 0.0) == 0.0
+    # elementwise over an array of steps; an unreachable (NaN) step stays NaN
+    got = accuracy_of(np.array([0.2, math.nan, 0.02]), 100, 1.0)
+    assert got[0] == accuracy_of(0.2, 100, 1.0)
+    assert math.isnan(got[1])
+    assert got[2] == accuracy_of(0.02, 100, 1.0)
+    with pytest.raises(ValueError):
+        accuracy_of(np.array([0.1, -0.1]), 100, 1.0)
 
 
 def test_povm_statistic_identical():
-    s = binary_stats(0.5, 10)
-    assert povm_statistic(s, s) == 0.0
+    assert povm_statistics((0.5, 0.5), (0.5, 0.5), 10) == 0.0
 
 
 def test_povm_statistic_threshold_exactly_one():
-    s0 = binary_stats(1.0, 10)
-    s1 = binary_stats(10.0 / 11.0, 10)
-    assert abs(povm_statistic(s0, s1) - 1.0) < 1e-12
+    f = 10.0 / 11.0
+    assert abs(povm_statistics((1.0, 0.0), (f, 1.0 - f), 10) - 1.0) < 1e-12
 
 
 def test_povm_statistic_example():
-    s0 = binary_stats(1.0, 10)
-    s1 = binary_stats(0.9, 10)
     ref = math.sqrt(10.0) * math.sqrt(0.01 / 0.9 + 0.1)
-    got = povm_statistic(s0, s1)
+    got = povm_statistics((1.0, 0.0), (0.9, 1.0 - 0.9), 10)
     assert abs(got - ref) < 1e-12
     assert abs(got - 1.05409) < 1e-5
 
 
 def test_povm_statistic_divergent_cell():
-    s0 = binary_stats(0.5, 10)
-    s1 = binary_stats(1.0, 10)
-    assert povm_statistic(s0, s1) == math.inf
+    assert povm_statistics((0.5, 0.5), (1.0, 0.0), 10) == math.inf
 
 
 def test_povm_statistic_reduction_identity():
@@ -189,16 +193,14 @@ def test_povm_statistic_reduction_identity():
     for n in (1, 3, 10, 100, 1000):
         for alpha in (0.25, 0.5, 1.0, 2.0, 4.0):
             f = n / (n + alpha**2)
-            stat = povm_statistic(binary_stats(1.0, n), binary_stats(f, n))
+            stat = povm_statistics((1.0, 0.0), (f, 1.0 - f), n)
             assert abs(stat - math.sqrt(n * (1.0 - f) / f)) < 1e-12
             assert abs(stat - alpha) < 1e-12
 
 
 def test_povm_statistic_length_check():
-    from metrotrade.sampling import OutcomeStats
-
     with pytest.raises(ValueError):
-        povm_statistic(OutcomeStats((0.2, 0.3, 0.5), 10), binary_stats(0.5, 10))
+        povm_statistics((0.2, 0.3, 0.5), (0.5, 0.5), 10)
 
 
 # Probability cells for the kernel properties: empty cells and cells

@@ -246,6 +246,8 @@ def test_csv_text_across_a_block_boundary():
     ["tradeoff"], ["inherent"], ["basis-sweep"], ["resources"], ["bias-mc"],
     ["basis-sweep", "--grid", "200", "--phi", "0.4371"],
     ["inherent", "--n", "1000000", "--grid", "100000"],
+    ["tradeoff", "--alpha", "1e200", "--n", "1"],  # alpha * alpha is inf
+    ["resources", "--m-grid", "2,1000000000000000000000"],  # M past 2**64
 ])
 def test_command_csv_matches_per_cell_reference(argv):
     cfg = cli.RunConfig(**vars(cli.build_parser().parse_args(argv)))
@@ -354,8 +356,62 @@ def test_domain_errors_exit_two():
 
 
 @pytest.mark.parametrize("argv", [
+    ["tradeoff", "--n", "0"],
+    ["tradeoff", "--n", "-1"],
+    ["tradeoff", "--n", "10,0"],
+    ["tradeoff", "--alpha", "0"],
+    ["tradeoff", "--alpha", "-0.5"],
+    ["tradeoff", "--alpha", "inf"],
+    ["tradeoff", "--alpha", "nan"],
+    ["tradeoff", "--alpha", "1,-inf"],
+    ["basis-sweep", "--n", "0"],
+    ["basis-sweep", "--n", "-2"],
+    ["basis-sweep", "--grid", "199"],
+    ["basis-sweep", "--grid", "0"],
+    ["basis-sweep", "--grid", "-5"],
+    ["basis-sweep", "--phi", "inf"],
+    ["basis-sweep", "--phi=-inf"],
+    ["basis-sweep", "--phi", "nan"],
+    ["resources", "--m-grid", "0,2"],
+    ["resources", "--m-grid=-1,4"],
+    ["resources", "--m-grid", "4,4"],
+    ["resources", "--m-grid", "7"],
+    ["resources", "--big-n", "0"],
+    ["resources", "--big-n", "-3"],
+    ["resources", "--alpha", "0"],
+    ["resources", "--alpha", "inf"],
+    ["resources", "--alpha", "nan"],
+    ["resources", "--k", "0.5"],
+    ["resources", "--k=-inf"],
+    ["resources", "--k", "nan"],
+    ["bias-mc", "--phi", "0"],
+    ["bias-mc", "--phi", "-1"],
+    ["bias-mc", "--phi", "3.1416"],
+    ["bias-mc", "--phi", "nan"],
+    ["bias-mc", "--n", "0"],
+    ["bias-mc", "--n", "-4"],
+    ["bias-mc", "--trials", "99"],
+    ["bias-mc", "--trials", "0"],
+    ["bias-mc", "--trials", "-100"],
+])
+def test_rejected_flag_values_exit_two_with_one_line(argv):
+    # one value per check the flags meet before any output is written,
+    # wherever that check is made
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
     ["resources", "--k", "1e308"],  # M**k overflows a float
     ["bias-mc", "--n", str(2**62), "--trials", "100"],  # CDF window too wide
+    # integers past a double or an int64
+    ["tradeoff", "--n", str(10**400)],
+    ["inherent", "--n", str(10**400)],
+    ["basis-sweep", "--n", str(10**400)],
+    ["resources", "--big-n", str(10**400)],
+    ["bias-mc", "--n", str(10**23), "--trials", "100"],
 ])
 def test_out_of_range_inputs_exit_two_with_one_line(argv):
     code, out, err = run_cli(argv)

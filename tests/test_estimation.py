@@ -10,13 +10,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from metrotrade import estimation
-from metrotrade.basis import MeasurementBasis, basis_probabilities
 from metrotrade.estimation import (
     _MC_CHUNK,
     _MC_WORKERS,
     EstimatorReport,
     ReportMode,
-    classical_fisher_information,
     classical_fisher_values,
     exact_bias_report,
     _report_from_pmf,
@@ -25,7 +23,7 @@ from metrotrade.estimation import (
 from metrotrade import sampling
 from metrotrade.sampling import binary_stats, draw_count_matrix
 
-from helpers import classical_fisher_scalar
+from helpers import basis_probabilities, classical_fisher_scalar
 
 EPS = sys.float_info.epsilon
 
@@ -227,20 +225,18 @@ def test_report_rejects_bad_domain():
 
 def test_fisher_equator_is_unit():
     for phi_b in (0.0, 1.0, 2.5, 4.0, 6.0):
-        fc = classical_fisher_information(MeasurementBasis(math.pi / 2.0, phi_b), 0.7)
+        fc = classical_fisher_values(math.pi / 2.0, phi_b, 0.7)
         if abs(math.cos(0.7 - phi_b)) == 1.0:
             continue
         assert abs(fc - 1.0) < 1e-10
 
 
 def test_fisher_pole_is_zero():
-    assert classical_fisher_information(MeasurementBasis(0.0, 0.3), 1.1) == 0.0
+    assert classical_fisher_values(0.0, 0.3, 1.1) == 0.0
 
 
 def test_fisher_interior_value():
-    fc = classical_fisher_information(
-        MeasurementBasis(math.pi / 4.0, 0.0), math.pi / 6.0
-    )
+    fc = classical_fisher_values(math.pi / 4.0, 0.0, math.pi / 6.0)
     assert 0.0 < fc < 1.0
     # sin2(pi/4) sin2(pi/6) / (same + cos2(pi/4)) = (1/8) / (1/8 + 1/2)
     assert abs(fc - 0.2) < 1e-15
@@ -254,13 +250,12 @@ def test_fisher_matches_finite_difference():
         (2.0, 3.0, 0.9),
     ]
     for theta, phi_b, phi in cases:
-        basis = MeasurementBasis(theta, phi_b)
-        _, p_m = basis_probabilities(basis, phi - h)
-        _, p_p = basis_probabilities(basis, phi + h)
-        _, p = basis_probabilities(basis, phi)
+        _, p_m = basis_probabilities(theta, phi_b, phi - h)
+        _, p_p = basis_probabilities(theta, phi_b, phi + h)
+        _, p = basis_probabilities(theta, phi_b, phi)
         dp = (p_p - p_m) / (2.0 * h)
         ref = dp * dp * (1.0 / p + 1.0 / (1.0 - p))
-        got = classical_fisher_information(basis, phi)
+        got = classical_fisher_values(theta, phi_b, phi)
         assert abs(got - ref) < 1e-6 * max(ref, 1e-12)
 
 
@@ -269,7 +264,7 @@ def test_fisher_never_exceeds_quantum_limit():
         theta = math.pi * i / 49.0
         for j in range(50):
             phi_b = 2.0 * math.pi * j / 50.0
-            fc = classical_fisher_information(MeasurementBasis(theta, phi_b), 0.8)
+            fc = classical_fisher_values(theta, phi_b, 0.8)
             assert fc <= 1.0 + 1e-10
 
 
@@ -309,5 +304,4 @@ def test_fisher_values_on_circle_limit():
         math.pi / 2.0, np.array([0.7, 0.0]), np.array([0.7, math.pi])
     )
     assert got.tolist() == [1.0, 1.0]
-    scalar = classical_fisher_information(MeasurementBasis(math.pi / 2.0, 0.0), 0.0)
-    assert scalar == 1.0
+    assert classical_fisher_values(math.pi / 2.0, 0.0, 0.0) == 1.0

@@ -3,7 +3,6 @@ import sys
 
 import pytest
 
-from metrotrade.bounds import distinguishable_binary
 from metrotrade.errors import BranchError
 from metrotrade.resources import (
     StrategyConfig,
@@ -15,6 +14,7 @@ from metrotrade.resources import (
 from metrotrade.sampling import binary_stats, draw_count_matrix
 
 from helpers import (
+    distinguishable_binary,
     product_fidelity_bruteforce,
     strategy_floor_mp,
     strategy_signal_mp,
@@ -132,12 +132,12 @@ def test_fit_scaling_report_shape():
     rep = fit_scaling(StrategyKind.GHZ, [2, 4, 8], 100, 1.0)
     assert rep.m_values == (2, 4, 8)
     assert len(rep.phis) == 3
-    assert rep.min_signal == min(rep.phis)
     # floors shrink with M, but the fidelity AT the floor is pinned to
     # the critical value, so the floor noise is the same for every M
     assert rep.phis[0] > rep.phis[1] > rep.phis[2]
     ref_noise = math.sqrt((100.0 / 101.0) * (1.0 / 101.0) / 100.0)
-    for sig, noise in zip(rep.signals, rep.noises):
+    for m, floor in zip(rep.m_values, rep.phis):
+        sig, noise = strategy_signal_noise(StrategyConfig(StrategyKind.GHZ, m, 100), floor)
         assert abs(noise - ref_noise) < 1e-12
         assert abs(sig - noise) < 1e-12
 

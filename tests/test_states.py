@@ -11,7 +11,6 @@ from metrotrade.states import (
     canonical_spread,
     fidelity,
     quantum_fisher_information,
-    signal,
 )
 
 from helpers import ghz_fidelity_bruteforce, product_fidelity_bruteforce
@@ -57,20 +56,20 @@ def test_fidelity_ghz_random_vs_bruteforce():
 
 def test_signal_zero_at_zero_shift():
     s = ProbePhaseState(0.5)
-    assert signal(s, 0.5) == 0.0
+    assert 1.0 - fidelity(s, 0.5) == 0.0
 
 
 def test_signal_ghz_complement():
     s = ProbePhaseState(math.pi / 6.0, particles=3, kind=ProbeKind.GHZ)
-    assert abs(signal(s, 0.0) - 0.5) < 1e-15
+    assert abs(1.0 - fidelity(s, 0.0) - 0.5) < 1e-15
 
 
 def test_signal_small_angle():
     # (1 - cos d)/2 = d^2/4 + O(d^4); also equals (d * spread)^2 at spread 1/2
     s = ProbePhaseState(0.01)
-    assert abs(signal(s, 0.0) - 2.5e-5) < 1e-9
+    assert abs(1.0 - fidelity(s, 0.0) - 2.5e-5) < 1e-9
     spread = canonical_spread(s).spread
-    assert abs(signal(s, 0.0) - (0.01 * spread) ** 2) < 1e-9
+    assert abs(1.0 - fidelity(s, 0.0) - (0.01 * spread) ** 2) < 1e-9
 
 
 def test_qfi_unit_spread():
@@ -158,4 +157,3 @@ def test_fidelity_always_in_unit_interval(phase, ref, m, kind):
     s = ProbePhaseState(phase, particles=m, kind=kind)
     f = fidelity(s, ref)
     assert 0.0 <= f <= 1.0
-    assert 0.0 <= signal(s, ref) <= 1.0
