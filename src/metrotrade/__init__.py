@@ -7,7 +7,6 @@ of a binary-outcome probe measurement, how small a phase signal can be
 resolution past that floor cost in accuracy?
 
 Modules
-    states      probe families, overlap fidelity, Fisher information
     sampling    deterministic counter-based outcome sampling
     estimation  bias/variance reports for the standard phase estimator
     bounds      distinguishability thresholds and trade-off bounds
@@ -52,14 +51,6 @@ from .sampling import (
     binary_stats,
     enumerate_binomial,
 )
-from .states import (
-    GeneratorSpec,
-    ProbeKind,
-    ProbePhaseState,
-    canonical_spread,
-    fidelity,
-    quantum_fisher_information,
-)
 from .verify import CheckResult, format_report, run_all
 
 __version__ = "0.1.0"
@@ -72,11 +63,8 @@ __all__ = [
     "CheckResult",
     "EstimatorReport",
     "EXACT_ENUM_LIMIT",
-    "GeneratorSpec",
     "MeasurementBasis",
     "OutcomeStats",
-    "ProbeKind",
-    "ProbePhaseState",
     "ReportMode",
     "ScalingReport",
     "StrategyConfig",
@@ -85,12 +73,10 @@ __all__ = [
     "accuracy_of",
     "basis_snr",
     "binary_stats",
-    "canonical_spread",
     "classical_fisher_values",
     "critical_fidelity",
     "enumerate_binomial",
     "exact_bias_report",
-    "fidelity",
     "find_optimal_basis",
     "fit_scaling",
     "format_report",
@@ -98,7 +84,6 @@ __all__ = [
     "min_detectable_signal",
     "monte_carlo_report",
     "povm_statistics",
-    "quantum_fisher_information",
     "run_all",
     "strategy_min_signal",
     "strategy_signal_noise",

@@ -165,8 +165,8 @@ class RunConfig:
 
     def validate(self):
         """Check what no library call checks before output: inherent's
-        interior-point preconditions, the --grid row caps (ahead of any
-        allocation) and --format both without --out.  Every other flag
+        interior-point preconditions, the row caps of --grid and of the
+        tradeoff lists (ahead of any allocation) and --format both without --out.  Every other flag
         value is checked where the library reads it."""
         if self.command == "inherent":
             if self.n_list[0] < 3:
@@ -182,6 +182,9 @@ class RunConfig:
             raise ValueError(
                 f"grid must be <= {math.isqrt(_GRID_ROWS_MAX)} points per axis"
             )
+        elif (self.command == "tradeoff"
+              and len(self.n_list) * len(self.alpha_list) > _GRID_ROWS_MAX):
+            raise ValueError(f"n and alpha lists must give <= {_GRID_ROWS_MAX} rows")
         if self.fmt == "both" and self.out is None:
             raise UsageError("--format both requires --out")
 
@@ -347,6 +350,23 @@ _FLAGS = {
 }
 
 
+# Flags that take a value.  argparse reads a value that starts with "-"
+# but is no plain number (-inf, -1,4, -1e-3) as an unknown option.
+_VALUE_FLAGS = {flag for flag, _, _, _ in _FLAGS.values()} | {"--out", "--format", "--corrupt"}
+
+
+def _attach_dash_values(argv):
+    """argv (or sys.argv[1:]) with each "-"-led value written onto its
+    flag as --flag=value."""
+    args = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if args and args[-1] in _VALUE_FLAGS and arg[:1] == "-" and arg[:2] != "--":
+            args[-1] += "=" + arg
+        else:
+            args.append(arg)
+    return args
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="metrotrade", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -395,7 +415,7 @@ def run_verify(seed: int, corrupt, out) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        cfg = RunConfig(**vars(parser.parse_args(argv)))
+        cfg = RunConfig(**vars(parser.parse_args(_attach_dash_values(argv))))
         if cfg.command == "verify":
             return run_verify(cfg.seed, cfg.corrupt, cfg.out)
         cfg.validate()

@@ -10,8 +10,11 @@ A budget of M * N elementary bodies can be spent four ways:
 Entanglement multiplies the fringe frequency (M, or M**k), which
 shrinks the minimum detectable signal, but it amplifies the projection
 noise at fixed phase just as fast: the benefit is in the bound, never
-in a quieter measurement.  fit_scaling extracts the log-log slope of
-the detection floor against M; the canonical exponents are -1/2 for
+in a quieter measurement.  Each strategy is one probe model, its
+fidelity F(d): (1 + cos(f d)) / 2 at fringe frequency f = 1, M or M**k,
+or cos(d/2)**(2M) for the product probe.  F fixes the signal 1 - F, the
+quantum Fisher information -2 F''(0) and the detection floor, an array
+kernel over the M grid whose log-log slope fit_scaling fits: -1/2 for
 ensemble and product, -1 for ghz, -k for nonlinear.
 """
 
@@ -64,16 +67,33 @@ class StrategyConfig:
     @property
     def frequency_factor(self) -> float:
         """Fringe-frequency magnification of the strategy."""
-        if self.strategy is StrategyKind.GHZ:
+        return float(_fringe_frequency(self, (self.m,))[0])
+
+    @property
+    def quantum_fisher_information(self) -> float:
+        """-2 F''(0) of one probe: M for the product probe, the squared
+        fringe frequency (1, M**2 or M**(2k)) for the others."""
+        if self.strategy is StrategyKind.PRODUCT:
             return float(self.m)
-        if self.strategy is StrategyKind.NONLINEAR:
-            try:
-                return float(self.m) ** self.nonlinear_exponent
-            except OverflowError:
-                raise ValueError(
-                    f"M**k = {self.m}**{self.nonlinear_exponent:g} overflows a float"
-                ) from None
-        return 1.0
+        f = self.frequency_factor
+        return f * f
+
+
+def _fringe_frequency(cfg: StrategyConfig, ms) -> np.ndarray:
+    """Fringe frequency of cfg's strategy at each probe size in ms: M for
+    ghz, M**k for nonlinear, 1 for ensemble and product."""
+    m = np.array(ms, dtype=np.float64)
+    if cfg.strategy is StrategyKind.GHZ:
+        return m
+    if cfg.strategy is StrategyKind.NONLINEAR:
+        k = cfg.nonlinear_exponent
+        with np.errstate(over="ignore"):
+            f = m**k
+        if np.isinf(f).any():
+            first = ms[int(np.isinf(f).argmax())]
+            raise ValueError(f"M**k = {first}**{k:g} overflows a float")
+        return f
+    return np.ones_like(m)
 
 
 def strategy_signal_noise(cfg: StrategyConfig, phi: float):
@@ -83,24 +103,31 @@ def strategy_signal_noise(cfg: StrategyConfig, phi: float):
     the fidelity falls from 1 without wrapping.  The signal is formed
     without the cancelling 1 - F: sin2(f phi / 2) at fringe frequency f,
     and -expm1(2 M log cos(phi / 2)) for the M-body product probe, with
-    2 log cos(phi / 2) taken as log1p(-sin2(phi / 2)).
+    2 log cos(phi / 2) taken as log1p(-sin2(phi / 2)) while sin2 < 1/2 and
+    from cos itself nearer the branch end, where sin2 rounds to 1.
     """
     limit = math.pi / cfg.frequency_factor
     if not (0.0 < phi < limit):
         raise BranchError(
             f"phi={phi:.6g} outside the monotone branch (0, {limit:.6g})"
         )
-    half = math.sin(cfg.frequency_factor * phi / 2.0)
+    arg = cfg.frequency_factor * phi / 2.0
+    half = math.sin(arg)
     if cfg.strategy is StrategyKind.PRODUCT:
-        sig = -math.expm1(cfg.m * math.log1p(-half * half))
+        if half * half < 0.5:
+            log_fid = math.log1p(-half * half)
+        else:
+            log_fid = 2.0 * math.log(math.cos(arg))
+        sig = -math.expm1(cfg.m * log_fid)
     else:
         sig = half * half
     noise = math.sqrt((1.0 - sig) * sig / cfg.effective_samples)
     return sig, noise
 
 
-def strategy_min_signal(cfg: StrategyConfig) -> float:
-    """Smallest detectable phase shift of the strategy at confidence alpha.
+def _min_signals(cfg: StrategyConfig, ms) -> np.ndarray:
+    """Smallest detectable phase shift of cfg's split at each probe size
+    in ms, with cfg's n, alpha and k.
 
     Where the fidelity falls to the critical F0 = n / (n + alpha**2) on
     the repetition count n, in forms that keep full precision however
@@ -108,16 +135,23 @@ def strategy_min_signal(cfg: StrategyConfig) -> float:
 
         ensemble   2 atan(alpha / sqrt(m n))   (one pool of m n shots)
         product    2 atan(sqrt(expm1(log1p(alpha**2 / n) / m)))
-        ghz        (2 / f) atan(alpha / sqrt(n)), f = frequency_factor
+        ghz        (2 / f) atan(alpha / sqrt(n)), f the fringe frequency
         nonlinear  as ghz
     """
-    alpha = cfg.alpha
+    alpha, n = cfg.alpha, cfg.n
     if cfg.strategy is StrategyKind.ENSEMBLE:
-        return 2.0 * math.atan(alpha / math.sqrt(cfg.m * cfg.n))
+        # m n in integers, rounded once, as for one pool of m n shots
+        shots = (np.array(ms, dtype=object) * n).astype(np.float64)
+        return 2.0 * np.arctan(alpha / np.sqrt(shots))
     if cfg.strategy is StrategyKind.PRODUCT:
-        tan2 = math.expm1(math.log1p(alpha * alpha / cfg.n) / cfg.m)
-        return 2.0 * math.atan(math.sqrt(tan2))
-    return (2.0 / cfg.frequency_factor) * math.atan(alpha / math.sqrt(cfg.n))
+        m = np.array(ms, dtype=np.float64)
+        return 2.0 * np.arctan(np.sqrt(np.expm1(np.log1p(alpha * alpha / n) / m)))
+    return (2.0 / _fringe_frequency(cfg, ms)) * np.arctan(alpha / np.sqrt(float(n)))
+
+
+def strategy_min_signal(cfg: StrategyConfig) -> float:
+    """Smallest detectable phase shift of the split: _min_signals at cfg.m."""
+    return float(_min_signals(cfg, (cfg.m,))[0])
 
 
 @dataclass(frozen=True)
@@ -146,13 +180,11 @@ def fit_scaling(
     ms = [int(m) for m in m_values]
     if len(set(ms)) < 2:
         raise ValueError("degenerate grid: need at least two distinct m values")
-    phis = [
-        strategy_min_signal(StrategyConfig(
-            strategy, m, n, alpha=alpha, nonlinear_exponent=nonlinear_exponent
-        ))
-        for m in ms
-    ]
+    # the grid's splits differ only in m, so its smallest m checks them all
+    cfg = StrategyConfig(strategy, min(ms), n, alpha=alpha,
+                         nonlinear_exponent=nonlinear_exponent)
+    phis = _min_signals(cfg, ms)
     # float64 before the log: an m past 2**64 would make an object array
     log_m = np.log(np.array(ms, dtype=np.float64))
     slope = float(np.polyfit(log_m, np.log(phis), 1)[0])
-    return ScalingReport(m_values=tuple(ms), phis=tuple(phis), fitted_exponent=slope)
+    return ScalingReport(tuple(ms), tuple(phis.tolist()), slope)

@@ -2,8 +2,8 @@
 
 Projection noise for an outcome with probability p over n shots is
 sqrt(p (1 - p) / n).  OutcomeStats bundles a probability vector with
-those standard deviations; draw_count_matrix produces multinomial
-counts from it.
+those standard deviations; draw_count_matrix draws binomial counts
+from two-outcome stats.
 
 Reproducibility contract: trial t consumes a substream derived only
 from (seed, t), so results are independent of evaluation order and of
@@ -181,22 +181,6 @@ def _invert_binomial_fixed(u: np.ndarray, n: int, p: float) -> np.ndarray:
     return lo + np.minimum(k, cdf.size - 1).astype(np.int64)
 
 
-def _invert_binomial_varying(u: np.ndarray, n: np.ndarray, p: float) -> np.ndarray:
-    """Exact CDF inversion with a per-trial shot count (conditional splits).
-
-    Trials are grouped on their shot count and each group is inverted
-    against its own fixed-n table, so a trial's count still depends only
-    on its own uniform and shot count.
-    """
-    k = np.zeros(u.shape, dtype=np.int64)
-    order = np.argsort(n, kind="stable")
-    counts, starts = np.unique(n[order], return_index=True)
-    for m, idx in zip(counts.tolist(), np.split(order, starts[1:])):
-        if m > 0:
-            k[idx] = _invert_binomial_fixed(u[idx], m, p)
-    return k
-
-
 def _check_seed(seed: int):
     if not isinstance(seed, int) or not (0 <= seed <= _SEED_MAX):
         raise ValueError("seed must be an unsigned 64-bit integer")
@@ -204,35 +188,20 @@ def _check_seed(seed: int):
 
 def draw_count_matrix(stats: OutcomeStats, seed: int, trials: int,
                       _first: int = 0) -> np.ndarray:
-    """Multinomial counts for `trials` independent trials, one row each.
+    """Binomial counts for `trials` independent trials, one row (k, n - k)
+    each, k the count of the first of two outcomes.
 
-    Categories are split off sequentially: category i is a binomial
-    draw on the shots remaining after categories 0..i-1, with the
-    conditional probability p_i / (p_i + ... + p_last).  _first is the
-    index of the first trial drawn, so a long run can be drawn in
-    chunks that match one call row for row.
+    k inverts the binomial CDF at the trial's draw-0 uniform.  _first is
+    the index of the first trial drawn, so a long run can be drawn in
+    chunks that match one call row for row.  Stats with three or more
+    outcomes are refused.
     """
     _check_seed(seed)
     if not (isinstance(trials, int) and trials >= 1):
         raise ValueError("trials must be a positive integer")
-    probs = stats.probabilities
+    if len(stats.probabilities) != 2:
+        raise ValueError("draw_count_matrix draws two-outcome stats only")
     n = stats.sample_budget
-    ncat = len(probs)
-    counts = np.zeros((trials, ncat), dtype=np.int64)
-    remaining = np.full(trials, n, dtype=np.int64)
-    tail_mass = 1.0
-    for i, p_i in enumerate(probs[:-1]):
-        if tail_mass <= 0.0:
-            break
-        cond = min(p_i / tail_mass, 1.0)
-        u = _substream_uniforms(seed, trials, i, _first)
-        if i == 0:
-            k = _invert_binomial_fixed(u, n, cond)
-        else:
-            k = _invert_binomial_varying(u, remaining, cond)
-        counts[:, i] = k
-        remaining -= k
-        tail_mass -= p_i
-    counts[:, -1] = remaining
-    return counts
-
+    u = _substream_uniforms(seed, trials, 0, _first)
+    k = _invert_binomial_fixed(u, n, stats.probabilities[0])
+    return np.column_stack((k, n - k))

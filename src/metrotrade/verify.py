@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis as basis_mod
-from . import bounds, estimation, resources, sampling, states
+from . import bounds, estimation, resources, sampling
 
 _ALPHA_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -229,29 +229,23 @@ def check_fisher_consistency(tol: float, seed: int = 0) -> CheckResult:
         math.pi / 2.0, np.array(phi_bs), np.array(phis)
     )
     worst_circle = float(np.max(np.abs(circle - 1.0)))
-    fq = states.quantum_fisher_information(states.GeneratorSpec(0.5))
+    kind = resources.StrategyKind
+    fq = resources.StrategyConfig(kind.ENSEMBLE, 1, 1).quantum_fisher_information
     mesh = estimation.classical_fisher_values(
         np.linspace(0.0, math.pi, 100)[:, None],
         np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False),
         0.7,
     )
     worst_over = max(0.0, float(np.max(mesh - fq)))
+    # F is even, so -2 F''(0) ~ -2 (F(h) - 2 + F(-h)) / h**2 = 4 (1 - F(h)) / h**2
     h = 1e-4
     worst_curv = 0.0
-    probes = [
-        states.ProbePhaseState(0.0),
-        states.ProbePhaseState(0.0, particles=5, kind=states.ProbeKind.PRODUCT),
-        states.ProbePhaseState(0.0, particles=5, kind=states.ProbeKind.GHZ),
-        states.ProbePhaseState(
-            0.0, particles=3, kind=states.ProbeKind.NONLINEAR, nonlinear_exponent=2.0
-        ),
-    ]
-    for probe in probes:
-        fq_k = states.quantum_fisher_information(states.canonical_spread(probe))
-        second = (
-            states.fidelity(probe, -h) - 2.0 + states.fidelity(probe, h)
-        ) / (h * h)
-        worst_curv = max(worst_curv, abs(-2.0 * second - fq_k) / fq_k)
+    for strat, m, k in ((kind.ENSEMBLE, 1, 1.0), (kind.PRODUCT, 5, 1.0),
+                        (kind.GHZ, 5, 1.0), (kind.NONLINEAR, 3, 2.0)):
+        cfg = resources.StrategyConfig(strat, m, 1, nonlinear_exponent=k)
+        sig, _ = resources.strategy_signal_noise(cfg, h)
+        fq_k = cfg.quantum_fisher_information
+        worst_curv = max(worst_curv, abs(4.0 * sig / (h * h) - fq_k) / fq_k)
     passed = worst_circle <= 1e-10 and worst_over <= 1e-10 and worst_curv <= tol
     return _result(
         "fisher_consistency",

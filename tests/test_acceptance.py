@@ -31,13 +31,6 @@ from metrotrade.resources import (
     strategy_min_signal,
     strategy_signal_noise,
 )
-from metrotrade.states import (
-    ProbeKind,
-    ProbePhaseState,
-    canonical_spread,
-    fidelity,
-    quantum_fisher_information,
-)
 from metrotrade.verify import format_report, run_all
 
 
@@ -256,25 +249,18 @@ def test_criterion_10_fisher_consistency():
     theta = np.linspace(0.0, math.pi, 100)[:, None]
     phi_b = np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False)
     worst_over = max(0.0, float(np.max(classical_fisher_values(theta, phi_b, 0.8))) - 1.0)
+    # Fq = -2 F''(0); F is even, so the central difference is 4 (1 - F(h)) / h**2
     h = 1e-4
     worst_curv = 0.0
     for kind, m, k in (
-        (ProbeKind.SINGLE, 1, 1.0),
-        (ProbeKind.PRODUCT, 6, 1.0),
-        (ProbeKind.GHZ, 6, 1.0),
-        (ProbeKind.NONLINEAR, 3, 2.0),
+        (StrategyKind.ENSEMBLE, 1, 1.0),
+        (StrategyKind.PRODUCT, 6, 1.0),
+        (StrategyKind.GHZ, 6, 1.0),
+        (StrategyKind.NONLINEAR, 3, 2.0),
     ):
-        def f(d):
-            return fidelity(
-                ProbePhaseState(d, particles=m, kind=kind, nonlinear_exponent=k), 0.0
-            )
-
-        curv = -2.0 * (f(h) - 2.0 * f(0.0) + f(-h)) / (h * h)
-        fq = quantum_fisher_information(
-            canonical_spread(
-                ProbePhaseState(0.0, particles=m, kind=kind, nonlinear_exponent=k)
-            )
-        )
+        cfg = StrategyConfig(kind, m, 1, nonlinear_exponent=k)
+        curv = 4.0 * strategy_signal_noise(cfg, h)[0] / (h * h)
+        fq = cfg.quantum_fisher_information
         worst_curv = max(worst_curv, abs(curv - fq) / fq)
     ok = _report(
         10,

@@ -1,5 +1,8 @@
 import ast
 import inspect
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import metrotrade
@@ -36,3 +39,27 @@ def test_every_public_function_has_a_caller_in_the_package():
                  if inspect.isfunction(getattr(metrotrade, name))]
     assert functions
     assert sorted(set(functions) - called) == []
+
+
+def test_readme_quick_taste_values():
+    # every "# <number>" comment in the README's Python example is the
+    # value the annotated expression gives
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    code = re.search(r"Quick taste:\n\n```python\n(.*?)```", readme.read_text(encoding="utf-8"),
+                     re.S).group(1)
+    numbers = {}
+    for tok in tokenize.generate_tokens(io.StringIO(code).readline):
+        match = re.match(r"#\s*([-+]?[\d.]+(?:e[-+]?\d+)?)", tok.string)
+        if tok.type == tokenize.COMMENT and match:
+            numbers[tok.start[0]] = float(match.group(1))
+    namespace = {}
+    checked = 0
+    for stmt in ast.parse(code).body:
+        if stmt.end_lineno in numbers:
+            assert isinstance(stmt, ast.Expr)
+            value = eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace)
+            assert value == numbers[stmt.end_lineno], ast.unparse(stmt)
+            checked += 1
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    assert checked == len(numbers) >= 2

@@ -420,6 +420,23 @@ def test_out_of_range_inputs_exit_two_with_one_line(argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag, value, code", [
+    ("resources --m-grid", "-1,4", 2),
+    ("resources --k", "-inf", 2),
+    ("basis-sweep --phi", "-inf", 2),
+    ("bias-mc --phi", "-1e-3", 2),
+    ("tradeoff --alpha", "-1,2", 2),
+    ("inherent --phi0", "-nan", 2),
+    ("verify --seed", "-1", 1),
+])
+def test_dash_led_value_reads_as_its_equals_form(flag, value, code):
+    # argparse alone reads -inf or -1,4 after a flag as an unknown option
+    *argv, name = flag.split()
+    spaced = run_cli(argv + [name, value])
+    assert spaced == run_cli(argv + [f"{name}={value}"])
+    assert spaced[0] == code and spaced[1] == "" and spaced[2].count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["basis-sweep", "--grid", "2049"],
     ["basis-sweep", "--grid", "100000"],
@@ -438,6 +455,19 @@ def test_grid_past_the_row_cap_exits_two(monkeypatch, argv):
     assert err.startswith("error: grid must be <= ") and err.count("\n") == 1
 
 
+def test_tradeoff_past_the_row_cap_exits_two(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("bound computed past the row cap")
+
+    monkeypatch.setattr(cli, "min_detectable_signal", refuse)
+    n = ",".join(str(i) for i in range(1, 2050))
+    alpha = ",".join(str(i) for i in range(1, 2049))
+    code, out, err = run_cli(["tradeoff", "--n", n, "--alpha", alpha])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: n and alpha lists must give <= {2**22} rows\n"
+
+
 def test_grid_is_checked_only_where_it_is_read():
     # a single --phi0 makes the grid unused
     code, out, err = run_cli(["inherent", "--phi0", "1", "--grid", "0"])
@@ -450,7 +480,9 @@ def test_grid_is_checked_only_where_it_is_read():
 
 def test_grid_at_the_row_cap_is_accepted():
     # validation only: building these grids would write 2**22 rows
-    for argv in (["basis-sweep", "--grid", "2048"], ["inherent", "--grid", str(2**22 - 1)]):
+    values = ",".join(str(i) for i in range(1, 2049))
+    for argv in (["basis-sweep", "--grid", "2048"], ["inherent", "--grid", str(2**22 - 1)],
+                 ["tradeoff", "--n", values, "--alpha", values]):
         cli.RunConfig(**vars(cli.build_parser().parse_args(argv))).validate()
     # an odd grid already holds pi/2, so 2**22 - 1 points give 2**22 - 1 rows
     assert len(cli._inherent_grid(7)) == 7

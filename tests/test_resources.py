@@ -209,15 +209,19 @@ def test_floor_and_signal_match_mpmath(strat):
     # N from 1 to 1e18: the floor keeps a few-ulp relative error where
     # the critical fidelity rounds to 1, and the signal at the floor,
     # far below the rounding of 1, keeps it too
+    # (fit_scaling's M-grid kernel is held to the same references)
     k = 2.0 if strat is StrategyKind.NONLINEAR else 1.0
+    ms = (1, 2, 7, 32)
     worst_floor = worst_signal = 0.0
     for e in range(19):
-        for m in (1, 2, 7, 32):
-            for alpha in (0.25, 1.0, 3.0):
+        for alpha in (0.25, 1.0, 3.0):
+            grid = fit_scaling(strat, ms, 10**e, alpha, nonlinear_exponent=k).phis
+            for m, grid_floor in zip(ms, grid):
                 cfg = StrategyConfig(strat, m, 10**e, alpha=alpha, nonlinear_exponent=k)
                 floor = strategy_min_signal(cfg)
                 ref = strategy_floor_mp(strat.value, m, 10**e, alpha, k)
-                worst_floor = max(worst_floor, abs(floor - ref) / ref)
+                worst_floor = max(worst_floor, abs(floor - ref) / ref,
+                                  abs(grid_floor - ref) / ref)
                 sig, noise = strategy_signal_noise(cfg, floor)
                 ref = strategy_signal_mp(strat.value, m, floor, k)
                 worst_signal = max(worst_signal, abs(sig - ref) / ref)

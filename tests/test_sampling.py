@@ -139,24 +139,22 @@ def test_empirical_pmf_total_variation():
 
 
 def test_multinomial_three_outcomes():
-    s = OutcomeStats((0.2, 0.5, 0.3), 60)
-    counts = draw_count_matrix(s, seed=11, trials=4000)
-    assert counts.shape == (4000, 3)
-    assert (counts.sum(axis=1) == 60).all()
-    assert (counts >= 0).all()
-    # per-category empirical mean within 4 sigma of n p_i
-    for i, p in enumerate(s.probabilities):
-        se = math.sqrt(60 * p * (1.0 - p) / 4000)
-        assert abs(counts[:, i].mean() - 60 * p) <= 4.0 * se
+    # the sampler draws two-outcome counts only; wider stats are refused
+    for probs, n in (((0.2, 0.5, 0.3), 60), ((0.2, 0.5, 0.3), 10**6),
+                     ((0.1, 0.2, 0.3, 0.4), 12)):
+        with pytest.raises(ValueError, match="two-outcome"):
+            draw_count_matrix(OutcomeStats(probs, n), seed=11, trials=4000)
 
 
 def test_multinomial_matches_exact_marginal():
-    # first category of a 3-way split is binomial(n, p0)
-    s = OutcomeStats((0.25, 0.45, 0.3), 12)
-    counts = draw_count_matrix(s, seed=3, trials=10**5)[:, 0]
-    hist = np.bincount(counts, minlength=13) / 10**5
-    exact = np.array([w for _, w in enumerate_binomial(0.25, 12)])
-    assert 0.5 * np.abs(hist - exact).sum() <= 0.01
+    # both columns of a binary draw are binomial: k ~ B(n, p0), n - k ~ B(n, p1)
+    s = OutcomeStats((0.25, 0.75), 12)
+    counts = draw_count_matrix(s, seed=3, trials=10**5)
+    assert (counts.sum(axis=1) == 12).all()
+    for i, p in enumerate(s.probabilities):
+        hist = np.bincount(counts[:, i], minlength=13) / 10**5
+        exact = np.array([w for _, w in enumerate_binomial(p, 12)])
+        assert 0.5 * np.abs(hist - exact).sum() <= 0.01
 
 
 def test_seed_validation():
@@ -217,7 +215,7 @@ def test_cdf_window_stays_near_the_mode(n, p):
 
 def test_multinomial_three_outcomes_large_budget():
     n, trials = 10**6, 2000
-    s = OutcomeStats((0.2, 0.5, 0.3), n)
+    s = binary_stats(0.2, n)
     counts = draw_count_matrix(s, seed=17, trials=trials)
     assert (counts.sum(axis=1) == n).all()
     assert (counts >= 0).all()
