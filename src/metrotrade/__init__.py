@@ -21,8 +21,6 @@ from .basis import (
     find_optimal_basis,
 )
 from .bounds import (
-    AccuracySpec,
-    BoundReport,
     accuracy_of,
     critical_fidelity,
     inherent_precision,
@@ -56,8 +54,6 @@ from .verify import CheckResult, format_report, run_all
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracySpec",
-    "BoundReport",
     "BranchError",
     "BudgetError",
     "CheckResult",

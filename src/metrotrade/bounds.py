@@ -7,15 +7,18 @@ phase-shifted copy gives a chain of closed forms:
 
     critical fidelity      F <= n / (n + alpha**2)
     minimum signal         dphi >= arccos((n - alpha**2) / (n + alpha**2))
+                                 = 2 atan(alpha / sqrt(n))
     trade-off bound        dphi >= 2 alpha / (sqrt(n + alpha**2) sqrt(Fq))
 
-At Fq = 1 the trade-off bound is the chord 2 sin(dphi_min / 2) of the
-exact minimum signal dphi_min = 2 atan(alpha / sqrt(n)), so it needs no
-function of its own.  The exact minimum signal exceeds the inverse-root
-Cramer-Rao value 1/sqrt(n Fq) by a factor approaching 2: resolving one
-noise width on each side costs twice the naive one-sigma estimate.
-correction_ratio tracks that factor.  Conversely accuracy_of reads off
-the confidence level a given precision actually buys.
+critical_fidelity and min_detectable_signal evaluate the first two as
+elementwise array kernels over any broadcast grid of alpha and n.  At
+Fq = 1 the trade-off bound is the chord 2 sin(dphi_min / 2) of the
+exact minimum signal, so it needs no function of its own.  The exact
+minimum signal exceeds the inverse-root Cramer-Rao value 1/sqrt(n Fq)
+by a factor dphi_min sqrt(n) approaching 2: resolving one noise width on
+each side costs twice the naive one-sigma estimate.  Conversely
+accuracy_of reads off the confidence level a given precision actually
+buys.
 
 The same criterion over a k-outcome measurement is the separation
 statistic of povm_statistics, an array kernel over any grid of
@@ -29,72 +32,48 @@ moves the outcome probability by one quantum is itself bounded below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnreachableSignalError
 
 
-@dataclass(frozen=True)
-class AccuracySpec:
-    """Confidence level alpha (in noise-sigma units) and sample budget n."""
-
-    alpha: float
-    n: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError("alpha must be positive and finite")
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError("n must be a positive integer")
+def _bound_inputs(alpha, n):
+    """alpha and n as float64 arrays, refused unless every alpha is
+    positive and finite and every n is a finite whole number of at least 1."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if not np.all(np.isfinite(alpha) & (alpha > 0.0)):
+        raise ValueError("alpha must be positive and finite")
+    n = np.asarray(n, dtype=np.float64)
+    if not np.all(np.isfinite(n) & (n >= 1.0) & (n == np.floor(n))):
+        raise ValueError("n must be a positive integer")
+    return alpha, n
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    critical_fidelity: float
-    min_signal_exact: float
-    min_signal_asymptotic: float
-    qcrb: float
-    correction_ratio: float
-
-    def __post_init__(self):
-        if self.min_signal_exact < 0.0:
-            raise ValueError("min_signal_exact must be non-negative")
-        expected = self.min_signal_exact / self.qcrb
-        if abs(self.correction_ratio - expected) > 1e-12 * max(1.0, abs(expected)):
-            raise ValueError("correction_ratio inconsistent with exact/qcrb")
+def critical_fidelity(alpha, n):
+    """Largest fidelity n / (n + alpha**2) still distinguishable from the
+    initial state, elementwise over broadcast alpha and n."""
+    alpha, n = _bound_inputs(alpha, n)
+    with np.errstate(over="ignore"):  # alpha**2 past a double reads F = 0
+        return n / (n + alpha * alpha)
 
 
-def critical_fidelity(spec: AccuracySpec) -> float:
-    """Largest fidelity still distinguishable from the initial state."""
-    return spec.n / (spec.n + spec.alpha * spec.alpha)
+def min_detectable_signal(alpha, n):
+    """Smallest phase shift resolvable at confidence alpha with n shots,
+    elementwise over broadcast alpha and n.
 
-
-def min_detectable_signal(spec: AccuracySpec) -> BoundReport:
-    """Smallest phase shift resolvable at confidence alpha with n shots.
-
-    Exact form arccos((n - a2)/(n + a2)), evaluated as the equal
+    The exact form arccos((n - a2)/(n + a2)) is evaluated as the equal
     2 atan(alpha / sqrt(n)), which keeps full precision where the arccos
-    argument rounds to 1 (it returns 0 from n ~ 1e16); asymptotic form
-    2 alpha / sqrt(n); inverse-root benchmark 1/sqrt(n) for unit Fisher
-    information.
+    argument rounds to 1 (it returns 0 from n ~ 1e16).  An int n too
+    large for a double raises OverflowError.
     """
-    n = spec.n
-    exact = 2.0 * math.atan(spec.alpha / math.sqrt(n))
-    asymptotic = 2.0 * spec.alpha / math.sqrt(n)
-    qcrb = 1.0 / math.sqrt(n)
-    return BoundReport(
-        critical_fidelity=critical_fidelity(spec),
-        min_signal_exact=exact,
-        min_signal_asymptotic=asymptotic,
-        qcrb=qcrb,
-        correction_ratio=exact / qcrb,
-    )
+    alpha, n = _bound_inputs(alpha, n)
+    return 2.0 * np.arctan(alpha / np.sqrt(n))
 
 
-def accuracy_of(delta_phi, n: int, fq: float):
-    """Confidence level alpha = delta_phi * sqrt(n fq) / 2 a precision buys.
+def accuracy_of(delta_phi, n: int):
+    """Confidence level alpha = delta_phi * sqrt(n) / 2 a precision buys
+    at unit Fisher information (Fq = 1).
 
     Elementwise over delta_phi (scalar or array); a NaN step, one that
     cannot be reached, gives NaN.
@@ -103,9 +82,7 @@ def accuracy_of(delta_phi, n: int, fq: float):
         raise ValueError("delta_phi must be non-negative")
     if not (isinstance(n, int) and n >= 1):
         raise ValueError("n must be a positive integer")
-    if not (math.isfinite(fq) and fq >= 0.0):
-        raise ValueError("fq must be non-negative")
-    return delta_phi * math.sqrt(n * fq) / 2.0
+    return delta_phi * math.sqrt(n) / 2.0
 
 
 def povm_statistics(p, p_final, n):
@@ -151,7 +128,7 @@ def inherent_steps(phi0, n: int):
 
 def inherent_precision(phi0: float, n: int):
     """inherent_steps at one working point, with the accuracy
-    accuracy_of(dphi, n, 1) it carries.
+    accuracy_of(dphi, n) it carries.
 
     Returns (delta_phi, accuracy).  When the quantum cannot be bridged
     from this working point, UnreachableSignalError is raised.
@@ -165,4 +142,4 @@ def inherent_precision(phi0: float, n: int):
         raise UnreachableSignalError(
             f"probability step 1/{n} is not reachable from phi0={phi0:.6g}"
         )
-    return delta, accuracy_of(delta, n, 1.0)
+    return delta, accuracy_of(delta, n)

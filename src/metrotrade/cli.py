@@ -20,9 +20,10 @@ next to each other.  Each command takes only the flags it reads.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +31,7 @@ from . import __version__
 # basis_snr and inherent_precision go uncalled: perfbench/tracing.py patches them here.
 from .basis import basis_snr, snr_grid  # noqa: F401
 from .bounds import (  # noqa: F401
-    AccuracySpec, accuracy_of, inherent_precision, inherent_steps,
-    min_detectable_signal,
+    accuracy_of, inherent_precision, inherent_steps, min_detectable_signal,
 )
 from .estimation import exact_bias_report, monte_carlo_report
 from .resources import StrategyKind, fit_scaling
@@ -146,21 +146,22 @@ def _csv_text(header, rows) -> str:
 
 @dataclass
 class RunConfig:
-    """Validated flag set for one CLI invocation."""
+    """Validated flag set for one CLI invocation.  A command sets the
+    fields of the flags it registers; build_parser holds every default."""
 
     command: str
-    n_list: list = field(default_factory=list)
-    alpha_list: list = field(default_factory=list)
+    n_list: list | None = None
+    alpha_list: list | None = None
     phi0: float | None = None
-    phi: float = math.pi / 4.0
-    m_grid: list = field(default_factory=list)
-    big_n: int = 100
-    k: float = 2.0
-    trials: int = 10**5
-    seed: int = 0
-    grid: int = 400
+    phi: float | None = None
+    m_grid: list | None = None
+    big_n: int | None = None
+    k: float | None = None
+    trials: int | None = None
+    seed: int | None = None
+    grid: int | None = None
     out: str | None = None
-    fmt: str = "csv"
+    fmt: str | None = None
     corrupt: str | None = None
 
     def validate(self):
@@ -192,18 +193,24 @@ class RunConfig:
 def cmd_tradeoff(cfg: RunConfig):
     header = ["n", "alpha", "exact_bound", "asymptotic_bound", "qcrb",
               "correction_ratio"]
-    rows = []
-    for n in cfg.n_list:
-        for alpha in cfg.alpha_list:
-            rep = min_detectable_signal(AccuracySpec(alpha, n))
-            rows.append([
-                n, alpha, rep.min_signal_exact, rep.min_signal_asymptotic,
-                rep.qcrb, rep.correction_ratio,
-            ])
+    # one kernel call over the n-major (n, alpha) mesh
+    n_col = np.asarray(cfg.n_list, dtype=np.float64)[:, None]
+    alphas = np.asarray(cfg.alpha_list, dtype=np.float64)
+    exact = min_detectable_signal(alphas, n_col)
+    root_n = np.sqrt(n_col)
+    with np.errstate(over="ignore"):  # 2 alpha past a double reads inf
+        asymptotic = 2.0 * alphas / root_n
+    qcrb = 1.0 / root_n
+    columns = np.broadcast_arrays(exact, asymptotic, qcrb, exact / qcrb)
+    exact, asymptotic, qcrb, ratio = (column.ravel().tolist() for column in columns)
+    # the n cell is the caller's int, so str() writes it exactly past 2**53
+    rows = [[n, alpha, e, s, q, r] for (n, alpha), e, s, q, r in zip(
+        itertools.product(cfg.n_list, cfg.alpha_list), exact, asymptotic, qcrb, ratio)]
+    xs = tuple(range(len(rows)))
     series = [
-        Series("exact_bound", tuple(range(len(rows))), tuple(r[2] for r in rows)),
-        Series("asymptotic_bound", tuple(range(len(rows))), tuple(r[3] for r in rows)),
-        Series("qcrb", tuple(range(len(rows))), tuple(r[4] for r in rows)),
+        Series("exact_bound", xs, tuple(exact)),
+        Series("asymptotic_bound", xs, tuple(asymptotic)),
+        Series("qcrb", xs, tuple(qcrb)),
     ]
     return header, rows, [
         Panel("detection bounds across the (n, alpha) grid", "row", "radians",
@@ -228,7 +235,7 @@ def cmd_inherent(cfg: RunConfig):
         phi0 = _inherent_grid(cfg.grid)
     delta = inherent_steps(phi0, n)
     resolution = 1.0 / delta
-    accuracy = accuracy_of(delta, n, 1.0)
+    accuracy = accuracy_of(delta, n)
     rows = np.column_stack((phi0, resolution, accuracy))
     xs = tuple(phi0.tolist())
     return header, rows, [

@@ -95,9 +95,9 @@ def exact_bias_report(phi: float, n: int) -> EstimatorReport:
     if not (0.0 < phi < math.pi):
         raise ValueError("phi must lie in (0, pi)")
     p = (1.0 + math.cos(phi)) / 2.0
-    weights = np.array([w for _, w in enumerate_binomial(p, n)])
     return _report_from_pmf(
-        phi, p, n, np.arange(n + 1), weights, ReportMode.EXACT_ENUMERATION
+        phi, p, n, np.arange(n + 1), enumerate_binomial(p, n),
+        ReportMode.EXACT_ENUMERATION,
     )
 
 

@@ -1,9 +1,9 @@
 """Finite-sample outcome statistics and reproducible sampling.
 
 Projection noise for an outcome with probability p over n shots is
-sqrt(p (1 - p) / n).  OutcomeStats bundles a probability vector with
-those standard deviations; draw_count_matrix draws binomial counts
-from two-outcome stats.
+sqrt(p (1 - p) / n).  OutcomeStats bundles the two probabilities of a
+binary outcome with those standard deviations; draw_count_matrix draws
+binomial counts from them.
 
 Reproducibility contract: trial t consumes a substream derived only
 from (seed, t), so results are independent of evaluation order and of
@@ -41,7 +41,8 @@ _WINDOW_MAX = 2**22
 
 @dataclass(frozen=True)
 class OutcomeStats:
-    """Outcome probabilities with their projection-noise standard deviations.
+    """The two outcome probabilities of a binary measurement with their
+    projection-noise standard deviations.
 
     std_devs is always recomputed from (probabilities, sample_budget),
     never supplied by the caller, so the two can't drift apart.
@@ -53,8 +54,8 @@ class OutcomeStats:
 
     def __post_init__(self):
         probs = tuple(float(p) for p in self.probabilities)
-        if len(probs) < 2:
-            raise ValueError("need at least two outcomes")
+        if len(probs) != 2:
+            raise ValueError("need exactly two outcomes")
         if not isinstance(self.sample_budget, int) or self.sample_budget < 1:
             raise ValueError("sample_budget must be a positive integer")
         for p in probs:
@@ -79,7 +80,7 @@ def binary_stats(p: float, n: int) -> OutcomeStats:
 
 
 def enumerate_binomial(p: float, n: int):
-    """Exact binomial pmf as a list of (k, probability) pairs.
+    """Exact binomial pmf as a float64 array indexed by k = 0..n.
 
     Coefficients come from integer arithmetic (math.comb), so each term
     is correct to double rounding.  Limited to n <= 64 where that is
@@ -92,7 +93,7 @@ def enumerate_binomial(p: float, n: int):
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
     q = 1.0 - p
-    return [(k, math.comb(n, k) * p**k * q ** (n - k)) for k in range(n + 1)]
+    return np.array([math.comb(n, k) * p**k * q ** (n - k) for k in range(n + 1)])
 
 
 def _mix64(z):
@@ -133,7 +134,7 @@ def _binomial_cdf_table(p: float, n: int):
     tail, and the table's last entry is exactly 1.
     """
     if n <= EXACT_ENUM_LIMIT:
-        cdf = np.cumsum([w for _, w in enumerate_binomial(p, n)])
+        cdf = np.cumsum(enumerate_binomial(p, n))
         cdf.flags.writeable = False
         return 0, cdf
     q = 1.0 - p
@@ -193,14 +194,11 @@ def draw_count_matrix(stats: OutcomeStats, seed: int, trials: int,
 
     k inverts the binomial CDF at the trial's draw-0 uniform.  _first is
     the index of the first trial drawn, so a long run can be drawn in
-    chunks that match one call row for row.  Stats with three or more
-    outcomes are refused.
+    chunks that match one call row for row.
     """
     _check_seed(seed)
     if not (isinstance(trials, int) and trials >= 1):
         raise ValueError("trials must be a positive integer")
-    if len(stats.probabilities) != 2:
-        raise ValueError("draw_count_matrix draws two-outcome stats only")
     n = stats.sample_budget
     u = _substream_uniforms(seed, trials, 0, _first)
     k = _invert_binomial_fixed(u, n, stats.probabilities[0])

@@ -36,10 +36,9 @@ def _result(name, passed, detail):
 
 def check_factor2(tol: float) -> CheckResult:
     """Exact minimum signal approaches twice the inverse-root benchmark."""
-    ratios = []
-    for n in (10**2, 10**3, 10**4, 10**5):
-        rep = bounds.min_detectable_signal(bounds.AccuracySpec(1.0, n))
-        ratios.append(rep.correction_ratio)
+    n = np.array([10**2, 10**3, 10**4, 10**5], dtype=np.float64)
+    # exact / qcrb, as tradeoff's correction_ratio column
+    ratios = (bounds.min_detectable_signal(1.0, n) / (1.0 / np.sqrt(n))).tolist()
     at_1e4 = ratios[2]
     in_band = (1.99 - tol) <= at_1e4 <= (2.0 + tol)
     monotone = all(a < b for a, b in zip(ratios, ratios[1:])) and ratios[-1] <= 2.0
@@ -106,7 +105,7 @@ def check_povm_reduction(tol: float) -> CheckResult:
     n = np.arange(1, 1001)[:, None]
     alpha = np.array(_ALPHA_GRID)
     a2 = alpha * alpha
-    final = np.stack((n / (n + a2), a2 / (n + a2)), axis=-1)
+    final = np.stack((bounds.critical_fidelity(alpha, n), a2 / (n + a2)), axis=-1)
     stat = bounds.povm_statistics((1.0, 0.0), final, n)
     worst = float(np.max(np.abs(stat - alpha)))
     passed = worst <= tol
@@ -139,10 +138,9 @@ def _bisection_min_signal(n_arr: np.ndarray, alpha: float) -> np.ndarray:
 def check_bound_vs_oracle(tol: float) -> CheckResult:
     """Closed-form minimum signal agrees with the bisection oracle."""
     n_arr = np.arange(1, 10**4 + 1, dtype=np.float64)
+    bound = bounds.min_detectable_signal(np.array(_ALPHA_GRID)[:, None], n_arr)
     worst = 0.0
-    for alpha in _ALPHA_GRID:
-        a2 = alpha * alpha
-        closed = np.arccos((n_arr - a2) / (n_arr + a2))
+    for alpha, closed in zip(_ALPHA_GRID, bound):
         oracle = _bisection_min_signal(n_arr, alpha)
         worst = max(worst, float(np.max(np.abs(closed - oracle))))
     passed = worst <= tol

@@ -193,8 +193,6 @@ def distinguishable_binary(stats0, stats1, alpha: float) -> bool:
     """
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError("alpha must be positive and finite")
-    if len(stats0.probabilities) != 2 or len(stats1.probabilities) != 2:
-        raise ValueError("expected binary outcome stats")
     if stats0.sample_budget != stats1.sample_budget:
         raise ValueError("stats must share the same sample budget")
     separation = abs(stats1.probabilities[0] - stats0.probabilities[0])

@@ -13,7 +13,6 @@ import numpy as np
 
 from metrotrade.basis import find_optimal_basis
 from metrotrade.bounds import (
-    AccuracySpec,
     inherent_precision,
     min_detectable_signal,
     povm_statistics,
@@ -47,12 +46,10 @@ def _cli(argv):
 
 
 def test_criterion_1_factor_two_correction():
-    scaled = {}
-    for n in (100, 1000, 10**4, 10**5):
-        rep = min_detectable_signal(AccuracySpec(1.0, n))
-        scaled[n] = rep.min_signal_exact * math.sqrt(n)
+    ns = (100, 1000, 10**4, 10**5)
+    scaled = dict(zip(ns, (min_detectable_signal(1.0, ns) * np.sqrt(ns)).tolist()))
     in_band = 1.99 <= scaled[10**4] <= 2.0
-    seq = [scaled[n] for n in (100, 1000, 10**4, 10**5)]
+    seq = [scaled[n] for n in ns]
     monotone = all(b > a for a, b in zip(seq, seq[1:])) and seq[-1] <= 2.0
     ok = _report(
         1,
@@ -160,12 +157,7 @@ def test_criterion_6_bound_matches_bisection_oracle():
     n = np.arange(1, 1001, dtype=np.float64)
     worst = 0.0
     for alpha in (0.25, 0.5, 1.0, 2.0, 4.0):
-        closed = np.array(
-            [
-                min_detectable_signal(AccuracySpec(alpha, int(k))).min_signal_exact
-                for k in n
-            ]
-        )
+        closed = min_detectable_signal(alpha, n)
         oracle = _bisect_vectorized(n, alpha)
         worst = max(worst, float(np.max(np.abs(closed - oracle))))
     ok = _report(

@@ -8,14 +8,19 @@ from pathlib import Path
 import metrotrade
 
 
-def _called_names(tree):
-    """Names called anywhere in a module, by bare name or as an attribute,
-    leaving out the calls a function makes to itself."""
-    called = set()
+def _used_names(tree):
+    """(called, named): names called anywhere in a module, and names
+    written anywhere in it at all, by bare name or as an attribute.  Each
+    leaves out what a function or class body says of its own name."""
+    called, named = set(), set()
 
     def visit(node, enclosing):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             enclosing = enclosing | {node.name}
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in enclosing:
+                named.add(name)
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
@@ -25,20 +30,26 @@ def _called_names(tree):
             visit(child, enclosing)
 
     visit(tree, frozenset())
-    return called
+    return called, named
 
 
 def test_every_public_function_has_a_caller_in_the_package():
-    # a public function only its own tests call is API nobody uses
+    # a public function only its own tests call, or a public class only
+    # they name, is API nobody uses
     package = Path(metrotrade.__file__).parent
-    called = set()
+    called, named = set(), set()
     for path in package.glob("*.py"):
         if path.name != "__init__.py":
-            called |= _called_names(ast.parse(path.read_text(encoding="utf-8")))
-    functions = [name for name in metrotrade.__all__
-                 if inspect.isfunction(getattr(metrotrade, name))]
-    assert functions
+            module_called, module_named = _used_names(
+                ast.parse(path.read_text(encoding="utf-8")))
+            called |= module_called
+            named |= module_named
+    public = {name: getattr(metrotrade, name) for name in metrotrade.__all__}
+    functions = [name for name, obj in public.items() if inspect.isfunction(obj)]
+    classes = [name for name, obj in public.items() if inspect.isclass(obj)]
+    assert functions and classes
     assert sorted(set(functions) - called) == []
+    assert sorted(set(classes) - named) == []
 
 
 def test_readme_quick_taste_values():

@@ -9,7 +9,7 @@ from metrotrade.basis import (
     find_optimal_basis,
     snr_grid,
 )
-from metrotrade.bounds import AccuracySpec, min_detectable_signal
+from metrotrade.bounds import min_detectable_signal
 from metrotrade.estimation import classical_fisher_values
 
 from helpers import basis_probabilities
@@ -136,7 +136,7 @@ def test_precision_matches_arccos_bound():
     # 2 arctan(a/sqrt(n)) and arccos((n-a2)/(n+a2)) are the same number
     for n in (1, 2, 10, 100, 10**4):
         for alpha in (0.25, 0.5, 1.0, 2.0, 4.0):
-            lhs = min_detectable_signal(AccuracySpec(alpha, n)).min_signal_exact
+            lhs = min_detectable_signal(alpha, n)
             rhs = math.acos((n - alpha**2) / (n + alpha**2))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, rhs)
 

@@ -1,4 +1,7 @@
+import csv
+import io
 import math
+from contextlib import redirect_stdout
 
 import mpmath
 import numpy as np
@@ -7,8 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from metrotrade.bounds import (
-    AccuracySpec,
-    BoundReport,
     accuracy_of,
     critical_fidelity,
     inherent_precision,
@@ -16,7 +17,7 @@ from metrotrade.bounds import (
     min_detectable_signal,
     povm_statistics,
 )
-from metrotrade.cli import _inherent_grid
+from metrotrade.cli import _inherent_grid, main
 from metrotrade.errors import UnreachableSignalError
 from metrotrade.sampling import binary_stats
 
@@ -60,47 +61,48 @@ def test_distinguishable_input_checks():
         distinguishable_binary(s, s, 0.0)
     from metrotrade.sampling import OutcomeStats
 
-    with pytest.raises(ValueError):
-        distinguishable_binary(OutcomeStats((0.2, 0.3, 0.5), 10), s, 1.0)
+    # stats are binary by construction
+    with pytest.raises(ValueError, match="exactly two outcomes"):
+        OutcomeStats((0.2, 0.3, 0.5), 10)
 
 
 def test_critical_fidelity_values():
-    assert critical_fidelity(AccuracySpec(1.0, 1)) == 0.5
-    assert abs(critical_fidelity(AccuracySpec(1.0, 100)) - 100.0 / 101.0) < 1e-15
-    assert critical_fidelity(AccuracySpec(10.0, 100)) == 0.5
+    assert critical_fidelity(1.0, 1) == 0.5
+    assert abs(critical_fidelity(1.0, 100) - 100.0 / 101.0) < 1e-15
+    assert critical_fidelity(10.0, 100) == 0.5
     # alpha squared by multiplication: pow(a, 2) is one ulp off a * a here
     a = 9.849361880353003
-    assert critical_fidelity(AccuracySpec(a, 1)) == 1.0 / (1.0 + a * a)
-    assert critical_fidelity(AccuracySpec(a, 1)) == 0.010203047850459002
+    assert critical_fidelity(a, 1) == 1.0 / (1.0 + a * a)
+    assert critical_fidelity(a, 1) == 0.010203047850459002
+    # elementwise over broadcast alpha and n; alpha**2 past a double gives 0
+    got = critical_fidelity(np.array([1.0, 10.0, 1e200]), np.array([[1], [100]]))
+    assert got.tolist() == [[0.5, 1.0 / 101.0, 0.0], [100.0 / 101.0, 0.5, 0.0]]
 
 
 def test_min_signal_single_shot():
-    rep = min_detectable_signal(AccuracySpec(1.0, 1))
-    assert abs(rep.min_signal_exact - math.pi / 2.0) < 1e-15
+    exact = min_detectable_signal(np.array([1.0, 1e300]), 1)
+    assert abs(exact[0] - math.pi / 2.0) < 1e-15
+    assert exact[1] == math.pi
 
 
 def test_min_signal_n100():
-    rep = min_detectable_signal(AccuracySpec(1.0, 100))
-    assert abs(rep.min_signal_exact - math.acos(99.0 / 101.0)) < 1e-15
-    assert abs(rep.min_signal_exact - 0.199337) < 1e-6
-    assert abs(rep.min_signal_asymptotic - 0.2) < 1e-15
-    assert abs(rep.qcrb - 0.1) < 1e-15
-    assert abs(rep.correction_ratio - 1.99337) < 1e-5
+    exact = min_detectable_signal(1.0, np.array([100]))
+    assert exact.shape == (1,)
+    assert abs(exact[0] - math.acos(99.0 / 101.0)) < 1e-15
+    assert abs(exact[0] - 0.199337) < 1e-6
+    assert abs(exact[0] * math.sqrt(100) - 1.99337) < 1e-5
 
 
 def test_min_signal_factor_two():
-    rep = min_detectable_signal(AccuracySpec(1.0, 10**4))
-    scaled = rep.min_signal_exact * 100.0
+    scaled = min_detectable_signal(np.array([1.0]), 10**4)[0] * 100.0
     assert 2.0 - 1e-3 <= scaled <= 2.0
 
 
 def test_correction_ratio_window_and_monotonicity():
-    prev = 0.0
-    for n in (1, 2, 5, 10, 100, 1000, 10**4):
-        rep = min_detectable_signal(AccuracySpec(1.0, n))
-        assert 2.0 * (1.0 - 1.0 / n) < rep.correction_ratio <= 2.0
-        assert rep.correction_ratio > prev
-        prev = rep.correction_ratio
+    n = np.array([1, 2, 5, 10, 100, 1000, 10**4], dtype=np.float64)
+    ratio = min_detectable_signal(1.0, n) * np.sqrt(n)
+    assert np.all((2.0 * (1.0 - 1.0 / n) < ratio) & (ratio <= 2.0))
+    assert np.all(np.diff(ratio) > 0.0) and ratio[0] > 0.0
 
 
 @pytest.mark.parametrize("alpha", [0.25, 1.0, 4.0, 1000.0])
@@ -108,63 +110,84 @@ def test_min_signal_matches_mpmath_oracle(alpha):
     # arccos((n - a2)/(n + a2)) at 200 bits over n = 1 .. 1e18 and 2**63 - 1;
     # an arccos of that argument in doubles reads 0 from n ~ 1e16
     ns = sorted({round(10 ** (k / 4)) for k in range(73)} | {2**53 + 1, 2**63 - 1})
-    for n in ns:
-        rep = min_detectable_signal(AccuracySpec(alpha, n))
+    exact = min_detectable_signal(alpha, ns).tolist()
+    for n, got in zip(ns, exact):
         with mpmath.workprec(200):
             a2 = mpmath.mpf(alpha) ** 2
             ref = float(mpmath.acos((n - a2) / (n + a2)))
-        assert abs(rep.min_signal_exact - ref) <= 3 * math.ulp(ref), n
-        assert abs(rep.correction_ratio - ref * math.sqrt(n)) <= 4 * math.ulp(
-            rep.correction_ratio), n
+        assert abs(got - ref) <= 3 * math.ulp(ref), n
+        ratio = got / (1.0 / math.sqrt(n))  # tradeoff's correction_ratio
+        assert abs(ratio - ref * math.sqrt(n)) <= 4 * math.ulp(ratio), n
 
 
 def test_min_signal_vs_bisection_oracle():
-    for n in (1, 2, 7, 31, 100, 999, 10**4):
-        for alpha in (0.25, 0.5, 1.0, 2.0, 4.0):
-            rep = min_detectable_signal(AccuracySpec(alpha, n))
-            oracle = bisect_min_signal(n, alpha)
-            assert abs(rep.min_signal_exact - oracle) < 1e-9
+    ns = (1, 2, 7, 31, 100, 999, 10**4)
+    alphas = (0.25, 0.5, 1.0, 2.0, 4.0)
+    exact = min_detectable_signal(np.array(alphas), np.array(ns)[:, None])
+    assert exact.shape == (len(ns), len(alphas))
+    for i, n in enumerate(ns):
+        for j, alpha in enumerate(alphas):
+            assert abs(exact[i, j] - bisect_min_signal(n, alpha)) < 1e-9
 
 
-def _tradeoff_chord(spec, fq):
+def test_bound_kernels_refuse_bad_input():
+    # every value is checked before any is evaluated; alpha comes first
+    for kernel in (min_detectable_signal, critical_fidelity):
+        for alpha in (0.0, -0.5, math.inf, math.nan, np.array([1.0, -math.inf])):
+            with pytest.raises(ValueError, match="^alpha must be positive and finite$"):
+                kernel(alpha, 12)
+        for n in (0, -1, 0.5, 2.5, math.nan, math.inf, np.array([[10], [0]])):
+            with pytest.raises(ValueError, match="^n must be a positive integer$"):
+                kernel(1.0, n)
+        with pytest.raises(ValueError, match="^alpha"):
+            kernel(np.array([1.0, -1.0]), np.array([[0], [5]]))
+        with pytest.raises(OverflowError, match="int too large to convert to float"):
+            kernel(1.0, [1, 10**400])
+
+
+def _tradeoff_chord(alpha, n, fq):
     # the trade-off bound 2 alpha / (sqrt(n + alpha**2) sqrt(fq)) as the
     # chord 2 sin(dphi_min / 2) of the exact bound, over sqrt(fq)
-    exact = min_detectable_signal(spec).min_signal_exact
-    return 2.0 * math.sin(exact / 2.0) / math.sqrt(fq)
+    exact = min_detectable_signal(alpha, n)
+    return 2.0 * np.sin(exact / 2.0) / math.sqrt(fq)
 
 
 def test_tradeoff_bound_values():
-    spec = AccuracySpec(1.0, 100)
-    assert abs(_tradeoff_chord(spec, 1.0) - 2.0 / math.sqrt(101.0)) < 1e-15
-    assert abs(_tradeoff_chord(spec, 1.0) - 0.199007) < 1e-6
-    assert abs(_tradeoff_chord(spec, 25.0) - 2.0 / (math.sqrt(101.0) * 5.0)) < 1e-15
-    assert abs(_tradeoff_chord(spec, 25.0) - 0.0398) < 1e-4
+    assert abs(_tradeoff_chord(1.0, 100, 1.0) - 2.0 / math.sqrt(101.0)) < 1e-15
+    assert abs(_tradeoff_chord(1.0, 100, 1.0) - 0.199007) < 1e-6
+    assert abs(_tradeoff_chord(1.0, 100, 25.0) - 2.0 / (math.sqrt(101.0) * 5.0)) < 1e-15
+    assert abs(_tradeoff_chord(1.0, 100, 25.0) - 0.0398) < 1e-4
 
 
 def test_tradeoff_bound_saturates_at_two():
-    assert abs(_tradeoff_chord(AccuracySpec(1e8, 100), 1.0) - 2.0) < 1e-8
+    assert abs(_tradeoff_chord(1e8, 100, 1.0) - 2.0) < 1e-8
 
 
 def test_tradeoff_product_invariance():
-    # asymptotic bound divided by alpha depends only on n and fq
-    for n in (10, 100, 1000):
-        ref = 2.0 / math.sqrt(n)
-        for alpha in (0.25, 0.5, 1.0, 2.0, 4.0):
-            rep = min_detectable_signal(AccuracySpec(alpha, n))
-            assert abs(rep.min_signal_asymptotic / alpha - ref) < 1e-15
+    # tradeoff's asymptotic bound divided by alpha depends only on n
+    alphas = (0.25, 0.5, 1.0, 2.0, 4.0)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["tradeoff", "--n", "10,100,1000",
+                     "--alpha", ",".join(map(str, alphas))]) == 0
+    rows = list(csv.reader(io.StringIO(out.getvalue())))[1:]
+    assert [(int(r[0]), float(r[1])) for r in rows] == [
+        (n, alpha) for n in (10, 100, 1000) for alpha in alphas]
+    for row in rows:
+        ref = 2.0 / math.sqrt(int(row[0]))
+        assert abs(float(row[3]) / float(row[1]) - ref) < 1e-15
 
 
 def test_accuracy_of_values():
-    assert abs(accuracy_of(0.2, 100, 1.0) - 1.0) < 1e-15
-    assert abs(accuracy_of(0.02, 100, 1.0) - 0.1) < 1e-15
-    assert accuracy_of(0.5, 10, 0.0) == 0.0
+    assert abs(accuracy_of(0.2, 100) - 1.0) < 1e-15
+    assert abs(accuracy_of(0.02, 100) - 0.1) < 1e-15
     # elementwise over an array of steps; an unreachable (NaN) step stays NaN
-    got = accuracy_of(np.array([0.2, math.nan, 0.02]), 100, 1.0)
-    assert got[0] == accuracy_of(0.2, 100, 1.0)
+    got = accuracy_of(np.array([0.2, math.nan, 0.02]), 100)
+    assert got[0] == accuracy_of(0.2, 100)
     assert math.isnan(got[1])
-    assert got[2] == accuracy_of(0.02, 100, 1.0)
+    assert got[2] == accuracy_of(0.02, 100)
     with pytest.raises(ValueError):
-        accuracy_of(np.array([0.1, -0.1]), 100, 1.0)
+        accuracy_of(np.array([0.1, -0.1]), 100)
 
 
 def test_povm_statistic_identical():
@@ -339,32 +362,6 @@ def test_inherent_accuracy_decreases_with_budget():
     assert all(b < a for a, b in zip(accs, accs[1:]))
 
 
-def test_accuracy_spec_split():
-    with pytest.raises(ValueError):
-        AccuracySpec(0.0, 12)
-    with pytest.raises(ValueError):
-        AccuracySpec(1.0, 0)
-
-
-def test_bound_report_consistency_enforced():
-    with pytest.raises(ValueError):
-        BoundReport(
-            critical_fidelity=0.5,
-            min_signal_exact=1.0,
-            min_signal_asymptotic=1.0,
-            qcrb=0.5,
-            correction_ratio=3.0,
-        )
-    with pytest.raises(ValueError):
-        BoundReport(
-            critical_fidelity=0.5,
-            min_signal_exact=-1.0,
-            min_signal_asymptotic=1.0,
-            qcrb=0.5,
-            correction_ratio=-2.0,
-        )
-
-
 @given(
     st.integers(min_value=1, max_value=10**6),
     st.floats(min_value=0.01, max_value=50.0),
@@ -373,7 +370,7 @@ def test_min_signal_bracket_property(n, alpha):
     # trade-off bound never exceeds the exact requirement, and the
     # asymptotic form never falls below it; slack 1e-9 absorbs the
     # arccos conditioning when the argument sits next to 1
-    rep = min_detectable_signal(AccuracySpec(alpha, n))
-    assert 0.0 < rep.min_signal_exact <= math.pi
-    assert _tradeoff_chord(AccuracySpec(alpha, n), 1.0) <= rep.min_signal_exact + 1e-9
-    assert rep.min_signal_exact <= rep.min_signal_asymptotic + 1e-9
+    exact = min_detectable_signal(alpha, n)
+    assert 0.0 < exact <= math.pi
+    assert _tradeoff_chord(alpha, n, 1.0) <= exact + 1e-9
+    assert exact <= 2.0 * alpha / math.sqrt(n) + 1e-9

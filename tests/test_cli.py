@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -50,7 +51,38 @@ def test_tradeoff_csv_contents():
     assert len(rows) == 2
     assert float(rows[0][2]) == math.pi / 2.0
     assert abs(float(rows[1][2]) - math.acos(99.0 / 101.0)) < 1e-15
+    assert abs(float(rows[1][3]) - 0.2) < 1e-15
+    assert abs(float(rows[1][4]) - 0.1) < 1e-15
     assert abs(float(rows[1][5]) - 1.99337) < 1e-5
+
+
+def test_tradeoff_is_one_kernel_call(monkeypatch):
+    calls = []
+    kernel = cli.min_detectable_signal
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(cli, "min_detectable_signal", counted)
+    code, out, err = run_cli(["tradeoff"])
+    assert code == 0 and err == ""
+    assert len(parse_csv(out)[1]) == 20
+    assert len(calls) == 1
+
+
+def test_tradeoff_edge_cells():
+    # n past 2**53 is written as given; 2 alpha past a double reads inf
+    # without a floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["tradeoff", "--n", "9007199254740993",
+                                  "--alpha", "1,1.7e308"])
+    assert code == 0 and err == ""
+    rows = parse_csv(out)[1]
+    assert out.splitlines()[1].startswith("9007199254740993,")
+    assert [row[0] for row in rows] == ["9007199254740993"] * 2
+    assert rows[1][2:4] == ["3.1415926535897931", "inf"]
 
 
 def test_tradeoff_alpha_linearity():
@@ -246,7 +278,7 @@ def test_csv_text_across_a_block_boundary():
     ["tradeoff"], ["inherent"], ["basis-sweep"], ["resources"], ["bias-mc"],
     ["basis-sweep", "--grid", "200", "--phi", "0.4371"],
     ["inherent", "--n", "1000000", "--grid", "100000"],
-    ["tradeoff", "--alpha", "1e200", "--n", "1"],  # alpha * alpha is inf
+    ["tradeoff", "--alpha", "1e200", "--n", "1"],  # the exact bound rounds to pi
     ["resources", "--m-grid", "2,1000000000000000000000"],  # M past 2**64
 ])
 def test_command_csv_matches_per_cell_reference(argv):

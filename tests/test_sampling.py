@@ -40,9 +40,11 @@ def test_binary_stats_matches_half_sine():
 
 
 def test_outcome_stats_recompute_invariant():
-    s = OutcomeStats((0.2, 0.3, 0.5), 40)
+    s = OutcomeStats((0.2, 0.8), 40)
     for p, sd in zip(s.probabilities, s.std_devs):
         assert sd == math.sqrt(p * (1.0 - p) / 40)
+    with pytest.raises(ValueError, match="exactly two outcomes"):
+        OutcomeStats((0.2, 0.3, 0.5), 40)
 
 
 def test_outcome_stats_rejects_bad_input():
@@ -59,32 +61,38 @@ def test_outcome_stats_rejects_bad_input():
 
 
 def test_enumerate_binomial_two_shots():
-    assert enumerate_binomial(0.5, 2) == [(0, 0.25), (1, 0.5), (2, 0.25)]
+    pmf = enumerate_binomial(0.5, 2)
+    assert pmf.dtype == np.float64
+    assert pmf.tolist() == [0.25, 0.5, 0.25]
 
 
 def test_enumerate_binomial_degenerate():
-    pmf = dict(enumerate_binomial(0.0, 5))
+    pmf = enumerate_binomial(0.0, 5)
     assert pmf[0] == 1.0
     assert all(pmf[k] == 0.0 for k in range(1, 6))
 
 
 def test_enumerate_binomial_mean_identity():
     pmf = enumerate_binomial(0.3, 10)
-    mean = math.fsum(k * w for k, w in pmf)
+    mean = math.fsum(k * w for k, w in enumerate(pmf.tolist()))
     assert abs(mean - 3.0) < 1e-12
 
 
 def test_enumerate_binomial_sums_to_one():
     for p in (0.01, 0.3, 0.5, 0.77, 0.999):
-        total = math.fsum(w for _, w in enumerate_binomial(p, 64))
-        assert abs(total - 1.0) < 1e-12
+        pmf = enumerate_binomial(p, 64)
+        assert pmf.shape == (65,)
+        # each entry is the math.comb term, bit for bit
+        q = 1.0 - p
+        assert pmf.tolist() == [math.comb(64, k) * p**k * q ** (64 - k)
+                                for k in range(65)]
+        assert abs(math.fsum(pmf.tolist()) - 1.0) < 1e-12
 
 
 def test_enumerate_binomial_matches_scipy():
     p, n = 0.37, 20
     ref = scipy_stats.binom.pmf(np.arange(n + 1), n, p)
-    got = [w for _, w in enumerate_binomial(p, n)]
-    assert np.allclose(got, ref, rtol=1e-12, atol=1e-300)
+    assert np.allclose(enumerate_binomial(p, n), ref, rtol=1e-12, atol=1e-300)
 
 
 def test_enumerate_binomial_budget():
@@ -133,17 +141,17 @@ def test_empirical_pmf_total_variation():
         for p in (0.3, 0.5):
             counts = draw_count_matrix(binary_stats(p, n), seed=7, trials=trials)[:, 0]
             hist = np.bincount(counts, minlength=n + 1) / trials
-            exact = np.array([w for _, w in enumerate_binomial(p, n)])
+            exact = enumerate_binomial(p, n)
             tv = 0.5 * np.abs(hist - exact).sum()
             assert tv <= 0.01
 
 
 def test_multinomial_three_outcomes():
-    # the sampler draws two-outcome counts only; wider stats are refused
+    # stats are binary by construction, so the sampler never meets wider ones
     for probs, n in (((0.2, 0.5, 0.3), 60), ((0.2, 0.5, 0.3), 10**6),
                      ((0.1, 0.2, 0.3, 0.4), 12)):
-        with pytest.raises(ValueError, match="two-outcome"):
-            draw_count_matrix(OutcomeStats(probs, n), seed=11, trials=4000)
+        with pytest.raises(ValueError, match="exactly two outcomes"):
+            OutcomeStats(probs, n)
 
 
 def test_multinomial_matches_exact_marginal():
@@ -153,7 +161,7 @@ def test_multinomial_matches_exact_marginal():
     assert (counts.sum(axis=1) == 12).all()
     for i, p in enumerate(s.probabilities):
         hist = np.bincount(counts[:, i], minlength=13) / 10**5
-        exact = np.array([w for _, w in enumerate_binomial(p, 12)])
+        exact = enumerate_binomial(p, 12)
         assert 0.5 * np.abs(hist - exact).sum() <= 0.01
 
 
@@ -237,6 +245,10 @@ def test_multinomial_three_outcomes_large_budget():
 def test_outcome_stats_property(raw, n):
     total = math.fsum(raw)
     probs = tuple(x / total for x in raw)
+    if len(probs) != 2:
+        with pytest.raises(ValueError, match="exactly two outcomes"):
+            OutcomeStats(probs, n)
+        return
     s = OutcomeStats(probs, n)
     assert abs(math.fsum(s.probabilities) - 1.0) < 1e-9
     for p, sd in zip(s.probabilities, s.std_devs):
