@@ -71,6 +71,15 @@ def min_detectable_signal(alpha, n):
     return 2.0 * np.arctan(alpha / np.sqrt(n))
 
 
+def _qcrb_and_ratio(exact, n):
+    """The inverse-root Cramer-Rao value 1/sqrt(n) at Fq = 1 and the
+    correction ratio exact/qcrb of an exact bound over it.  tradeoff's
+    qcrb and correction_ratio columns and verify's factor-two check both
+    read them here, so the two agree bit for bit."""
+    qcrb = 1.0 / np.sqrt(n)
+    return qcrb, exact / qcrb
+
+
 def accuracy_of(delta_phi, n: int):
     """Confidence level alpha = delta_phi * sqrt(n) / 2 a precision buys
     at unit Fisher information (Fq = 1).

@@ -31,7 +31,8 @@ from . import __version__
 # basis_snr and inherent_precision go uncalled: perfbench/tracing.py patches them here.
 from .basis import basis_snr, snr_grid  # noqa: F401
 from .bounds import (  # noqa: F401
-    accuracy_of, inherent_precision, inherent_steps, min_detectable_signal,
+    _qcrb_and_ratio, accuracy_of, inherent_precision, inherent_steps,
+    min_detectable_signal,
 )
 from .estimation import exact_bias_report, monte_carlo_report
 from .resources import StrategyKind, fit_scaling
@@ -99,15 +100,16 @@ def _uint64(text: str) -> int:
     return value
 
 
-# Rows formatted by one % in _csv_text, and the most grid rows a command
-# may write (the same cap as the sampler's CDF window).
+# Lines formatted by one % in _csv_text (a mesh band holds at least one
+# whole outer row), and the most grid rows a command may write (the same
+# cap as the sampler's CDF window).
 _BLOCK_ROWS = 2**16
 _GRID_ROWS_MAX = 2**22
 
 
 class _RowBlocks:
-    """CSV data rows held as consecutive blocks, each a 2-D float array or
-    a list of rows; len() counts rows, as for a list of rows."""
+    """CSV data rows held as consecutive blocks, each a _Mesh or a list of
+    rows; len() counts rows, as for a list of rows."""
 
     def __init__(self, *blocks):
         self.blocks = blocks
@@ -116,29 +118,79 @@ class _RowBlocks:
         return sum(len(block) for block in self.blocks)
 
 
+def _cell_format(cell) -> str:
+    """%-conversion of one CSV cell: str and int cells as str() writes
+    them, any other cell as a 17-significant-digit float."""
+    return "%s" if isinstance(cell, (str, int)) else "%.17g"
+
+
 def _row_template(row) -> str:
-    """%-template of one CSV line: str and int cells as str() writes them,
-    any other cell as a 17-significant-digit float."""
-    return ",".join(
-        "%s" if isinstance(cell, (str, int)) else "%.17g" for cell in row
-    ) + "\n"
+    """%-template of one CSV line of list cells."""
+    return ",".join(map(_cell_format, row)) + "\n"
+
+
+class _Mesh:
+    """CSV data rows over an outer x inner mesh, outer-major.
+
+    kinds has one letter per column: "o" for a sequence of outer cells,
+    one per outer row; "i" for a sequence of inner cells, one per inner
+    row; "c" for a float array that broadcasts to shape (outer, inner).
+    Line (i, j) holds outer[i], inner[j] and cell[i, j] in kinds' order.
+    At least one column is "c"; the cells set the shape.  len() counts
+    lines.
+    """
+
+    def __init__(self, kinds, *columns):
+        self.kinds, self.columns = kinds, columns
+        self.cells = np.broadcast_arrays(
+            *(col for kind, col in zip(kinds, columns) if kind == "c"))
+        self.shape = self.cells[0].shape
+
+    def __len__(self):
+        return self.shape[0] * self.shape[1]
+
+    def text_blocks(self):
+        """The CSV lines, a band of whole outer rows (about _BLOCK_ROWS
+        lines) per piece.  Outer and inner cells are formatted once each:
+        the template of one outer row's lines is built from their text,
+        and only the cells go through %.17g, with one % per band."""
+        n_outer, n_inner = self.shape
+        outer_cols = [col for kind, col in zip(self.kinds, self.columns) if kind == "o"]
+        # Outer text goes into the band template by a first %, so whatever
+        # must reach the cells' % intact is escaped once more.
+        esc = "%%" if outer_cols else "%"
+        pieces = [
+            [(_cell_format(cell) % cell).replace("%", esc * 2) for cell in col]
+            if kind == "i" else
+            itertools.repeat("%s" if kind == "o" else esc + ".17g", n_inner)
+            for kind, col in zip(self.kinds, self.columns)
+        ]
+        outer_row_lines = "".join(",".join(line) + "\n" for line in zip(*pieces))
+        outer = list(zip(*(
+            [(_cell_format(cell) % cell).replace("%", "%%") for cell in col]
+            for col in outer_cols
+        )))
+        band = max(1, _BLOCK_ROWS // n_inner)
+        for start in range(0, n_outer, band):
+            stop = min(start + band, n_outer)
+            template = outer_row_lines * (stop - start)
+            if outer_cols:
+                template %= tuple(itertools.chain.from_iterable(
+                    row * n_inner for row in outer[start:stop]))
+            cells = np.stack([col[start:stop] for col in self.cells], axis=-1)
+            yield template % tuple(cells.ravel().tolist())
 
 
 def _csv_text(header, rows) -> str:
     """CSV text of header and rows, every line ending in LF.
 
-    rows is a list of rows, a 2-D float array or a _RowBlocks of those.
-    A float array is written _BLOCK_ROWS rows at a time with a single %
-    on one line template repeated; a list row gets the template of its
-    own cells.
+    rows is a list of rows, a _Mesh or a _RowBlocks of those.  A list
+    row gets the template of its own cells.
     """
     parts = [",".join(header) + "\n"]
     for block in rows.blocks if isinstance(rows, _RowBlocks) else (rows,):
-        if isinstance(block, np.ndarray):
-            template = ",".join(["%.17g"] * block.shape[1]) + "\n"
-            for start in range(0, len(block), _BLOCK_ROWS):
-                chunk = block[start:start + _BLOCK_ROWS]
-                parts.append(template * len(chunk) % tuple(chunk.ravel().tolist()))
+        if isinstance(block, _Mesh):
+            parts.extend(block.text_blocks())
         else:
             parts.extend(_row_template(row) % tuple(row) for row in block)
     return "".join(parts)
@@ -197,25 +249,22 @@ def cmd_tradeoff(cfg: RunConfig):
     n_col = np.asarray(cfg.n_list, dtype=np.float64)[:, None]
     alphas = np.asarray(cfg.alpha_list, dtype=np.float64)
     exact = min_detectable_signal(alphas, n_col)
-    root_n = np.sqrt(n_col)
     with np.errstate(over="ignore"):  # 2 alpha past a double reads inf
-        asymptotic = 2.0 * alphas / root_n
-    qcrb = 1.0 / root_n
-    columns = np.broadcast_arrays(exact, asymptotic, qcrb, exact / qcrb)
-    exact, asymptotic, qcrb, ratio = (column.ravel().tolist() for column in columns)
+        asymptotic = 2.0 * alphas / np.sqrt(n_col)
+    qcrb, ratio = _qcrb_and_ratio(exact, n_col)
     # the n cell is the caller's int, so str() writes it exactly past 2**53
-    rows = [[n, alpha, e, s, q, r] for (n, alpha), e, s, q, r in zip(
-        itertools.product(cfg.n_list, cfg.alpha_list), exact, asymptotic, qcrb, ratio)]
-    xs = tuple(range(len(rows)))
-    series = [
-        Series("exact_bound", xs, tuple(exact)),
-        Series("asymptotic_bound", xs, tuple(asymptotic)),
-        Series("qcrb", xs, tuple(qcrb)),
-    ]
-    return header, rows, [
-        Panel("detection bounds across the (n, alpha) grid", "row", "radians",
-              tuple(series)),
-    ]
+    rows = _Mesh("oiccoc", cfg.n_list, cfg.alpha_list, exact, asymptotic,
+                 qcrb.ravel().tolist(), ratio)
+
+    def chart():
+        xs = tuple(range(len(rows)))
+        return [Panel("detection bounds across the (n, alpha) grid", "row", "radians", (
+            Series("exact_bound", xs, tuple(exact.ravel().tolist())),
+            Series("asymptotic_bound", xs, tuple(asymptotic.ravel().tolist())),
+            Series("qcrb", xs, tuple(np.broadcast_to(qcrb, exact.shape).ravel().tolist())),
+        ))]
+
+    return header, rows, chart
 
 
 def _inherent_grid(n_points: int):
@@ -236,72 +285,76 @@ def cmd_inherent(cfg: RunConfig):
     delta = inherent_steps(phi0, n)
     resolution = 1.0 / delta
     accuracy = accuracy_of(delta, n)
-    rows = np.column_stack((phi0, resolution, accuracy))
-    xs = tuple(phi0.tolist())
-    return header, rows, [
-        Panel(f"resolution vs phi0 (n={n})", "phi0", "1/dphi",
-              (Series("resolution", xs, tuple(resolution.tolist())),)),
-        Panel(f"accuracy vs phi0 (n={n})", "phi0", "alpha",
-              (Series("accuracy", xs, tuple(accuracy.tolist())),)),
-    ]
+    # a mesh of one inner row: every column is a cell
+    rows = _Mesh("ccc", phi0[:, None], resolution[:, None], accuracy[:, None])
+
+    def chart():
+        xs = tuple(phi0.tolist())
+        return [
+            Panel(f"resolution vs phi0 (n={n})", "phi0", "1/dphi",
+                  (Series("resolution", xs, tuple(resolution.tolist())),)),
+            Panel(f"accuracy vs phi0 (n={n})", "phi0", "alpha",
+                  (Series("accuracy", xs, tuple(accuracy.tolist())),)),
+        ]
+
+    return header, rows, chart
 
 
 def cmd_basis_sweep(cfg: RunConfig):
     phi, n, grid = cfg.phi, cfg.n_list[0], cfg.grid
     header = ["theta", "phi_b", "snr"]
     thetas, phibs, values = snr_grid(phi, n, grid)
-    block = np.column_stack(
-        (np.repeat(thetas, grid), np.tile(phibs, grid), values.ravel())
-    )
     analytic = math.sqrt(n) * abs(math.tan(phi / 2.0))
-    rows = _RowBlocks(block, [["summary", float(values.max()), analytic]])
-    # Equatorial slice for the chart: theta closest to pi/2.
-    eq = values[np.argmin(np.abs(thetas - math.pi / 2.0))]
-    return header, rows, [
-        Panel(
+    rows = _RowBlocks(_Mesh("oic", thetas, phibs, values),
+                      [["summary", float(values.max()), analytic]])
+
+    def chart():
+        # Equatorial slice: theta closest to pi/2.
+        eq = values[np.argmin(np.abs(thetas - math.pi / 2.0))]
+        return [Panel(
             f"snr vs phi_b on the equatorial slice (phi={phi:.6g}, n={n})",
             "phi_b", "snr",
             (Series("snr(theta~pi/2)", tuple(phibs.tolist()), tuple(eq.tolist())),),
-        ),
-    ]
+        )]
+
+    return header, rows, chart
 
 
 def cmd_resources(cfg: RunConfig):
     header = ["strategy", "M", "N", "min_signal", "fitted_exponent"]
-    rows = []
-    panels = []
     alpha = cfg.alpha_list[0]
-    for strat in StrategyKind:
-        rep = fit_scaling(strat, cfg.m_grid, cfg.big_n, alpha,
-                          nonlinear_exponent=cfg.k)
-        for m, floor in zip(rep.m_values, rep.phis):
-            rows.append([strat.value, m, cfg.big_n, floor, rep.fitted_exponent])
-        panels.append(Series(strat.value, rep.m_values, rep.phis))
-    return header, rows, [
-        Panel(f"detection floor vs M (N={cfg.big_n}, alpha={alpha:.6g})",
-              "M", "min signal", tuple(panels)),
-    ]
+    reps = [(strat, fit_scaling(strat, cfg.m_grid, cfg.big_n, alpha,
+                                nonlinear_exponent=cfg.k))
+            for strat in StrategyKind]
+    rows = [[strat.value, m, cfg.big_n, floor, rep.fitted_exponent]
+            for strat, rep in reps for m, floor in zip(rep.m_values, rep.phis)]
+
+    def chart():
+        return [Panel(f"detection floor vs M (N={cfg.big_n}, alpha={alpha:.6g})",
+                      "M", "min signal",
+                      tuple(Series(strat.value, rep.m_values, rep.phis)
+                            for strat, rep in reps))]
+
+    return header, rows, chart
 
 
 def cmd_bias_mc(cfg: RunConfig):
     phi, n = cfg.phi, cfg.n_list[0]
     header = ["mode", "mean_p", "bias_p", "mean_phi", "bias_phi", "var_phi",
               "mse_phi"]
-    rows = []
     reports = []
     if n <= EXACT_ENUM_LIMIT:
         reports.append(exact_bias_report(phi, n))
     reports.append(monte_carlo_report(phi, n, cfg.trials, cfg.seed))
-    for rep in reports:
-        rows.append([
-            rep.mode.value, rep.mean_p_hat, rep.bias_p, rep.mean_phi_hat,
-            rep.bias_phi, rep.var_phi, rep.mse_phi,
-        ])
-    xs = tuple(range(len(rows)))
-    return header, rows, [
-        Panel(f"estimator bias at phi={phi:.6g}, n={n}", "row", "bias_phi",
-              (Series("bias_phi", xs, tuple(r[4] for r in rows)),)),
-    ]
+    rows = [[rep.mode.value, rep.mean_p_hat, rep.bias_p, rep.mean_phi_hat,
+             rep.bias_phi, rep.var_phi, rep.mse_phi] for rep in reports]
+
+    def chart():
+        xs = tuple(range(len(rows)))
+        return [Panel(f"estimator bias at phi={phi:.6g}, n={n}", "row", "bias_phi",
+                      (Series("bias_phi", xs, tuple(r[4] for r in rows)),))]
+
+    return header, rows, chart
 
 
 def _write_text(path: str, text: str):
@@ -309,18 +362,19 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
-def _emit(cfg: RunConfig, header, rows, panels) -> int:
+def _emit(cfg: RunConfig, header, rows, chart) -> int:
     """Write the rows as CSV, their chart as SVG, or both; each is
-    rendered only when it is written."""
+    rendered only when it is written, and chart() builds the chart's
+    panels only then."""
     if cfg.fmt == "both":
         stem = cfg.out
         for suffix in (".csv", ".svg"):
             if stem.endswith(suffix):
                 stem = stem[: -len(suffix)]
         _write_text(stem + ".csv", _csv_text(header, rows))
-        _write_text(stem + ".svg", render_chart(panels))
+        _write_text(stem + ".svg", render_chart(chart()))
         return EXIT_OK
-    text = _csv_text(header, rows) if cfg.fmt == "csv" else render_chart(panels)
+    text = _csv_text(header, rows) if cfg.fmt == "csv" else render_chart(chart())
     if cfg.out:
         _write_text(cfg.out, text)
     else:
@@ -426,8 +480,8 @@ def main(argv=None) -> int:
         if cfg.command == "verify":
             return run_verify(cfg.seed, cfg.corrupt, cfg.out)
         cfg.validate()
-        header, rows, panels = _COMMANDS[cfg.command](cfg)
-        return _emit(cfg, header, rows, panels)
+        header, rows, chart = _COMMANDS[cfg.command](cfg)
+        return _emit(cfg, header, rows, chart)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

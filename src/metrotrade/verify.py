@@ -37,8 +37,7 @@ def _result(name, passed, detail):
 def check_factor2(tol: float) -> CheckResult:
     """Exact minimum signal approaches twice the inverse-root benchmark."""
     n = np.array([10**2, 10**3, 10**4, 10**5], dtype=np.float64)
-    # exact / qcrb, as tradeoff's correction_ratio column
-    ratios = (bounds.min_detectable_signal(1.0, n) / (1.0 / np.sqrt(n))).tolist()
+    ratios = bounds._qcrb_and_ratio(bounds.min_detectable_signal(1.0, n), n)[1].tolist()
     at_1e4 = ratios[2]
     in_band = (1.99 - tol) <= at_1e4 <= (2.0 + tol)
     monotone = all(a < b for a, b in zip(ratios, ratios[1:])) and ratios[-1] <= 2.0

@@ -9,6 +9,7 @@ import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
@@ -237,11 +238,37 @@ _CELLS = st.one_of(
 )
 
 
+_FLOATS = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+
+
+def _mesh_rows(mesh):
+    """A mesh's lines as lists, expanded with np.repeat and np.tile rather
+    than through the formatter."""
+    pairs = list(zip(mesh.kinds, mesh.columns))
+    shape = np.broadcast_shapes(*(np.shape(col) for kind, col in pairs if kind == "c"))
+    columns = []
+    for kind, col in pairs:
+        if kind == "c":
+            columns.append(np.broadcast_to(col, shape).ravel().tolist())
+        else:
+            cells = np.empty(len(col), dtype=object)
+            cells[:] = list(col)
+            columns.append(np.repeat(cells, shape[1]) if kind == "o"
+                           else np.tile(cells, shape[0]))
+    return [list(row) for row in zip(*columns)]
+
+
 def _rows_of(rows):
     """The rows of a command's output as lists, blocks expanded."""
     blocks = rows.blocks if isinstance(rows, cli._RowBlocks) else (rows,)
-    return [row.tolist() if isinstance(row, np.ndarray) else row
-            for block in blocks for row in block]
+    return [row for block in blocks
+            for row in (_mesh_rows(block) if isinstance(block, cli._Mesh) else block)]
+
+
+def _float_block_mesh(block):
+    """A 2-D float array as the mesh of one inner row per line."""
+    return cli._Mesh("c" * block.shape[1],
+                     *(block[:, k:k + 1] for k in range(block.shape[1])))
 
 
 @given(st.lists(st.lists(_CELLS, min_size=1, max_size=5), max_size=30))
@@ -250,16 +277,59 @@ def test_csv_text_matches_per_cell_reference(rows):
     assert cli._csv_text(header, rows) == csv_text_per_cell(header, rows)
 
 
-@given(st.lists(st.lists(st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS)),
-                         min_size=3, max_size=3), max_size=30))
+@given(st.lists(st.lists(_FLOATS, min_size=3, max_size=3), max_size=30))
 def test_csv_text_of_float_block_matches_reference(rows):
     block = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
     expected = csv_text_per_cell(["x", "y", "z"], rows)
-    assert cli._csv_text(["x", "y", "z"], block) == expected
-    both = cli._RowBlocks(block, [["summary", 1, math.nan]])
+    assert cli._csv_text(["x", "y", "z"], _float_block_mesh(block)) == expected
+    both = cli._RowBlocks(_float_block_mesh(block), [["summary", 1, math.nan]])
     assert len(both) == len(rows) + 1
     assert cli._csv_text(["x", "y", "z"], both) == csv_text_per_cell(
         ["x", "y", "z"], rows + [["summary", 1, math.nan]])
+
+
+_OUTER_CELLS = st.one_of(
+    _FLOATS,
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def _meshes(draw):
+    """A mesh of int, float and str outer cells, float inner cells and
+    float cells, its columns in any order of kinds with at least one cell
+    column; the first cell column has the full shape, others may broadcast."""
+    n_outer = draw(st.integers(min_value=0, max_value=6))
+    n_inner = draw(st.integers(min_value=1, max_value=6))
+    kinds = draw(st.lists(st.sampled_from("oic"), max_size=5))
+    kinds.insert(draw(st.integers(min_value=0, max_value=len(kinds))), "c")
+    columns = []
+    full = True
+    for kind in kinds:
+        if kind == "o":
+            columns.append(draw(st.lists(_OUTER_CELLS, min_size=n_outer, max_size=n_outer)))
+        elif kind == "i":
+            columns.append(draw(st.lists(_FLOATS, min_size=n_inner, max_size=n_inner)))
+        else:
+            shape = (n_outer, n_inner) if full else draw(st.sampled_from(
+                [(n_outer, n_inner), (n_outer, 1), (1, n_inner)]))
+            full = False
+            cells = draw(st.lists(_FLOATS, min_size=shape[0] * shape[1],
+                                  max_size=shape[0] * shape[1]))
+            columns.append(np.array(cells, dtype=np.float64).reshape(shape))
+    return cli._Mesh("".join(kinds), *columns)
+
+
+@given(_meshes(), st.integers(min_value=1, max_value=8))
+def test_mesh_csv_text_matches_per_cell_reference(mesh, block_rows):
+    header = ["h"] * len(mesh.kinds)
+    rows = _rows_of(mesh)
+    assert len(mesh) == len(rows)
+    expected = csv_text_per_cell(header, rows)
+    # a small _BLOCK_ROWS splits the mesh into bands of one or more outer rows
+    with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+        assert cli._csv_text(header, mesh) == expected
 
 
 def test_csv_text_across_a_block_boundary():
@@ -270,8 +340,17 @@ def test_csv_text_across_a_block_boundary():
     rows[-1][1] = math.nan
     block[-1, 1] = math.nan
     expected = csv_text_per_cell(["a", "b", "c"], rows)
-    assert cli._csv_text(["a", "b", "c"], block) == expected
+    assert cli._csv_text(["a", "b", "c"], _float_block_mesh(block)) == expected
     assert cli._csv_text(["a", "b", "c"], rows) == expected
+    # 3 outer rows of 30000 lines: the first band holds two rows, the second one
+    inner = np.linspace(-1.0, 1.0, 30000) ** 3
+    cells = np.outer([5e-324, -math.inf, 1.7976931348623157e308], inner)
+    cells[1, 7] = math.nan
+    mesh = cli._Mesh("ocio", ["%s", 2**64 + 3, -0.0], cells, inner, [1 / 3, "x,y", 7])
+    header = ["a", "b", "c", "d"]
+    text = cli._csv_text(header, mesh)
+    assert text == csv_text_per_cell(header, _rows_of(mesh))
+    assert len(mesh) == text.count("\n") - 1 == 90000
 
 
 @pytest.mark.parametrize("argv", [
@@ -279,6 +358,11 @@ def test_csv_text_across_a_block_boundary():
     ["basis-sweep", "--grid", "200", "--phi", "0.4371"],
     ["inherent", "--n", "1000000", "--grid", "100000"],
     ["tradeoff", "--alpha", "1e200", "--n", "1"],  # the exact bound rounds to pi
+    ["tradeoff", "--n", "9007199254740993,9223372036854775807", "--alpha", "1,0.3"],
+    ["tradeoff", "--alpha", "1.7e308", "--n", "1,4"],
+    ["tradeoff", "--alpha", "5e-324,1e-300", "--n", "1,9007199254740993"],
+    ["tradeoff", "--n", ",".join(str(k**10) for k in range(1, 65)),  # 64 x 64
+     "--alpha", ",".join(repr(k * 0.37) for k in range(1, 65))],
     ["resources", "--m-grid", "2,1000000000000000000000"],  # M past 2**64
 ])
 def test_command_csv_matches_per_cell_reference(argv):
@@ -352,6 +436,15 @@ def test_csv_output_renders_no_chart(monkeypatch):
     monkeypatch.setattr(cli, "render_chart", refuse)
     code, _, _ = run_cli(["inherent", "--grid", "49"])
     assert code == 0
+
+
+def test_csv_output_builds_no_series(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Series built for --format csv")
+
+    monkeypatch.setattr(cli, "Series", refuse)
+    for command in cli._COMMANDS:
+        assert run_cli([command])[0] == 0
 
 
 def test_benchmark_tracing_installs_and_unpatches(monkeypatch):
