@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ from .bounds import (  # noqa: F401
     _qcrb_and_ratio, accuracy_of, inherent_precision, inherent_steps,
     min_detectable_signal,
 )
-from .estimation import exact_bias_report, monte_carlo_report
+from .estimation import _mc_workers, exact_bias_report, monte_carlo_report
 from .resources import StrategyKind, fit_scaling
 from .sampling import EXACT_ENUM_LIMIT, _SEED_MAX
 from .svgchart import Panel, Series, render_chart
@@ -103,7 +104,7 @@ def _uint64(text: str) -> int:
 # Lines formatted by one % in _csv_text (a mesh band holds at least one
 # whole outer row), and the most grid rows a command may write (the same
 # cap as the sampler's CDF window).
-_BLOCK_ROWS = 2**16
+_BLOCK_ROWS = 2**14
 _GRID_ROWS_MAX = 2**22
 
 
@@ -149,12 +150,18 @@ class _Mesh:
     def __len__(self):
         return self.shape[0] * self.shape[1]
 
-    def text_blocks(self):
-        """The CSV lines, a band of whole outer rows (about _BLOCK_ROWS
-        lines) per piece.  Outer and inner cells are formatted once each:
+    @property
+    def band(self):
+        """Outer rows per piece of text_blocks: whole rows, about
+        _BLOCK_ROWS lines."""
+        return max(1, _BLOCK_ROWS // self.shape[1])
+
+    def text_blocks(self, first, last):
+        """The CSV lines of outer rows first..last-1, a band of whole outer
+        rows per piece.  Outer and inner cells are formatted once each:
         the template of one outer row's lines is built from their text,
         and only the cells go through %.17g, with one % per band."""
-        n_outer, n_inner = self.shape
+        n_inner = self.shape[1]
         outer_cols = [col for kind, col in zip(self.kinds, self.columns) if kind == "o"]
         # Outer text goes into the band template by a first %, so whatever
         # must reach the cells' % intact is escaped once more.
@@ -167,18 +174,80 @@ class _Mesh:
         ]
         outer_row_lines = "".join(",".join(line) + "\n" for line in zip(*pieces))
         outer = list(zip(*(
-            [(_cell_format(cell) % cell).replace("%", "%%") for cell in col]
+            [(_cell_format(cell) % cell).replace("%", "%%") for cell in col[first:last]]
             for col in outer_cols
         )))
-        band = max(1, _BLOCK_ROWS // n_inner)
-        for start in range(0, n_outer, band):
-            stop = min(start + band, n_outer)
+        band = self.band
+        for start in range(first, last, band):
+            stop = min(start + band, last)
             template = outer_row_lines * (stop - start)
             if outer_cols:
                 template %= tuple(itertools.chain.from_iterable(
-                    row * n_inner for row in outer[start:stop]))
+                    row * n_inner for row in outer[start - first:stop - first]))
             cells = np.stack([col[start:stop] for col in self.cells], axis=-1)
             yield template % tuple(cells.ravel().tolist())
+
+
+def _format_in_child(mesh, first, last, write_fd, read_fds):
+    """The forked side of _mesh_text: write the text of outer rows
+    first..last-1 to write_fd and exit, with status 0 only if all of it
+    was written.  Never returns."""
+    status = 1
+    try:
+        for fd in read_fds:
+            os.close(fd)
+        # formatted whole before the first write: the parent reads this
+        # pipe only once it has formatted its own run
+        text = "".join(mesh.text_blocks(first, last)).encode()
+        with open(write_fd, "wb") as pipe:
+            pipe.write(text)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _mesh_text(mesh):
+    """The CSV lines of a mesh as a list of pieces, formatted on up to
+    _mc_workers() processes.
+
+    %-formatting holds the GIL, so threads cannot share it.  A mesh of one
+    band is formatted here.  A larger one is cut into contiguous runs of
+    whole outer rows, one per worker: forked children format runs 1, 2,
+    ... and each writes its text to a pipe of its own while this process
+    formats run 0; the pipes are then read in run order, so the bytes are
+    those of a single process.  A child runs only numpy, % and writes to
+    its pipe, and takes no lock another thread could hold.  Every child
+    is reaped before this returns, and one that fails makes it raise.
+    """
+    n_outer = mesh.shape[0]
+    workers = min(_mc_workers(), -(-n_outer // mesh.band)) if hasattr(os, "fork") else 1
+    if workers < 2:
+        return list(mesh.text_blocks(0, n_outer))
+    cuts = [k * n_outer // workers for k in range(workers + 1)]
+    read_fds, pids = [], []
+    try:
+        for first, last in zip(cuts[1:-1], cuts[2:]):
+            read_fd, write_fd = os.pipe()
+            read_fds.append(read_fd)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _format_in_child(mesh, first, last, write_fd, read_fds)
+            finally:
+                os.close(write_fd)
+            pids.append(pid)
+        parts = list(mesh.text_blocks(0, cuts[1]))
+        for read_fd in read_fds:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                parts.append(pipe.read().decode())
+    finally:
+        # a child still writing sees its pipe closed and exits
+        for read_fd in read_fds:
+            os.close(read_fd)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    if any(statuses):
+        raise RuntimeError("a CSV formatting process failed")
+    return parts
 
 
 def _csv_text(header, rows) -> str:
@@ -190,7 +259,7 @@ def _csv_text(header, rows) -> str:
     parts = [",".join(header) + "\n"]
     for block in rows.blocks if isinstance(rows, _RowBlocks) else (rows,):
         if isinstance(block, _Mesh):
-            parts.extend(block.text_blocks())
+            parts.extend(_mesh_text(block))
         else:
             parts.extend(_row_template(row) % tuple(row) for row in block)
     return "".join(parts)

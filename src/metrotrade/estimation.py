@@ -35,9 +35,12 @@ from .sampling import binary_stats, draw_count_matrix, enumerate_binomial
 
 
 # Trials drawn per draw_count_matrix call in monte_carlo_report (arrays
-# of 2**16 trials stay in L2), and the most threads that draw them.
+# of 2**16 trials stay in L2); the most threads that draw them, which is
+# also the most processes that format a CSV mesh (cli._mesh_text); and
+# the most trials a report takes, so that no trial count runs for hours.
 _MC_CHUNK = 2**16
 _MC_WORKERS = 4
+_MC_TRIALS_MAX = 2**32
 
 
 class ReportMode(Enum):
@@ -60,7 +63,6 @@ class EstimatorReport:
     var_phi: float
     mse_phi: float
     mode: ReportMode
-    trials: int | None = None
 
     def __post_init__(self):
         residual = abs(self.mse_phi - (self.var_phi + self.bias_phi**2))
@@ -70,7 +72,7 @@ class EstimatorReport:
             )
 
 
-def _report_from_pmf(phi, p, n, ks, weights, mode, trials=None):
+def _report_from_pmf(phi, p, n, ks, weights, mode):
     """Estimator moments over the counts ks drawn with the given weights."""
     p_hats = ks / n
     phi_hats = np.arccos(2.0 * p_hats - 1.0)
@@ -86,7 +88,6 @@ def _report_from_pmf(phi, p, n, ks, weights, mode, trials=None):
         var_phi=var_phi,
         mse_phi=mse_phi,
         mode=mode,
-        trials=trials,
     )
 
 
@@ -122,8 +123,8 @@ def _add_histogram(lo, hist, c_lo, add):
 
 
 def _mc_workers():
-    """Threads for a Monte Carlo report: the CPUs this process may run
-    on, at most _MC_WORKERS."""
+    """Workers for a Monte Carlo pool or a CSV mesh: the CPUs this process
+    may run on, at most _MC_WORKERS."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -169,12 +170,14 @@ def monte_carlo_report(phi: float, n: int, trials: int, seed: int) -> EstimatorR
     merged in chunk order and integer histograms add exactly, so the
     result depends neither on the chunking nor on the thread count.
     Counts lie inside the sampler's CDF window, so the histogram holds at
-    most 2**22 entries.
+    most 2**22 entries.  trials is an integer from 100 to _MC_TRIALS_MAX.
     """
     if not (0.0 < phi < math.pi):
         raise ValueError("phi must lie in (0, pi)")
     if not (isinstance(trials, int) and trials >= 100):
         raise ValueError("need an integer of at least 100 trials")
+    if trials > _MC_TRIALS_MAX:
+        raise ValueError(f"trials must be <= {_MC_TRIALS_MAX}")
     p = (1.0 + math.cos(phi)) / 2.0
     draw = partial(_chunk_histogram, binary_stats(p, n), seed, trials)
     parts = _histograms_in_order(draw, range(0, trials, _MC_CHUNK))
@@ -183,7 +186,7 @@ def monte_carlo_report(phi: float, n: int, trials: int, seed: int) -> EstimatorR
         lo, hist = _add_histogram(lo, hist, c_lo, add)
     return _report_from_pmf(
         phi, p, n, lo + np.arange(hist.size), hist / trials,
-        ReportMode.MONTE_CARLO, trials,
+        ReportMode.MONTE_CARLO,
     )
 
 

@@ -6,6 +6,7 @@ rather than the package's own closed forms, so a shared bug cannot
 cancel out.
 """
 
+import itertools
 import math
 
 import mpmath
@@ -253,3 +254,18 @@ def csv_text_per_cell(header, rows) -> str:
     for row in rows:
         lines.append(",".join(_cell_text(cell) for cell in row))
     return "\n".join(lines) + "\n"
+
+
+def assert_same_text(actual: str, expected: str):
+    """Require actual == expected, failing with a short message: the two
+    lengths and the first line that differs (None past the end of a
+    text).  pytest's own report on a failed == of two multi-megabyte
+    strings diffs them whole, which can take minutes."""
+    if actual == expected:
+        return
+    lines = itertools.zip_longest(actual.split("\n"), expected.split("\n"))
+    number, (got, want) = next(
+        (number, pair) for number, pair in enumerate(lines, 1) if pair[0] != pair[1])
+    raise AssertionError(
+        f"texts of {len(actual)} and {len(expected)} characters first differ "
+        f"at line {number}: {got!r} != {want!r}")

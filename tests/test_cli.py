@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import bisection_min_signal_100, csv_text_per_cell
+from helpers import assert_same_text, bisection_min_signal_100, csv_text_per_cell
 from metrotrade import cli, estimation, verify
 from metrotrade.cli import main
 
@@ -321,14 +321,17 @@ def _meshes(draw):
     return cli._Mesh("".join(kinds), *columns)
 
 
-@given(_meshes(), st.integers(min_value=1, max_value=8))
-def test_mesh_csv_text_matches_per_cell_reference(mesh, block_rows):
+@given(_meshes(), st.integers(min_value=1, max_value=8),
+       st.integers(min_value=1, max_value=4))
+def test_mesh_csv_text_matches_per_cell_reference(mesh, block_rows, workers):
     header = ["h"] * len(mesh.kinds)
     rows = _rows_of(mesh)
     assert len(mesh) == len(rows)
     expected = csv_text_per_cell(header, rows)
-    # a small _BLOCK_ROWS splits the mesh into bands of one or more outer rows
-    with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+    # a small _BLOCK_ROWS splits the mesh into bands of one or more outer
+    # rows, and a mesh of two or more bands into one run per worker
+    with mock.patch.object(cli, "_BLOCK_ROWS", block_rows), \
+            mock.patch.object(cli, "_mc_workers", lambda: workers):
         assert cli._csv_text(header, mesh) == expected
 
 
@@ -340,17 +343,72 @@ def test_csv_text_across_a_block_boundary():
     rows[-1][1] = math.nan
     block[-1, 1] = math.nan
     expected = csv_text_per_cell(["a", "b", "c"], rows)
-    assert cli._csv_text(["a", "b", "c"], _float_block_mesh(block)) == expected
-    assert cli._csv_text(["a", "b", "c"], rows) == expected
-    # 3 outer rows of 30000 lines: the first band holds two rows, the second one
-    inner = np.linspace(-1.0, 1.0, 30000) ** 3
+    assert_same_text(cli._csv_text(["a", "b", "c"], _float_block_mesh(block)), expected)
+    assert_same_text(cli._csv_text(["a", "b", "c"], rows), expected)
+    # 3 outer rows of 3/7 of a band's lines: the first band holds two rows, the second one
+    inner = np.linspace(-1.0, 1.0, cli._BLOCK_ROWS * 3 // 7) ** 3
+    assert cli._BLOCK_ROWS // inner.size == 2
     cells = np.outer([5e-324, -math.inf, 1.7976931348623157e308], inner)
     cells[1, 7] = math.nan
     mesh = cli._Mesh("ocio", ["%s", 2**64 + 3, -0.0], cells, inner, [1 / 3, "x,y", 7])
     header = ["a", "b", "c", "d"]
     text = cli._csv_text(header, mesh)
-    assert text == csv_text_per_cell(header, _rows_of(mesh))
-    assert len(mesh) == text.count("\n") - 1 == 90000
+    assert_same_text(text, csv_text_per_cell(header, _rows_of(mesh)))
+    assert len(mesh) == text.count("\n") - 1 == 3 * inner.size
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_csv_text_is_the_same_on_any_worker_count(monkeypatch, workers):
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(cli, "_mc_workers", lambda: workers)
+    # two outer rows of 2 lines in bands of one row: fewer rows than four
+    # workers; %-bearing and big-int outer cells, edge float cells
+    cells = np.array([[math.nan, -0.0], [math.inf, -math.inf]])
+    mesh = cli._Mesh("occi", ["%s%%", 2**64 + 3], cells, cells[::-1], [1e-300, -5e-324])
+    with mock.patch.object(cli, "_BLOCK_ROWS", 3):
+        assert_same_text(cli._csv_text(["a"] * 5, mesh),
+                         csv_text_per_cell(["a"] * 5, _rows_of(mesh)))
+    # basis-sweep's 200 theta rows in 3 bands, then its summary row
+    cfg = cli.RunConfig(**vars(cli.build_parser().parse_args(["basis-sweep", "--grid", "200"])))
+    header, rows, _ = cli._COMMANDS[cfg.command](cfg)
+    assert rows.blocks[0].band == 81 and rows.blocks[1][0][0] == "summary"
+    expected = csv_text_per_cell(header, _rows_of(rows))
+    assert_same_text(cli._csv_text(header, rows), expected)
+    assert len(forks) == min(workers, 2) - 1 + min(workers, 3) - 1
+    monkeypatch.delattr(os, "fork")
+    assert_same_text(cli._csv_text(header, rows), expected)
+
+
+class _FormatFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("in_child, raised", [(True, RuntimeError), (False, _FormatFailed)])
+def test_failed_formatting_raises_and_leaves_no_child(monkeypatch, in_child, raised):
+    # run 0 is formatted in this process, run 1 in a forked child
+    text_blocks = cli._Mesh.text_blocks
+
+    def failing(self, first, last):
+        if (first > 0) == in_child:
+            raise _FormatFailed
+        return text_blocks(self, first, last)
+
+    monkeypatch.setattr(cli._Mesh, "text_blocks", failing)
+    monkeypatch.setattr(cli, "_mc_workers", lambda: 2)
+    mesh = cli._Mesh("c", np.arange(2.0 * (cli._BLOCK_ROWS + 1))[:, None])
+    with pytest.raises(raised):
+        cli._csv_text(["x"], mesh)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("argv", [
@@ -369,9 +427,9 @@ def test_command_csv_matches_per_cell_reference(argv):
     cfg = cli.RunConfig(**vars(cli.build_parser().parse_args(argv)))
     header, rows, _ = cli._COMMANDS[cfg.command](cfg)
     text = cli._csv_text(header, rows)
-    assert text == csv_text_per_cell(header, _rows_of(rows))
+    assert_same_text(text, csv_text_per_cell(header, _rows_of(rows)))
     assert len(rows) == text.count("\n") - 1
-    assert run_cli(argv)[1] == text
+    assert_same_text(run_cli(argv)[1], text)
 
 
 def test_svg_output_well_formed(tmp_path):
@@ -543,6 +601,22 @@ def test_out_of_range_inputs_exit_two_with_one_line(argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_trials_past_the_cap_exit_two_before_any_draw(monkeypatch):
+    class Drawn(Exception):
+        pass
+
+    def refuse(*args):
+        raise Drawn
+
+    monkeypatch.setattr(estimation, "_histograms_in_order", refuse)
+    code, out, err = run_cli(["bias-mc", "--trials", str(2**32 + 1)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: trials must be <= {2**32}\n"
+    with pytest.raises(Drawn):  # the cap itself is accepted
+        run_cli(["bias-mc", "--trials", str(2**32)])
 
 
 @pytest.mark.parametrize("flag, value, code", [
