@@ -20,6 +20,8 @@ next to each other.  Each command takes only the flags it reads.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
 import itertools
 import math
 import os
@@ -29,17 +31,41 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-# basis_snr and inherent_precision go uncalled: perfbench/tracing.py patches them here.
-from .basis import basis_snr, snr_grid  # noqa: F401
-from .bounds import (  # noqa: F401
-    _qcrb_and_ratio, accuracy_of, inherent_precision, inherent_steps,
-    min_detectable_signal,
-)
-from .estimation import _mc_workers, exact_bias_report, monte_carlo_report
-from .resources import StrategyKind, fit_scaling
-from .sampling import EXACT_ENUM_LIMIT, _SEED_MAX
-from .svgchart import Panel, Series, render_chart
-from .verify import CHECK_NAMES, format_report, run_all
+from .bounds import _qcrb_and_ratio, accuracy_of, inherent_steps, min_detectable_signal
+
+# Names of other modules, each bound into this module the first time a
+# command needs it (_bind) or code outside looks it up here (__getattr__),
+# so a command loads only the modules it runs.  A name already set here,
+# as perfbench/tracing.py and the tests patch them, stays the one called.
+# basis_snr and inherent_precision are never called here: they are listed
+# so that perfbench/tracing.py can patch them.
+_LAZY = {
+    "basis_snr": "basis", "snr_grid": "basis",
+    "inherent_precision": "bounds",
+    "_mc_workers": "estimation", "exact_bias_report": "estimation",
+    "monte_carlo_report": "estimation",
+    "StrategyKind": "resources", "fit_scaling": "resources",
+    "EXACT_ENUM_LIMIT": "sampling", "_SEED_MAX": "sampling",
+    "Panel": "svgchart", "Series": "svgchart", "render_chart": "svgchart",
+    "CHECK_NAMES": "verify", "format_report": "verify", "run_all": "verify",
+}
+
+
+def __getattr__(name):
+    """A _LAZY name, loaded on its first lookup and kept in this module."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _bind(*names):
+    """Bind each of names from _LAZY into this module, unless it is here."""
+    for name in names:
+        if name not in globals():
+            __getattr__(name)
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -96,9 +122,19 @@ def _uint64(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an unsigned integer: {text!r}")
+    _bind("_SEED_MAX")
     if not 0 <= value <= _SEED_MAX:
         raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
     return value
+
+
+def _check_name(text: str) -> str:
+    """Argument type of verify --corrupt: the name of one verify check."""
+    _bind("CHECK_NAMES")
+    if text not in CHECK_NAMES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(map(repr, CHECK_NAMES))})")
+    return text
 
 
 # Lines formatted by one % in _csv_text (a mesh band holds at least one
@@ -220,7 +256,10 @@ def _mesh_text(mesh):
     is reaped before this returns, and one that fails makes it raise.
     """
     n_outer = mesh.shape[0]
-    workers = min(_mc_workers(), -(-n_outer // mesh.band)) if hasattr(os, "fork") else 1
+    bands, workers = -(-n_outer // mesh.band), 1
+    if bands > 1 and hasattr(os, "fork"):
+        _bind("_mc_workers")
+        workers = min(_mc_workers(), bands)
     if workers < 2:
         return list(mesh.text_blocks(0, n_outer))
     cuts = [k * n_outer // workers for k in range(workers + 1)]
@@ -372,6 +411,7 @@ def cmd_inherent(cfg: RunConfig):
 def cmd_basis_sweep(cfg: RunConfig):
     phi, n, grid = cfg.phi, cfg.n_list[0], cfg.grid
     header = ["theta", "phi_b", "snr"]
+    _bind("snr_grid")
     thetas, phibs, values = snr_grid(phi, n, grid)
     analytic = math.sqrt(n) * abs(math.tan(phi / 2.0))
     rows = _RowBlocks(_Mesh("oic", thetas, phibs, values),
@@ -392,6 +432,7 @@ def cmd_basis_sweep(cfg: RunConfig):
 def cmd_resources(cfg: RunConfig):
     header = ["strategy", "M", "N", "min_signal", "fitted_exponent"]
     alpha = cfg.alpha_list[0]
+    _bind("StrategyKind", "fit_scaling")
     reps = [(strat, fit_scaling(strat, cfg.m_grid, cfg.big_n, alpha,
                                 nonlinear_exponent=cfg.k))
             for strat in StrategyKind]
@@ -411,6 +452,7 @@ def cmd_bias_mc(cfg: RunConfig):
     phi, n = cfg.phi, cfg.n_list[0]
     header = ["mode", "mean_p", "bias_p", "mean_phi", "bias_phi", "var_phi",
               "mse_phi"]
+    _bind("EXACT_ENUM_LIMIT", "exact_bias_report", "monte_carlo_report")
     reports = []
     if n <= EXACT_ENUM_LIMIT:
         reports.append(exact_bias_report(phi, n))
@@ -431,10 +473,25 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
+def _write_stdout(text: str):
+    """Write text to stdout and flush it, so that a full disk or a closed
+    pipe raises here.  If it does, stdout is closed, dropping what its
+    buffer still holds, so that the interpreter's exit does not fail too."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        with contextlib.suppress(OSError):
+            sys.stdout.close()
+        raise
+
+
 def _emit(cfg: RunConfig, header, rows, chart) -> int:
     """Write the rows as CSV, their chart as SVG, or both; each is
     rendered only when it is written, and chart() builds the chart's
-    panels only then."""
+    panels only then, from the Panel and Series bound here."""
+    if cfg.fmt != "csv":
+        _bind("Panel", "Series", "render_chart")
     if cfg.fmt == "both":
         stem = cfg.out
         for suffix in (".csv", ".svg"):
@@ -447,7 +504,7 @@ def _emit(cfg: RunConfig, header, rows, chart) -> int:
     if cfg.out:
         _write_text(cfg.out, text)
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
     return EXIT_OK
 
 
@@ -526,19 +583,20 @@ def build_parser() -> _Parser:
         n=[10], phi=math.pi / 4.0, trials=10**5, seed=0)
     pv = sub.add_parser("verify", help="run the built-in invariant suite")
     pv.add_argument("--seed", type=_uint64, default=0)
-    pv.add_argument("--corrupt", choices=CHECK_NAMES, default=None,
-                    help="test hook: sabotage one check's tolerance")
+    pv.add_argument("--corrupt", type=_check_name, default=None, metavar="NAME",
+                    help="test hook: sabotage the tolerance of check NAME")
     pv.add_argument("--out", type=str, default=None)
     return parser
 
 
 def run_verify(seed: int, corrupt, out) -> int:
+    _bind("run_all", "format_report")
     results = run_all(seed=seed, corrupt=corrupt)
     report = format_report(results)
     if out:
         _write_text(out, report)
     else:
-        sys.stdout.write(report)
+        _write_stdout(report)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 
@@ -554,7 +612,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

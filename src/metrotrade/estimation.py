@@ -30,7 +30,6 @@ from functools import partial
 
 import numpy as np
 
-from .basis import TWO_PI
 from .sampling import binary_stats, draw_count_matrix, enumerate_binomial
 
 
@@ -210,7 +209,7 @@ def classical_fisher_values(theta, phi_b, phi):
     """
     st = np.sin(theta)
     ct = np.cos(theta)
-    delta = phi - np.mod(phi_b, TWO_PI)
+    delta = phi - np.mod(phi_b, math.tau)
     s = st * np.cos(delta)
     x = st * np.sin(delta)
     num = x * x

@@ -1,11 +1,18 @@
 import ast
+import importlib
 import inspect
 import io
+import os
 import re
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
+import pytest
+
 import metrotrade
+from metrotrade import cli
 
 
 def _used_names(tree):
@@ -74,3 +81,40 @@ def test_readme_quick_taste_values():
         else:
             exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
     assert checked == len(numbers) >= 2
+
+
+def test_every_public_name_is_its_modules_object():
+    for name in metrotrade.__all__:
+        if name != "__version__":
+            module = importlib.import_module(f"metrotrade.{metrotrade._MODULE_OF[name]}")
+            assert getattr(metrotrade, name) is getattr(module, name), name
+
+
+def test_namespace_lists_and_star_imports_every_public_name():
+    assert set(metrotrade.__all__) <= set(dir(metrotrade))
+    namespace = {}
+    exec("from metrotrade import *", namespace)
+    assert set(metrotrade.__all__) <= set(namespace)
+
+
+def test_unknown_names_raise_attribute_error():
+    for module in (metrotrade, cli):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+        assert not hasattr(module, "__wrapped__")
+
+
+def test_submodule_resolves_after_a_bare_package_import():
+    # in a fresh interpreter: here every module is already loaded
+    script = (
+        "import sys\n"
+        "import metrotrade\n"
+        "assert 'metrotrade.verify' not in sys.modules\n"
+        "print(metrotrade.verify.__name__, metrotrade.run_all is metrotrade.verify.run_all)\n"
+    )
+    path = [str(Path(metrotrade.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["metrotrade.verify", "True"]

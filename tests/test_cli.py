@@ -714,6 +714,44 @@ def test_verify_corrupt_hook_exits_three():
     assert "FAIL  bound_vs_oracle" in out
 
 
+def test_verify_corrupt_names_an_unknown_check_in_one_usage_line():
+    code, out, err = run_cli(["verify", "--corrupt", "no_such_check"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: argument --corrupt: invalid choice: 'no_such_check'")
+    assert err.count("\n") == 1
+    assert all(repr(name) in err for name in verify.CHECK_NAMES)
+
+
+@pytest.mark.parametrize("argv", [
+    ["tradeoff", "--out", "{missing}/x.csv"],
+    ["inherent", "--format", "both", "--out", "{missing}/q"],
+    ["verify", "--out", "{missing}/r"],
+])
+def test_unwritable_out_exits_two_with_one_line(tmp_path, argv):
+    missing = tmp_path / "no_such_dir"
+    code, out, err = run_cli([arg.format(missing=missing) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: [Errno 2] ") and err.count("\n") == 1
+    assert not missing.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", None])
+def test_full_stdout_exits_two_with_one_line(unbuffered):
+    # unbuffered, the write fails; buffered, the flush after it does, and
+    # the exit must not fail again on what the buffer still holds
+    env = {key: value for key, value in child_env().items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "metrotrade", "tradeoff"],
+                              env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+
 def test_verify_report_to_file(tmp_path):
     path = tmp_path / "report.txt"
     code, out, _ = run_cli(["verify", "--out", str(path)])
@@ -755,6 +793,53 @@ def test_runtime_does_not_import_scipy():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[0,", "0]", "[]"]
+
+
+# The package modules a command loads beyond those of `tradeoff` (cli,
+# bounds and errors).  basis-sweep's default 160k-line mesh spans several
+# bands, so it asks estimation for the formatting worker count.
+@pytest.mark.parametrize("argv, extra", [
+    (["tradeoff"], []),
+    (["inherent"], []),
+    (["basis-sweep"], ["basis", "estimation", "sampling"]),
+    (["resources"], ["resources"]),
+    (["bias-mc"], ["estimation", "sampling"]),
+    (["verify"], ["basis", "estimation", "resources", "sampling", "verify"]),
+    (["tradeoff", "--format", "svg"], ["svgchart"]),
+    (["resources", "--format", "svg"], ["resources", "svgchart"]),
+    (["inherent", "--format", "both", "--out", "{tmp}/q"], ["svgchart"]),
+])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):
+    script = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "import metrotrade.cli as c\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = c.main(sys.argv[1:])\n"
+        "added = set(sys.modules) - before\n"
+        "print(code, *sorted(m for m in added if m.split('.')[0] == 'metrotrade'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *(arg.format(tmp=tmp_path) for arg in argv)],
+        env=child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    base = ["bounds", "cli", "errors"]
+    assert proc.stdout.split() == ["0", "metrotrade"] + [
+        f"metrotrade.{name}" for name in sorted(base + extra)]
+
+
+def test_package_import_loads_no_module_or_numpy():
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import metrotrade\n"
+        "added = set(sys.modules) - before\n"
+        "print(*sorted(m for m in added if m.split('.')[0] in ('metrotrade', 'numpy')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["metrotrade"]
 
 
 def test_resources_keeps_a_floor_at_huge_budgets():
