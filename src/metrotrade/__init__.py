@@ -19,8 +19,23 @@ an attribute (`metrotrade.verify`), loads its module on first use.
 """
 
 import importlib
+import os
 
 __version__ = "0.1.0"
+
+# The most threads that draw Monte Carlo chunks (estimation) and the most
+# processes that format a CSV mesh (cli._mesh_text).
+_MC_WORKERS = 4
+
+
+def _mc_workers():
+    """Workers for a Monte Carlo pool or a CSV mesh: the CPUs this process
+    may run on, at most _MC_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(_MC_WORKERS, cpus)
 
 # The public API: each module with the names it exports here.
 _EXPORTS = {
@@ -28,8 +43,8 @@ _EXPORTS = {
     "bounds": ("accuracy_of", "critical_fidelity", "inherent_precision",
                "min_detectable_signal", "povm_statistics"),
     "errors": ("BranchError", "BudgetError", "UnreachableSignalError"),
-    "estimation": ("EstimatorReport", "ReportMode", "classical_fisher_values",
-                   "exact_bias_report", "monte_carlo_report"),
+    "estimation": ("EstimatorReport", "classical_fisher_values", "exact_bias_report",
+                   "monte_carlo_report"),
     "resources": ("ScalingReport", "StrategyConfig", "StrategyKind", "fit_scaling",
                   "strategy_min_signal", "strategy_signal_noise"),
     "sampling": ("EXACT_ENUM_LIMIT", "OutcomeStats", "binary_stats", "enumerate_binomial"),

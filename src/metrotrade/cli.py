@@ -26,11 +26,10 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _mc_workers
 from .bounds import _qcrb_and_ratio, accuracy_of, inherent_steps, min_detectable_signal
 
 # Names of other modules, each bound into this module the first time a
@@ -42,8 +41,7 @@ from .bounds import _qcrb_and_ratio, accuracy_of, inherent_steps, min_detectable
 _LAZY = {
     "basis_snr": "basis", "snr_grid": "basis",
     "inherent_precision": "bounds",
-    "_mc_workers": "estimation", "exact_bias_report": "estimation",
-    "monte_carlo_report": "estimation",
+    "exact_bias_report": "estimation", "monte_carlo_report": "estimation",
     "StrategyKind": "resources", "fit_scaling": "resources",
     "EXACT_ENUM_LIMIT": "sampling", "_SEED_MAX": "sampling",
     "Panel": "svgchart", "Series": "svgchart", "render_chart": "svgchart",
@@ -85,24 +83,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_list(text: str):
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
+def _list_of(kind, noun: str):
+    """Argument type for a flag that takes a comma list of kind values."""
+
+    def parse(text: str):
+        try:
+            values = [kind(tok) for tok in text.split(",") if tok.strip() != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}: {text!r}")
+        if not values:
+            raise argparse.ArgumentTypeError("empty list")
+        return values
+
+    return parse
 
 
-def _float_list(text: str):
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
+_int_list = _list_of(int, "integers")
+_float_list = _list_of(float, "numbers")
 
 
 def _one(parse_list):
@@ -112,7 +109,7 @@ def _one(parse_list):
         values = parse_list(text)
         if len(values) != 1:
             raise argparse.ArgumentTypeError(f"expected a single value: {text!r}")
-        return values
+        return values[0]
 
     return parse
 
@@ -258,7 +255,6 @@ def _mesh_text(mesh):
     n_outer = mesh.shape[0]
     bands, workers = -(-n_outer // mesh.band), 1
     if bands > 1 and hasattr(os, "fork"):
-        _bind("_mc_workers")
         workers = min(_mc_workers(), bands)
     if workers < 2:
         return list(mesh.text_blocks(0, n_outer))
@@ -304,53 +300,21 @@ def _csv_text(header, rows) -> str:
     return "".join(parts)
 
 
-@dataclass
-class RunConfig:
-    """Validated flag set for one CLI invocation.  A command sets the
-    fields of the flags it registers; build_parser holds every default."""
-
-    command: str
-    n_list: list | None = None
-    alpha_list: list | None = None
-    phi0: float | None = None
-    phi: float | None = None
-    m_grid: list | None = None
-    big_n: int | None = None
-    k: float | None = None
-    trials: int | None = None
-    seed: int | None = None
-    grid: int | None = None
-    out: str | None = None
-    fmt: str | None = None
-    corrupt: str | None = None
+class RunConfig(argparse.Namespace):
+    """The parsed flags of one CLI invocation: the command, and an
+    attribute per flag it registers, defaults from build_parser."""
 
     def validate(self):
-        """Check what no library call checks before output: inherent's
-        interior-point preconditions, the row caps of --grid and of the
-        tradeoff lists (ahead of any allocation) and --format both without --out.  Every other flag
-        value is checked where the library reads it."""
-        if self.command == "inherent":
-            if self.n_list[0] < 3:
-                raise ValueError("n must be >= 3 for a reachable interior point")
-            if self.phi0 is not None and not 0.0 < self.phi0 < math.pi:
-                raise ValueError("phi0 must lie in (0, pi)")
-            if self.phi0 is None:  # --grid is read only without --phi0
-                if self.grid < 1:
-                    raise ValueError("grid must be >= 1")
-                if self.grid >= _GRID_ROWS_MAX:
-                    raise ValueError(f"grid must be <= {_GRID_ROWS_MAX - 1}")
-        elif self.command == "basis-sweep" and self.grid**2 > _GRID_ROWS_MAX:
-            raise ValueError(
-                f"grid must be <= {math.isqrt(_GRID_ROWS_MAX)} points per axis"
-            )
-        elif (self.command == "tradeoff"
-              and len(self.n_list) * len(self.alpha_list) > _GRID_ROWS_MAX):
-            raise ValueError(f"n and alpha lists must give <= {_GRID_ROWS_MAX} rows")
+        """Check what spans commands: --format both needs --out.  Each
+        command checks what no library call checks before it allocates,
+        and every other flag value is checked where the library reads it."""
         if self.fmt == "both" and self.out is None:
             raise UsageError("--format both requires --out")
 
 
 def cmd_tradeoff(cfg: RunConfig):
+    if len(cfg.n_list) * len(cfg.alpha_list) > _GRID_ROWS_MAX:
+        raise ValueError(f"n and alpha lists must give <= {_GRID_ROWS_MAX} rows")
     header = ["n", "alpha", "exact_bound", "asymptotic_bound", "qcrb",
               "correction_ratio"]
     # one kernel call over the n-major (n, alpha) mesh
@@ -384,12 +348,20 @@ def _inherent_grid(n_points: int):
 
 
 def cmd_inherent(cfg: RunConfig):
-    n = cfg.n_list[0]
-    header = ["phi0", "resolution", "accuracy"]
+    n = cfg.n
+    if n < 3:
+        raise ValueError("n must be >= 3 for a reachable interior point")
     if cfg.phi0 is not None:
+        if not 0.0 < cfg.phi0 < math.pi:
+            raise ValueError("phi0 must lie in (0, pi)")
         phi0 = np.array([cfg.phi0])
-    else:
+    else:  # --grid is read only without --phi0
+        if cfg.grid < 1:
+            raise ValueError("grid must be >= 1")
+        if cfg.grid >= _GRID_ROWS_MAX:
+            raise ValueError(f"grid must be <= {_GRID_ROWS_MAX - 1}")
         phi0 = _inherent_grid(cfg.grid)
+    header = ["phi0", "resolution", "accuracy"]
     delta = inherent_steps(phi0, n)
     resolution = 1.0 / delta
     accuracy = accuracy_of(delta, n)
@@ -409,7 +381,10 @@ def cmd_inherent(cfg: RunConfig):
 
 
 def cmd_basis_sweep(cfg: RunConfig):
-    phi, n, grid = cfg.phi, cfg.n_list[0], cfg.grid
+    phi, n, grid = cfg.phi, cfg.n, cfg.grid
+    # snr_grid checks the low end of grid, negative values included
+    if grid > math.isqrt(_GRID_ROWS_MAX):
+        raise ValueError(f"grid must be <= {math.isqrt(_GRID_ROWS_MAX)} points per axis")
     header = ["theta", "phi_b", "snr"]
     _bind("snr_grid")
     thetas, phibs, values = snr_grid(phi, n, grid)
@@ -431,7 +406,7 @@ def cmd_basis_sweep(cfg: RunConfig):
 
 def cmd_resources(cfg: RunConfig):
     header = ["strategy", "M", "N", "min_signal", "fitted_exponent"]
-    alpha = cfg.alpha_list[0]
+    alpha = cfg.alpha
     _bind("StrategyKind", "fit_scaling")
     reps = [(strat, fit_scaling(strat, cfg.m_grid, cfg.big_n, alpha,
                                 nonlinear_exponent=cfg.k))
@@ -449,7 +424,7 @@ def cmd_resources(cfg: RunConfig):
 
 
 def cmd_bias_mc(cfg: RunConfig):
-    phi, n = cfg.phi, cfg.n_list[0]
+    phi, n = cfg.phi, cfg.n
     header = ["mode", "mean_p", "bias_p", "mean_phi", "bias_phi", "var_phi",
               "mse_phi"]
     _bind("EXACT_ENUM_LIMIT", "exact_bias_report", "monte_carlo_report")
@@ -457,7 +432,7 @@ def cmd_bias_mc(cfg: RunConfig):
     if n <= EXACT_ENUM_LIMIT:
         reports.append(exact_bias_report(phi, n))
     reports.append(monte_carlo_report(phi, n, cfg.trials, cfg.seed))
-    rows = [[rep.mode.value, rep.mean_p_hat, rep.bias_p, rep.mean_phi_hat,
+    rows = [[rep.mode, rep.mean_p_hat, rep.bias_p, rep.mean_phi_hat,
              rep.bias_phi, rep.var_phi, rep.mse_phi] for rep in reports]
 
     def chart():
@@ -516,24 +491,25 @@ _COMMANDS = {
     "bias-mc": cmd_bias_mc,
 }
 
-# Flags a command can take, by the keyword build_parser's add() names
-# them with: (flag, RunConfig field, type, help).  --n and --alpha take a
-# comma list under n_list/alpha_list and a single value under n/alpha.
+# Flags a command can take, by their RunConfig attribute, which is the
+# keyword build_parser's add() names them with: (flag, metavar, type,
+# help).  --n and --alpha take a comma list under n_list/alpha_list and a
+# single value under n/alpha; both forms show the list's metavar.
 _FLAGS = {
-    "n_list": ("--n", "n_list", _int_list, "comma list of sample budgets"),
-    "n": ("--n", "n_list", _one(_int_list), "sample budget"),
-    "alpha_list": ("--alpha", "alpha_list", _float_list,
+    "n_list": ("--n", "N_LIST", _int_list, "comma list of sample budgets"),
+    "n": ("--n", "N_LIST", _one(_int_list), "sample budget"),
+    "alpha_list": ("--alpha", "ALPHA_LIST", _float_list,
                    "comma list of confidence levels in noise-sigma units"),
-    "alpha": ("--alpha", "alpha_list", _one(_float_list),
+    "alpha": ("--alpha", "ALPHA_LIST", _one(_float_list),
               "confidence level in noise-sigma units"),
-    "phi0": ("--phi0", "phi0", float, "working-point phase in (0, pi)"),
-    "phi": ("--phi", "phi", float, "phase shift under test"),
-    "m_grid": ("--m-grid", "m_grid", _int_list, "comma list of probe sizes M"),
-    "big_n": ("--big-n", "big_n", int, "repetition count N"),
-    "k": ("--k", "k", float, "nonlinear generator order"),
-    "trials": ("--trials", "trials", int, "Monte Carlo trial count"),
-    "seed": ("--seed", "seed", _uint64, "64-bit unsigned sampling seed"),
-    "grid": ("--grid", "grid", int, "grid resolution"),
+    "phi0": ("--phi0", None, float, "working-point phase in (0, pi)"),
+    "phi": ("--phi", None, float, "phase shift under test"),
+    "m_grid": ("--m-grid", None, _int_list, "comma list of probe sizes M"),
+    "big_n": ("--big-n", None, int, "repetition count N"),
+    "k": ("--k", None, float, "nonlinear generator order"),
+    "trials": ("--trials", None, int, "Monte Carlo trial count"),
+    "seed": ("--seed", None, _uint64, "64-bit unsigned sampling seed"),
+    "grid": ("--grid", None, int, "grid resolution"),
 }
 
 
@@ -564,8 +540,8 @@ def build_parser() -> _Parser:
         """A command taking --out, --format and the _FLAGS named in defaults."""
         p = sub.add_parser(name, help=help_text)
         for key, default in defaults.items():
-            flag, dest, kind, flag_help = _FLAGS[key]
-            p.add_argument(flag, dest=dest, type=kind, default=default,
+            flag, metavar, kind, flag_help = _FLAGS[key]
+            p.add_argument(flag, dest=key, metavar=metavar, type=kind, default=default,
                            help=flag_help)
         p.add_argument("--out", type=str, default=None, help="output path")
         p.add_argument("--format", dest="fmt", choices=("csv", "svg", "both"),
@@ -574,13 +550,13 @@ def build_parser() -> _Parser:
     add("tradeoff", "detection bounds over an (n, alpha) grid",
         n_list=[10, 100, 1000, 10000], alpha_list=[0.25, 0.5, 1.0, 2.0, 4.0])
     add("inherent", "quantization-limited resolution/accuracy vs phi0",
-        n=[100], phi0=None, grid=999)
+        n=100, phi0=None, grid=999)
     add("basis-sweep", "snr landscape over measurement directions",
-        n=[1], phi=math.pi / 10.0, grid=400)
+        n=1, phi=math.pi / 10.0, grid=400)
     add("resources", "detection floor scaling per strategy",
-        m_grid=[2, 4, 8, 16, 32], big_n=100, alpha=[1.0], k=2.0)
+        m_grid=[2, 4, 8, 16, 32], big_n=100, alpha=1.0, k=2.0)
     add("bias-mc", "estimator bias, exact vs Monte Carlo",
-        n=[10], phi=math.pi / 4.0, trials=10**5, seed=0)
+        n=10, phi=math.pi / 4.0, trials=10**5, seed=0)
     pv = sub.add_parser("verify", help="run the built-in invariant suite")
     pv.add_argument("--seed", type=_uint64, default=0)
     pv.add_argument("--corrupt", type=_check_name, default=None, metavar="NAME",
@@ -603,7 +579,7 @@ def run_verify(seed: int, corrupt, out) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        cfg = RunConfig(**vars(parser.parse_args(_attach_dash_values(argv))))
+        cfg = parser.parse_args(_attach_dash_values(argv), RunConfig())
         if cfg.command == "verify":
             return run_verify(cfg.seed, cfg.corrupt, cfg.out)
         cfg.validate()

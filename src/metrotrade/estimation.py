@@ -22,29 +22,21 @@ itself carries, an array kernel over Bloch directions and phases.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from functools import partial
 
 import numpy as np
 
+from . import _mc_workers
 from .sampling import binary_stats, draw_count_matrix, enumerate_binomial
 
 
 # Trials drawn per draw_count_matrix call in monte_carlo_report (arrays
-# of 2**16 trials stay in L2); the most threads that draw them, which is
-# also the most processes that format a CSV mesh (cli._mesh_text); and
-# the most trials a report takes, so that no trial count runs for hours.
+# of 2**16 trials stay in L2), and the most trials a report takes, so
+# that no trial count runs for hours.
 _MC_CHUNK = 2**16
-_MC_WORKERS = 4
 _MC_TRIALS_MAX = 2**32
-
-
-class ReportMode(Enum):
-    EXACT_ENUMERATION = "ExactEnumeration"
-    MONTE_CARLO = "MonteCarlo"
 
 
 @dataclass(frozen=True)
@@ -52,7 +44,8 @@ class EstimatorReport:
     """Moments of the frequency and phase estimators at a true phase.
 
     mse_phi always decomposes as var_phi + bias_phi**2; the constructor
-    recomputes the identity and refuses reports that violate it.
+    recomputes the identity and refuses reports that violate it.  mode
+    names the route: "ExactEnumeration" or "MonteCarlo".
     """
 
     mean_p_hat: float
@@ -61,7 +54,7 @@ class EstimatorReport:
     bias_phi: float
     var_phi: float
     mse_phi: float
-    mode: ReportMode
+    mode: str
 
     def __post_init__(self):
         residual = abs(self.mse_phi - (self.var_phi + self.bias_phi**2))
@@ -96,8 +89,7 @@ def exact_bias_report(phi: float, n: int) -> EstimatorReport:
         raise ValueError("phi must lie in (0, pi)")
     p = (1.0 + math.cos(phi)) / 2.0
     return _report_from_pmf(
-        phi, p, n, np.arange(n + 1), enumerate_binomial(p, n),
-        ReportMode.EXACT_ENUMERATION,
+        phi, p, n, np.arange(n + 1), enumerate_binomial(p, n), "ExactEnumeration"
     )
 
 
@@ -119,16 +111,6 @@ def _add_histogram(lo, hist, c_lo, add):
     merged[lo - new_lo:lo - new_lo + hist.size] += hist
     merged[c_lo - new_lo:c_lo - new_lo + add.size] += add
     return new_lo, merged
-
-
-def _mc_workers():
-    """Workers for a Monte Carlo pool or a CSV mesh: the CPUs this process
-    may run on, at most _MC_WORKERS."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(_MC_WORKERS, cpus)
 
 
 def _histograms_in_order(draw, firsts):
@@ -184,8 +166,7 @@ def monte_carlo_report(phi: float, n: int, trials: int, seed: int) -> EstimatorR
     for c_lo, add in parts:
         lo, hist = _add_histogram(lo, hist, c_lo, add)
     return _report_from_pmf(
-        phi, p, n, lo + np.arange(hist.size), hist / trials,
-        ReportMode.MONTE_CARLO,
+        phi, p, n, lo + np.arange(hist.size), hist / trials, "MonteCarlo"
     )
 
 

@@ -1,9 +1,7 @@
 """Finite-sample outcome statistics and reproducible sampling.
 
-Projection noise for an outcome with probability p over n shots is
-sqrt(p (1 - p) / n).  OutcomeStats bundles the two probabilities of a
-binary outcome with those standard deviations; draw_count_matrix draws
-binomial counts from them.
+OutcomeStats holds the two probabilities of a binary outcome and the
+shot count n; draw_count_matrix draws binomial counts from them.
 
 Reproducibility contract: trial t consumes a substream derived only
 from (seed, t), so results are independent of evaluation order and of
@@ -21,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,16 +39,11 @@ _WINDOW_MAX = 2**22
 
 @dataclass(frozen=True)
 class OutcomeStats:
-    """The two outcome probabilities of a binary measurement with their
-    projection-noise standard deviations.
-
-    std_devs is always recomputed from (probabilities, sample_budget),
-    never supplied by the caller, so the two can't drift apart.
-    """
+    """The two outcome probabilities of a binary measurement, checked to
+    lie in [0, 1] and sum to 1, and its positive integer shot count."""
 
     probabilities: tuple
     sample_budget: int
-    std_devs: tuple = field(init=False)
 
     def __post_init__(self):
         probs = tuple(float(p) for p in self.probabilities)
@@ -63,19 +56,12 @@ class OutcomeStats:
                 raise ValueError(f"probability {p} outside [0, 1]")
         if abs(math.fsum(probs) - 1.0) > 1e-12:
             raise ValueError("probabilities must sum to 1 within 1e-12")
-        n = self.sample_budget
         object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(
-            self, "std_devs", tuple(math.sqrt(p * (1.0 - p) / n) for p in probs)
-        )
 
 
 def binary_stats(p: float, n: int) -> OutcomeStats:
-    """Stats for a yes/no measurement with success probability p over n shots."""
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError("n must be a positive integer")
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("p must lie in [0, 1]")
+    """Stats for a yes/no measurement with success probability p over n
+    shots; OutcomeStats checks both."""
     return OutcomeStats((p, 1.0 - p), n)
 
 

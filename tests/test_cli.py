@@ -378,7 +378,7 @@ def test_csv_text_is_the_same_on_any_worker_count(monkeypatch, workers):
         assert_same_text(cli._csv_text(["a"] * 5, mesh),
                          csv_text_per_cell(["a"] * 5, _rows_of(mesh)))
     # basis-sweep's 200 theta rows in 3 bands, then its summary row
-    cfg = cli.RunConfig(**vars(cli.build_parser().parse_args(["basis-sweep", "--grid", "200"])))
+    cfg = cli.build_parser().parse_args(["basis-sweep", "--grid", "200"], cli.RunConfig())
     header, rows, _ = cli._COMMANDS[cfg.command](cfg)
     assert rows.blocks[0].band == 81 and rows.blocks[1][0][0] == "summary"
     expected = csv_text_per_cell(header, _rows_of(rows))
@@ -424,7 +424,7 @@ def test_failed_formatting_raises_and_leaves_no_child(monkeypatch, in_child, rai
     ["resources", "--m-grid", "2,1000000000000000000000"],  # M past 2**64
 ])
 def test_command_csv_matches_per_cell_reference(argv):
-    cfg = cli.RunConfig(**vars(cli.build_parser().parse_args(argv)))
+    cfg = cli.build_parser().parse_args(argv, cli.RunConfig())
     header, rows, _ = cli._COMMANDS[cfg.command](cfg)
     text = cli._csv_text(header, rows)
     assert_same_text(text, csv_text_per_cell(header, _rows_of(rows)))
@@ -473,6 +473,10 @@ def test_usage_errors_exit_one():
     code, _, err = run_cli(["tradeoff", "--format", "both"])
     assert code == 1
     assert "requires --out" in err
+    # a usage error wins over a bad value that its command would refuse
+    for argv in (["inherent", "--grid", "-5", "--format", "both"],
+                 ["basis-sweep", "--grid", "3000", "--format", "both"]):
+        assert run_cli(argv) == (1, "", "usage error: --format both requires --out\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -522,6 +526,32 @@ def test_benchmark_tracing_installs_and_unpatches(monkeypatch):
     assert tracer.summary()["cli.compute"][0] == 1
     assert cli.main is original_main
     assert verify._CHECKS is original_checks
+
+
+@pytest.mark.parametrize("argv", [
+    ["inherent", "--grid", "9"],
+    ["resources"],
+    ["bias-mc", "--n", "100", "--trials", "100"],
+    ["bias-mc", "--format", "svg"],
+    ["verify"],
+])
+def test_benchmark_tracing_runs_every_command(monkeypatch, argv):
+    # the names perfbench/tracing.py patches or reads on each command's
+    # path: RunConfig.validate, the OutcomeStats fields draw_count_matrix
+    # gets, and the format of the flags _emit gets
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    tracing.install(tracer, cli, verify, estimation)
+    try:
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    finally:
+        tracer.unpatch()
+    assert tracer.summary()["cli.parse"][0] > 0
+    assert (tracer.counts["sampling.cdf_entries"] > 0) == (argv[0] in ("bias-mc", "verify"))
+    assert tracer.counts["svgchart.written"] == ("svg" in argv)
 
 
 def test_domain_errors_exit_two():
@@ -677,14 +707,35 @@ def test_grid_is_checked_only_where_it_is_read():
     assert out == "" and err == "error: grid must be >= 1\n"
 
 
-def test_grid_at_the_row_cap_is_accepted():
-    # validation only: building these grids would write 2**22 rows
+def test_grid_at_the_row_cap_is_accepted(monkeypatch):
+    # each command checks its cap before its kernel, which raises here:
+    # building these grids would write 2**22 rows
+    class Computed(Exception):
+        pass
+
+    def computed(*args):
+        raise Computed
+
+    for name in ("snr_grid", "inherent_steps", "min_detectable_signal"):
+        monkeypatch.setattr(cli, name, computed)
     values = ",".join(str(i) for i in range(1, 2049))
-    for argv in (["basis-sweep", "--grid", "2048"], ["inherent", "--grid", str(2**22 - 1)],
-                 ["tradeoff", "--n", values, "--alpha", values]):
-        cli.RunConfig(**vars(cli.build_parser().parse_args(argv))).validate()
+    for at_cap, past_cap in (
+            (["basis-sweep", "--grid", "2048"], ["basis-sweep", "--grid", "2049"]),
+            (["inherent", "--grid", str(2**22 - 1)], ["inherent", "--grid", str(2**22)]),
+            (["tradeoff", "--n", values, "--alpha", values],
+             ["tradeoff", "--n", values + ",2049", "--alpha", values])):
+        with pytest.raises(Computed):
+            run_cli(at_cap)
+        code, out, err = run_cli(past_cap)
+        assert code == 2 and out == "" and err.count("\n") == 1
     # an odd grid already holds pi/2, so 2**22 - 1 points give 2**22 - 1 rows
     assert len(cli._inherent_grid(7)) == 7
+
+
+@pytest.mark.parametrize("grid", ["-3000", "-100", "0", "199"])
+def test_basis_sweep_grid_below_its_floor_names_the_floor(grid):
+    assert run_cli(["basis-sweep", "--grid", grid]) == (
+        2, "", "error: grid must be an integer >= 200 points per axis\n")
 
 
 def test_verify_passes_and_reports():
@@ -797,11 +848,12 @@ def test_runtime_does_not_import_scipy():
 
 # The package modules a command loads beyond those of `tradeoff` (cli,
 # bounds and errors).  basis-sweep's default 160k-line mesh spans several
-# bands, so it asks estimation for the formatting worker count.
+# bands and is formatted on several processes, whose count the package
+# itself gives, so it loads neither the estimator nor the sampler.
 @pytest.mark.parametrize("argv, extra", [
     (["tradeoff"], []),
     (["inherent"], []),
-    (["basis-sweep"], ["basis", "estimation", "sampling"]),
+    (["basis-sweep"], ["basis"]),
     (["resources"], ["resources"]),
     (["bias-mc"], ["estimation", "sampling"]),
     (["verify"], ["basis", "estimation", "resources", "sampling", "verify"]),

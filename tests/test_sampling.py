@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from helpers import binomial_cdf_mp
+from metrotrade import sampling
 from metrotrade.errors import BudgetError
 from metrotrade.sampling import (
     EXACT_ENUM_LIMIT,
@@ -24,25 +29,13 @@ from metrotrade.sampling import (
 def test_binary_stats_deterministic_outcome():
     s = binary_stats(1.0, 5)
     assert s.probabilities == (1.0, 0.0)
-    assert s.std_devs == (0.0, 0.0)
-
-
-def test_binary_stats_fair_coin():
-    s = binary_stats(0.5, 100)
-    assert abs(s.std_devs[0] - 0.05) < 1e-15
-
-
-def test_binary_stats_matches_half_sine():
-    # sqrt(p(1-p)) = sin(phi)/2 when p = (1 + cos phi)/2
-    p = (1.0 + math.cos(0.2)) / 2.0
-    s = binary_stats(p, 100)
-    assert abs(s.std_devs[0] - math.sin(0.2) / 20.0) < 1e-12
 
 
 def test_outcome_stats_recompute_invariant():
-    s = OutcomeStats((0.2, 0.8), 40)
-    for p, sd in zip(s.probabilities, s.std_devs):
-        assert sd == math.sqrt(p * (1.0 - p) / 40)
+    # the probabilities are kept as a tuple of floats, whatever was given
+    s = OutcomeStats([np.float32(0.25), 0.75], 40)
+    assert s.probabilities == (0.25, 0.75)
+    assert all(type(p) is float for p in s.probabilities)
     with pytest.raises(ValueError, match="exactly two outcomes"):
         OutcomeStats((0.2, 0.3, 0.5), 40)
 
@@ -251,6 +244,43 @@ def test_outcome_stats_property(raw, n):
         return
     s = OutcomeStats(probs, n)
     assert abs(math.fsum(s.probabilities) - 1.0) < 1e-9
-    for p, sd in zip(s.probabilities, s.std_devs):
-        assert sd == math.sqrt(p * (1.0 - p) / n)
-        assert sd <= 0.5 / math.sqrt(n) + 1e-15
+
+
+# Digests of sampled counts and CDF tables, with the table's first count,
+# at probes that take both the math.comb table and the windowed one; and
+# numpy's CPU features as dispatched.
+_DISPATCH_PROBE = """
+import hashlib, math
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+from metrotrade.sampling import _binomial_cdf_table, binary_stats, draw_count_matrix
+
+def digests():
+    out = []
+    for phi in (math.pi / 4.0, 2.0, 2.5, 3.0):
+        p = (1.0 + math.cos(phi)) / 2.0
+        for n in (10, 10**3, 10**7, 10**9):
+            lo, cdf = _binomial_cdf_table(p, n)
+            counts = draw_count_matrix(binary_stats(p, n), 11, 4096)
+            out.append(f"{lo} {hashlib.sha256(cdf.tobytes() + counts.tobytes()).hexdigest()}")
+    return out
+"""
+_PROBE = {}
+exec(_DISPATCH_PROBE, _PROBE)
+
+
+@pytest.mark.skipif(not _PROBE["__cpu_features__"].get("X86_V4"),
+                    reason="needs AVX-512 (numpy's X86_V4 dispatch)")
+def test_counts_and_tables_do_not_depend_on_cpu_dispatch():
+    # numpy computes some transcendentals (arccos, exp, ...) to other bits
+    # with AVX-512 off; counts and tables must not move with them
+    path = [str(Path(sampling.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+           "NPY_DISABLE_CPU_FEATURES": "X86_V4"}
+    script = _DISPATCH_PROBE + "print(__cpu_features__['X86_V4'], *digests(), sep='\\n')\n"
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["False", *_PROBE["digests"](), ""]
