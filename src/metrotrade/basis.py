@@ -10,7 +10,8 @@ and the detectability of the shift is the separation |p1 - p0| over
 the summed projection noise.  The equatorial circle theta = pi/2 with
 phi_b anywhere in [phi, pi] or [phi + pi, 2 pi) is optimal, where the
 ratio reaches sqrt(n) |tan(phi / 2)|; find_optimal_basis recovers that
-point numerically by coarse grid search plus golden-section polish.
+point numerically: a coarse mesh over the sphere, then ever finer
+meshes centred on the best direction so far.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GRID = 400  # points per axis of find_optimal_basis's coarse mesh
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,10 @@ def _snr_values(theta, phi_b, phi: float, n: int):
     """Vectorized signal-to-noise ratio over arrays of basis angles."""
     st = np.sin(theta)
     ct = np.cos(theta)
-    numerator = math.sqrt(n) * np.abs(st * (np.cos(phi_b) - np.cos(phi - phi_b)))
+    # cos(phi_b) - cos(phi - phi_b) as a product, which does not cancel
+    # at small phi
+    scale = 2.0 * math.sqrt(n) * abs(math.sin(phi / 2.0))
+    numerator = scale * np.abs(st * np.sin(phi_b - phi / 2.0))
     denominator = np.sqrt(_radicand(st, ct, phi_b)) + np.sqrt(
         _radicand(st, ct, phi - phi_b)
     )
@@ -76,24 +80,6 @@ def basis_snr(basis: MeasurementBasis, phi: float, n: int) -> float:
     return float(_snr_values(np.float64(basis.theta), np.float64(basis.phi_b), phi, n))
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-9) -> float:
-    """Argmax of a unimodal f on [lo, hi] by golden-section search."""
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-    return (a + b) / 2.0
-
-
 def snr_grid(phi: float, n: int, grid: int):
     """Signal-to-noise ratio on a grid x grid mesh of measurement directions.
 
@@ -112,33 +98,26 @@ def snr_grid(phi: float, n: int, grid: int):
     return thetas, phibs, _snr_values(thetas[:, None], phibs[None, :], phi, n)
 
 
-def find_optimal_basis(phi: float, n: int, grid: int = 400):
+def find_optimal_basis(phi: float, n: int):
     """Best measurement direction for resolving a shift of size phi.
 
-    Evaluates the ratio on snr_grid's mesh, then polishes each angle
-    with golden-section search around the best cell.  Returns
-    (basis, snr).
+    Evaluates the ratio on snr_grid's mesh, then on 21 x 21 meshes that
+    span one cell of the previous mesh on each side of its best
+    direction, each with cells a tenth as wide, until a cell is below
+    1e-9 rad on both axes.  Returns (basis, snr).
     """
-    thetas, phibs, values = snr_grid(phi, n, grid)
+    thetas, phibs, values = snr_grid(phi, n, _GRID)
     i, j = np.unravel_index(np.argmax(values), values.shape)
-    theta0, phib0 = float(thetas[i]), float(phibs[j])
-    dth = math.pi / (grid - 1)
-    dpb = TWO_PI / grid
-
-    def snr_at(th, pb):
-        return float(_snr_values(np.float64(th), np.float64(pb), phi, n))
-
-    theta1 = _golden_max(
-        lambda t: snr_at(t, phib0),
-        max(0.0, theta0 - dth),
-        min(math.pi, theta0 + dth),
-    )
-    phib1 = _golden_max(lambda b: snr_at(theta1, b), phib0 - dpb, phib0 + dpb)
-    theta1 = _golden_max(
-        lambda t: snr_at(t, phib1),
-        max(0.0, theta1 - dth),
-        min(math.pi, theta1 + dth),
-    )
-    best = MeasurementBasis(theta1, phib1)
+    theta, phib = float(thetas[i]), float(phibs[j])
+    dth, dpb = math.pi / (_GRID - 1), TWO_PI / _GRID
+    # offset 0 is the previous best, so the best value never falls
+    offsets = np.arange(-10.0, 11.0)
+    while dth >= 1e-9 or dpb >= 1e-9:
+        dth, dpb = dth / 10.0, dpb / 10.0
+        ths = np.clip(theta + dth * offsets, 0.0, math.pi)
+        pbs = phib + dpb * offsets
+        values = _snr_values(ths[:, None], pbs[None, :], phi, n)
+        i, j = np.unravel_index(np.argmax(values), values.shape)
+        theta, phib = float(ths[i]), float(pbs[j])
+    best = MeasurementBasis(theta, phib)
     return best, basis_snr(best, phi, n)
-

@@ -34,7 +34,7 @@ def _result(name, passed, detail):
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
-def check_factor2(tol: float) -> CheckResult:
+def check_factor2(tol: float, seed: int = 0) -> CheckResult:
     """Exact minimum signal approaches twice the inverse-root benchmark."""
     n = np.array([10**2, 10**3, 10**4, 10**5], dtype=np.float64)
     ratios = bounds._qcrb_and_ratio(bounds.min_detectable_signal(1.0, n), n)[1].tolist()
@@ -50,7 +50,7 @@ def check_factor2(tol: float) -> CheckResult:
     )
 
 
-def check_inherent_optimum(tol: float) -> CheckResult:
+def check_inherent_optimum(tol: float, seed: int = 0) -> CheckResult:
     """Resolution and accuracy at phi0 = pi/2, n = 100, match their values."""
     n = 100
     dphi, acc = bounds.inherent_precision(math.pi / 2.0, n)
@@ -69,7 +69,7 @@ def check_inherent_optimum(tol: float) -> CheckResult:
     )
 
 
-def check_accuracy_decreases(tol: float) -> CheckResult:
+def check_accuracy_decreases(tol: float, seed: int = 0) -> CheckResult:
     """Inherent accuracy falls with the sample budget at phi0 = pi/2."""
     accs = []
     for n in (10, 10**2, 10**3, 10**4):
@@ -83,11 +83,11 @@ def check_accuracy_decreases(tol: float) -> CheckResult:
     )
 
 
-def check_optimal_basis(tol: float) -> CheckResult:
-    """Grid + polish recovers the analytic optimum at phi = pi/10, n = 1."""
+def check_optimal_basis(tol: float, seed: int = 0) -> CheckResult:
+    """Mesh refinement recovers the analytic optimum at phi = pi/10, n = 1."""
     phi, n = math.pi / 10.0, 1
     analytic = math.tan(phi / 2.0)
-    best, snr = basis_mod.find_optimal_basis(phi, n, grid=400)
+    best, snr = basis_mod.find_optimal_basis(phi, n)
     ok_snr = abs(snr - analytic) <= tol
     ok_theta = abs(best.theta - math.pi / 2.0) <= 1e-3
     ok_cap = snr <= analytic + 1e-9
@@ -99,7 +99,7 @@ def check_optimal_basis(tol: float) -> CheckResult:
     )
 
 
-def check_povm_reduction(tol: float) -> CheckResult:
+def check_povm_reduction(tol: float, seed: int = 0) -> CheckResult:
     """The separation statistic equals alpha exactly at critical fidelity."""
     n = np.arange(1, 1001)[:, None]
     alpha = np.array(_ALPHA_GRID)
@@ -134,7 +134,7 @@ def _bisection_min_signal(n_arr: np.ndarray, alpha: float) -> np.ndarray:
     return hi
 
 
-def check_bound_vs_oracle(tol: float) -> CheckResult:
+def check_bound_vs_oracle(tol: float, seed: int = 0) -> CheckResult:
     """Closed-form minimum signal agrees with the bisection oracle."""
     n_arr = np.arange(1, 10**4 + 1, dtype=np.float64)
     bound = bounds.min_detectable_signal(np.array(_ALPHA_GRID)[:, None], n_arr)
@@ -169,7 +169,7 @@ def check_bias_structure(tol: float, seed: int = 0) -> CheckResult:
     )
 
 
-def check_resource_scaling(tol: float) -> CheckResult:
+def check_resource_scaling(tol: float, seed: int = 0) -> CheckResult:
     """Fitted log-log slopes match -1/2, -1/2, -1 and -k."""
     grid = (2, 4, 8, 16, 32)
     expect = {
@@ -191,7 +191,7 @@ def check_resource_scaling(tol: float) -> CheckResult:
     return _result("resource_scaling", passed, "slopes " + ", ".join(pieces))
 
 
-def check_noise_amplification(tol: float) -> CheckResult:
+def check_noise_amplification(tol: float, seed: int = 0) -> CheckResult:
     """Entanglement raises noise at fixed phase while lowering the floor."""
     phi, n = 0.01, 100
     noises, floors = [], []
@@ -213,18 +213,14 @@ def check_noise_amplification(tol: float) -> CheckResult:
 
 def check_fisher_consistency(tol: float, seed: int = 0) -> CheckResult:
     """Measured information saturates the quantum value on the equator only."""
+    # row by row, the stream order of a loop drawing phi, then phi_b
     rng = np.random.default_rng(seed + 1)
-    phis, phi_bs = [], []
-    for _ in range(100):
-        phi = float(rng.uniform(0.05, math.pi - 0.05))
-        phi_b = float(rng.uniform(0.0, 2.0 * math.pi))
-        if min(abs(phi - phi_b) % math.pi, math.pi - abs(phi - phi_b) % math.pi) < 1e-3:
-            phi_b += 0.01
-        phis.append(phi)
-        phi_bs.append(phi_b)
-    circle = estimation.classical_fisher_values(
-        math.pi / 2.0, np.array(phi_bs), np.array(phis)
-    )
+    phis, phi_bs = rng.uniform(
+        (0.05, 0.0), (math.pi - 0.05, 2.0 * math.pi), size=(100, 2)
+    ).T
+    gap = np.abs(phis - phi_bs) % math.pi
+    phi_bs = np.where(np.minimum(gap, math.pi - gap) < 1e-3, phi_bs + 0.01, phi_bs)
+    circle = estimation.classical_fisher_values(math.pi / 2.0, phi_bs, phis)
     worst_circle = float(np.max(np.abs(circle - 1.0)))
     kind = resources.StrategyKind
     fq = resources.StrategyConfig(kind.ENSEMBLE, 1, 1).quantum_fisher_information
@@ -296,14 +292,8 @@ def run_all(seed: int = 0, corrupt: str | None = None):
     """Run every check; corrupt (if given) sabotages that check's tolerance."""
     if corrupt is not None and corrupt not in CHECK_NAMES:
         raise ValueError(f"unknown check name: {corrupt}")
-    results = []
-    for name, fn, tol, bad_tol in _CHECKS:
-        use_tol = bad_tol if corrupt == name else tol
-        kwargs = {}
-        if fn in (check_bias_structure, check_fisher_consistency, check_reproducibility):
-            kwargs["seed"] = seed
-        results.append(fn(use_tol, **kwargs))
-    return results
+    return [fn(bad_tol if corrupt == name else tol, seed)
+            for name, fn, tol, bad_tol in _CHECKS]
 
 
 def format_report(results) -> str:

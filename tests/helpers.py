@@ -185,6 +185,18 @@ def basis_probabilities(theta: float, phi_b: float, phi: float):
     return (1.0 + st * math.cos(phi_b)) / 2.0, (1.0 + st * math.cos(phi - phi_b)) / 2.0
 
 
+def basis_snr_mp(theta: float, phi_b: float, phi: float, n: int, prec: int = 200):
+    """Separation over summed projection noise of n shots along
+    (theta, phi_b), straight from the outcome probabilities, as an mpmath
+    float at `prec` bits with every angle taken exactly."""
+    with mpmath.workprec(prec):
+        st = mpmath.sin(mpmath.mpf(theta))
+        p0 = (1 + st * mpmath.cos(mpmath.mpf(phi_b))) / 2
+        p1 = (1 + st * mpmath.cos(mpmath.mpf(phi) - mpmath.mpf(phi_b))) / 2
+        noise = mpmath.sqrt(p0 * (1 - p0) / n) + mpmath.sqrt(p1 * (1 - p1) / n)
+        return abs(p1 - p0) / noise
+
+
 def distinguishable_binary(stats0, stats1, alpha: float) -> bool:
     """Whether two binary OutcomeStats are alpha-sigma separable, straight
     from the defining criterion |p1 - p0| >= alpha * (dp1 + dp0), with the

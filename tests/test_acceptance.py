@@ -105,7 +105,7 @@ def test_criterion_3_accuracy_decreases_with_resources():
 
 def test_criterion_4_optimal_basis():
     target = math.tan(math.pi / 20.0)
-    best, snr = find_optimal_basis(math.pi / 10.0, 1, grid=400)
+    best, snr = find_optimal_basis(math.pi / 10.0, 1)
     snr_ok = abs(snr - target) <= 1e-4
     theta_ok = abs(best.theta - math.pi / 2.0) <= 1e-3
     code, out = _cli(["basis-sweep", "--phi", str(math.pi / 10.0), "--n", "1",

@@ -1,8 +1,13 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from metrotrade import basis
 from metrotrade.basis import (
     MeasurementBasis,
     basis_snr,
@@ -12,9 +17,10 @@ from metrotrade.basis import (
 from metrotrade.bounds import min_detectable_signal
 from metrotrade.estimation import classical_fisher_values
 
-from helpers import basis_probabilities
+from helpers import basis_probabilities, basis_snr_mp
 
 HALF_PI = math.pi / 2.0
+EPS = sys.float_info.epsilon
 
 
 def test_probabilities_basis_equals_state():
@@ -116,9 +122,83 @@ def test_find_optimal_basis_validation():
     with pytest.raises(ValueError):
         find_optimal_basis(0.5, 0)
     with pytest.raises(ValueError):
-        find_optimal_basis(0.5, 1, grid=50)
-    with pytest.raises(ValueError):
         find_optimal_basis(math.nan, 1)
+
+
+def test_find_optimal_basis_searches_on_meshes(monkeypatch):
+    # every search step is a mesh of the kernel, and the search stops at
+    # the first mesh whose cells are below 1e-9 rad on both axes; the one
+    # single-direction evaluation is the final basis_snr
+    calls = []
+    kernel = basis._snr_values
+
+    def recording(theta, phi_b, phi, n):
+        values = kernel(theta, phi_b, phi, n)
+        calls.append((np.ravel(theta), np.ravel(phi_b), np.size(values)))
+        return values
+
+    monkeypatch.setattr(basis, "_snr_values", recording)
+    find_optimal_basis(math.pi / 10.0, 1)
+    sizes = [size for _, _, size in calls]
+    assert sizes[0] == 400 * 400
+    assert sizes.count(1) <= 1 and sizes[-1] == 1
+    assert set(sizes[1:-1]) == {21 * 21}
+    cells = [max(np.max(np.diff(t)), np.max(np.diff(b))) for t, b, _ in calls[:-1]]
+    assert cells[-1] < 1e-9 <= cells[-2]
+
+
+def test_find_optimal_basis_without_a_shift():
+    # a flat zero landscape puts the best cell at the pole theta = 0,
+    # which the finer meshes must not step past (MeasurementBasis would
+    # refuse theta < 0)
+    _, snr = find_optimal_basis(0.0, 5)
+    assert snr == 0.0
+
+
+@given(
+    st.one_of(
+        st.floats(min_value=0.01, max_value=math.pi - 0.01),
+        st.sampled_from((3.5, 5.0, -0.7)),
+    ),
+    st.sampled_from((1, 7, 10**6)),
+)
+def test_find_optimal_basis_reaches_the_equatorial_optimum(phi, n):
+    best, snr = find_optimal_basis(phi, n)
+    analytic = math.sqrt(n) * abs(math.tan(phi / 2.0))
+    assert snr <= analytic * (1.0 + 16.0 * EPS)
+    assert snr >= analytic * (1.0 - 1e-12)
+    assert abs(best.theta - HALF_PI) <= 1e-6
+
+
+def _cot_gain(z):
+    # |z cot z|: how much sin magnifies a relative error in its argument
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(z == 0.0, 1.0, np.abs(z / np.tan(z)))
+
+
+@pytest.mark.parametrize("phi", [math.pi / 10.0, 1e-2, 1e-4, 1e-6, 4.0])
+def test_snr_grid_matches_mpmath(phi):
+    # Every rounding of the kernel, counted with each sin, cos and sqrt at
+    # most 1 ulp, sums to 19 units of half an ulp (10 in the numerator, 8
+    # in the denominator, 1 in the quotient).  The differences
+    # x = phi_b - phi/2 and y = phi - phi_b round by half an ulp of
+    # themselves, which sin(x) and sin(y) magnify by |x cot x| and
+    # |y cot y|; one more unit covers the second-order terms.  Cells near
+    # the zeros of sin(x) are left out, where the ratio itself vanishes.
+    # The difference of cosines, cos(phi_b) - cos(phi - phi_b), loses
+    # about log10(1/phi) digits and fails here from phi = 1e-2 down.
+    n = 3
+    thetas, phibs, values = snr_grid(phi, n, 200)
+    thetas, phibs, values = thetas[::7], phibs[::7], values[::7, ::7]
+    x = phibs - phi / 2.0
+    tol = 20.0 + _cot_gain(x) + _cot_gain(phi - phibs)
+    cols = np.flatnonzero(np.abs(np.sin(x)) >= 0.1).tolist()
+    for i, theta in enumerate(thetas.tolist()):
+        for j in cols:
+            ref = basis_snr_mp(theta, float(phibs[j]), phi, n)
+            got = float(values[i, j])
+            err = abs(mpmath.mpf(got) - ref)
+            assert err <= tol[j] * math.ulp(float(ref)), (theta, phibs[j], got)
 
 
 def test_snr_grid_matches_basis_snr():
