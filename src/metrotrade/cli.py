@@ -142,8 +142,7 @@ _GRID_ROWS_MAX = 2**22
 
 
 class _RowBlocks:
-    """CSV data rows held as consecutive blocks, each a _Mesh or a list of
-    rows; len() counts rows, as for a list of rows."""
+    """CSV data rows held as consecutive _Mesh blocks; len() counts lines."""
 
     def __init__(self, *blocks):
         self.blocks = blocks
@@ -158,11 +157,6 @@ def _cell_format(cell) -> str:
     return "%s" if isinstance(cell, (str, int)) else "%.17g"
 
 
-def _row_template(row) -> str:
-    """%-template of one CSV line of list cells."""
-    return ",".join(map(_cell_format, row)) + "\n"
-
-
 class _Mesh:
     """CSV data rows over an outer x inner mesh, outer-major.
 
@@ -171,7 +165,7 @@ class _Mesh:
     row; "c" for a float array that broadcasts to shape (outer, inner).
     Line (i, j) holds outer[i], inner[j] and cell[i, j] in kinds' order.
     At least one column is "c"; the cells set the shape.  len() counts
-    lines.
+    lines.  Every command's CSV rows are one mesh, or a _RowBlocks of them.
     """
 
     def __init__(self, kinds, *columns):
@@ -243,21 +237,20 @@ def _mesh_text(mesh):
     """The CSV lines of a mesh as a list of pieces, formatted on up to
     _mc_workers() processes.
 
-    %-formatting holds the GIL, so threads cannot share it.  A mesh of one
-    band is formatted here.  A larger one is cut into contiguous runs of
-    whole outer rows, one per worker: forked children format runs 1, 2,
-    ... and each writes its text to a pipe of its own while this process
-    formats run 0; the pipes are then read in run order, so the bytes are
-    those of a single process.  A child runs only numpy, % and writes to
-    its pipe, and takes no lock another thread could hold.  Every child
-    is reaped before this returns, and one that fails makes it raise.
+    %-formatting holds the GIL, so threads cannot share it.  A mesh is cut
+    into contiguous runs of whole outer rows, one per worker and at most
+    one per band: forked children format runs 1, 2, ... and each writes
+    its text to a pipe of its own while this process formats run 0; the
+    pipes are then read in run order, so the bytes are those of a single
+    process.  With one worker there is only run 0, and nothing is forked.
+    A child runs only numpy, % and writes to its pipe, and takes no lock
+    another thread could hold.  Every child is reaped before this
+    returns, and one that fails makes it raise.
     """
     n_outer = mesh.shape[0]
     bands, workers = -(-n_outer // mesh.band), 1
     if bands > 1 and hasattr(os, "fork"):
         workers = min(_mc_workers(), bands)
-    if workers < 2:
-        return list(mesh.text_blocks(0, n_outer))
     cuts = [k * n_outer // workers for k in range(workers + 1)]
     read_fds, pids = [], []
     try:
@@ -288,15 +281,11 @@ def _mesh_text(mesh):
 def _csv_text(header, rows) -> str:
     """CSV text of header and rows, every line ending in LF.
 
-    rows is a list of rows, a _Mesh or a _RowBlocks of those.  A list
-    row gets the template of its own cells.
+    rows is a _Mesh or a _RowBlocks of them.
     """
     parts = [",".join(header) + "\n"]
-    for block in rows.blocks if isinstance(rows, _RowBlocks) else (rows,):
-        if isinstance(block, _Mesh):
-            parts.extend(_mesh_text(block))
-        else:
-            parts.extend(_row_template(row) % tuple(row) for row in block)
+    for mesh in rows.blocks if isinstance(rows, _RowBlocks) else (rows,):
+        parts.extend(_mesh_text(mesh))
     return "".join(parts)
 
 
@@ -390,7 +379,7 @@ def cmd_basis_sweep(cfg: RunConfig):
     thetas, phibs, values = snr_grid(phi, n, grid)
     analytic = math.sqrt(n) * abs(math.tan(phi / 2.0))
     rows = _RowBlocks(_Mesh("oic", thetas, phibs, values),
-                      [["summary", float(values.max()), analytic]])
+                      _Mesh("occ", ["summary"], [[values.max()]], [[analytic]]))
 
     def chart():
         # Equatorial slice: theta closest to pi/2.
@@ -408,17 +397,18 @@ def cmd_resources(cfg: RunConfig):
     header = ["strategy", "M", "N", "min_signal", "fitted_exponent"]
     alpha = cfg.alpha
     _bind("StrategyKind", "fit_scaling")
-    reps = [(strat, fit_scaling(strat, cfg.m_grid, cfg.big_n, alpha,
-                                nonlinear_exponent=cfg.k))
+    names = [strat.value for strat in StrategyKind]
+    reps = [fit_scaling(strat, cfg.m_grid, cfg.big_n, alpha, nonlinear_exponent=cfg.k)
             for strat in StrategyKind]
-    rows = [[strat.value, m, cfg.big_n, floor, rep.fitted_exponent]
-            for strat, rep in reps for m, floor in zip(rep.m_values, rep.phis)]
+    # strategy by M; the M and N cells are ints
+    rows = _Mesh("oiocc", names, reps[0].m_values, [cfg.big_n] * len(reps),
+                 [rep.phis for rep in reps], [[rep.fitted_exponent] for rep in reps])
 
     def chart():
         return [Panel(f"detection floor vs M (N={cfg.big_n}, alpha={alpha:.6g})",
                       "M", "min signal",
-                      tuple(Series(strat.value, rep.m_values, rep.phis)
-                            for strat, rep in reps))]
+                      tuple(Series(name, rep.m_values, rep.phis)
+                            for name, rep in zip(names, reps)))]
 
     return header, rows, chart
 
@@ -432,13 +422,15 @@ def cmd_bias_mc(cfg: RunConfig):
     if n <= EXACT_ENUM_LIMIT:
         reports.append(exact_bias_report(phi, n))
     reports.append(monte_carlo_report(phi, n, cfg.trials, cfg.seed))
-    rows = [[rep.mode, rep.mean_p_hat, rep.bias_p, rep.mean_phi_hat,
-             rep.bias_phi, rep.var_phi, rep.mse_phi] for rep in reports]
+    # one line per report; cells.T holds a (reports x 1) column per field
+    cells = np.array([[rep.mean_p_hat, rep.bias_p, rep.mean_phi_hat, rep.bias_phi,
+                       rep.var_phi, rep.mse_phi] for rep in reports])
+    rows = _Mesh("occcccc", [rep.mode for rep in reports], *cells.T[:, :, None])
 
     def chart():
         xs = tuple(range(len(rows)))
         return [Panel(f"estimator bias at phi={phi:.6g}, n={n}", "row", "bias_phi",
-                      (Series("bias_phi", xs, tuple(r[4] for r in rows)),))]
+                      (Series("bias_phi", xs, tuple(rep.bias_phi for rep in reports)),))]
 
     return header, rows, chart
 

@@ -251,8 +251,8 @@ def check_fisher_consistency(tol: float, seed: int = 0) -> CheckResult:
 def check_reproducibility(tol: float, seed: int = 0) -> CheckResult:
     """Identical seeds reproduce identical sampled counts, bit for bit."""
     # The corrupt hook (negative tol) reruns with a different seed, which
-    # must be caught as a mismatch.
-    seed2 = seed if tol >= 0.0 else seed + 1
+    # must be caught as a mismatch; it wraps, as the seed is 64 bits.
+    seed2 = seed if tol >= 0.0 else (seed + 1) % 2**64
     stats = sampling.binary_stats(0.7, 50)
     a = sampling.draw_count_matrix(stats, seed, 2000)
     b = sampling.draw_count_matrix(stats, seed2, 2000)

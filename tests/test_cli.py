@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import assert_same_text, bisection_min_signal_100, csv_text_per_cell
-from metrotrade import cli, estimation, verify
+from metrotrade import cli, estimation, resources, verify
 from metrotrade.cli import main
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -172,6 +172,29 @@ def test_resources_csv():
     assert abs(slopes["nonlinear"] + 2.0) <= 0.1
     ghz_m4 = [r for r in rows if r[0] == "ghz" and r[1] == "4"][0]
     assert abs(float(ghz_m4[3]) - 0.05) < 0.001
+    # strategy by M: each strategy's lines in --m-grid order, cell for cell
+    # as fit_scaling reports them
+    expected = []
+    for strat in resources.StrategyKind:
+        rep = resources.fit_scaling(strat, [2, 4, 8, 16, 32], 100, 1.0, nonlinear_exponent=2.0)
+        expected += [[strat.value, m, 100, floor, rep.fitted_exponent]
+                     for m, floor in zip(rep.m_values, rep.phis)]
+    assert_same_text(out, csv_text_per_cell(header, expected))
+
+
+def test_bias_mc_csv_holds_each_report_in_header_order():
+    phi, n, trials, seed = 0.3, 12, 1000, 4
+    code, out, _ = run_cli(["bias-mc", "--phi", repr(phi), "--n", str(n),
+                            "--trials", str(trials), "--seed", str(seed)])
+    assert code == 0
+    reports = [estimation.exact_bias_report(phi, n),
+               estimation.monte_carlo_report(phi, n, trials, seed)]
+    header = ["mode", "mean_p", "bias_p", "mean_phi", "bias_phi", "var_phi", "mse_phi"]
+    rows = [[rep.mode, rep.mean_p_hat, rep.bias_p, rep.mean_phi_hat, rep.bias_phi,
+             rep.var_phi, rep.mse_phi] for rep in reports]
+    # no two fields of a report are equal, so a swapped column shows
+    assert all(len(set(row[1:])) == 6 for row in rows)
+    assert_same_text(out, csv_text_per_cell(header, rows))
 
 
 def test_bias_mc_csv():
@@ -228,16 +251,6 @@ _EDGE_FLOATS = [
     2.2250738585072009e-308, 1.7976931348623157e308, -1.7976931348623157e308,
     0.1, 1.0 / 3.0, 1e16, 123456789.0,
 ]
-_CELLS = st.one_of(
-    st.floats(),
-    st.floats().map(np.float64),
-    st.sampled_from(_EDGE_FLOATS),
-    st.integers(min_value=-(2**80), max_value=2**80),
-    st.sampled_from([2**53 + 1, -(2**63), 2**64 + 3, np.int64(2**60 + 1)]),
-    st.text(max_size=8),
-)
-
-
 _FLOATS = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
 
 
@@ -258,11 +271,14 @@ def _mesh_rows(mesh):
     return [list(row) for row in zip(*columns)]
 
 
+def _meshes_of(rows):
+    """The meshes of a command's output, in order."""
+    return rows.blocks if isinstance(rows, cli._RowBlocks) else (rows,)
+
+
 def _rows_of(rows):
     """The rows of a command's output as lists, blocks expanded."""
-    blocks = rows.blocks if isinstance(rows, cli._RowBlocks) else (rows,)
-    return [row for block in blocks
-            for row in (_mesh_rows(block) if isinstance(block, cli._Mesh) else block)]
+    return [row for mesh in _meshes_of(rows) for row in _mesh_rows(mesh)]
 
 
 def _float_block_mesh(block):
@@ -271,34 +287,34 @@ def _float_block_mesh(block):
                      *(block[:, k:k + 1] for k in range(block.shape[1])))
 
 
-@given(st.lists(st.lists(_CELLS, min_size=1, max_size=5), max_size=30))
-def test_csv_text_matches_per_cell_reference(rows):
-    header = ["a", "b"]
-    assert cli._csv_text(header, rows) == csv_text_per_cell(header, rows)
-
-
 @given(st.lists(st.lists(_FLOATS, min_size=3, max_size=3), max_size=30))
 def test_csv_text_of_float_block_matches_reference(rows):
     block = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
     expected = csv_text_per_cell(["x", "y", "z"], rows)
     assert cli._csv_text(["x", "y", "z"], _float_block_mesh(block)) == expected
-    both = cli._RowBlocks(_float_block_mesh(block), [["summary", 1, math.nan]])
+    summary = cli._Mesh("occ", ["summary"], [[1.0]], [[math.nan]])
+    both = cli._RowBlocks(_float_block_mesh(block), summary)
     assert len(both) == len(rows) + 1
     assert cli._csv_text(["x", "y", "z"], both) == csv_text_per_cell(
-        ["x", "y", "z"], rows + [["summary", 1, math.nan]])
+        ["x", "y", "z"], rows + [["summary", 1.0, math.nan]])
 
 
 _OUTER_CELLS = st.one_of(
     _FLOATS,
+    st.floats().map(np.float64),
     st.integers(min_value=-(2**80), max_value=2**80),
-    st.text(max_size=8),
+    st.sampled_from([2**53 + 1, -(2**63), 2**64 + 3, np.int64(2**60 + 1)]),
+    # a fixed alphabet with % and ",": with the full one, the first draw in
+    # a checkout without a .hypothesis cache builds hypothesis's character
+    # table (~2.5 s), and this test fails the too_slow health check
+    st.text(alphabet='a %,s%.17g"\né€\U0001f600', max_size=8),
 )
 
 
 @st.composite
 def _meshes(draw):
-    """A mesh of int, float and str outer cells, float inner cells and
-    float cells, its columns in any order of kinds with at least one cell
+    """A mesh of int, float and str outer and inner cells and float
+    cells, its columns in any order of kinds with at least one cell
     column; the first cell column has the full shape, others may broadcast."""
     n_outer = draw(st.integers(min_value=0, max_value=6))
     n_inner = draw(st.integers(min_value=1, max_value=6))
@@ -310,7 +326,7 @@ def _meshes(draw):
         if kind == "o":
             columns.append(draw(st.lists(_OUTER_CELLS, min_size=n_outer, max_size=n_outer)))
         elif kind == "i":
-            columns.append(draw(st.lists(_FLOATS, min_size=n_inner, max_size=n_inner)))
+            columns.append(draw(st.lists(_OUTER_CELLS, min_size=n_inner, max_size=n_inner)))
         else:
             shape = (n_outer, n_inner) if full else draw(st.sampled_from(
                 [(n_outer, n_inner), (n_outer, 1), (1, n_inner)]))
@@ -344,7 +360,9 @@ def test_csv_text_across_a_block_boundary():
     block[-1, 1] = math.nan
     expected = csv_text_per_cell(["a", "b", "c"], rows)
     assert_same_text(cli._csv_text(["a", "b", "c"], _float_block_mesh(block)), expected)
-    assert_same_text(cli._csv_text(["a", "b", "c"], rows), expected)
+    # the same lines with the first column as outer cells, one line per outer row
+    outer_first = cli._Mesh("occ", block[:, 0].tolist(), block[:, 1:2], block[:, 2:3])
+    assert_same_text(cli._csv_text(["a", "b", "c"], outer_first), expected)
     # 3 outer rows of 3/7 of a band's lines: the first band holds two rows, the second one
     inner = np.linspace(-1.0, 1.0, cli._BLOCK_ROWS * 3 // 7) ** 3
     assert cli._BLOCK_ROWS // inner.size == 2
@@ -380,7 +398,7 @@ def test_csv_text_is_the_same_on_any_worker_count(monkeypatch, workers):
     # basis-sweep's 200 theta rows in 3 bands, then its summary row
     cfg = cli.build_parser().parse_args(["basis-sweep", "--grid", "200"], cli.RunConfig())
     header, rows, _ = cli._COMMANDS[cfg.command](cfg)
-    assert rows.blocks[0].band == 81 and rows.blocks[1][0][0] == "summary"
+    assert rows.blocks[0].band == 81 and rows.blocks[1].columns[0] == ["summary"]
     expected = csv_text_per_cell(header, _rows_of(rows))
     assert_same_text(cli._csv_text(header, rows), expected)
     assert len(forks) == min(workers, 2) - 1 + min(workers, 3) - 1
@@ -422,10 +440,17 @@ def test_failed_formatting_raises_and_leaves_no_child(monkeypatch, in_child, rai
     ["tradeoff", "--n", ",".join(str(k**10) for k in range(1, 65)),  # 64 x 64
      "--alpha", ",".join(repr(k * 0.37) for k in range(1, 65))],
     ["resources", "--m-grid", "2,1000000000000000000000"],  # M past 2**64
+    # a repeated M, and N past 2**64 as an outer int cell
+    ["resources", "--m-grid", "2,2,4", "--big-n", "1000000000000000000000"],
+    ["bias-mc", "--n", "65", "--trials", "100"],  # a mesh of one line
+    ["bias-mc", "--phi", "1e-9"],
 ])
 def test_command_csv_matches_per_cell_reference(argv):
     cfg = cli.build_parser().parse_args(argv, cli.RunConfig())
     header, rows, _ = cli._COMMANDS[cfg.command](cfg)
+    # every command's rows reach _csv_text as meshes only
+    assert isinstance(rows, (cli._Mesh, cli._RowBlocks))
+    assert all(isinstance(mesh, cli._Mesh) for mesh in _meshes_of(rows))
     text = cli._csv_text(header, rows)
     assert_same_text(text, csv_text_per_cell(header, _rows_of(rows)))
     assert len(rows) == text.count("\n") - 1
@@ -529,7 +554,9 @@ def test_benchmark_tracing_installs_and_unpatches(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
+    ["tradeoff"],
     ["inherent", "--grid", "9"],
+    ["basis-sweep", "--grid", "200"],
     ["resources"],
     ["bias-mc", "--n", "100", "--trials", "100"],
     ["bias-mc", "--format", "svg"],
@@ -544,12 +571,17 @@ def test_benchmark_tracing_runs_every_command(monkeypatch, argv):
 
     tracer = tracing.Tracer()
     tracing.install(tracer, cli, verify, estimation)
+    out = io.StringIO()
     try:
-        with redirect_stdout(io.StringIO()):
+        with redirect_stdout(out):
             assert cli.main(argv) == 0
     finally:
         tracer.unpatch()
     assert tracer.summary()["cli.parse"][0] > 0
+    # cli.csv_rows counts the data lines written, basis-sweep's summary among them
+    csv_lines = out.getvalue().count("\n") - 1
+    writes_csv = argv[0] != "verify" and "svg" not in argv
+    assert tracer.counts["cli.csv_rows"] == (csv_lines if writes_csv else 0)
     assert (tracer.counts["sampling.cdf_entries"] > 0) == (argv[0] in ("bias-mc", "verify"))
     assert tracer.counts["svgchart.written"] == ("svg" in argv)
 
@@ -763,6 +795,15 @@ def test_verify_corrupt_hook_exits_three():
     assert code == 3
     assert "FAILED: bound_vs_oracle" in out
     assert "FAIL  bound_vs_oracle" in out
+
+
+@pytest.mark.parametrize("name", verify.CHECK_NAMES)
+def test_verify_corrupt_at_the_largest_seed_fails_that_check(name):
+    # reproducibility's corrupted rerun draws at the next seed, which wraps to 0
+    code, out, err = run_cli(["verify", "--seed", str(2**64 - 1), "--corrupt", name])
+    assert (code, err) == (3, "")
+    assert [line.split()[1] for line in out.splitlines() if line.startswith("FAIL ")] == [name]
+    assert out.endswith(f"FAILED: {name}\n")
 
 
 def test_verify_corrupt_names_an_unknown_check_in_one_usage_line():
