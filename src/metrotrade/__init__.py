@@ -46,7 +46,7 @@ _EXPORTS = {
     "estimation": ("EstimatorReport", "classical_fisher_values", "exact_bias_report",
                    "monte_carlo_report"),
     "resources": ("ScalingReport", "StrategyConfig", "StrategyKind", "fit_scaling",
-                  "strategy_min_signal", "strategy_signal_noise"),
+                  "strategy_signal_noise"),
     "sampling": ("EXACT_ENUM_LIMIT", "OutcomeStats", "binary_stats", "enumerate_binomial"),
     "verify": ("CheckResult", "format_report", "run_all"),
 }

@@ -193,13 +193,11 @@ def check_resource_scaling(tol: float, seed: int = 0) -> CheckResult:
 
 def check_noise_amplification(tol: float, seed: int = 0) -> CheckResult:
     """Entanglement raises noise at fixed phase while lowering the floor."""
-    phi, n = 0.01, 100
-    noises, floors = [], []
-    for m in (1, 2, 4, 8):
-        cfg = resources.StrategyConfig(resources.StrategyKind.GHZ, m, n)
-        _, noise = resources.strategy_signal_noise(cfg, phi)
-        noises.append(noise)
-        floors.append(resources.strategy_min_signal(cfg))
+    phi, n, ms = 0.01, 100, (1, 2, 4, 8)
+    ghz = resources.StrategyKind.GHZ
+    noises = [resources.strategy_signal_noise(resources.StrategyConfig(ghz, m, n), phi)[1]
+              for m in ms]
+    floors = resources._min_signals(resources.StrategyConfig(ghz, 1, n), ms).tolist()
     up = all(b > a + tol for a, b in zip(noises, noises[1:]))
     down = all(b < a - tol for a, b in zip(floors, floors[1:]))
     passed = up and down

@@ -26,8 +26,8 @@ from metrotrade.estimation import (
 from metrotrade.resources import (
     StrategyConfig,
     StrategyKind,
+    _min_signals,
     fit_scaling,
-    strategy_min_signal,
     strategy_signal_noise,
 )
 from metrotrade.verify import format_report, run_all
@@ -213,12 +213,10 @@ def test_criterion_8_resource_scaling():
 
 
 def test_criterion_9_noise_amplification():
-    phi = 0.01
-    noises, floors = [], []
-    for m in (1, 2, 4, 8):
-        cfg = StrategyConfig(StrategyKind.GHZ, m, 100)
-        noises.append(strategy_signal_noise(cfg, phi)[1])
-        floors.append(strategy_min_signal(cfg))
+    phi, ms = 0.01, (1, 2, 4, 8)
+    noises = [strategy_signal_noise(StrategyConfig(StrategyKind.GHZ, m, 100), phi)[1]
+              for m in ms]
+    floors = _min_signals(StrategyConfig(StrategyKind.GHZ, 1, 100), ms).tolist()
     noise_up = all(b > a for a, b in zip(noises, noises[1:]))
     floor_down = all(b < a for a, b in zip(floors, floors[1:]))
     ok = _report(

@@ -945,3 +945,19 @@ def test_resources_keeps_a_floor_at_huge_budgets():
     slopes = {r[0]: float(r[4]) for r in rows}
     assert abs(slopes["ensemble"] + 0.5) < 1e-12
     assert abs(slopes["ghz"] + 1.0) < 1e-12
+
+
+def test_resources_keeps_a_floor_at_tiny_alpha():
+    # alpha**2 / N underflows a double, yet the product floor ~2 alpha /
+    # sqrt(M N) is a normal one; a floor that is itself 0 has no slope
+    # and is refused with one line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["resources", "--alpha", "1e-170"])
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    assert all(float(r[3]) > 0.0 for r in rows)
+    assert abs({r[0]: float(r[4]) for r in rows}["product"] + 0.5) <= 0.05
+    code, out, err = run_cli(["resources", "--alpha", "5e-324"])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")

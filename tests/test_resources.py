@@ -1,14 +1,16 @@
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from metrotrade.errors import BranchError
 from metrotrade.resources import (
     StrategyConfig,
     StrategyKind,
+    _min_signals,
+    _probe_model,
     fit_scaling,
-    strategy_min_signal,
     strategy_signal_noise,
 )
 from metrotrade.sampling import binary_stats, draw_count_matrix
@@ -21,6 +23,10 @@ from helpers import (
 )
 
 EPS = sys.float_info.epsilon
+
+
+def _floor(cfg):
+    return float(_min_signals(cfg, (cfg.m,))[0])
 
 
 def test_ensemble_noise_value():
@@ -37,15 +43,32 @@ def test_ghz_m1_reduces_to_ensemble():
         assert strategy_signal_noise(a, phi) == strategy_signal_noise(b, phi)
     # 2 arccos(sqrt(f0)) vs arccos(2 f0 - 1): equal numbers, different
     # rounding paths, so compare at float resolution instead of by bit
-    fa, fb = strategy_min_signal(a), strategy_min_signal(b)
+    fa, fb = _floor(a), _floor(b)
     assert math.isclose(fa, fb, rel_tol=1e-14)
 
 
 def test_all_strategies_reduce_at_m1():
-    ref = strategy_min_signal(StrategyConfig(StrategyKind.ENSEMBLE, 1, 100))
-    for strat in StrategyKind:
-        got = strategy_min_signal(StrategyConfig(strat, 1, 100))
-        assert abs(got - ref) < 1e-12
+    # one body is one single-qubit probe, so every strategy's floor is the
+    # same bound, bit for bit
+    for alpha, n in ((1.0, 100), (2.3, 77), (3.0, 7), (0.25, 10**18)):
+        ref = _floor(StrategyConfig(StrategyKind.ENSEMBLE, 1, n, alpha=alpha))
+        for strat in StrategyKind:
+            cfg = StrategyConfig(strat, 1, n, alpha=alpha, nonlinear_exponent=2.0)
+            assert _floor(cfg) == ref, (strat, alpha, n)
+
+
+def test_unit_exponent_floor_is_the_bound_over_the_fringe_frequency():
+    # (2 / f) atan(alpha / sqrt(s)), bit for bit, for every f, not only
+    # the powers of two whose reciprocal is exact
+    ms = (3, 7, 10**21)
+    for strat in (StrategyKind.GHZ, StrategyKind.NONLINEAR):
+        for k in (1.7, 14.3):
+            for alpha, n in ((1.0, 100), (2.3, 77), (0.25, 10**18)):
+                cfg = StrategyConfig(strat, 3, n, alpha=alpha, nonlinear_exponent=k)
+                f, e, s = _probe_model(cfg, ms)
+                assert (e == 1.0).all()
+                ref = (2.0 / f) * np.arctan(alpha / np.sqrt(s))
+                assert _min_signals(cfg, ms).tolist() == ref.tolist(), (strat, k, alpha, n)
 
 
 def test_product_signal_matches_bruteforce():
@@ -70,20 +93,20 @@ def test_product_noise_approximation():
 def test_ensemble_pool_equivalence():
     # M by N and 1 by MN are the same resource, bit for bit
     for m, n in ((2, 50), (10, 10), (25, 4)):
-        a = strategy_min_signal(StrategyConfig(StrategyKind.ENSEMBLE, m, n))
-        b = strategy_min_signal(StrategyConfig(StrategyKind.ENSEMBLE, 1, m * n))
+        a = _floor(StrategyConfig(StrategyKind.ENSEMBLE, m, n))
+        b = _floor(StrategyConfig(StrategyKind.ENSEMBLE, 1, m * n))
         assert a == b
 
 
 def test_min_signal_reference_points():
     # single-qubit bound at M=1, N=100
     ref = math.acos(99.0 / 101.0)
-    got = strategy_min_signal(StrategyConfig(StrategyKind.GHZ, 1, 100))
+    got = _floor(StrategyConfig(StrategyKind.GHZ, 1, 100))
     assert abs(got - ref) < 1e-15
     # asymptotic laws at M=4, N=100
-    prod = strategy_min_signal(StrategyConfig(StrategyKind.PRODUCT, 4, 100))
+    prod = _floor(StrategyConfig(StrategyKind.PRODUCT, 4, 100))
     assert abs(prod - 0.1) <= 0.002
-    ghz = strategy_min_signal(StrategyConfig(StrategyKind.GHZ, 4, 100))
+    ghz = _floor(StrategyConfig(StrategyKind.GHZ, 4, 100))
     assert abs(ghz - 0.05) <= 0.001
 
 
@@ -91,7 +114,7 @@ def test_signal_equals_alpha_noise_at_floor():
     for strat in StrategyKind:
         for alpha in (0.5, 1.0, 2.0):
             cfg = StrategyConfig(strat, 4, 100, alpha=alpha, nonlinear_exponent=2.0)
-            floor = strategy_min_signal(cfg)
+            floor = _floor(cfg)
             sig, noise = strategy_signal_noise(cfg, floor)
             assert abs(sig - alpha * noise) < 1e-12
 
@@ -156,7 +179,7 @@ def test_noise_amplification_with_probe_size():
     for m in (1, 2, 4, 8):
         cfg = StrategyConfig(StrategyKind.GHZ, m, 100)
         noises.append(strategy_signal_noise(cfg, phi)[1])
-        floors.append(strategy_min_signal(cfg))
+        floors.append(_floor(cfg))
     assert all(b > a for a, b in zip(noises, noises[1:]))
     assert all(b < a for a, b in zip(floors, floors[1:]))
 
@@ -190,8 +213,8 @@ def test_monte_carlo_confirms_floor():
     reps = 10**4
     for i, strat in enumerate(StrategyKind):
         cfg = StrategyConfig(strat, 4, 100, alpha=1.0, nonlinear_exponent=2.0)
-        n_eff = cfg.effective_samples
-        floor = strategy_min_signal(cfg)
+        n_eff = int(_probe_model(cfg, (cfg.m,))[2][0])
+        floor = _floor(cfg)
         for j, phi in enumerate((floor, 0.5 * floor)):
             f_true = _strategy_fidelity(strat, 4, phi, 2.0)
             expected = 1.0 - f_true**n_eff
@@ -218,7 +241,7 @@ def test_floor_and_signal_match_mpmath(strat):
             grid = fit_scaling(strat, ms, 10**e, alpha, nonlinear_exponent=k).phis
             for m, grid_floor in zip(ms, grid):
                 cfg = StrategyConfig(strat, m, 10**e, alpha=alpha, nonlinear_exponent=k)
-                floor = strategy_min_signal(cfg)
+                floor = _floor(cfg)
                 ref = strategy_floor_mp(strat.value, m, 10**e, alpha, k)
                 worst_floor = max(worst_floor, abs(floor - ref) / ref,
                                   abs(grid_floor - ref) / ref)
@@ -229,3 +252,20 @@ def test_floor_and_signal_match_mpmath(strat):
     assert worst_floor <= 4.0 * EPS
     assert worst_signal <= 4.0 * EPS
 
+
+@pytest.mark.parametrize("strat", list(StrategyKind), ids=lambda s: s.value)
+def test_floor_at_tiny_alpha_matches_mpmath(strat):
+    # alpha**2 / n underflows a double, and the product probe's root form
+    # gives way to its limit, the bound at M n shots; the reference is the
+    # naive inverse form at enough bits to resolve 1 - F0 ~ alpha**2 / n
+    # (2**-1390 at alpha = 1e-200, n = 1e18) with 200 bits to spare
+    k = 2.0 if strat is StrategyKind.NONLINEAR else 1.0
+    ms = (1, 2, 7, 32)
+    worst = 0.0
+    for alpha in (1e-170, 1e-200):
+        for n in (1, 100, 10**18):
+            grid = fit_scaling(strat, ms, n, alpha, nonlinear_exponent=k)
+            for m, floor in zip(ms, grid.phis):
+                ref = strategy_floor_mp(strat.value, m, n, alpha, k, prec=1600)
+                worst = max(worst, abs(floor - ref) / ref)
+    assert worst <= 4.0 * EPS

@@ -10,7 +10,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from metrotrade.errors import BranchError
-from metrotrade.resources import StrategyConfig, StrategyKind, strategy_signal_noise
+from metrotrade.resources import (
+    StrategyConfig,
+    StrategyKind,
+    _probe_model,
+    strategy_signal_noise,
+)
 
 from helpers import ghz_fidelity_bruteforce, product_fidelity_bruteforce
 
@@ -82,7 +87,7 @@ def test_signal_small_angle():
     assert abs(_signal(StrategyKind.ENSEMBLE, 1, 0.01) - 2.5e-5) < 1e-9
     for kind, m, k in PROBES:
         cfg = _probe(kind, m, k)
-        phi = 1e-3 / cfg.frequency_factor
+        phi = 1e-3 / float(_probe_model(cfg, (m,))[0][0])
         sig = strategy_signal_noise(cfg, phi)[0]
         assert abs(sig - cfg.quantum_fisher_information * phi * phi / 4.0) <= 1e-5 * sig
 
@@ -139,8 +144,9 @@ def test_constructor_rejects_bad_input():
 @example(0.9999999999999999, 1, StrategyKind.PRODUCT)  # sin2 rounds to 1
 def test_fidelity_always_in_unit_interval(frac, m, kind):
     cfg = _probe(kind, m, 2.0)
-    phi = frac * math.pi / cfg.frequency_factor
-    if not 0.0 < phi < math.pi / cfg.frequency_factor:
+    f = float(_probe_model(cfg, (m,))[0][0])
+    phi = frac * math.pi / f
+    if not 0.0 < phi < math.pi / f:
         return  # frac * limit rounded onto an end of the branch
     sig, noise = strategy_signal_noise(cfg, phi)
     assert 0.0 <= sig <= 1.0
