@@ -39,7 +39,7 @@ def _mc_workers():
 
 # The public API: each module with the names it exports here.
 _EXPORTS = {
-    "basis": ("MeasurementBasis", "basis_snr", "find_optimal_basis"),
+    "basis": ("MeasurementBasis", "find_optimal_basis"),
     "bounds": ("accuracy_of", "critical_fidelity", "inherent_precision",
                "min_detectable_signal", "povm_statistics"),
     "errors": ("BranchError", "BudgetError", "UnreachableSignalError"),

@@ -104,20 +104,23 @@ def find_optimal_basis(phi: float, n: int):
     Evaluates the ratio on snr_grid's mesh, then on 21 x 21 meshes that
     span one cell of the previous mesh on each side of its best
     direction, each with cells a tenth as wide, until a cell is below
-    1e-9 rad on both axes.  Returns (basis, snr).
+    1e-9 rad on both axes.  Returns (basis, snr), snr being the value
+    the last mesh holds in that direction.
     """
     thetas, phibs, values = snr_grid(phi, n, _GRID)
     i, j = np.unravel_index(np.argmax(values), values.shape)
-    theta, phib = float(thetas[i]), float(phibs[j])
+    theta, phib, snr = float(thetas[i]), float(phibs[j]), float(values[i, j])
     dth, dpb = math.pi / (_GRID - 1), TWO_PI / _GRID
     # offset 0 is the previous best, so the best value never falls
     offsets = np.arange(-10.0, 11.0)
     while dth >= 1e-9 or dpb >= 1e-9:
         dth, dpb = dth / 10.0, dpb / 10.0
         ths = np.clip(theta + dth * offsets, 0.0, math.pi)
-        pbs = phib + dpb * offsets
+        # wrapped as MeasurementBasis wraps them, so the mesh's best value
+        # is the ratio at the returned basis (a phi_b just below 0 rounds
+        # phi - phi_b near pi, and the maximum would pick up that error)
+        pbs = (phib + dpb * offsets) % TWO_PI
         values = _snr_values(ths[:, None], pbs[None, :], phi, n)
         i, j = np.unravel_index(np.argmax(values), values.shape)
-        theta, phib = float(ths[i]), float(pbs[j])
-    best = MeasurementBasis(theta, phib)
-    return best, basis_snr(best, phi, n)
+        theta, phib, snr = float(ths[i]), float(pbs[j]), float(values[i, j])
+    return MeasurementBasis(theta, phib), snr

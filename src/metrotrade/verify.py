@@ -113,38 +113,60 @@ def check_povm_reduction(tol: float, seed: int = 0) -> CheckResult:
     )
 
 
-def _bisection_min_signal(n_arr: np.ndarray, alpha: float) -> np.ndarray:
-    """Oracle: smallest phi with |p(phi) - 1| >= alpha * noise, by bisection.
+# Half-width of the bracket that certifies each Newton root: 100 times the
+# predicate's rounding noise on this grid (about 2**-52 / (alpha/sqrt(n))
+# <= 9e-14) and 100 times below the check's tolerance.
+_CERTIFY_H = 1e-11
 
-    Stops at the fixed point: once lo and hi are adjacent doubles, mid
-    equals the end it would replace, and no later step changes either.
+
+def _detects(phi, n_arr: np.ndarray, alpha: float) -> np.ndarray:
+    """The defining inequality 1 - p >= alpha * sqrt(p (1 - p) / n), with
+    p = (1 + cos phi) / 2 the probability of the unshifted outcome."""
+    p = (1.0 + np.cos(phi)) / 2.0
+    sep = 1.0 - p
+    return sep >= alpha * np.sqrt(p * sep / n_arr)
+
+
+def _newton_min_signal(n_arr: np.ndarray, alpha: float) -> np.ndarray:
+    """Oracle: root of the inequality's margin sep - alpha sqrt(p sep / n)
+    by six Newton steps, with no reference to the closed form.
+
+    sin phi = 2 sqrt(p sep) on (0, pi), so the slope needs no second trig
+    call.  The start 2 alpha / sqrt(n) lies at or right of the root, as
+    atan x <= x, and 2.8 caps it above every root on the grid
+    (2 atan 4 ~ 2.652).  Convergence is not assumed: check_bound_vs_oracle
+    certifies each root with _detects.
     """
-    lo = np.full(n_arr.shape, 1e-12)
-    hi = np.full(n_arr.shape, math.pi - 1e-12)
-    for _ in range(100):
-        mid = (lo + hi) / 2.0
-        p = (1.0 + np.cos(mid)) / 2.0
+    root_n = np.sqrt(n_arr)
+    phi = np.minimum(2.0 * alpha / root_n, 2.8)
+    for _ in range(6):
+        p = (1.0 + np.cos(phi)) / 2.0
         sep = 1.0 - p
-        noise = np.sqrt(p * (1.0 - p) / n_arr)
-        ok = sep >= alpha * noise
-        if np.array_equal(mid, np.where(ok, hi, lo)):
-            break
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid)
-    return hi
+        amp = np.sqrt(p * sep)
+        margin = sep - alpha * amp / root_n
+        slope = amp - alpha * (p - sep) / (2.0 * root_n)
+        phi = phi - margin / slope
+    return phi
 
 
 def check_bound_vs_oracle(tol: float, seed: int = 0) -> CheckResult:
-    """Closed-form minimum signal agrees with the bisection oracle."""
+    """Closed-form minimum signal agrees with a certified Newton root."""
     n_arr = np.arange(1, 10**4 + 1, dtype=np.float64)
     bound = bounds.min_detectable_signal(np.array(_ALPHA_GRID)[:, None], n_arr)
     worst = 0.0
+    certified = 0
     for alpha, closed in zip(_ALPHA_GRID, bound):
-        oracle = _bisection_min_signal(n_arr, alpha)
-        worst = max(worst, float(np.max(np.abs(closed - oracle))))
-    passed = worst <= tol
+        root = _newton_min_signal(n_arr, alpha)
+        bracketed = ~_detects(root - _CERTIFY_H, n_arr, alpha)
+        bracketed &= _detects(root + _CERTIFY_H, n_arr, alpha)
+        certified += int(np.count_nonzero(bracketed))
+        worst = max(worst, float(np.max(np.abs(closed - root))))
+    passed = certified == bound.size and worst <= tol
     return _result(
-        "bound_vs_oracle", passed, f"max |closed - bisection| = {worst:.3e}"
+        "bound_vs_oracle",
+        passed,
+        f"max |closed - newton| = {worst:.3e}, "
+        f"{certified}/{bound.size} roots certified at +-{_CERTIFY_H:.0e}",
     )
 
 

@@ -71,8 +71,9 @@ def inherent_step_mp(phi0: float, n: int, prec: int = 200):
 
 
 def bisection_min_signal_100(n_arr: np.ndarray, alpha: float) -> np.ndarray:
-    """verify's bisection oracle run for a fixed 100 iterations, with no
-    stop at its fixed point: the reference for the early-stopped form."""
+    """Smallest phi where 1 - p >= alpha * sqrt(p (1 - p) / n), elementwise
+    over n_arr, by 100 bisection steps: the reference for verify's Newton
+    oracle."""
     lo = np.full(n_arr.shape, 1e-12)
     hi = np.full(n_arr.shape, math.pi - 1e-12)
     for _ in range(100):

@@ -4,7 +4,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from metrotrade import basis
@@ -127,24 +127,24 @@ def test_find_optimal_basis_validation():
 
 def test_find_optimal_basis_searches_on_meshes(monkeypatch):
     # every search step is a mesh of the kernel, and the search stops at
-    # the first mesh whose cells are below 1e-9 rad on both axes; the one
-    # single-direction evaluation is the final basis_snr
+    # the first mesh whose cells are below 1e-9 rad on both axes; the
+    # returned ratio is the last mesh's best value, not evaluated again
     calls = []
     kernel = basis._snr_values
 
     def recording(theta, phi_b, phi, n):
         values = kernel(theta, phi_b, phi, n)
-        calls.append((np.ravel(theta), np.ravel(phi_b), np.size(values)))
+        calls.append((np.ravel(theta), np.ravel(phi_b), values))
         return values
 
     monkeypatch.setattr(basis, "_snr_values", recording)
-    find_optimal_basis(math.pi / 10.0, 1)
-    sizes = [size for _, _, size in calls]
+    best, snr = find_optimal_basis(math.pi / 10.0, 1)
+    sizes = [np.size(values) for _, _, values in calls]
     assert sizes[0] == 400 * 400
-    assert sizes.count(1) <= 1 and sizes[-1] == 1
-    assert set(sizes[1:-1]) == {21 * 21}
-    cells = [max(np.max(np.diff(t)), np.max(np.diff(b))) for t, b, _ in calls[:-1]]
+    assert set(sizes[1:]) == {21 * 21}
+    cells = [max(np.max(np.diff(t)), np.max(np.diff(b))) for t, b, _ in calls]
     assert cells[-1] < 1e-9 <= cells[-2]
+    assert snr == np.max(calls[-1][2]) == basis_snr(best, math.pi / 10.0, 1)
 
 
 def test_find_optimal_basis_without_a_shift():
@@ -162,6 +162,8 @@ def test_find_optimal_basis_without_a_shift():
     ),
     st.sampled_from((1, 7, 10**6)),
 )
+# the best coarse direction is phi_b = 0, and finer meshes step below it
+@example(3.12890625, 1)
 def test_find_optimal_basis_reaches_the_equatorial_optimum(phi, n):
     best, snr = find_optimal_basis(phi, n)
     analytic = math.sqrt(n) * abs(math.tan(phi / 2.0))

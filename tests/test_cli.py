@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import assert_same_text, bisection_min_signal_100, csv_text_per_cell
+from helpers import assert_same_text, csv_text_per_cell
 from metrotrade import cli, estimation, resources, verify
 from metrotrade.cli import main
 
@@ -778,16 +778,6 @@ def test_verify_passes_and_reports():
     # the factor-2 line carries the measured n=100 bound
     line = [l for l in out.splitlines() if "factor2" in l][0]
     assert "1.9933730498" in line
-
-
-def test_bisection_oracle_stops_at_its_fixed_point():
-    # stopping once lo and hi no longer move gives the 100-step result
-    n_arr = np.arange(1, 10**4 + 1, dtype=np.float64)
-    for alpha in verify._ALPHA_GRID:
-        assert np.array_equal(
-            verify._bisection_min_signal(n_arr, alpha),
-            bisection_min_signal_100(n_arr, alpha),
-        )
 
 
 def test_verify_corrupt_hook_exits_three():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import classical_fisher_scalar, povm_statistic_scalar
+from helpers import bisection_min_signal_100, classical_fisher_scalar, povm_statistic_scalar
 from metrotrade import verify
 
 
@@ -56,3 +56,52 @@ def test_fisher_consistency_detail_matches_scalar_loop(seed):
 def test_corrupt_flips_only_the_named_check(name):
     results = verify.run_all(seed=5, corrupt=name)
     assert [r.name for r in results if not r.passed] == [name]
+
+
+N_GRID = np.arange(1, 10**4 + 1, dtype=np.float64)
+
+
+def inequality_holds(phi, n, alpha):
+    """1 - p >= alpha * sqrt(p (1 - p) / n) at p = (1 + cos phi) / 2."""
+    p = (1.0 + np.cos(phi)) / 2.0
+    return 1.0 - p >= alpha * np.sqrt(p * (1.0 - p) / n)
+
+
+@pytest.mark.parametrize("alpha", verify._ALPHA_GRID)
+def test_newton_oracle_is_certified_at_every_pair(alpha):
+    # the inequality fails just left of each root and holds just right of it
+    root = verify._newton_min_signal(N_GRID, alpha)
+    assert not np.any(inequality_holds(root - 1e-11, N_GRID, alpha))
+    assert np.all(inequality_holds(root + 1e-11, N_GRID, alpha))
+
+
+@pytest.mark.parametrize("alpha", verify._ALPHA_GRID)
+def test_newton_oracle_agrees_with_bisection(alpha):
+    # Both oracles stop where the computed margin sep - alpha sqrt(p sep / n)
+    # changes sign.  Its rounding is at most ~8 eps (cos to 4 ulp, then p,
+    # sep and the root term), and its slope at the root 2 atan(c),
+    # c = alpha / sqrt(n), is exactly c / 2.  So each lies within 16 eps / c
+    # of the exact root, plus two spacings of the doubles it returns.
+    eps = np.finfo(np.float64).eps
+    newton = verify._newton_min_signal(N_GRID, alpha)
+    bisection = bisection_min_signal_100(N_GRID, alpha)
+    c = alpha / np.sqrt(N_GRID)
+    bound = 2.0 * (16.0 * eps / c + 2.0 * np.spacing(bisection))
+    assert np.all(np.abs(newton - bisection) <= bound)
+
+
+@pytest.mark.parametrize("shift, passed", [(2e-9, False), (1e-10, True)])
+def test_bound_vs_oracle_sees_a_shifted_closed_form(monkeypatch, shift, passed):
+    # the oracle never reads the closed form: moving it at one (alpha, n)
+    # pair by more than tol = 1e-9 fails the check, by less does not
+    closed_form = verify.bounds.min_detectable_signal
+
+    def shifted(alpha, n):
+        values = closed_form(alpha, n)
+        values[2, 4999] += shift
+        return values
+
+    monkeypatch.setattr(verify.bounds, "min_detectable_signal", shifted)
+    result = verify.check_bound_vs_oracle(1e-9)
+    assert result.passed is passed
+    assert result.detail.endswith("50000/50000 roots certified at +-1e-11")
