@@ -22,14 +22,14 @@ itself carries, an array kernel over Bloch directions and phases.
 from __future__ import annotations
 
 import math
-from collections import deque
+import threading
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import _mc_workers
-from .sampling import binary_stats, draw_count_matrix, enumerate_binomial
+from .sampling import (_binomial_cdf_table, binary_stats, draw_count_matrix,
+                       enumerate_binomial)
 
 
 # Trials drawn per draw_count_matrix call in monte_carlo_report (arrays
@@ -93,65 +93,20 @@ def exact_bias_report(phi: float, n: int) -> EstimatorReport:
     )
 
 
-def _chunk_histogram(stats, seed, trials, first):
-    """(lo, bincount) of the first-category counts of trials first,
-    first + 1, ... of a run of `trials`, at most _MC_CHUNK of them."""
-    counts = draw_count_matrix(
-        stats, seed, min(_MC_CHUNK, trials - first), _first=first
-    )[:, 0]
-    lo = int(counts.min())
-    return lo, np.bincount(counts - lo)
-
-
-def _add_histogram(lo, hist, c_lo, add):
-    """Add the histogram add of the values c_lo, c_lo + 1, ... to hist of
-    lo, lo + 1, ..., widening it as needed.  Returns the new (lo, hist)."""
-    new_lo = min(lo, c_lo)
-    merged = np.zeros(max(lo + hist.size, c_lo + add.size) - new_lo, dtype=np.int64)
-    merged[lo - new_lo:lo - new_lo + hist.size] += hist
-    merged[c_lo - new_lo:c_lo - new_lo + add.size] += add
-    return new_lo, merged
-
-
-def _histograms_in_order(draw, firsts):
-    """draw(first) for each first, in order.
-
-    The first chunk is drawn on the calling thread, before any worker
-    starts, so it builds the memoised CDF table once (or raises
-    BudgetError) for them all.  With at least two chunks per worker the
-    rest are drawn on a thread pool (numpy releases the GIL in the
-    sampler), at most two per worker ahead of the one being merged, so
-    memory does not grow with the chunk count.  Smaller runs stay on the
-    calling thread: there a pool costs more, in start-up and per-thread
-    malloc arenas, than it saves.
-    """
-    yield draw(firsts[0])
-    workers = _mc_workers()
-    if workers < 2 or len(firsts) < 2 * workers:
-        yield from map(draw, firsts[1:])
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers) as pool:
-        pending = deque()
-        for first in firsts[1:]:
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-            pending.append(pool.submit(draw, first))
-        while pending:
-            yield pending.popleft().result()
-
-
 def monte_carlo_report(phi: float, n: int, trials: int, seed: int) -> EstimatorReport:
     """Estimator moments from sampled counts (seeded, reproducible).
 
-    Trials are drawn in chunks of _MC_CHUNK, on up to _MC_WORKERS threads,
-    so memory does not grow with the trial count, and each chunk is
-    reduced to a histogram over its sampled counts.  The histograms are
-    merged in chunk order and integer histograms add exactly, so the
+    The sampler's CDF table is read first, so it is built once (or
+    raises BudgetError) before any draw; its window holds every count
+    that can be drawn.  Trials are drawn in chunks of _MC_CHUNK, so
+    memory does not grow with the trial count, and each chunk's counts
+    are added under a lock to one integer histogram over that window.
+    With at least two chunks per worker, W <= _MC_WORKERS threads draw
+    (numpy releases the GIL in the sampler), thread w taking every W-th
+    chunk from chunk w; smaller runs stay on the calling thread, where a
+    pool costs more than it saves.  Integer counts add exactly, so the
     result depends neither on the chunking nor on the thread count.
-    Counts lie inside the sampler's CDF window, so the histogram holds at
-    most 2**22 entries.  trials is an integer from 100 to _MC_TRIALS_MAX.
+    trials is an integer from 100 to _MC_TRIALS_MAX.
     """
     if not (0.0 < phi < math.pi):
         raise ValueError("phi must lie in (0, pi)")
@@ -160,14 +115,32 @@ def monte_carlo_report(phi: float, n: int, trials: int, seed: int) -> EstimatorR
     if trials > _MC_TRIALS_MAX:
         raise ValueError(f"trials must be <= {_MC_TRIALS_MAX}")
     p = (1.0 + math.cos(phi)) / 2.0
-    draw = partial(_chunk_histogram, binary_stats(p, n), seed, trials)
-    parts = _histograms_in_order(draw, range(0, trials, _MC_CHUNK))
-    lo, hist = next(parts)
-    for c_lo, add in parts:
-        lo, hist = _add_histogram(lo, hist, c_lo, add)
-    return _report_from_pmf(
-        phi, p, n, lo + np.arange(hist.size), hist / trials, "MonteCarlo"
-    )
+    stats = binary_stats(p, n)
+    lo, cdf = _binomial_cdf_table(p, n)
+    hist = np.zeros(cdf.size, dtype=np.int64)
+    lock = threading.Lock()
+
+    def fill(firsts):
+        for first in firsts:
+            counts = draw_count_matrix(
+                stats, seed, min(_MC_CHUNK, trials - first), _first=first
+            )[:, 0]
+            c_lo = int(counts.min())
+            add = np.bincount(counts - c_lo)
+            with lock:
+                hist[c_lo - lo:c_lo - lo + add.size] += add
+
+    firsts = range(0, trials, _MC_CHUNK)
+    workers = _mc_workers()
+    if workers < 2 or len(firsts) < 2 * workers:
+        fill(firsts)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fill, (firsts[w::workers] for w in range(workers))))
+    ks = np.flatnonzero(hist)
+    return _report_from_pmf(phi, p, n, lo + ks, hist[ks] / trials, "MonteCarlo")
 
 
 def classical_fisher_values(theta, phi_b, phi):

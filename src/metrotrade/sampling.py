@@ -29,6 +29,7 @@ EXACT_ENUM_LIMIT = 64
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
 _SEED_MAX = 2**64 - 1
+_COUNT_MAX = 2**63 - 1
 # CDF window: starting half-width in standard deviations plus a pad,
 # the tail mass each excluded side may hold, and the largest table built.
 _WINDOW_SIGMAS = 12
@@ -103,11 +104,13 @@ def _substream_uniforms(seed: int, trials: int, draw_index: int,
 
 @functools.lru_cache(maxsize=1)
 def _binomial_cdf_table(p: float, n: int):
-    """Binomial CDF as (lo, cdf) with cdf[i] = P(K <= lo + i), for 0 < p < 1.
+    """Binomial CDF as (lo, cdf) with cdf[i] = P(K <= lo + i); the counts
+    lo..lo + cdf.size - 1 are every count that can be drawn.
 
     The last table is kept, read-only, so a Monte Carlo run drawn in
     chunks builds it once.
 
+    p in {0, 1}: the one certain count, (0 or n, [1.0]).
     n <= EXACT_ENUM_LIMIT: exact math.comb terms over k = 0..n.  Beyond,
     a window lo..hi around the mode: the pmf relative to the mode comes
     from the ratio recurrence pmf[k+1]/pmf[k] = (n-k) p / ((k+1) q),
@@ -119,6 +122,10 @@ def _binomial_cdf_table(p: float, n: int):
     2**-54 in [2**-54, 1], so no draw below 1 can land in an excluded
     tail, and the table's last entry is exactly 1.
     """
+    if p in (0.0, 1.0):
+        cdf = np.ones(1)
+        cdf.flags.writeable = False
+        return (0 if p == 0.0 else n), cdf
     if n <= EXACT_ENUM_LIMIT:
         cdf = np.cumsum(enumerate_binomial(p, n))
         cdf.flags.writeable = False
@@ -159,10 +166,6 @@ def _binomial_cdf_table(p: float, n: int):
 
 def _invert_binomial_fixed(u: np.ndarray, n: int, p: float) -> np.ndarray:
     """Exact CDF inversion for a shared shot count n (table + searchsorted)."""
-    if p <= 0.0:
-        return np.zeros(u.shape, dtype=np.int64)
-    if p >= 1.0:
-        return np.full(u.shape, n, dtype=np.int64)
     lo, cdf = _binomial_cdf_table(p, n)
     k = np.searchsorted(cdf, u, side="left")
     return lo + np.minimum(k, cdf.size - 1).astype(np.int64)
@@ -180,12 +183,16 @@ def draw_count_matrix(stats: OutcomeStats, seed: int, trials: int,
 
     k inverts the binomial CDF at the trial's draw-0 uniform.  _first is
     the index of the first trial drawn, so a long run can be drawn in
-    chunks that match one call row for row.
+    chunks that match one call row for row.  Counts are int64, so n is
+    at most _COUNT_MAX.
     """
     _check_seed(seed)
     if not (isinstance(trials, int) and trials >= 1):
         raise ValueError("trials must be a positive integer")
     n = stats.sample_budget
+    if n > _COUNT_MAX:
+        raise ValueError(f"shot count n must be <= 2**63 - 1 = {_COUNT_MAX} "
+                         "to be drawn as int64 counts")
     u = _substream_uniforms(seed, trials, 0, _first)
     k = _invert_binomial_fixed(u, n, stats.probabilities[0])
     return np.column_stack((k, n - k))

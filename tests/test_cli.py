@@ -665,14 +665,25 @@ def test_out_of_range_inputs_exit_two_with_one_line(argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("phi", ["1e-9", "3.14159265", "3.1415926"])
+def test_shot_count_past_int64_names_the_limit(phi):
+    # p rounds to 1 and to 0, where the table is the one count n or 0, and
+    # p ~ 7e-16, where the window is narrow; counts are int64 at all three
+    code, out, err = run_cli(["bias-mc", "--n", str(2**63), "--phi", phi,
+                              "--trials", "100"])
+    assert (code, out) == (2, "")
+    assert err == (f"error: shot count n must be <= 2**63 - 1 = {2**63 - 1} "
+                   "to be drawn as int64 counts\n")
+
+
 def test_trials_past_the_cap_exit_two_before_any_draw(monkeypatch):
     class Drawn(Exception):
         pass
 
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise Drawn
 
-    monkeypatch.setattr(estimation, "_histograms_in_order", refuse)
+    monkeypatch.setattr(estimation, "draw_count_matrix", refuse)
     code, out, err = run_cli(["bias-mc", "--trials", str(2**32 + 1)])
     assert code == 2
     assert out == ""

@@ -116,23 +116,41 @@ def _one_draw_report(phi, n, trials, seed):
 def test_monte_carlo_pool_matches_one_draw(monkeypatch, workers):
     # 16 chunks: drawn on the calling thread alone, or on the widest pool
     # whatever this host's CPU count; every chunk goes through the module
-    # global, where a tracer wraps it
+    # global, where a tracer wraps it, and the first finds the (p, n)
+    # table already built, once
     phi, n, seed, trials = 0.9, 12, 5, 2**20
-    callers = []
+    p = (1.0 + math.cos(phi)) / 2.0
+    table = sampling._binomial_cdf_table
+    callers, first_draw = [], []
+    lock = threading.Lock()
 
     def spy(*args, **kwargs):
-        callers.append(threading.current_thread())
+        with lock:
+            if not callers:
+                misses = table.cache_info().misses
+                table(p, n)  # a hit if the cache holds this table
+                first_draw.append((misses, table.cache_info().misses))
+            callers.append(threading.current_thread())
         return draw_count_matrix(*args, **kwargs)
 
     monkeypatch.setattr(estimation, "_mc_workers", lambda: workers)
     monkeypatch.setattr(estimation, "draw_count_matrix", spy)
+    table.cache_clear()
     rep = monte_carlo_report(phi, n, trials, seed)
     assert len(callers) == trials // _MC_CHUNK
-    assert callers[0] is threading.main_thread()
+    assert first_draw == [(1, 1)]
     on_main = [t is threading.main_thread() for t in callers]
     assert all(on_main) == (workers == 1)
     monkeypatch.undo()
     assert rep == _one_draw_report(phi, n, trials, seed)
+
+
+@pytest.mark.parametrize("phi", [1e-9, math.pi - 1e-9])
+def test_monte_carlo_at_a_certain_outcome_matches_one_draw(phi):
+    # p rounds to 1 or 0: the table holds the one count, n or 0
+    p = (1.0 + math.cos(phi)) / 2.0
+    assert p in (0.0, 1.0)
+    assert monte_carlo_report(phi, 100, 1000, 4) == _one_draw_report(phi, 100, 1000, 4)
 
 
 def test_monte_carlo_builds_the_cdf_table_once(monkeypatch):

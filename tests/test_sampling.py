@@ -95,9 +95,23 @@ def test_enumerate_binomial_budget():
         enumerate_binomial(0.5, EXACT_ENUM_LIMIT + 1)
 
 
-def test_draw_samples_certain_outcome():
-    counts = draw_count_matrix(binary_stats(1.0, 7), seed=123, trials=20)
-    assert counts.tolist() == [[7, 0]] * 20
+@pytest.mark.parametrize("n", [7, 65, 2**40])
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_draw_samples_certain_outcome(p, n):
+    # the table holds the one certain count below and above EXACT_ENUM_LIMIT
+    k = 0 if p == 0.0 else n
+    lo, cdf = _binomial_cdf_table(p, n)
+    assert (lo, cdf.tolist()) == (k, [1.0])
+    counts = draw_count_matrix(binary_stats(p, n), seed=123, trials=20)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [[k, n - k]] * 20
+
+
+def test_draw_refuses_counts_past_int64():
+    with pytest.raises(ValueError, match=r"<= 2\*\*63 - 1"):
+        draw_count_matrix(binary_stats(1.0, 2**63), seed=0, trials=1)
+    assert draw_count_matrix(binary_stats(1.0, 2**63 - 1), seed=0, trials=1).tolist() \
+        == [[2**63 - 1, 0]]
 
 
 def test_draw_samples_deterministic():
