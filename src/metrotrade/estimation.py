@@ -8,12 +8,13 @@ that split (bias_p vs bias_phi) together with the variance and mean
 squared error of the phase estimate.
 
 Two routes are provided.  exact_bias_report enumerates the binomial
-distribution outright (n <= 64), monte_carlo_report samples it and
-histograms the sampled counts.  Both feed one moment reduction over the
-distinct counts k with their weights (the pmf, or the fraction of
-trials that drew k), summed with math.fsum so that no accumulation
-order can shift the result.  The two must agree within sampling error;
-the tests hold them to that.
+distribution outright (n <= 64).  monte_carlo_report samples it: each
+chunk's uniforms are sorted and counted straight into a histogram over
+the sampler's CDF window, with no count formed per trial.  Both feed
+one moment reduction over the distinct counts k with their weights (the
+pmf, or the fraction of trials that drew k), summed with math.fsum so
+that no accumulation order can shift the result.  The two must agree
+within sampling error; the tests hold them to that.
 
 classical_fisher_values is the Fisher information the measurement
 itself carries, an array kernel over Bloch directions and phases.
@@ -21,6 +22,7 @@ itself carries, an array kernel over Bloch directions and phases.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -28,15 +30,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _mc_workers
-from .sampling import (_binomial_cdf_table, binary_stats, draw_count_matrix,
-                       enumerate_binomial)
+# draw_count_matrix is not called here, but perfbench/tracing.py wraps
+# it by its name in this module, so the name stays bound.
+from .sampling import (_binomial_cdf_table, _check_count, _check_seed,
+                       _substream_uniforms, _window_histogram, binary_stats,
+                       draw_count_matrix, enumerate_binomial)
 
 
-# Trials drawn per draw_count_matrix call in monte_carlo_report (arrays
-# of 2**16 trials stay in L2), and the most trials a report takes, so
-# that no trial count runs for hours.
+# Trials per chunk in monte_carlo_report, whose uniforms are sorted and
+# then counted over the CDF window (arrays of 2**16 trials stay in L2);
+# the most trials a report takes, so that no trial count runs for hours;
+# and the terms fed to math.fsum per slice.
 _MC_CHUNK = 2**16
 _MC_TRIALS_MAX = 2**32
+_FSUM_SLICE = 2**12
 
 
 @dataclass(frozen=True)
@@ -64,14 +71,25 @@ class EstimatorReport:
             )
 
 
+def _fsum_slices(term, ks, weights):
+    """math.fsum of term(ks, weights), evaluated and fed _FSUM_SLICE
+    entries at a time, so that memory does not grow with ks.size."""
+    return math.fsum(itertools.chain.from_iterable(
+        term(ks[i:i + _FSUM_SLICE], weights[i:i + _FSUM_SLICE]).tolist()
+        for i in range(0, ks.size, _FSUM_SLICE)
+    ))
+
+
 def _report_from_pmf(phi, p, n, ks, weights, mode):
     """Estimator moments over the counts ks drawn with the given weights."""
-    p_hats = ks / n
-    phi_hats = np.arccos(2.0 * p_hats - 1.0)
-    mean_p = math.fsum((weights * p_hats).tolist())
-    mean_phi = math.fsum((weights * phi_hats).tolist())
-    var_phi = math.fsum((weights * (phi_hats - mean_phi) ** 2).tolist())
-    mse_phi = math.fsum((weights * (phi_hats - phi) ** 2).tolist())
+
+    def phi_hats(k):
+        return np.arccos(2.0 * (k / n) - 1.0)
+
+    mean_p = _fsum_slices(lambda k, w: w * (k / n), ks, weights)
+    mean_phi = _fsum_slices(lambda k, w: w * phi_hats(k), ks, weights)
+    var_phi = _fsum_slices(lambda k, w: w * (phi_hats(k) - mean_phi) ** 2, ks, weights)
+    mse_phi = _fsum_slices(lambda k, w: w * (phi_hats(k) - phi) ** 2, ks, weights)
     return EstimatorReport(
         mean_p_hat=mean_p,
         bias_p=mean_p - p,
@@ -99,8 +117,10 @@ def monte_carlo_report(phi: float, n: int, trials: int, seed: int) -> EstimatorR
     The sampler's CDF table is read first, so it is built once (or
     raises BudgetError) before any draw; its window holds every count
     that can be drawn.  Trials are drawn in chunks of _MC_CHUNK, so
-    memory does not grow with the trial count, and each chunk's counts
-    are added under a lock to one integer histogram over that window.
+    memory does not grow with the trial count: each chunk's uniforms
+    are sorted and counted over that window (the counts a bincount of
+    draw_count_matrix would give), and added under a lock to one integer
+    histogram.
     With at least two chunks per worker, W <= _MC_WORKERS threads draw
     (numpy releases the GIL in the sampler), thread w taking every W-th
     chunk from chunk w; smaller runs stay on the calling thread, where a
@@ -115,20 +135,19 @@ def monte_carlo_report(phi: float, n: int, trials: int, seed: int) -> EstimatorR
     if trials > _MC_TRIALS_MAX:
         raise ValueError(f"trials must be <= {_MC_TRIALS_MAX}")
     p = (1.0 + math.cos(phi)) / 2.0
-    stats = binary_stats(p, n)
+    binary_stats(p, n)  # refuses a bad n before the table is built
     lo, cdf = _binomial_cdf_table(p, n)
+    _check_seed(seed)
+    _check_count(n)
     hist = np.zeros(cdf.size, dtype=np.int64)
     lock = threading.Lock()
 
     def fill(firsts):
         for first in firsts:
-            counts = draw_count_matrix(
-                stats, seed, min(_MC_CHUNK, trials - first), _first=first
-            )[:, 0]
-            c_lo = int(counts.min())
-            add = np.bincount(counts - c_lo)
+            u = _substream_uniforms(seed, min(_MC_CHUNK, trials - first), 0, first)
+            i0, counts = _window_histogram(cdf, u)
             with lock:
-                hist[c_lo - lo:c_lo - lo + add.size] += add
+                hist[i0:i0 + counts.size] += counts
 
     firsts = range(0, trials, _MC_CHUNK)
     workers = _mc_workers()

@@ -1,7 +1,9 @@
 """Finite-sample outcome statistics and reproducible sampling.
 
 OutcomeStats holds the two probabilities of a binary outcome and the
-shot count n; draw_count_matrix draws binomial counts from them.
+shot count n; draw_count_matrix draws binomial counts from them, one per
+trial, and _window_histogram counts a batch of draws over the CDF table
+without forming them.
 
 Reproducibility contract: trial t consumes a substream derived only
 from (seed, t), so results are independent of evaluation order and of
@@ -83,23 +85,41 @@ def enumerate_binomial(p: float, n: int):
     return np.array([math.comb(n, k) * p**k * q ** (n - k) for k in range(n + 1)])
 
 
-def _mix64(z):
-    """64-bit avalanche finalizer (Stafford mix 13), vectorized on uint64."""
-    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
-    return z ^ (z >> _U64(31))
+def _mix64(z, scratch):
+    """64-bit avalanche finalizer (Stafford mix 13), in place on the uint64
+    array z; scratch is a uint64 array of z's size for the shifts."""
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, _U64(shift), out=scratch)
+        z ^= scratch
+        z *= _U64(factor)
+    np.right_shift(z, _U64(31), out=scratch)
+    z ^= scratch
 
 
 def _substream_uniforms(seed: int, trials: int, draw_index: int,
                         first: int = 0) -> np.ndarray:
     """One uniform in (0, 1] for each trial first..first+trials-1, from the
-    (seed, trial, draw) counter."""
-    t = np.arange(first, first + trials, dtype=np.uint64)
+    (seed, trial, draw) counter.
+
+    The hash runs in place in one uint64 buffer, with one scratch buffer
+    for its shifts that then holds the uniforms; uint64 arrays wrap
+    silently, which is the point of the hash.
+    """
+    h = np.arange(first + 1, first + trials + 1, dtype=np.uint64)
+    scratch = np.empty_like(h)
+    h *= _GOLDEN
+    h += _U64(seed)
+    _mix64(h, scratch)
     with np.errstate(over="ignore"):
-        # uint64 wraparound is the point of the hash, not an accident
-        h = _mix64(_U64(seed) + _GOLDEN * (t + _U64(1)))
-        h = _mix64(h + _GOLDEN * _U64(draw_index + 1))
-    return ((h >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        # a numpy scalar product warns where it wraps
+        h += _GOLDEN * _U64(draw_index + 1)
+    _mix64(h, scratch)
+    h >>= _U64(11)
+    u = scratch.view(np.float64)
+    np.copyto(u, h, casting="unsafe")
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 @functools.lru_cache(maxsize=1)
@@ -171,9 +191,37 @@ def _invert_binomial_fixed(u: np.ndarray, n: int, p: float) -> np.ndarray:
     return lo + np.minimum(k, cdf.size - 1).astype(np.int64)
 
 
+def _window_histogram(cdf: np.ndarray, u: np.ndarray):
+    """How many of the uniforms u invert to each count of the CDF window
+    cdf, as (i0, counts): counts[j] draws fell at window index i0 + j.
+
+    The same counts as a bincount of _invert_binomial_fixed, without a
+    count per draw: u is sorted in place, then a window shorter than u is
+    searched for in u (cost W log T), and a longer one is searched by
+    the sorted u (cost T log W, the keys in order).  In both, a uniform
+    equal to cdf[k] counts at k and one above cdf[-1] at the last index.
+    """
+    u.sort()
+    if cdf.size < u.size:
+        edges = np.searchsorted(u, cdf, side="right")
+        edges[-1] = u.size
+        return 0, np.diff(edges, prepend=0)
+    k = np.searchsorted(cdf, u, side="left")
+    np.minimum(k, cdf.size - 1, out=k)
+    i0 = int(k[0])
+    k -= i0
+    return i0, np.bincount(k)
+
+
 def _check_seed(seed: int):
     if not isinstance(seed, int) or not (0 <= seed <= _SEED_MAX):
         raise ValueError("seed must be an unsigned 64-bit integer")
+
+
+def _check_count(n: int):
+    if n > _COUNT_MAX:
+        raise ValueError(f"shot count n must be <= 2**63 - 1 = {_COUNT_MAX} "
+                         "to be drawn as int64 counts")
 
 
 def draw_count_matrix(stats: OutcomeStats, seed: int, trials: int,
@@ -190,9 +238,7 @@ def draw_count_matrix(stats: OutcomeStats, seed: int, trials: int,
     if not (isinstance(trials, int) and trials >= 1):
         raise ValueError("trials must be a positive integer")
     n = stats.sample_budget
-    if n > _COUNT_MAX:
-        raise ValueError(f"shot count n must be <= 2**63 - 1 = {_COUNT_MAX} "
-                         "to be drawn as int64 counts")
+    _check_count(n)
     u = _substream_uniforms(seed, trials, 0, _first)
     k = _invert_binomial_fixed(u, n, stats.probabilities[0])
     return np.column_stack((k, n - k))

@@ -564,8 +564,8 @@ def test_benchmark_tracing_installs_and_unpatches(monkeypatch):
 ])
 def test_benchmark_tracing_runs_every_command(monkeypatch, argv):
     # the names perfbench/tracing.py patches or reads on each command's
-    # path: RunConfig.validate, the OutcomeStats fields draw_count_matrix
-    # gets, and the format of the flags _emit gets
+    # path: RunConfig.validate, monte_carlo_report, and the format of the
+    # flags _emit gets
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import tracing
 
@@ -582,8 +582,24 @@ def test_benchmark_tracing_runs_every_command(monkeypatch, argv):
     csv_lines = out.getvalue().count("\n") - 1
     writes_csv = argv[0] != "verify" and "svg" not in argv
     assert tracer.counts["cli.csv_rows"] == (csv_lines if writes_csv else 0)
-    assert (tracer.counts["sampling.cdf_entries"] > 0) == (argv[0] in ("bias-mc", "verify"))
+    # the tracer wraps cli.monte_carlo_report, which verify does not call
+    assert ("estimation.monte_carlo_report" in tracer.summary()) == (argv[0] == "bias-mc")
     assert tracer.counts["svgchart.written"] == ("svg" in argv)
+
+
+@pytest.mark.parametrize("seed, index", [(3, 0), (7, 1), (11, 5)])
+def test_benchmark_monte_carlo_argvs_pass_its_checks(monkeypatch, seed, index):
+    # the benchmark's monte-carlo commands, and its checks of their output
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import checks
+    import run
+
+    argvs = run.workload_argvs("monte-carlo", seed, index)
+    assert [argv[0] for argv in argvs] == ["bias-mc", "bias-mc"]
+    for argv in argvs:
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        assert checks.check(argv, out.encode("ascii")) is None
 
 
 def test_domain_errors_exit_two():
@@ -683,7 +699,7 @@ def test_trials_past_the_cap_exit_two_before_any_draw(monkeypatch):
     def refuse(*args, **kwargs):
         raise Drawn
 
-    monkeypatch.setattr(estimation, "draw_count_matrix", refuse)
+    monkeypatch.setattr(estimation, "_window_histogram", refuse)
     code, out, err = run_cli(["bias-mc", "--trials", str(2**32 + 1)])
     assert code == 2
     assert out == ""

@@ -115,12 +115,12 @@ def _one_draw_report(phi, n, trials, seed):
 @pytest.mark.parametrize("workers", [1, _MC_WORKERS])
 def test_monte_carlo_pool_matches_one_draw(monkeypatch, workers):
     # 16 chunks: drawn on the calling thread alone, or on the widest pool
-    # whatever this host's CPU count; every chunk goes through the module
-    # global, where a tracer wraps it, and the first finds the (p, n)
-    # table already built, once
+    # whatever this host's CPU count; every chunk is counted through the
+    # module global, and the first finds the (p, n) table already built,
+    # once
     phi, n, seed, trials = 0.9, 12, 5, 2**20
     p = (1.0 + math.cos(phi)) / 2.0
-    table = sampling._binomial_cdf_table
+    table, kernel = sampling._binomial_cdf_table, sampling._window_histogram
     callers, first_draw = [], []
     lock = threading.Lock()
 
@@ -131,10 +131,10 @@ def test_monte_carlo_pool_matches_one_draw(monkeypatch, workers):
                 table(p, n)  # a hit if the cache holds this table
                 first_draw.append((misses, table.cache_info().misses))
             callers.append(threading.current_thread())
-        return draw_count_matrix(*args, **kwargs)
+        return kernel(*args, **kwargs)
 
     monkeypatch.setattr(estimation, "_mc_workers", lambda: workers)
-    monkeypatch.setattr(estimation, "draw_count_matrix", spy)
+    monkeypatch.setattr(estimation, "_window_histogram", spy)
     table.cache_clear()
     rep = monte_carlo_report(phi, n, trials, seed)
     assert len(callers) == trials // _MC_CHUNK
@@ -213,6 +213,23 @@ def test_monte_carlo_memory_does_not_grow_with_trials(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_moment_reduction_memory_does_not_grow_with_distinct_counts():
+    # the moments are summed slice by slice, so no list of Python floats
+    # is as long as the counts (one of 2**18 floats alone takes 8 MB)
+    peaks = []
+    for size in (2**12, 2**18):
+        ks = np.arange(10**9, 10**9 + size)
+        weights = np.full(size, 1.0 / size)
+        tracemalloc.start()
+        try:
+            _report_from_pmf(1.0, 0.5, 2 * 10**9, ks, weights, "MonteCarlo")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2**16
+    assert peaks[1] < 2**20
 
 
 def test_bias_decays_with_budget():

@@ -18,6 +18,7 @@ from metrotrade.sampling import (
     _binomial_cdf_table,
     _invert_binomial_fixed,
     _substream_uniforms,
+    _window_histogram,
     OutcomeStats,
     binary_stats,
     draw_count_matrix,
@@ -195,6 +196,74 @@ def test_windowed_table_fixes_off_by_one_draw():
     k = int(_invert_binomial_fixed(np.array([u]), n, p)[0])
     assert k == 8112212
     assert binomial_cdf_mp(n, p, k - 1) < mpmath.mpf(u) <= binomial_cdf_mp(n, p, k)
+
+
+_M64 = 2**64 - 1
+
+
+def _mix64_ref(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def _uniform_ref(seed, trial, draw):
+    """The (seed, trial, draw) uniform in plain integers masked to 64 bits."""
+    golden = 0x9E3779B97F4A7C15
+    h = _mix64_ref((seed + golden * (trial + 1)) & _M64)
+    h = _mix64_ref((h + golden * (draw + 1)) & _M64)
+    return ((h >> 11) + 0.5) * 2.0**-53
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("draw", [0, 1])
+@pytest.mark.parametrize("first", [0, 2**32 - 3])
+def test_substream_uniforms_match_splitmix_reference(seed, draw, first):
+    # the hash in place on uint64 arrays is the splitmix finalizer on
+    # integers, also for trial indices past 2**32
+    u = _substream_uniforms(seed, 6, draw, first)
+    assert u.dtype == np.float64
+    assert u.tolist() == [_uniform_ref(seed, t, draw) for t in range(first, first + 6)]
+
+
+def _placed(cdf, i0, counts):
+    hist = np.zeros(cdf.size, dtype=np.int64)
+    hist[i0:i0 + counts.size] = counts
+    return hist
+
+
+@pytest.mark.parametrize("phi, n, trials", [
+    (1e-9, 7, 1000),                    # p = 1: a one-entry window
+    (math.pi - 1e-9, 2**40, 1000),      # p = 0
+    (1e-9, 65, 1),                      # p = 1, the window as long as the chunk
+    (2.5, 40, 5000),                    # math.comb table whose last entry is below 1
+    (0.9, 10, 2**16),
+    (0.8, 10**7, 1000),                 # window longer than the chunk
+    (0.8, 10**7, 2**16),                # a 3.5e4-entry window shorter than the chunk
+])
+def test_window_histogram_is_a_bincount_of_the_draws(phi, n, trials):
+    p = (1.0 + math.cos(phi)) / 2.0
+    lo, cdf = _binomial_cdf_table(p, n)
+    k = draw_count_matrix(binary_stats(p, n), 9, trials)[:, 0]
+    i0, counts = _window_histogram(cdf, _substream_uniforms(9, trials, 0))
+    assert counts.sum() == trials
+    assert np.array_equal(_placed(cdf, i0, counts), np.bincount(k - lo, minlength=cdf.size))
+
+
+@pytest.mark.parametrize("size", [30, 500])
+def test_window_histogram_counts_ties_and_the_top_clamp(size):
+    # uniforms on, just below and just above each CDF entry, and 1 above
+    # the table's last entry (1 - 10 ulp, with 16 equal entries at the
+    # top), in windows longer and shorter than the draws
+    n, p = 40, (1.0 + math.cos(2.5)) / 2.0
+    lo, cdf = _binomial_cdf_table(p, n)
+    assert lo == 0 and cdf[-1] < 1.0 and cdf.size == n + 1
+    pool = np.concatenate((cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), [1.0]))
+    u = np.resize(np.random.default_rng(1).permutation(pool), size)
+    ref = np.bincount(_invert_binomial_fixed(u, n, p), minlength=cdf.size)
+    assert ref[-1] > 0
+    i0, counts = _window_histogram(cdf, u.copy())
+    assert np.array_equal(_placed(cdf, i0, counts), ref)
 
 
 @pytest.mark.parametrize("n", [65, 10**5, 10**7])
