@@ -47,7 +47,7 @@ _EXPORTS = {
                    "monte_carlo_report"),
     "resources": ("ScalingReport", "StrategyConfig", "StrategyKind", "fit_scaling",
                   "strategy_signal_noise"),
-    "sampling": ("EXACT_ENUM_LIMIT", "OutcomeStats", "binary_stats", "enumerate_binomial"),
+    "sampling": ("EXACT_ENUM_LIMIT", "enumerate_binomial"),
     "verify": ("CheckResult", "format_report", "run_all"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

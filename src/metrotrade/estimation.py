@@ -8,9 +8,10 @@ that split (bias_p vs bias_phi) together with the variance and mean
 squared error of the phase estimate.
 
 Two routes are provided.  exact_bias_report enumerates the binomial
-distribution outright (n <= 64).  monte_carlo_report samples it: each
-chunk's uniforms are sorted and counted straight into a histogram over
-the sampler's CDF window, with no count formed per trial.  Both feed
+distribution outright (n <= 64).  monte_carlo_report samples it at
+(p, n): each chunk's uniforms are sorted and counted straight into a
+histogram over the sampler's CDF window, the bincount of
+draw_count_matrix(p, n, seed, trials) without a count formed per trial.  Both feed
 one moment reduction over the distinct counts k with their weights (the
 pmf, or the fraction of trials that drew k), summed with math.fsum so
 that no accumulation order can shift the result.  The two must agree
@@ -32,9 +33,8 @@ import numpy as np
 from . import _mc_workers
 # draw_count_matrix is not called here, but perfbench/tracing.py wraps
 # it by its name in this module, so the name stays bound.
-from .sampling import (_binomial_cdf_table, _check_count, _check_seed,
-                       _substream_uniforms, _window_histogram, binary_stats,
-                       draw_count_matrix, enumerate_binomial)
+from .sampling import (_binomial_cdf_table, _check_draw, _substream_uniforms,
+                       _window_histogram, draw_count_matrix, enumerate_binomial)
 
 
 # Trials per chunk in monte_carlo_report, whose uniforms are sorted and
@@ -114,13 +114,13 @@ def exact_bias_report(phi: float, n: int) -> EstimatorReport:
 def monte_carlo_report(phi: float, n: int, trials: int, seed: int) -> EstimatorReport:
     """Estimator moments from sampled counts (seeded, reproducible).
 
-    The sampler's CDF table is read first, so it is built once (or
-    raises BudgetError) before any draw; its window holds every count
-    that can be drawn.  Trials are drawn in chunks of _MC_CHUNK, so
-    memory does not grow with the trial count: each chunk's uniforms
-    are sorted and counted over that window (the counts a bincount of
-    draw_count_matrix would give), and added under a lock to one integer
-    histogram.
+    p, n and seed are checked, then the sampler's CDF table is read, so
+    it is built once (or raises BudgetError) before any draw; its window
+    holds every count that can be drawn.  Trials are drawn in chunks of
+    _MC_CHUNK, so memory does not grow with the trial count: each chunk's
+    uniforms are sorted and counted over that window (the counts a
+    bincount of draw_count_matrix(p, n, seed, trials) would give), and
+    added under a lock to one integer histogram.
     With at least two chunks per worker, W <= _MC_WORKERS threads draw
     (numpy releases the GIL in the sampler), thread w taking every W-th
     chunk from chunk w; smaller runs stay on the calling thread, where a
@@ -135,10 +135,8 @@ def monte_carlo_report(phi: float, n: int, trials: int, seed: int) -> EstimatorR
     if trials > _MC_TRIALS_MAX:
         raise ValueError(f"trials must be <= {_MC_TRIALS_MAX}")
     p = (1.0 + math.cos(phi)) / 2.0
-    binary_stats(p, n)  # refuses a bad n before the table is built
+    _check_draw(p, n, seed)
     lo, cdf = _binomial_cdf_table(p, n)
-    _check_seed(seed)
-    _check_count(n)
     hist = np.zeros(cdf.size, dtype=np.int64)
     lock = threading.Lock()
 

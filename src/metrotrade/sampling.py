@@ -1,9 +1,10 @@
-"""Finite-sample outcome statistics and reproducible sampling.
+"""Finite-sample binomial statistics and reproducible sampling.
 
-OutcomeStats holds the two probabilities of a binary outcome and the
-shot count n; draw_count_matrix draws binomial counts from them, one per
-trial, and _window_histogram counts a batch of draws over the CDF table
-without forming them.
+A binary measurement of n shots at outcome probability p gives a count
+k ~ B(n, p), so the sampler takes the two numbers (p, n), checked once
+by _check_draw.  draw_count_matrix draws one count per trial, and
+_window_histogram counts a batch of draws over the CDF table without
+forming them; both invert the table with one kernel, _window_index.
 
 Reproducibility contract: trial t consumes a substream derived only
 from (seed, t), so results are independent of evaluation order and of
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,32 +40,19 @@ _TAIL_MASS = 2.0**-64
 _WINDOW_MAX = 2**22
 
 
-@dataclass(frozen=True)
-class OutcomeStats:
-    """The two outcome probabilities of a binary measurement, checked to
-    lie in [0, 1] and sum to 1, and its positive integer shot count."""
-
-    probabilities: tuple
-    sample_budget: int
-
-    def __post_init__(self):
-        probs = tuple(float(p) for p in self.probabilities)
-        if len(probs) != 2:
-            raise ValueError("need exactly two outcomes")
-        if not isinstance(self.sample_budget, int) or self.sample_budget < 1:
-            raise ValueError("sample_budget must be a positive integer")
-        for p in probs:
-            if not (0.0 <= p <= 1.0):
-                raise ValueError(f"probability {p} outside [0, 1]")
-        if abs(math.fsum(probs) - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to 1 within 1e-12")
-        object.__setattr__(self, "probabilities", probs)
-
-
-def binary_stats(p: float, n: int) -> OutcomeStats:
-    """Stats for a yes/no measurement with success probability p over n
-    shots; OutcomeStats checks both."""
-    return OutcomeStats((p, 1.0 - p), n)
+def _check_draw(p: float, n: int, seed: int = 0):
+    """Refuse a draw of n shots at probability p under seed: p must lie in
+    [0, 1], n be an int from 1 to _COUNT_MAX (counts are int64), and seed
+    fit in 64 unsigned bits."""
+    if not (0.0 <= p <= 1.0):
+        raise ValueError("p must lie in [0, 1]")
+    if not (isinstance(n, int) and n >= 1):
+        raise ValueError("n must be a positive integer")
+    if n > _COUNT_MAX:
+        raise ValueError(f"shot count n must be <= 2**63 - 1 = {_COUNT_MAX} "
+                         "to be drawn as int64 counts")
+    if not (isinstance(seed, int) and 0 <= seed <= _SEED_MAX):
+        raise ValueError("seed must be an unsigned 64-bit integer")
 
 
 def enumerate_binomial(p: float, n: int):
@@ -75,12 +62,9 @@ def enumerate_binomial(p: float, n: int):
     is correct to double rounding.  Limited to n <= 64 where that is
     cheap; beyond the limit a BudgetError is raised.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError("n must be a positive integer")
+    _check_draw(p, n)
     if n > EXACT_ENUM_LIMIT:
         raise BudgetError(f"exact enumeration supports n <= {EXACT_ENUM_LIMIT}")
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("p must lie in [0, 1]")
     q = 1.0 - p
     return np.array([math.comb(n, k) * p**k * q ** (n - k) for k in range(n + 1)])
 
@@ -184,21 +168,22 @@ def _binomial_cdf_table(p: float, n: int):
     return lo, cdf
 
 
-def _invert_binomial_fixed(u: np.ndarray, n: int, p: float) -> np.ndarray:
-    """Exact CDF inversion for a shared shot count n (table + searchsorted)."""
-    lo, cdf = _binomial_cdf_table(p, n)
+def _window_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The window index each uniform in u inverts to: the first k with
+    u <= cdf[k], and the last index for a u above cdf[-1]."""
     k = np.searchsorted(cdf, u, side="left")
-    return lo + np.minimum(k, cdf.size - 1).astype(np.int64)
+    np.minimum(k, cdf.size - 1, out=k)
+    return k
 
 
 def _window_histogram(cdf: np.ndarray, u: np.ndarray):
     """How many of the uniforms u invert to each count of the CDF window
     cdf, as (i0, counts): counts[j] draws fell at window index i0 + j.
 
-    The same counts as a bincount of _invert_binomial_fixed, without a
-    count per draw: u is sorted in place, then a window shorter than u is
-    searched for in u (cost W log T), and a longer one is searched by
-    the sorted u (cost T log W, the keys in order).  In both, a uniform
+    The same counts as a bincount of _window_index: u is sorted in place,
+    then a window shorter than u is searched for in u (cost W log T, no
+    index per draw), and a longer one is inverted by the sorted u with
+    _window_index (cost T log W, the keys in order).  In both, a uniform
     equal to cdf[k] counts at k and one above cdf[-1] at the last index.
     """
     u.sort()
@@ -206,39 +191,23 @@ def _window_histogram(cdf: np.ndarray, u: np.ndarray):
         edges = np.searchsorted(u, cdf, side="right")
         edges[-1] = u.size
         return 0, np.diff(edges, prepend=0)
-    k = np.searchsorted(cdf, u, side="left")
-    np.minimum(k, cdf.size - 1, out=k)
+    k = _window_index(cdf, u)
     i0 = int(k[0])
     k -= i0
     return i0, np.bincount(k)
 
 
-def _check_seed(seed: int):
-    if not isinstance(seed, int) or not (0 <= seed <= _SEED_MAX):
-        raise ValueError("seed must be an unsigned 64-bit integer")
-
-
-def _check_count(n: int):
-    if n > _COUNT_MAX:
-        raise ValueError(f"shot count n must be <= 2**63 - 1 = {_COUNT_MAX} "
-                         "to be drawn as int64 counts")
-
-
-def draw_count_matrix(stats: OutcomeStats, seed: int, trials: int,
+def draw_count_matrix(p: float, n: int, seed: int, trials: int,
                       _first: int = 0) -> np.ndarray:
-    """Binomial counts for `trials` independent trials, one row (k, n - k)
-    each, k the count of the first of two outcomes.
+    """Binomial counts k ~ B(n, p) for `trials` independent trials, one
+    int64 count each.
 
     k inverts the binomial CDF at the trial's draw-0 uniform.  _first is
     the index of the first trial drawn, so a long run can be drawn in
-    chunks that match one call row for row.  Counts are int64, so n is
-    at most _COUNT_MAX.
+    chunks that match one call count for count.
     """
-    _check_seed(seed)
+    _check_draw(p, n, seed)
     if not (isinstance(trials, int) and trials >= 1):
         raise ValueError("trials must be a positive integer")
-    n = stats.sample_budget
-    _check_count(n)
-    u = _substream_uniforms(seed, trials, 0, _first)
-    k = _invert_binomial_fixed(u, n, stats.probabilities[0])
-    return np.column_stack((k, n - k))
+    lo, cdf = _binomial_cdf_table(p, n)
+    return lo + _window_index(cdf, _substream_uniforms(seed, trials, 0, _first))

@@ -273,10 +273,9 @@ def check_reproducibility(tol: float, seed: int = 0) -> CheckResult:
     # The corrupt hook (negative tol) reruns with a different seed, which
     # must be caught as a mismatch; it wraps, as the seed is 64 bits.
     seed2 = seed if tol >= 0.0 else (seed + 1) % 2**64
-    stats = sampling.binary_stats(0.7, 50)
-    a = sampling.draw_count_matrix(stats, seed, 2000)
-    b = sampling.draw_count_matrix(stats, seed2, 2000)
-    c = sampling.draw_count_matrix(stats, seed, 500)
+    a = sampling.draw_count_matrix(0.7, 50, seed, 2000)
+    b = sampling.draw_count_matrix(0.7, 50, seed2, 2000)
+    c = sampling.draw_count_matrix(0.7, 50, seed, 500)
     same = np.array_equal(a, b)
     prefix = np.array_equal(a[:500], c)
     passed = same and prefix

@@ -198,20 +198,17 @@ def basis_snr_mp(theta: float, phi_b: float, phi: float, n: int, prec: int = 200
         return abs(p1 - p0) / noise
 
 
-def distinguishable_binary(stats0, stats1, alpha: float) -> bool:
-    """Whether two binary OutcomeStats are alpha-sigma separable, straight
-    from the defining criterion |p1 - p0| >= alpha * (dp1 + dp0), with the
-    projection noise dp = sqrt(p (1 - p) / n) of each.
+def distinguishable_binary(p0: float, p1: float, n: int, alpha: float) -> bool:
+    """Whether outcome probabilities p0 and p1, each estimated from n
+    shots, are alpha-sigma separable, straight from the defining
+    criterion |p1 - p0| >= alpha * (dp1 + dp0), with the projection
+    noise dp = sqrt(p (1 - p) / n) of each.
 
     Identical deterministic estimates (zero separation, zero noise) are
     declared indistinguishable rather than letting 0 >= 0 slip through.
     """
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError("alpha must be positive and finite")
-    if stats0.sample_budget != stats1.sample_budget:
-        raise ValueError("stats must share the same sample budget")
-    n = stats0.sample_budget
-    p0, p1 = stats0.probabilities[0], stats1.probabilities[0]
     separation = abs(p1 - p0)
     noise = math.sqrt(p0 * (1.0 - p0) / n) + math.sqrt(p1 * (1.0 - p1) / n)
     if separation == 0.0 and noise == 0.0:

@@ -19,7 +19,6 @@ from metrotrade.bounds import (
 )
 from metrotrade.cli import _inherent_grid, main
 from metrotrade.errors import UnreachableSignalError
-from metrotrade.sampling import binary_stats
 
 from helpers import (
     bisect_inherent_shift,
@@ -34,36 +33,23 @@ INHERENT_PI4_N100 = 0.028700028633896672
 
 
 def test_distinguishable_identical_stats():
-    s = binary_stats(0.5, 10)
-    assert distinguishable_binary(s, s, 1.0) is False
-    t = binary_stats(1.0, 10)
-    assert distinguishable_binary(t, t, 1.0) is False
+    assert distinguishable_binary(0.5, 0.5, 10, 1.0) is False
+    assert distinguishable_binary(1.0, 1.0, 10, 1.0) is False
 
 
 def test_distinguishable_threshold_equality():
     # signal equals noise exactly at the critical fidelity
-    s0 = binary_stats(1.0, 10)
-    s1 = binary_stats(10.0 / 11.0, 10)
-    assert distinguishable_binary(s0, s1, 1.0) is True
+    assert distinguishable_binary(1.0, 10.0 / 11.0, 10, 1.0) is True
 
 
 def test_distinguishable_below_threshold():
-    s0 = binary_stats(1.0, 10)
-    s1 = binary_stats(0.999, 10)
-    assert distinguishable_binary(s0, s1, 1.0) is False
+    assert distinguishable_binary(1.0, 0.999, 10, 1.0) is False
 
 
 def test_distinguishable_input_checks():
-    s = binary_stats(0.5, 10)
-    with pytest.raises(ValueError):
-        distinguishable_binary(s, binary_stats(0.5, 20), 1.0)
-    with pytest.raises(ValueError):
-        distinguishable_binary(s, s, 0.0)
-    from metrotrade.sampling import OutcomeStats
-
-    # stats are binary by construction
-    with pytest.raises(ValueError, match="exactly two outcomes"):
-        OutcomeStats((0.2, 0.3, 0.5), 10)
+    for alpha in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^alpha must be positive and finite$"):
+            distinguishable_binary(0.5, 0.5, 10, alpha)
 
 
 def test_critical_fidelity_values():

@@ -584,6 +584,10 @@ def test_benchmark_tracing_runs_every_command(monkeypatch, argv):
     assert tracer.counts["cli.csv_rows"] == (csv_lines if writes_csv else 0)
     # the tracer wraps cli.monte_carlo_report, which verify does not call
     assert ("estimation.monte_carlo_report" in tracer.summary()) == (argv[0] == "bias-mc")
+    # the tracer's draw_count_matrix hook reads its first argument as a
+    # record of outcome probabilities, which the sampler no longer takes;
+    # no command may reach it
+    assert "sampling.draw_count_matrix" not in tracer.summary()
     assert tracer.counts["svgchart.written"] == ("svg" in argv)
 
 

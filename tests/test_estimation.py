@@ -19,7 +19,7 @@ from metrotrade.estimation import (
     monte_carlo_report,
 )
 from metrotrade import sampling
-from metrotrade.sampling import binary_stats, draw_count_matrix
+from metrotrade.sampling import draw_count_matrix
 
 from helpers import basis_probabilities, classical_fisher_scalar
 
@@ -95,7 +95,7 @@ def test_monte_carlo_chunks_match_one_draw():
     # two chunks reduce to the report of one draw over all the trials
     phi, n, seed, trials = 0.9, 12, 5, _MC_CHUNK + 1000
     p = (1.0 + math.cos(phi)) / 2.0
-    counts = draw_count_matrix(binary_stats(p, n), seed, trials)[:, 0]
+    counts = draw_count_matrix(p, n, seed, trials)
     weights = np.bincount(counts, minlength=n + 1) / trials
     one_draw = _report_from_pmf(phi, p, n, np.arange(n + 1), weights, "MonteCarlo")
     assert monte_carlo_report(phi, n, trials, seed) == one_draw
@@ -104,7 +104,7 @@ def test_monte_carlo_chunks_match_one_draw():
 def _one_draw_report(phi, n, trials, seed):
     """The reduction of one unchunked draw_count_matrix call."""
     p = (1.0 + math.cos(phi)) / 2.0
-    counts = draw_count_matrix(binary_stats(p, n), seed, trials)[:, 0]
+    counts = draw_count_matrix(p, n, seed, trials)
     lo = int(counts.min())
     weights = np.bincount(counts - lo) / trials
     return _report_from_pmf(
@@ -189,7 +189,7 @@ def test_monte_carlo_matches_per_trial_sums():
     # these non-negative terms agree to 4 eps relative
     phi, n, seed, trials = 0.7, 10, 3, 10**5
     p = (1.0 + math.cos(phi)) / 2.0
-    p_hat = draw_count_matrix(binary_stats(p, n), seed, trials)[:, 0] / n
+    p_hat = draw_count_matrix(p, n, seed, trials) / n
     phi_hat = np.arccos(2.0 * p_hat - 1.0)
     w = 1.0 / trials
     mean_phi = math.fsum((w * phi_hat).tolist())

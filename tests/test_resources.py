@@ -13,7 +13,7 @@ from metrotrade.resources import (
     fit_scaling,
     strategy_signal_noise,
 )
-from metrotrade.sampling import binary_stats, draw_count_matrix
+from metrotrade.sampling import draw_count_matrix
 
 from helpers import (
     distinguishable_binary,
@@ -185,14 +185,10 @@ def test_noise_amplification_with_probe_size():
 
 
 def _empirical_rate(f_true: float, n_eff: int, seed: int, reps: int) -> float:
-    """Fraction of repetitions whose sampled stats pass the alpha=1 test."""
-    counts = draw_count_matrix(binary_stats(f_true, n_eff), seed, reps)[:, 0]
-    ref = binary_stats(1.0, n_eff)
-    hits = 0
-    for k in counts.tolist():
-        est = binary_stats(k / n_eff, n_eff)
-        if distinguishable_binary(ref, est, 1.0):
-            hits += 1
+    """Fraction of repetitions whose sampled frequency passes the alpha=1
+    test against p = 1."""
+    counts = draw_count_matrix(f_true, n_eff, seed, reps)
+    hits = sum(distinguishable_binary(1.0, k / n_eff, n_eff, 1.0) for k in counts.tolist())
     return hits / reps
 
 

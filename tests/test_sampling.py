@@ -1,3 +1,4 @@
+import bisect
 import math
 import os
 import subprocess
@@ -7,50 +8,41 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from helpers import binomial_cdf_mp
 from metrotrade import sampling
 from metrotrade.errors import BudgetError
+from metrotrade.estimation import monte_carlo_report
 from metrotrade.sampling import (
     EXACT_ENUM_LIMIT,
     _binomial_cdf_table,
-    _invert_binomial_fixed,
     _substream_uniforms,
     _window_histogram,
-    OutcomeStats,
-    binary_stats,
     draw_count_matrix,
     enumerate_binomial,
 )
 
 
-def test_binary_stats_deterministic_outcome():
-    s = binary_stats(1.0, 5)
-    assert s.probabilities == (1.0, 0.0)
-
-
-def test_outcome_stats_recompute_invariant():
-    # the probabilities are kept as a tuple of floats, whatever was given
-    s = OutcomeStats([np.float32(0.25), 0.75], 40)
-    assert s.probabilities == (0.25, 0.75)
-    assert all(type(p) is float for p in s.probabilities)
-    with pytest.raises(ValueError, match="exactly two outcomes"):
-        OutcomeStats((0.2, 0.3, 0.5), 40)
-
-
-def test_outcome_stats_rejects_bad_input():
-    with pytest.raises(ValueError):
-        OutcomeStats((1.0,), 10)
-    with pytest.raises(ValueError):
-        OutcomeStats((0.5, 0.6), 10)
-    with pytest.raises(ValueError):
-        OutcomeStats((0.5, 0.5), 0)
-    with pytest.raises(ValueError):
-        OutcomeStats((-0.1, 1.1), 10)
-    with pytest.raises(ValueError):
-        binary_stats(1.5, 10)
+@pytest.mark.parametrize("p, n, seed, message", [
+    (-0.1, 10, 0, r"^p must lie in \[0, 1\]$"),
+    (1.5, 10, 0, r"^p must lie in \[0, 1\]$"),
+    (0.5, 0, 0, "^n must be a positive integer$"),
+    (0.5, -1, 0, "^n must be a positive integer$"),
+    (0.5, 2.0, 0, "^n must be a positive integer$"),
+    (0.5, 2**63, 0, r"^shot count n must be <= 2\*\*63 - 1 = 9223372036854775807 "),
+    (0.5, 10, -1, "^seed must be an unsigned 64-bit integer$"),
+    (0.5, 10, 2**64, "^seed must be an unsigned 64-bit integer$"),
+], ids=["p-below-0", "p-above-1", "n-zero", "n-negative", "n-float", "n-past-int64",
+        "seed-negative", "seed-past-64-bits"])
+def test_draws_refuse_bad_p_n_and_seed(p, n, seed, message):
+    # one check refuses each bad input before any table is built, for the
+    # per-trial draws and for a report (whose p = (1 + cos phi) / 2 is
+    # always in [0, 1], so it meets only the n and seed cases)
+    with pytest.raises(ValueError, match=message):
+        draw_count_matrix(p, n, seed, 5)
+    if 0.0 <= p <= 1.0:
+        with pytest.raises(ValueError, match=message):
+            monte_carlo_report(math.pi / 2.0, n, 100, seed)
 
 
 def test_enumerate_binomial_two_shots():
@@ -103,97 +95,69 @@ def test_draw_samples_certain_outcome(p, n):
     k = 0 if p == 0.0 else n
     lo, cdf = _binomial_cdf_table(p, n)
     assert (lo, cdf.tolist()) == (k, [1.0])
-    counts = draw_count_matrix(binary_stats(p, n), seed=123, trials=20)
+    counts = draw_count_matrix(p, n, seed=123, trials=20)
     assert counts.dtype == np.int64
-    assert counts.tolist() == [[k, n - k]] * 20
+    assert counts.tolist() == [k] * 20
 
 
 def test_draw_refuses_counts_past_int64():
     with pytest.raises(ValueError, match=r"<= 2\*\*63 - 1"):
-        draw_count_matrix(binary_stats(1.0, 2**63), seed=0, trials=1)
-    assert draw_count_matrix(binary_stats(1.0, 2**63 - 1), seed=0, trials=1).tolist() \
-        == [[2**63 - 1, 0]]
+        draw_count_matrix(1.0, 2**63, seed=0, trials=1)
+    assert draw_count_matrix(1.0, 2**63 - 1, seed=0, trials=1).tolist() == [2**63 - 1]
 
 
 def test_draw_samples_deterministic():
-    s = binary_stats(0.42, 30)
-    a = draw_count_matrix(s, seed=99, trials=50)
-    b = draw_count_matrix(s, seed=99, trials=50)
+    a = draw_count_matrix(0.42, 30, seed=99, trials=50)
+    b = draw_count_matrix(0.42, 30, seed=99, trials=50)
     assert np.array_equal(a, b)
 
 
 def test_draw_samples_prefix_stable():
     # the first T trials never depend on how many more are requested
-    s = binary_stats(0.42, 30)
-    short = draw_count_matrix(s, seed=5, trials=100)
-    long = draw_count_matrix(s, seed=5, trials=1000)
+    short = draw_count_matrix(0.42, 30, seed=5, trials=100)
+    long = draw_count_matrix(0.42, 30, seed=5, trials=1000)
     assert np.array_equal(short, long[:100])
 
 
 def test_draw_samples_seed_sensitivity():
-    s = binary_stats(0.42, 30)
-    a = draw_count_matrix(s, seed=1, trials=200)
-    b = draw_count_matrix(s, seed=2, trials=200)
+    a = draw_count_matrix(0.42, 30, seed=1, trials=200)
+    b = draw_count_matrix(0.42, 30, seed=2, trials=200)
     assert not np.array_equal(a, b)
 
 
 def test_draw_samples_clt_mean():
     # grand mean of k/n over T trials within 4 sigma of p
     n, trials = 10**4, 10**4
-    counts = draw_count_matrix(binary_stats(0.5, n), seed=2024, trials=trials)
-    grand = counts[:, 0].mean() / n
+    counts = draw_count_matrix(0.5, n, seed=2024, trials=trials)
+    grand = counts.mean() / n
     assert abs(grand - 0.5) <= 2e-4
 
 
 def test_empirical_pmf_total_variation():
     trials = 10**5
-    for n in (4, 16):
-        for p in (0.3, 0.5):
-            counts = draw_count_matrix(binary_stats(p, n), seed=7, trials=trials)[:, 0]
-            hist = np.bincount(counts, minlength=n + 1) / trials
-            exact = enumerate_binomial(p, n)
-            tv = 0.5 * np.abs(hist - exact).sum()
-            assert tv <= 0.01
-
-
-def test_multinomial_three_outcomes():
-    # stats are binary by construction, so the sampler never meets wider ones
-    for probs, n in (((0.2, 0.5, 0.3), 60), ((0.2, 0.5, 0.3), 10**6),
-                     ((0.1, 0.2, 0.3, 0.4), 12)):
-        with pytest.raises(ValueError, match="exactly two outcomes"):
-            OutcomeStats(probs, n)
-
-
-def test_multinomial_matches_exact_marginal():
-    # both columns of a binary draw are binomial: k ~ B(n, p0), n - k ~ B(n, p1)
-    s = OutcomeStats((0.25, 0.75), 12)
-    counts = draw_count_matrix(s, seed=3, trials=10**5)
-    assert (counts.sum(axis=1) == 12).all()
-    for i, p in enumerate(s.probabilities):
-        hist = np.bincount(counts[:, i], minlength=13) / 10**5
-        exact = enumerate_binomial(p, 12)
-        assert 0.5 * np.abs(hist - exact).sum() <= 0.01
+    for n, p in ((4, 0.3), (4, 0.5), (16, 0.3), (16, 0.5), (12, 0.25)):
+        counts = draw_count_matrix(p, n, seed=7, trials=trials)
+        hist = np.bincount(counts, minlength=n + 1) / trials
+        exact = enumerate_binomial(p, n)
+        tv = 0.5 * np.abs(hist - exact).sum()
+        assert tv <= 0.01
 
 
 def test_seed_validation():
-    s = binary_stats(0.5, 4)
     with pytest.raises(ValueError):
-        draw_count_matrix(s, seed=-1, trials=5)
-    with pytest.raises(ValueError):
-        draw_count_matrix(s, seed=2**64, trials=5)
-    with pytest.raises(ValueError):
-        draw_count_matrix(s, seed=0, trials=0)
-    # extreme seeds are legal
-    assert draw_count_matrix(s, seed=2**64 - 1, trials=2).shape == (2, 2)
-    assert draw_count_matrix(s, seed=0, trials=2).shape == (2, 2)
+        draw_count_matrix(0.5, 4, seed=0, trials=0)
+    # seeds outside 64 unsigned bits are refused in
+    # test_draws_refuse_bad_p_n_and_seed; the extreme seeds are legal
+    assert draw_count_matrix(0.5, 4, seed=2**64 - 1, trials=2).shape == (2,)
+    assert draw_count_matrix(0.5, 4, seed=0, trials=2).shape == (2,)
 
 
 def test_windowed_table_fixes_off_by_one_draw():
     # a log-gamma table over 0..n lost ~1e-9 of relative accuracy at
     # n = 1e7 and inverted this draw one count low
     n, p = 10**7, (1.0 + math.cos(0.9)) / 2.0
-    u = _substream_uniforms(12345, 10**6, 0)[105301]
-    k = int(_invert_binomial_fixed(np.array([u]), n, p)[0])
+    u = _substream_uniforms(12345, 1, 0, 105301)[0]
+    k = int(draw_count_matrix(p, n, 12345, 1, _first=105301)[0])
     assert k == 8112212
     assert binomial_cdf_mp(n, p, k - 1) < mpmath.mpf(u) <= binomial_cdf_mp(n, p, k)
 
@@ -244,7 +208,7 @@ def _placed(cdf, i0, counts):
 def test_window_histogram_is_a_bincount_of_the_draws(phi, n, trials):
     p = (1.0 + math.cos(phi)) / 2.0
     lo, cdf = _binomial_cdf_table(p, n)
-    k = draw_count_matrix(binary_stats(p, n), 9, trials)[:, 0]
+    k = draw_count_matrix(p, n, 9, trials)
     i0, counts = _window_histogram(cdf, _substream_uniforms(9, trials, 0))
     assert counts.sum() == trials
     assert np.array_equal(_placed(cdf, i0, counts), np.bincount(k - lo, minlength=cdf.size))
@@ -260,7 +224,10 @@ def test_window_histogram_counts_ties_and_the_top_clamp(size):
     assert lo == 0 and cdf[-1] < 1.0 and cdf.size == n + 1
     pool = np.concatenate((cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), [1.0]))
     u = np.resize(np.random.default_rng(1).permutation(pool), size)
-    ref = np.bincount(_invert_binomial_fixed(u, n, p), minlength=cdf.size)
+    # the reference inverts each uniform by plain bisection
+    keys = cdf.tolist()
+    ref = np.bincount([min(bisect.bisect_left(keys, x), cdf.size - 1) for x in u.tolist()],
+                      minlength=cdf.size)
     assert ref[-1] > 0
     i0, counts = _window_histogram(cdf, u.copy())
     assert np.array_equal(_placed(cdf, i0, counts), ref)
@@ -299,36 +266,18 @@ def test_cdf_window_stays_near_the_mode(n, p):
     assert cdf[-1] == 1.0 and (np.diff(cdf) >= 0.0).all()
 
 
-def test_multinomial_three_outcomes_large_budget():
-    n, trials = 10**6, 2000
-    s = binary_stats(0.2, n)
-    counts = draw_count_matrix(s, seed=17, trials=trials)
-    assert (counts.sum(axis=1) == n).all()
-    assert (counts >= 0).all()
-    for i, p in enumerate(s.probabilities):
-        se = math.sqrt(n * p * (1.0 - p) / trials)
-        assert abs(counts[:, i].mean() - n * p) <= 4.0 * se
-    # prefix contract: shorter runs repeat the leading rows exactly, and a
-    # run that starts at a later trial repeats the rows from there on
-    assert np.array_equal(draw_count_matrix(s, seed=17, trials=300), counts[:300])
+def test_draw_mean_and_prefix_at_large_budget():
+    n, p, trials = 10**6, 0.2, 2000
+    counts = draw_count_matrix(p, n, seed=17, trials=trials)
+    assert ((counts >= 0) & (counts <= n)).all()
+    se = math.sqrt(n * p * (1.0 - p) / trials)
+    assert abs(counts.mean() - n * p) <= 4.0 * se
+    # prefix contract: shorter runs repeat the leading counts exactly, and
+    # a run that starts at a later trial repeats the counts from there on
+    assert np.array_equal(draw_count_matrix(p, n, seed=17, trials=300), counts[:300])
     assert np.array_equal(
-        draw_count_matrix(s, seed=17, trials=700, _first=1300), counts[1300:]
+        draw_count_matrix(p, n, seed=17, trials=700, _first=1300), counts[1300:]
     )
-
-
-@given(
-    st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=2, max_size=6),
-    st.integers(min_value=1, max_value=500),
-)
-def test_outcome_stats_property(raw, n):
-    total = math.fsum(raw)
-    probs = tuple(x / total for x in raw)
-    if len(probs) != 2:
-        with pytest.raises(ValueError, match="exactly two outcomes"):
-            OutcomeStats(probs, n)
-        return
-    s = OutcomeStats(probs, n)
-    assert abs(math.fsum(s.probabilities) - 1.0) < 1e-9
 
 
 # Digests of sampled counts and CDF tables, with the table's first count,
@@ -340,7 +289,7 @@ try:
     from numpy._core._multiarray_umath import __cpu_features__
 except ImportError:  # numpy 1.x
     from numpy.core._multiarray_umath import __cpu_features__
-from metrotrade.sampling import _binomial_cdf_table, binary_stats, draw_count_matrix
+from metrotrade.sampling import _binomial_cdf_table, draw_count_matrix
 
 def digests():
     out = []
@@ -348,7 +297,7 @@ def digests():
         p = (1.0 + math.cos(phi)) / 2.0
         for n in (10, 10**3, 10**7, 10**9):
             lo, cdf = _binomial_cdf_table(p, n)
-            counts = draw_count_matrix(binary_stats(p, n), 11, 4096)
+            counts = draw_count_matrix(p, n, 11, 4096)
             out.append(f"{lo} {hashlib.sha256(cdf.tobytes() + counts.tobytes()).hexdigest()}")
     return out
 """
