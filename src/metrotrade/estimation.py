@@ -9,13 +9,11 @@ squared error of the phase estimate.
 
 Two routes are provided.  exact_bias_report enumerates the binomial
 distribution outright (n <= 64).  monte_carlo_report samples it at
-(p, n): each chunk's uniforms are sorted and counted straight into a
-histogram over the sampler's CDF window, the bincount of
-draw_count_matrix(p, n, seed, trials) without a count formed per trial.  Both feed
-one moment reduction over the distinct counts k with their weights (the
-pmf, or the fraction of trials that drew k), summed with math.fsum so
-that no accumulation order can shift the result.  The two must agree
-within sampling error; the tests hold them to that.
+(p, n) and reads the sampler's count_histogram.  Both feed one moment
+reduction over the distinct counts k with their weights (the pmf, or
+the fraction of trials that drew k), summed with math.fsum so that no
+accumulation order can shift the result.  The two must agree within
+sampling error; the tests hold them to that.
 
 classical_fisher_values is the Fisher information the measurement
 itself carries, an array kernel over Bloch directions and phases.
@@ -25,24 +23,15 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _mc_workers
 # draw_count_matrix is not called here, but perfbench/tracing.py wraps
 # it by its name in this module, so the name stays bound.
-from .sampling import (_binomial_cdf_table, _check_draw, _substream_uniforms,
-                       _window_histogram, draw_count_matrix, enumerate_binomial)
+from .sampling import count_histogram, draw_count_matrix, enumerate_binomial
 
-
-# Trials per chunk in monte_carlo_report, whose uniforms are sorted and
-# then counted over the CDF window (arrays of 2**16 trials stay in L2);
-# the most trials a report takes, so that no trial count runs for hours;
-# and the terms fed to math.fsum per slice.
-_MC_CHUNK = 2**16
-_MC_TRIALS_MAX = 2**32
+# The terms fed to math.fsum per slice.
 _FSUM_SLICE = 2**12
 
 
@@ -101,11 +90,17 @@ def _report_from_pmf(phi, p, n, ks, weights, mode):
     )
 
 
-def exact_bias_report(phi: float, n: int) -> EstimatorReport:
-    """Estimator moments by full enumeration of the binomial outcome law."""
+def _phase_probability(phi: float) -> float:
+    """The outcome probability p = (1 + cos phi) / 2 at a true phase phi,
+    which must lie in (0, pi)."""
     if not (0.0 < phi < math.pi):
         raise ValueError("phi must lie in (0, pi)")
-    p = (1.0 + math.cos(phi)) / 2.0
+    return (1.0 + math.cos(phi)) / 2.0
+
+
+def exact_bias_report(phi: float, n: int) -> EstimatorReport:
+    """Estimator moments by full enumeration of the binomial outcome law."""
+    p = _phase_probability(phi)
     return _report_from_pmf(
         phi, p, n, np.arange(n + 1), enumerate_binomial(p, n), "ExactEnumeration"
     )
@@ -114,48 +109,13 @@ def exact_bias_report(phi: float, n: int) -> EstimatorReport:
 def monte_carlo_report(phi: float, n: int, trials: int, seed: int) -> EstimatorReport:
     """Estimator moments from sampled counts (seeded, reproducible).
 
-    p, n and seed are checked, then the sampler's CDF table is read, so
-    it is built once (or raises BudgetError) before any draw; its window
-    holds every count that can be drawn.  Trials are drawn in chunks of
-    _MC_CHUNK, so memory does not grow with the trial count: each chunk's
-    uniforms are sorted and counted over that window (the counts a
-    bincount of draw_count_matrix(p, n, seed, trials) would give), and
-    added under a lock to one integer histogram.
-    With at least two chunks per worker, W <= _MC_WORKERS threads draw
-    (numpy releases the GIL in the sampler), thread w taking every W-th
-    chunk from chunk w; smaller runs stay on the calling thread, where a
-    pool costs more than it saves.  Integer counts add exactly, so the
-    result depends neither on the chunking nor on the thread count.
-    trials is an integer from 100 to _MC_TRIALS_MAX.
+    The counts are the sampler's count_histogram(p, n, seed, trials);
+    trials is an integer from 100 to 2**32.
     """
-    if not (0.0 < phi < math.pi):
-        raise ValueError("phi must lie in (0, pi)")
+    p = _phase_probability(phi)
     if not (isinstance(trials, int) and trials >= 100):
         raise ValueError("need an integer of at least 100 trials")
-    if trials > _MC_TRIALS_MAX:
-        raise ValueError(f"trials must be <= {_MC_TRIALS_MAX}")
-    p = (1.0 + math.cos(phi)) / 2.0
-    _check_draw(p, n, seed)
-    lo, cdf = _binomial_cdf_table(p, n)
-    hist = np.zeros(cdf.size, dtype=np.int64)
-    lock = threading.Lock()
-
-    def fill(firsts):
-        for first in firsts:
-            u = _substream_uniforms(seed, min(_MC_CHUNK, trials - first), 0, first)
-            i0, counts = _window_histogram(cdf, u)
-            with lock:
-                hist[i0:i0 + counts.size] += counts
-
-    firsts = range(0, trials, _MC_CHUNK)
-    workers = _mc_workers()
-    if workers < 2 or len(firsts) < 2 * workers:
-        fill(firsts)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fill, (firsts[w::workers] for w in range(workers))))
+    lo, hist = count_histogram(p, n, seed, trials)
     ks = np.flatnonzero(hist)
     return _report_from_pmf(phi, p, n, lo + ks, hist[ks] / trials, "MonteCarlo")
 

@@ -3,8 +3,8 @@
 A binary measurement of n shots at outcome probability p gives a count
 k ~ B(n, p), so the sampler takes the two numbers (p, n), checked once
 by _check_draw.  draw_count_matrix draws one count per trial, and
-_window_histogram counts a batch of draws over the CDF table without
-forming them; both invert the table with one kernel, _window_index.
+count_histogram counts a seeded run over the CDF table without forming
+its counts; both invert the table with one kernel, _window_index.
 
 Reproducibility contract: trial t consumes a substream derived only
 from (seed, t), so results are independent of evaluation order and of
@@ -20,11 +20,12 @@ mass, built with numpy alone from the pmf ratio recurrence.
 
 from __future__ import annotations
 
-import functools
 import math
+import threading
 
 import numpy as np
 
+from . import _mc_workers
 from .errors import BudgetError
 
 EXACT_ENUM_LIMIT = 64
@@ -38,12 +39,22 @@ _WINDOW_SIGMAS = 12
 _WINDOW_PAD = 64
 _TAIL_MASS = 2.0**-64
 _WINDOW_MAX = 2**22
+# Trials per chunk in count_histogram, whose uniforms are sorted and then
+# counted over the CDF window (arrays of 2**16 trials stay in L2), and the
+# most trials a run takes, so that no trial count runs for hours.
+_MC_CHUNK = 2**16
+_MC_TRIALS_MAX = 2**32
 
 
-def _check_draw(p: float, n: int, seed: int = 0):
-    """Refuse a draw of n shots at probability p under seed: p must lie in
+def _check_draw(p: float, n: int, seed: int = 0, trials: int = 1):
+    """Refuse `trials` draws of n shots at probability p under seed: trials
+    must be an int from 1 to _MC_TRIALS_MAX (checked first), p lie in
     [0, 1], n be an int from 1 to _COUNT_MAX (counts are int64), and seed
     fit in 64 unsigned bits."""
+    if not (isinstance(trials, int) and trials >= 1):
+        raise ValueError("trials must be a positive integer")
+    if trials > _MC_TRIALS_MAX:
+        raise ValueError(f"trials must be <= {_MC_TRIALS_MAX}")
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
     if not (isinstance(n, int) and n >= 1):
@@ -106,13 +117,9 @@ def _substream_uniforms(seed: int, trials: int, draw_index: int,
     return u
 
 
-@functools.lru_cache(maxsize=1)
 def _binomial_cdf_table(p: float, n: int):
     """Binomial CDF as (lo, cdf) with cdf[i] = P(K <= lo + i); the counts
     lo..lo + cdf.size - 1 are every count that can be drawn.
-
-    The last table is kept, read-only, so a Monte Carlo run drawn in
-    chunks builds it once.
 
     p in {0, 1}: the one certain count, (0 or n, [1.0]).
     n <= EXACT_ENUM_LIMIT: exact math.comb terms over k = 0..n.  Beyond,
@@ -127,13 +134,9 @@ def _binomial_cdf_table(p: float, n: int):
     tail, and the table's last entry is exactly 1.
     """
     if p in (0.0, 1.0):
-        cdf = np.ones(1)
-        cdf.flags.writeable = False
-        return (0 if p == 0.0 else n), cdf
+        return (0 if p == 0.0 else n), np.ones(1)
     if n <= EXACT_ENUM_LIMIT:
-        cdf = np.cumsum(enumerate_binomial(p, n))
-        cdf.flags.writeable = False
-        return 0, cdf
+        return 0, np.cumsum(enumerate_binomial(p, n))
     q = 1.0 - p
     # q rounds when p < 1/2: the exact 1 - p is q (1 + drift), so the j-th
     # running product below is off by (1 + drift)**j, undone by exp(j drift).
@@ -164,7 +167,6 @@ def _binomial_cdf_table(p: float, n: int):
         half *= 2
     cdf = np.cumsum(np.concatenate((down[::-1], [1.0], up)))
     cdf /= cdf[-1]
-    cdf.flags.writeable = False
     return lo, cdf
 
 
@@ -197,17 +199,49 @@ def _window_histogram(cdf: np.ndarray, u: np.ndarray):
     return i0, np.bincount(k)
 
 
-def draw_count_matrix(p: float, n: int, seed: int, trials: int,
-                      _first: int = 0) -> np.ndarray:
+def draw_count_matrix(p: float, n: int, seed: int, trials: int) -> np.ndarray:
     """Binomial counts k ~ B(n, p) for `trials` independent trials, one
-    int64 count each.
-
-    k inverts the binomial CDF at the trial's draw-0 uniform.  _first is
-    the index of the first trial drawn, so a long run can be drawn in
-    chunks that match one call count for count.
-    """
-    _check_draw(p, n, seed)
-    if not (isinstance(trials, int) and trials >= 1):
-        raise ValueError("trials must be a positive integer")
+    int64 count each: k inverts the binomial CDF at the trial's draw-0
+    uniform."""
+    _check_draw(p, n, seed, trials)
     lo, cdf = _binomial_cdf_table(p, n)
-    return lo + _window_index(cdf, _substream_uniforms(seed, trials, 0, _first))
+    return lo + _window_index(cdf, _substream_uniforms(seed, trials, 0))
+
+
+def count_histogram(p: float, n: int, seed: int, trials: int):
+    """How many of `trials` draws k ~ B(n, p) fell at each count, as
+    (lo, hist): hist[j] trials drew k = lo + j, the bincount of
+    draw_count_matrix(p, n, seed, trials) - lo.
+
+    The inputs are checked and the CDF table built (or BudgetError
+    raised) before any draw.  Trials are drawn in chunks of _MC_CHUNK,
+    each counted over the table's window by _window_histogram and added
+    under a lock to one integer histogram, so memory does not grow with
+    trials.  With at least two chunks per worker, W <= _mc_workers()
+    threads draw (numpy releases the GIL), thread w taking every W-th
+    chunk from chunk w; smaller runs stay on the calling thread, where a
+    pool costs more than it saves.  Integer counts add exactly, so the
+    result depends on neither the chunking nor the thread count.
+    """
+    _check_draw(p, n, seed, trials)
+    lo, cdf = _binomial_cdf_table(p, n)
+    hist = np.zeros(cdf.size, dtype=np.int64)
+    lock = threading.Lock()
+
+    def fill(firsts):
+        for first in firsts:
+            u = _substream_uniforms(seed, min(_MC_CHUNK, trials - first), 0, first)
+            i0, counts = _window_histogram(cdf, u)
+            with lock:
+                hist[i0:i0 + counts.size] += counts
+
+    firsts = range(0, trials, _MC_CHUNK)
+    workers = _mc_workers()
+    if workers < 2 or len(firsts) < 2 * workers:
+        fill(firsts)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fill, (firsts[w::workers] for w in range(workers))))
+    return lo, hist

@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import assert_same_text, csv_text_per_cell
-from metrotrade import cli, estimation, resources, verify
+from metrotrade import cli, estimation, resources, sampling, verify
 from metrotrade.cli import main
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -703,7 +703,7 @@ def test_trials_past_the_cap_exit_two_before_any_draw(monkeypatch):
     def refuse(*args, **kwargs):
         raise Drawn
 
-    monkeypatch.setattr(estimation, "_window_histogram", refuse)
+    monkeypatch.setattr(sampling, "_window_histogram", refuse)
     code, out, err = run_cli(["bias-mc", "--trials", str(2**32 + 1)])
     assert code == 2
     assert out == ""

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from metrotrade import _MC_WORKERS, estimation
+from metrotrade import _MC_WORKERS
 from metrotrade.estimation import (
-    _MC_CHUNK,
     EstimatorReport,
     classical_fisher_values,
     exact_bias_report,
@@ -19,7 +18,7 @@ from metrotrade.estimation import (
     monte_carlo_report,
 )
 from metrotrade import sampling
-from metrotrade.sampling import draw_count_matrix
+from metrotrade.sampling import _MC_CHUNK, draw_count_matrix
 
 from helpers import basis_probabilities, classical_fisher_scalar
 
@@ -121,24 +120,27 @@ def test_monte_carlo_pool_matches_one_draw(monkeypatch, workers):
     phi, n, seed, trials = 0.9, 12, 5, 2**20
     p = (1.0 + math.cos(phi)) / 2.0
     table, kernel = sampling._binomial_cdf_table, sampling._window_histogram
-    callers, first_draw = [], []
+    builds, callers, first_draw = [], [], []
     lock = threading.Lock()
+
+    def build(*args):
+        builds.append(args)
+        return table(*args)
 
     def spy(*args, **kwargs):
         with lock:
             if not callers:
-                misses = table.cache_info().misses
-                table(p, n)  # a hit if the cache holds this table
-                first_draw.append((misses, table.cache_info().misses))
+                first_draw.append(list(builds))
             callers.append(threading.current_thread())
         return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(estimation, "_mc_workers", lambda: workers)
-    monkeypatch.setattr(estimation, "_window_histogram", spy)
-    table.cache_clear()
+    monkeypatch.setattr(sampling, "_mc_workers", lambda: workers)
+    monkeypatch.setattr(sampling, "_binomial_cdf_table", build)
+    monkeypatch.setattr(sampling, "_window_histogram", spy)
     rep = monte_carlo_report(phi, n, trials, seed)
     assert len(callers) == trials // _MC_CHUNK
-    assert first_draw == [(1, 1)]
+    assert first_draw == [[(p, n)]]
+    assert builds == [(p, n)]
     on_main = [t is threading.main_thread() for t in callers]
     assert all(on_main) == (workers == 1)
     monkeypatch.undo()
@@ -158,12 +160,14 @@ def test_monte_carlo_builds_the_cdf_table_once(monkeypatch):
     # also when drawn on a pool
     phi, n, seed, trials = math.pi / 2.0, 2**34, 11, 2**20
     assert trials >= 4 * _MC_CHUNK
-    monkeypatch.setattr(estimation, "_mc_workers", lambda: _MC_WORKERS)
+    monkeypatch.setattr(sampling, "_mc_workers", lambda: _MC_WORKERS)
     p = (1.0 + math.cos(phi)) / 2.0
-    sampling._binomial_cdf_table.cache_clear()
+    table, builds = sampling._binomial_cdf_table, []
+    monkeypatch.setattr(sampling, "_binomial_cdf_table",
+                        lambda *args: builds.append(args) or table(*args))
     rep = monte_carlo_report(phi, n, trials, seed)
-    assert sampling._binomial_cdf_table.cache_info().misses == 1
-    assert not sampling._binomial_cdf_table(p, n)[1].flags.writeable
+    assert builds == [(p, n)]
+    monkeypatch.undo()
     assert rep == _one_draw_report(phi, n, trials, seed)
 
 
@@ -175,7 +179,7 @@ def test_monte_carlo_pool_starts_below_two_chunks_per_worker(monkeypatch, worker
     def refuse(*args, **kwargs):
         raise NoPool
 
-    monkeypatch.setattr(estimation, "_mc_workers", lambda: workers)
+    monkeypatch.setattr(sampling, "_mc_workers", lambda: workers)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
     below = (2 * workers - 1) * _MC_CHUNK
     assert monte_carlo_report(1.0, 10, below, 0).mode == "MonteCarlo"
@@ -205,7 +209,7 @@ def test_monte_carlo_matches_per_trial_sums():
 
 
 def test_monte_carlo_memory_does_not_grow_with_trials(monkeypatch):
-    monkeypatch.setattr(estimation, "_mc_workers", lambda: _MC_WORKERS)
+    monkeypatch.setattr(sampling, "_mc_workers", lambda: _MC_WORKERS)
     tracemalloc.start()
     try:
         monte_carlo_report(1.0, 10, trials=2**22, seed=0)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import mpmath
@@ -14,10 +15,13 @@ from metrotrade import sampling
 from metrotrade.errors import BudgetError
 from metrotrade.estimation import monte_carlo_report
 from metrotrade.sampling import (
+    _MC_CHUNK,
     EXACT_ENUM_LIMIT,
     _binomial_cdf_table,
     _substream_uniforms,
     _window_histogram,
+    _window_index,
+    count_histogram,
     draw_count_matrix,
     enumerate_binomial,
 )
@@ -167,8 +171,10 @@ def test_windowed_table_fixes_off_by_one_draw():
     # a log-gamma table over 0..n lost ~1e-9 of relative accuracy at
     # n = 1e7 and inverted this draw one count low
     n, p = 10**7, (1.0 + math.cos(0.9)) / 2.0
-    u = _substream_uniforms(12345, 1, 0, 105301)[0]
-    k = int(draw_count_matrix(p, n, 12345, 1, _first=105301)[0])
+    lo, cdf = _binomial_cdf_table(p, n)
+    u = _substream_uniforms(12345, 1, 0, 105301)
+    k = int(lo + _window_index(cdf, u)[0])
+    u = u[0]
     assert k == 8112212
     assert binomial_cdf_mp(n, p, k - 1) < mpmath.mpf(u) <= binomial_cdf_mp(n, p, k)
 
@@ -244,6 +250,60 @@ def test_window_histogram_counts_ties_and_the_top_clamp(size):
     assert np.array_equal(_placed(cdf, i0, counts), ref)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("p, n", [
+    (0.0, 2**40),       # a one-entry window
+    (1.0, 7),
+    (0.3, 40),          # math.comb table
+    (0.6, 10**7),       # a 3.5e4-entry window, shorter than a chunk
+    (0.5, 10**9),       # a 3.8e5-entry window, longer than a chunk
+])
+def test_count_histogram_is_a_bincount_of_the_draws(monkeypatch, p, n, workers):
+    # four chunks and a part: on the calling thread, or on a pool of two
+    trials = 4 * _MC_CHUNK + 5
+    kernel, callers = _window_histogram, []
+
+    def spy(*args):
+        callers.append(threading.current_thread())
+        return kernel(*args)
+
+    monkeypatch.setattr(sampling, "_mc_workers", lambda: workers)
+    monkeypatch.setattr(sampling, "_window_histogram", spy)
+    lo, hist = count_histogram(p, n, 9, trials)
+    assert len(callers) == 5
+    assert all(t is threading.main_thread() for t in callers) == (workers == 1)
+    lo_ref, cdf = _binomial_cdf_table(p, n)
+    k = draw_count_matrix(p, n, 9, trials)
+    assert lo == lo_ref and hist.dtype == np.int64
+    assert np.array_equal(hist, np.bincount(k - lo, minlength=cdf.size))
+
+
+def test_count_histogram_builds_the_table_once_before_any_draw(monkeypatch):
+    table, uniforms, events = _binomial_cdf_table, _substream_uniforms, []
+    monkeypatch.setattr(sampling, "_mc_workers", lambda: 2)
+    monkeypatch.setattr(sampling, "_binomial_cdf_table",
+                        lambda *args: events.append("build") or table(*args))
+    monkeypatch.setattr(sampling, "_substream_uniforms",
+                        lambda *args: events.append("draw") or uniforms(*args))
+    for _ in range(2):
+        count_histogram(0.3, 10**5, 1, 4 * _MC_CHUNK)
+    assert events == 2 * (["build"] + 4 * ["draw"])
+
+
+@pytest.mark.parametrize("trials, message", [
+    (0, "^trials must be a positive integer$"),
+    (2**32 + 1, rf"^trials must be <= {2**32}$"),
+])
+def test_count_histogram_refuses_trials_before_any_draw(monkeypatch, trials, message):
+    def refuse(*args):
+        raise AssertionError("drawn")
+
+    monkeypatch.setattr(sampling, "_binomial_cdf_table", refuse)
+    monkeypatch.setattr(sampling, "_substream_uniforms", refuse)
+    with pytest.raises(ValueError, match=message):
+        count_histogram(0.5, 10, 0, trials)
+
+
 @pytest.mark.parametrize("n", [65, 10**5, 10**7])
 @pytest.mark.parametrize("phi", [0.9, 2.5])
 def test_windowed_cdf_matches_mpmath(n, phi):
@@ -286,8 +346,9 @@ def test_draw_mean_and_prefix_at_large_budget():
     # prefix contract: shorter runs repeat the leading counts exactly, and
     # a run that starts at a later trial repeats the counts from there on
     assert np.array_equal(draw_count_matrix(p, n, seed=17, trials=300), counts[:300])
+    lo, cdf = _binomial_cdf_table(p, n)
     assert np.array_equal(
-        draw_count_matrix(p, n, seed=17, trials=700, _first=1300), counts[1300:]
+        lo + _window_index(cdf, _substream_uniforms(17, 700, 0, 1300)), counts[1300:]
     )
 
 
