@@ -52,10 +52,14 @@ def _bound_inputs(alpha, n):
 
 def critical_fidelity(alpha, n):
     """Largest fidelity n / (n + alpha**2) still distinguishable from the
-    initial state, elementwise over broadcast alpha and n."""
+    initial state, elementwise over broadcast alpha and n.  Only where
+    alpha**2 overflows are n and alpha**2 divided by alpha first (n / alpha
+    overflows at a tiny alpha)."""
     alpha, n = _bound_inputs(alpha, n)
-    with np.errstate(over="ignore"):  # alpha**2 past a double reads F = 0
-        return n / (n + alpha * alpha)
+    with np.errstate(over="ignore"):
+        scale = np.where(np.isinf(alpha * alpha), alpha, 1.0)
+    m = n / scale
+    return m / (m + alpha * (alpha / scale))
 
 
 def min_detectable_signal(alpha, n):

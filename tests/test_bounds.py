@@ -60,9 +60,24 @@ def test_critical_fidelity_values():
     a = 9.849361880353003
     assert critical_fidelity(a, 1) == 1.0 / (1.0 + a * a)
     assert critical_fidelity(a, 1) == 0.010203047850459002
-    # elementwise over broadcast alpha and n; alpha**2 past a double gives 0
+    # elementwise over broadcast alpha and n; an F below the least double
+    # gives 0
     got = critical_fidelity(np.array([1.0, 10.0, 1e200]), np.array([[1], [100]]))
     assert got.tolist() == [[0.5, 1.0 / 101.0, 0.0], [100.0 / 101.0, 0.5, 0.0]]
+
+
+@pytest.mark.parametrize("alpha, n", [
+    (7.6e155, 3.6e15),      # alpha**2 overflows a double
+    (1e-300, 1e10),         # n / alpha overflows a double
+    (1.34e154, 2.0**53),    # either side of alpha**2's overflow
+    (1.35e154, 2.0**53),
+])
+def test_critical_fidelity_matches_mpmath(alpha, n):
+    # three roundings in either form, each within half an ulp
+    with mpmath.workprec(200):
+        ref = float(mpmath.mpf(n) / (mpmath.mpf(n) + mpmath.mpf(alpha) ** 2))
+    got = critical_fidelity(alpha, n)
+    assert abs(got - ref) <= 2 * math.ulp(ref), (got, ref)
 
 
 def test_min_signal_single_shot():
