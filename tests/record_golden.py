@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from metrotrade.cli import main
+
 TABLE = Path(__file__).resolve().parent / "golden_output.json"
 
 ARGVS = [
@@ -67,8 +69,6 @@ def environment():
 
 def run_argv(argv):
     """{"stdout_sha256", "stderr", "exit"} of cli.main(argv), run in process."""
-    from metrotrade.cli import main
-
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))

@@ -20,7 +20,9 @@ def test_cli_output_matches_the_golden_table():
                     f"{environment()}; CPU dispatch and the numpy version move "
                     "float bits, so re-record it with tests/record_golden.py")
     assert [entry["argv"] for entry in table["outputs"]] == ARGVS
-    moved = [(entry["argv"], got) for entry in table["outputs"]
-             if (got := run_argv(entry["argv"])) != {k: entry[k] for k in got}]
-    assert not moved, "output moved at " + "; ".join(
-        f"{' '.join(argv)} -> {got}" for argv, got in moved)
+    moved = []
+    for entry in table["outputs"]:
+        got = run_argv(entry["argv"])
+        if got != {key: entry[key] for key in got}:
+            moved.append(f"{' '.join(entry['argv'])}: {got}")
+    assert not moved, "output moved at:\n" + "\n".join(moved)
