@@ -42,7 +42,7 @@ _EXPORTS = {
     "basis": ("MeasurementBasis", "find_optimal_basis"),
     "bounds": ("accuracy_of", "critical_fidelity", "inherent_precision",
                "min_detectable_signal", "povm_statistics"),
-    "errors": ("BranchError", "BudgetError", "UnreachableSignalError"),
+    "errors": ("BranchError", "BudgetError"),
     "estimation": ("EstimatorReport", "classical_fisher_values", "exact_bias_report",
                    "monte_carlo_report"),
     "resources": ("ScalingReport", "StrategyConfig", "StrategyKind", "fit_scaling",

@@ -7,7 +7,8 @@ before and after the phase shift with outcome probabilities
     p1 = (1 + sin(theta) cos(phi - phi_b)) / 2
 
 and the detectability of the shift is the separation |p1 - p0| over
-the summed projection noise.  The equatorial circle theta = pi/2 with
+the summed projection noise, which basis_snr evaluates over any
+broadcast grid of directions.  The equatorial circle theta = pi/2 with
 phi_b anywhere in [phi, pi] or [phi + pi, 2 pi) is optimal, where the
 ratio reaches sqrt(n) |tan(phi / 2)|; find_optimal_basis recovers that
 point numerically: a coarse mesh over the sphere, then ever finer
@@ -50,8 +51,13 @@ def _radicand(st, ct, x):
     return (st * np.sin(x)) ** 2 + ct * ct
 
 
-def _snr_values(theta, phi_b, phi: float, n: int):
-    """Vectorized signal-to-noise ratio over arrays of basis angles."""
+def basis_snr(theta, phi_b, phi: float, n: int):
+    """Separation over summed noise for n shots of a shift phi, measured
+    along (theta, phi_b): elementwise over broadcast arrays of basis angles."""
+    if not math.isfinite(phi):
+        raise ValueError("phi must be finite")
+    if not (isinstance(n, int) and n >= 1):
+        raise ValueError("n must be a positive integer")
     st = np.sin(theta)
     ct = np.cos(theta)
     # cos(phi_b) - cos(phi - phi_b) as a product, which does not cancel
@@ -71,31 +77,21 @@ def _snr_values(theta, phi_b, phi: float, n: int):
     )
 
 
-def basis_snr(basis: MeasurementBasis, phi: float, n: int) -> float:
-    """Separation over summed noise for n shots in this basis."""
-    if not math.isfinite(phi):
-        raise ValueError("phi must be finite")
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError("n must be a positive integer")
-    return float(_snr_values(np.float64(basis.theta), np.float64(basis.phi_b), phi, n))
-
-
 def snr_grid(phi: float, n: int, grid: int):
     """Signal-to-noise ratio on a grid x grid mesh of measurement directions.
 
     theta runs over [0, pi] with both ends included, phi_b over
     [0, 2 pi) in equal steps.  Returns (thetas, phibs, values) with
-    values[i, j] the ratio in direction (thetas[i], phibs[j]).
+    values[i, j] the ratio in direction (thetas[i], phibs[j]).  A bad n
+    is reported before a bad grid, and a bad grid before a bad phi.
     """
     if not (isinstance(n, int) and n >= 1):
         raise ValueError("n must be a positive integer")
     if not (isinstance(grid, int) and grid >= 200):
         raise ValueError("grid must be an integer >= 200 points per axis")
-    if not math.isfinite(phi):
-        raise ValueError("phi must be finite")
     thetas = np.linspace(0.0, math.pi, grid)
     phibs = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    return thetas, phibs, _snr_values(thetas[:, None], phibs[None, :], phi, n)
+    return thetas, phibs, basis_snr(thetas[:, None], phibs[None, :], phi, n)
 
 
 def find_optimal_basis(phi: float, n: int):
@@ -120,7 +116,7 @@ def find_optimal_basis(phi: float, n: int):
         # is the ratio at the returned basis (a phi_b just below 0 rounds
         # phi - phi_b near pi, and the maximum would pick up that error)
         pbs = (phib + dpb * offsets) % TWO_PI
-        values = _snr_values(ths[:, None], pbs[None, :], phi, n)
+        values = basis_snr(ths[:, None], pbs[None, :], phi, n)
         i, j = np.unravel_index(np.argmax(values), values.shape)
         theta, phib, snr = float(ths[i]), float(pbs[j]), float(values[i, j])
     return MeasurementBasis(theta, phib), snr

@@ -24,9 +24,10 @@ The same criterion over a k-outcome measurement is the separation
 statistic of povm_statistics, an array kernel over any grid of
 probability vectors.
 
-inherent_steps has no alpha at all: with n shots the probability
+inherent_precision has no alpha at all: with n shots the probability
 scale is quantized in steps of 1/n, and the smallest phase step that
-moves the outcome probability by one quantum is itself bounded below.
+moves the outcome probability by one quantum is itself bounded below;
+it is an array kernel over working points.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .errors import UnreachableSignalError
 
 
 def _bound_inputs(alpha, n):
@@ -122,37 +121,25 @@ def povm_statistics(p, p_final, n):
     return np.where(vanished, np.inf, np.sqrt(n) * np.sqrt(total))
 
 
-def inherent_steps(phi0, n: int):
+def inherent_precision(phi0, n: int):
     """Smallest phase step down from each working point phi0 that raises
-    the outcome probability by one quantum 1/n: phi0 - theta2 with
-    theta2 = arccos(2/n + cos phi0).
+    the outcome probability by one quantum 1/n, phi0 - theta2 with
+    theta2 = arccos(2/n + cos phi0), and the accuracy accuracy_of(step, n)
+    it carries.
 
     The difference is evaluated as 2 asin((1/n) / sin((phi0 + theta2)/2)),
     from cos theta2 - cos phi0 = 2 sin((phi0 + theta2)/2) sin((phi0 - theta2)/2),
     so it does not cancel when the step is small against phi0 (large n).
 
-    Vectorized over phi0 (scalar or array, each in (0, pi)).  Where the
-    quantum cannot be bridged (arccos argument above 1) the step is NaN.
+    Vectorized over phi0 (scalar or array, each in (0, pi)).  Returns
+    (delta_phi, accuracy); where the quantum cannot be bridged (arccos
+    argument above 1) both are NaN.
     """
-    with np.errstate(invalid="ignore"):
-        theta2 = np.arccos(2.0 / n + np.cos(phi0))
-    return 2.0 * np.arcsin((1.0 / n) / np.sin((phi0 + theta2) / 2.0))
-
-
-def inherent_precision(phi0: float, n: int):
-    """inherent_steps at one working point, with the accuracy
-    accuracy_of(dphi, n) it carries.
-
-    Returns (delta_phi, accuracy).  When the quantum cannot be bridged
-    from this working point, UnreachableSignalError is raised.
-    """
-    if not (0.0 < phi0 < math.pi):
+    if not np.all(np.greater(phi0, 0.0) & np.less(phi0, math.pi)):
         raise ValueError("phi0 must lie in (0, pi)")
     if not (isinstance(n, int) and n >= 1):
         raise ValueError("n must be a positive integer")
-    delta = float(inherent_steps(phi0, n))
-    if math.isnan(delta):
-        raise UnreachableSignalError(
-            f"probability step 1/{n} is not reachable from phi0={phi0:.6g}"
-        )
+    with np.errstate(invalid="ignore"):
+        theta2 = np.arccos(2.0 / n + np.cos(phi0))
+    delta = 2.0 * np.arcsin((1.0 / n) / np.sin((phi0 + theta2) / 2.0))
     return delta, accuracy_of(delta, n)

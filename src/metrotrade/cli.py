@@ -30,17 +30,16 @@ import sys
 import numpy as np
 
 from . import __version__, _mc_workers
-from .bounds import _qcrb_and_ratio, accuracy_of, inherent_steps, min_detectable_signal
+from .bounds import _qcrb_and_ratio, inherent_precision, min_detectable_signal
 
 # Names of other modules, each bound into this module the first time a
 # command needs it (_bind) or code outside looks it up here (__getattr__),
 # so a command loads only the modules it runs.  A name already set here,
 # as perfbench/tracing.py and the tests patch them, stays the one called.
-# basis_snr and inherent_precision are never called here: they are listed
-# so that perfbench/tracing.py can patch them.
+# basis_snr is listed so that perfbench/tracing.py can patch it: commands
+# reach that kernel only through snr_grid.
 _LAZY = {
     "basis_snr": "basis", "snr_grid": "basis",
-    "inherent_precision": "bounds",
     "exact_bias_report": "estimation", "monte_carlo_report": "estimation",
     "StrategyKind": "resources", "fit_scaling": "resources",
     "EXACT_ENUM_LIMIT": "sampling", "_SEED_MAX": "sampling",
@@ -340,9 +339,7 @@ def cmd_inherent(cfg: RunConfig):
     n = cfg.n
     if n < 3:
         raise ValueError("n must be >= 3 for a reachable interior point")
-    if cfg.phi0 is not None:
-        if not 0.0 < cfg.phi0 < math.pi:
-            raise ValueError("phi0 must lie in (0, pi)")
+    if cfg.phi0 is not None:  # inherent_precision checks it
         phi0 = np.array([cfg.phi0])
     else:  # --grid is read only without --phi0
         if cfg.grid < 1:
@@ -351,9 +348,8 @@ def cmd_inherent(cfg: RunConfig):
             raise ValueError(f"grid must be <= {_GRID_ROWS_MAX - 1}")
         phi0 = _inherent_grid(cfg.grid)
     header = ["phi0", "resolution", "accuracy"]
-    delta = inherent_steps(phi0, n)
+    delta, accuracy = inherent_precision(phi0, n)
     resolution = 1.0 / delta
-    accuracy = accuracy_of(delta, n)
     # a mesh of one inner row: every column is a cell
     rows = _Mesh("ccc", phi0[:, None], resolution[:, None], accuracy[:, None])
 

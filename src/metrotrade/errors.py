@@ -12,7 +12,3 @@ class BudgetError(ValueError):
 
 class BranchError(ValueError):
     """A phase argument lies outside the monotone branch of the response."""
-
-
-class UnreachableSignalError(ValueError):
-    """The requested probability step cannot be reached from this working point."""

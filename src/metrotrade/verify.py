@@ -58,7 +58,7 @@ def check_inherent_optimum(tol: float, seed: int = 0) -> CheckResult:
     ok_res = abs(res - 49.9967) <= tol * 49.9967
     ok_acc = abs(acc - 0.100007) <= tol * 0.100007
     grid = np.linspace(0.0, math.pi, 2003)[1:-1]
-    best_res = float(np.nanmax(1.0 / bounds.inherent_steps(grid, n)))
+    best_res = float(np.nanmax(1.0 / bounds.inherent_precision(grid, n)[0]))
     ok_peak = best_res - res <= tol * res
     passed = ok_res and ok_acc and ok_peak
     return _result(
@@ -71,10 +71,7 @@ def check_inherent_optimum(tol: float, seed: int = 0) -> CheckResult:
 
 def check_accuracy_decreases(tol: float, seed: int = 0) -> CheckResult:
     """Inherent accuracy falls with the sample budget at phi0 = pi/2."""
-    accs = []
-    for n in (10, 10**2, 10**3, 10**4):
-        _, acc = bounds.inherent_precision(math.pi / 2.0, n)
-        accs.append(acc)
+    accs = [bounds.inherent_precision(math.pi / 2.0, n)[1] for n in (10, 10**2, 10**3, 10**4)]
     passed = all(b < a - tol for a, b in zip(accs, accs[1:]))
     return _result(
         "accuracy_decreases",

@@ -42,16 +42,19 @@ def test_probabilities_basis_equals_final():
 
 def test_snr_zero_at_mid_phase():
     phi = 0.6
-    assert basis_snr(MeasurementBasis(HALF_PI, phi / 2.0), phi, 5) < 1e-12
+    b = MeasurementBasis(HALF_PI, phi / 2.0)
+    assert basis_snr(b.theta, b.phi_b, phi, 5) < 1e-12
 
 
 def test_snr_zero_at_pole():
-    assert basis_snr(MeasurementBasis(0.0, 2.0), 0.9, 50) == 0.0
+    b = MeasurementBasis(0.0, 2.0)
+    assert basis_snr(b.theta, b.phi_b, 0.9, 50) == 0.0
 
 
 def test_snr_optimum_value():
     phi = math.pi / 10.0
-    got = basis_snr(MeasurementBasis(HALF_PI, phi), phi, 1)
+    b = MeasurementBasis(HALF_PI, phi)
+    got = basis_snr(b.theta, b.phi_b, phi, 1)
     assert abs(got - math.tan(math.pi / 20.0)) < 1e-12
     assert abs(got - 0.158384) < 1e-6
 
@@ -59,8 +62,8 @@ def test_snr_optimum_value():
 def test_snr_root_n_homogeneity():
     phi = 0.37
     b = MeasurementBasis(1.1, 2.2)
-    one = basis_snr(b, phi, 1)
-    two = basis_snr(b, phi, 2)
+    one = basis_snr(b.theta, b.phi_b, phi, 1)
+    two = basis_snr(b.theta, b.phi_b, phi, 2)
     assert abs(two - math.sqrt(2.0) * one) < 1e-12
 
 
@@ -79,15 +82,18 @@ def test_snr_constant_on_optimal_set():
             phi / 2.0 + 1.5 * math.pi,
         ]
         for phi_b in samples:
-            got = basis_snr(MeasurementBasis(HALF_PI, phi_b), phi, n)
+            b = MeasurementBasis(HALF_PI, phi_b)
+            got = basis_snr(b.theta, b.phi_b, phi, n)
             assert abs(got - ref) <= 1e-10 * max(1.0, ref)
 
 
 def test_snr_reflection_symmetry():
     phi = 0.9
     for phi_b in (0.1, 0.7, 2.0, 3.3, 5.1):
-        a = basis_snr(MeasurementBasis(1.0, phi_b), phi, 4)
-        b = basis_snr(MeasurementBasis(1.0, phi + 2.0 * math.pi - phi_b), phi, 4)
+        b1 = MeasurementBasis(1.0, phi_b)
+        b2 = MeasurementBasis(1.0, phi + 2.0 * math.pi - phi_b)
+        a = basis_snr(b1.theta, b1.phi_b, phi, 4)
+        b = basis_snr(b2.theta, b2.phi_b, phi, 4)
         assert abs(a - b) < 1e-12
 
 
@@ -97,8 +103,8 @@ def test_grid_never_beats_analytic():
     worst = 0.0
     for theta in [min(math.pi, math.pi * i / 99.0) for i in range(100)]:
         for j in range(100):
-            phi_b = 2.0 * math.pi * j / 100.0
-            worst = max(worst, basis_snr(MeasurementBasis(theta, phi_b), phi, n))
+            b = MeasurementBasis(theta, 2.0 * math.pi * j / 100.0)
+            worst = max(worst, basis_snr(b.theta, b.phi_b, phi, n))
     assert worst <= best + 1e-9
 
 
@@ -125,26 +131,37 @@ def test_find_optimal_basis_validation():
         find_optimal_basis(math.nan, 1)
 
 
+@pytest.mark.parametrize("phi, n, message", [
+    (math.inf, 1, "phi must be finite"),
+    (-math.inf, 1, "phi must be finite"),
+    (math.nan, 1, "phi must be finite"),
+    (0.3, 0, "n must be a positive integer"),
+])
+def test_basis_snr_refuses_a_bad_shift_or_budget(phi, n, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        basis_snr(np.array([0.0, HALF_PI]), np.array([[0.5], [1.0]]), phi, n)
+
+
 def test_find_optimal_basis_searches_on_meshes(monkeypatch):
     # every search step is a mesh of the kernel, and the search stops at
     # the first mesh whose cells are below 1e-9 rad on both axes; the
     # returned ratio is the last mesh's best value, not evaluated again
     calls = []
-    kernel = basis._snr_values
+    kernel = basis.basis_snr
 
     def recording(theta, phi_b, phi, n):
         values = kernel(theta, phi_b, phi, n)
         calls.append((np.ravel(theta), np.ravel(phi_b), values))
         return values
 
-    monkeypatch.setattr(basis, "_snr_values", recording)
+    monkeypatch.setattr(basis, "basis_snr", recording)
     best, snr = find_optimal_basis(math.pi / 10.0, 1)
     sizes = [np.size(values) for _, _, values in calls]
     assert sizes[0] == 400 * 400
     assert set(sizes[1:]) == {21 * 21}
     cells = [max(np.max(np.diff(t)), np.max(np.diff(b))) for t, b, _ in calls]
     assert cells[-1] < 1e-9 <= cells[-2]
-    assert snr == np.max(calls[-1][2]) == basis_snr(best, math.pi / 10.0, 1)
+    assert snr == np.max(calls[-1][2]) == basis_snr(best.theta, best.phi_b, math.pi / 10.0, 1)
 
 
 def test_find_optimal_basis_without_a_shift():
@@ -210,7 +227,8 @@ def test_snr_grid_matches_basis_snr():
     assert thetas[0] == 0.0 and thetas[-1] == math.pi and phibs[0] == 0.0
     cells = np.random.default_rng(0).integers(0, grid, size=(50, 2)).tolist()
     for i, j in cells + [[0, 0], [grid - 1, grid - 1]]:
-        ref = basis_snr(MeasurementBasis(float(thetas[i]), float(phibs[j])), phi, n)
+        b = MeasurementBasis(float(thetas[i]), float(phibs[j]))
+        ref = float(basis_snr(b.theta, b.phi_b, phi, n))
         assert abs(values[i, j] - ref) <= 4.0 * math.ulp(ref)
 
 
@@ -237,8 +255,9 @@ def test_fisher_flat_where_snr_varies():
     # but the finite-sample ratio still swings from zero to its max:
     # the two optimality notions are genuinely different
     phi, n = 0.8, 9
-    snr_mid = basis_snr(MeasurementBasis(HALF_PI, phi / 2.0), phi, n)
-    snr_best = basis_snr(MeasurementBasis(HALF_PI, phi), phi, n)
+    mid, best = MeasurementBasis(HALF_PI, phi / 2.0), MeasurementBasis(HALF_PI, phi)
+    snr_mid = basis_snr(mid.theta, mid.phi_b, phi, n)
+    snr_best = basis_snr(best.theta, best.phi_b, phi, n)
     assert snr_mid < 1e-12
     assert snr_best > 1.0
     for phi_b in (phi / 2.0, phi, 2.0, 3.0):

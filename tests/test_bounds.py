@@ -13,12 +13,10 @@ from metrotrade.bounds import (
     accuracy_of,
     critical_fidelity,
     inherent_precision,
-    inherent_steps,
     min_detectable_signal,
     povm_statistics,
 )
 from metrotrade.cli import _inherent_grid, main
-from metrotrade.errors import UnreachableSignalError
 
 from helpers import (
     bisect_inherent_shift,
@@ -310,27 +308,43 @@ def test_inherent_precision_vs_bisection():
 
 
 def test_inherent_precision_unreachable():
-    with pytest.raises(UnreachableSignalError):
-        inherent_precision(0.1, 3)
+    dphi, acc = inherent_precision(0.1, 3)
+    assert math.isnan(dphi) and math.isnan(acc)
     assert bisect_inherent_shift(0.1, 3) is None
 
 
 @pytest.mark.parametrize("n, points", [(3, 199), (10**6, 999)])
 def test_inherent_steps_matches_scalar_form(n, points):
-    # the grids of `inherent --n 3 --grid 199` and `inherent --n 1000000`
+    # the grids of `inherent --n 3 --grid 199` and `inherent --n 1000000`:
+    # one call over the grid gives, bit for bit, one call per point
     grid = _inherent_grid(points).tolist()
-    steps = inherent_steps(np.array(grid), n).tolist()
+    steps, accs = (a.tolist() for a in inherent_precision(np.array(grid), n))
     unreachable = 0
-    for phi0, step in zip(grid, steps):
-        try:
-            dphi, _ = inherent_precision(phi0, n)
-        except UnreachableSignalError:
-            assert math.isnan(step)
+    for phi0, step, acc in zip(grid, steps, accs):
+        dphi, acc_one = inherent_precision(phi0, n)
+        if math.isnan(dphi):
+            assert math.isnan(step) and math.isnan(acc) and math.isnan(acc_one)
             unreachable += 1
             continue
-        assert abs(step - dphi) <= 4.0 * math.ulp(dphi)
+        assert (step, acc) == (dphi, acc_one)
     # only n = 3 leaves shallow working points unreachable
     assert (unreachable > 0) == (n == 3)
+
+
+@pytest.mark.parametrize("phi0", [0.0, math.pi, math.nan])
+def test_inherent_precision_refuses_a_working_point_outside_the_open_interval(phi0):
+    grid = np.array([0.5, phi0, 1.5])
+    with pytest.raises(ValueError, match=r"^phi0 must lie in \(0, pi\)$"):
+        inherent_precision(grid, 100)
+
+
+@pytest.mark.parametrize("n", [0, 2.0])
+def test_inherent_precision_refuses_a_budget_that_is_no_positive_int(n):
+    with pytest.raises(ValueError, match="^n must be a positive integer$"):
+        inherent_precision(np.array([0.5, 1.5]), n)
+    # the working points are checked first
+    with pytest.raises(ValueError, match="^phi0 must"):
+        inherent_precision(np.array([0.5, 4.0]), n)
 
 
 @pytest.mark.parametrize("n", [3, 100, 10**6, 10**12, 10**15])
@@ -342,7 +356,7 @@ def test_inherent_steps_match_mpmath(n):
     # and is a few eps elsewhere.  phi0 - theta2 in doubles fails it from
     # n = 100 on (relative error 0.13 at n = 10**15).
     grid = _inherent_grid(999)
-    steps = inherent_steps(grid, n)
+    steps = inherent_precision(grid, n)[0]
     arg = 2.0 / n + np.cos(grid)
     assert np.array_equal(np.isnan(steps), arg > 1.0)
     with np.errstate(invalid="ignore"):

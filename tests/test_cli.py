@@ -589,6 +589,12 @@ def test_benchmark_tracing_runs_every_command(monkeypatch, argv):
     # no command may reach it
     assert "sampling.draw_count_matrix" not in tracer.summary()
     assert tracer.counts["svgchart.written"] == ("svg" in argv)
+    # inherent computes its rows in one call of the kernel the tracer wraps
+    # as cli.inherent_precision; basis-sweep reaches basis_snr only through
+    # snr_grid, so no command records a span of cli.basis_snr
+    kernel_calls = tracer.summary().get("bounds.inherent_precision", [0])[0]
+    assert kernel_calls == (argv[0] == "inherent")
+    assert "basis.basis_snr" not in tracer.summary()
 
 
 @pytest.mark.parametrize("seed, index", [(3, 0), (7, 1), (11, 5)])
@@ -618,6 +624,17 @@ def test_domain_errors_exit_two():
     assert code == 2
     code, _, _ = run_cli(["bias-mc", "--trials", "10"])
     assert code == 2
+
+
+# The exact line of some refusals above: a bad n is reported before a bad
+# grid or phi, and a working point outside (0, pi) by the kernel's check.
+_REFUSAL_LINES = {
+    ("basis-sweep", "--n", "0", "--grid", "100"): "error: n must be a positive integer\n",
+    ("basis-sweep", "--n", "0", "--phi", "nan", "--grid", "300"):
+        "error: n must be a positive integer\n",
+    ("inherent", "--phi0", "4"): "error: phi0 must lie in (0, pi)\n",
+    ("inherent", "--phi0", "0"): "error: phi0 must lie in (0, pi)\n",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -658,14 +675,21 @@ def test_domain_errors_exit_two():
     ["bias-mc", "--trials", "99"],
     ["bias-mc", "--trials", "0"],
     ["bias-mc", "--trials", "-100"],
+    ["basis-sweep", "--n", "0", "--grid", "100"],
+    ["basis-sweep", "--n", "0", "--phi", "nan", "--grid", "300"],
+    ["inherent", "--phi0", "4"],
+    ["inherent", "--phi0", "0"],
 ])
 def test_rejected_flag_values_exit_two_with_one_line(argv):
     # one value per check the flags meet before any output is written,
-    # wherever that check is made
+    # wherever that check is made; where several flags are bad, the line
+    # names the one checked first
     code, out, err = run_cli(argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if tuple(argv) in _REFUSAL_LINES:
+        assert err == _REFUSAL_LINES[tuple(argv)]
 
 
 @pytest.mark.parametrize("argv", [
@@ -740,7 +764,7 @@ def test_grid_past_the_row_cap_exits_two(monkeypatch, argv):
         raise AssertionError("grid computed past the row cap")
 
     monkeypatch.setattr(cli, "snr_grid", refuse)
-    monkeypatch.setattr(cli, "inherent_steps", refuse)
+    monkeypatch.setattr(cli, "inherent_precision", refuse)
     code, out, err = run_cli(argv)
     assert code == 2
     assert out == ""
@@ -779,7 +803,7 @@ def test_grid_at_the_row_cap_is_accepted(monkeypatch):
     def computed(*args):
         raise Computed
 
-    for name in ("snr_grid", "inherent_steps", "min_detectable_signal"):
+    for name in ("snr_grid", "inherent_precision", "min_detectable_signal"):
         monkeypatch.setattr(cli, name, computed)
     values = ",".join(str(i) for i in range(1, 2049))
     for at_cap, past_cap in (
@@ -908,19 +932,19 @@ def test_runtime_does_not_import_scipy():
     assert proc.stdout.split() == ["[0,", "0]", "[]"]
 
 
-# The package modules a command loads beyond those of `tradeoff` (cli,
-# bounds and errors).  basis-sweep's default 160k-line mesh spans several
+# The package modules a command loads beyond those of `tradeoff` (cli and
+# bounds).  basis-sweep's default 160k-line mesh spans several
 # bands and is formatted on several processes, whose count the package
 # itself gives, so it loads neither the estimator nor the sampler.
 @pytest.mark.parametrize("argv, extra", [
     (["tradeoff"], []),
     (["inherent"], []),
     (["basis-sweep"], ["basis"]),
-    (["resources"], ["resources"]),
-    (["bias-mc"], ["estimation", "sampling"]),
-    (["verify"], ["basis", "estimation", "resources", "sampling", "verify"]),
+    (["resources"], ["errors", "resources"]),
+    (["bias-mc"], ["errors", "estimation", "sampling"]),
+    (["verify"], ["basis", "errors", "estimation", "resources", "sampling", "verify"]),
     (["tradeoff", "--format", "svg"], ["svgchart"]),
-    (["resources", "--format", "svg"], ["resources", "svgchart"]),
+    (["resources", "--format", "svg"], ["errors", "resources", "svgchart"]),
     (["inherent", "--format", "both", "--out", "{tmp}/q"], ["svgchart"]),
 ])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):
@@ -937,7 +961,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):
         [sys.executable, "-c", script, *(arg.format(tmp=tmp_path) for arg in argv)],
         env=child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    base = ["bounds", "cli", "errors"]
+    base = ["bounds", "cli"]
     assert proc.stdout.split() == ["0", "metrotrade"] + [
         f"metrotrade.{name}" for name in sorted(base + extra)]
 

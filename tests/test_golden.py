@@ -6,9 +6,14 @@ on purpose re-records the table with `python tests/record_golden.py`.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import metrotrade
 from record_golden import ARGVS, TABLE, environment, run_argv
 
 
@@ -26,3 +31,35 @@ def test_cli_output_matches_the_golden_table():
         if got != {key: entry[key] for key in got}:
             moved.append(f"{' '.join(entry['argv'])}: {got}")
     assert not moved, "output moved at:\n" + "\n".join(moved)
+
+
+# Commands whose bytes do not depend on numpy's CPU dispatch.  inherent is
+# left out: its float64 arccos and arcsin round differently under AVX-512.
+_DISPATCH_FREE_ARGVS = [["tradeoff"], ["basis-sweep"], ["resources"], ["bias-mc"],
+                        ["verify"], ["basis-sweep", "--phi", "1e-6"]]
+
+
+def _outputs_in_child(extra_env):
+    """This host's dispatch targets and run_argv of each dispatch-free argv,
+    from one child interpreter run with extra_env."""
+    path = [str(Path(metrotrade.__file__).resolve().parents[1]),
+            str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **extra_env}
+    script = ("import json, sys\n"
+              "from record_golden import environment, run_argv\n"
+              "print(json.dumps([environment()['dispatch'],\n"
+              "                  [run_argv(argv) for argv in json.loads(sys.argv[1])]]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(_DISPATCH_FREE_ARGVS)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.skipif("X86_V4" not in environment()["dispatch"],
+                    reason="needs AVX-512 (numpy's X86_V4 dispatch)")
+def test_output_does_not_depend_on_cpu_dispatch():
+    on_targets, on = _outputs_in_child({})
+    off_targets, off = _outputs_in_child({"NPY_DISABLE_CPU_FEATURES": "X86_V4"})
+    assert "X86_V4" in on_targets and "X86_V4" not in off_targets
+    assert all(entry["exit"] == 0 for entry in on)
+    assert off == on
