@@ -626,14 +626,39 @@ def test_domain_errors_exit_two():
     assert code == 2
 
 
-# The exact line of some refusals above: a bad n is reported before a bad
-# grid or phi, and a working point outside (0, pi) by the kernel's check.
+# The exact line of some refusals above and below: a bad n is reported
+# before a bad grid or phi, and a working point outside (0, pi) by the
+# kernel's check.  resources checks its M grid, then M, n, alpha, k and
+# last the M**k overflow.
+_M_LINE = "error: m must be a positive integer\n"
+_N_LINE = "error: n must be a positive integer\n"
+_GRID_LINE = "error: degenerate grid: need at least two distinct m values\n"
+_ALPHA_LINE = "error: alpha must be positive and finite\n"
+_K_LINE = "error: nonlinear_exponent must be >= 1\n"
 _REFUSAL_LINES = {
-    ("basis-sweep", "--n", "0", "--grid", "100"): "error: n must be a positive integer\n",
-    ("basis-sweep", "--n", "0", "--phi", "nan", "--grid", "300"):
-        "error: n must be a positive integer\n",
+    ("basis-sweep", "--n", "0", "--grid", "100"): _N_LINE,
+    ("basis-sweep", "--n", "0", "--phi", "nan", "--grid", "300"): _N_LINE,
     ("inherent", "--phi0", "4"): "error: phi0 must lie in (0, pi)\n",
     ("inherent", "--phi0", "0"): "error: phi0 must lie in (0, pi)\n",
+    ("resources", "--m-grid", "0,2"): _M_LINE,
+    ("resources", "--m-grid=-1,4"): _M_LINE,
+    ("resources", "--m-grid", "4,4"): _GRID_LINE,
+    ("resources", "--m-grid", "7"): _GRID_LINE,
+    ("resources", "--big-n", "0"): _N_LINE,
+    ("resources", "--big-n", "-3"): _N_LINE,
+    ("resources", "--alpha", "0"): _ALPHA_LINE,
+    ("resources", "--alpha", "inf"): _ALPHA_LINE,
+    ("resources", "--alpha", "nan"): _ALPHA_LINE,
+    ("resources", "--k", "0.5"): _K_LINE,
+    ("resources", "--k=-inf"): _K_LINE,
+    ("resources", "--k", "nan"): _K_LINE,
+    ("resources", "--alpha", "0", "--k", "0.5"): _ALPHA_LINE,
+    ("resources", "--m-grid", "0,2", "--big-n", "0"): _M_LINE,
+    ("resources", "--big-n", "0", "--alpha", "0"): _N_LINE,
+    ("resources", "--k", "1e308"): "error: M**k = 2**1e+308 overflows a float\n",
+    ("bias-mc", "--n", str(2**62), "--trials", "100"):
+        "error: binomial CDF window of 18222003129 entries exceeds 4194304; "
+        "n p (1 - p) is too large to sample\n",
 }
 
 
@@ -679,6 +704,9 @@ _REFUSAL_LINES = {
     ["basis-sweep", "--n", "0", "--phi", "nan", "--grid", "300"],
     ["inherent", "--phi0", "4"],
     ["inherent", "--phi0", "0"],
+    ["resources", "--alpha", "0", "--k", "0.5"],
+    ["resources", "--m-grid", "0,2", "--big-n", "0"],
+    ["resources", "--big-n", "0", "--alpha", "0"],
 ])
 def test_rejected_flag_values_exit_two_with_one_line(argv):
     # one value per check the flags meet before any output is written,
@@ -707,6 +735,8 @@ def test_out_of_range_inputs_exit_two_with_one_line(argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if tuple(argv) in _REFUSAL_LINES:
+        assert err == _REFUSAL_LINES[tuple(argv)]
 
 
 @pytest.mark.parametrize("phi", ["1e-9", "3.14159265", "3.1415926"])
