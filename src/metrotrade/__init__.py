@@ -42,11 +42,10 @@ _EXPORTS = {
     "basis": ("MeasurementBasis", "find_optimal_basis"),
     "bounds": ("accuracy_of", "critical_fidelity", "inherent_precision",
                "min_detectable_signal", "povm_statistics"),
-    "errors": ("BranchError", "BudgetError"),
     "estimation": ("EstimatorReport", "classical_fisher_values", "exact_bias_report",
                    "monte_carlo_report"),
-    "resources": ("ScalingReport", "StrategyConfig", "StrategyKind", "fit_scaling",
-                  "strategy_signal_noise"),
+    "resources": ("ScalingReport", "StrategyKind", "fit_scaling",
+                  "quantum_fisher_information", "strategy_signal_noise"),
     "sampling": ("EXACT_ENUM_LIMIT", "enumerate_binomial"),
     "verify": ("CheckResult", "format_report", "run_all"),
 }

@@ -26,7 +26,6 @@ import threading
 import numpy as np
 
 from . import _mc_workers
-from .errors import BudgetError
 
 EXACT_ENUM_LIMIT = 64
 _U64 = np.uint64
@@ -71,11 +70,11 @@ def enumerate_binomial(p: float, n: int):
 
     Coefficients come from integer arithmetic (math.comb), so each term
     is correct to double rounding.  Limited to n <= 64 where that is
-    cheap; beyond the limit a BudgetError is raised.
+    cheap; beyond the limit a ValueError is raised.
     """
     _check_draw(p, n)
     if n > EXACT_ENUM_LIMIT:
-        raise BudgetError(f"exact enumeration supports n <= {EXACT_ENUM_LIMIT}")
+        raise ValueError(f"exact enumeration supports n <= {EXACT_ENUM_LIMIT}")
     q = 1.0 - p
     return np.array([math.comb(n, k) * p**k * q ** (n - k) for k in range(n + 1)])
 
@@ -91,10 +90,9 @@ def _mix64(z, scratch):
     z ^= scratch
 
 
-def _substream_uniforms(seed: int, trials: int, draw_index: int,
-                        first: int = 0) -> np.ndarray:
+def _substream_uniforms(seed: int, trials: int, first: int = 0) -> np.ndarray:
     """One uniform in (0, 1] for each trial first..first+trials-1, from the
-    (seed, trial, draw) counter.
+    (seed, trial) counter.
 
     The hash runs in place in one uint64 buffer, with one scratch buffer
     for its shifts that then holds the uniforms; uint64 arrays wrap
@@ -105,9 +103,7 @@ def _substream_uniforms(seed: int, trials: int, draw_index: int,
     h *= _GOLDEN
     h += _U64(seed)
     _mix64(h, scratch)
-    with np.errstate(over="ignore"):
-        # a numpy scalar product warns where it wraps
-        h += _GOLDEN * _U64(draw_index + 1)
+    h += _GOLDEN  # the draw word: one draw per trial, (0 + 1) * _GOLDEN
     _mix64(h, scratch)
     h >>= _U64(11)
     u = scratch.view(np.float64)
@@ -146,7 +142,7 @@ def _binomial_cdf_table(p: float, n: int):
     while True:
         lo, hi = max(mode - half, 0), min(mode + half, n)
         if hi - lo + 1 > _WINDOW_MAX:
-            raise BudgetError(
+            raise ValueError(
                 f"binomial CDF window of {hi - lo + 1} entries exceeds "
                 f"{_WINDOW_MAX}; n p (1 - p) is too large to sample"
             )
@@ -201,11 +197,10 @@ def _window_histogram(cdf: np.ndarray, u: np.ndarray):
 
 def draw_count_matrix(p: float, n: int, seed: int, trials: int) -> np.ndarray:
     """Binomial counts k ~ B(n, p) for `trials` independent trials, one
-    int64 count each: k inverts the binomial CDF at the trial's draw-0
-    uniform."""
+    int64 count each: k inverts the binomial CDF at the trial's uniform."""
     _check_draw(p, n, seed, trials)
     lo, cdf = _binomial_cdf_table(p, n)
-    return lo + _window_index(cdf, _substream_uniforms(seed, trials, 0))
+    return lo + _window_index(cdf, _substream_uniforms(seed, trials))
 
 
 def count_histogram(p: float, n: int, seed: int, trials: int):
@@ -213,8 +208,8 @@ def count_histogram(p: float, n: int, seed: int, trials: int):
     (lo, hist): hist[j] trials drew k = lo + j, the bincount of
     draw_count_matrix(p, n, seed, trials) - lo.
 
-    The inputs are checked and the CDF table built (or BudgetError
-    raised) before any draw.  Trials are drawn in chunks of _MC_CHUNK,
+    The inputs are checked and the CDF table built (or a too wide window
+    refused) before any draw.  Trials are drawn in chunks of _MC_CHUNK,
     each counted over the table's window by _window_histogram and added
     under a lock to one integer histogram, so memory does not grow with
     trials.  With at least two chunks per worker, W <= _mc_workers()
@@ -230,7 +225,7 @@ def count_histogram(p: float, n: int, seed: int, trials: int):
 
     def fill(firsts):
         for first in firsts:
-            u = _substream_uniforms(seed, min(_MC_CHUNK, trials - first), 0, first)
+            u = _substream_uniforms(seed, min(_MC_CHUNK, trials - first), first)
             i0, counts = _window_histogram(cdf, u)
             with lock:
                 hist[i0:i0 + counts.size] += counts

@@ -214,9 +214,8 @@ def check_noise_amplification(tol: float, seed: int = 0) -> CheckResult:
     """Entanglement raises noise at fixed phase while lowering the floor."""
     phi, n, ms = 0.01, 100, (1, 2, 4, 8)
     ghz = resources.StrategyKind.GHZ
-    noises = [resources.strategy_signal_noise(resources.StrategyConfig(ghz, m, n), phi)[1]
-              for m in ms]
-    floors = resources._min_signals(resources.StrategyConfig(ghz, 1, n), ms).tolist()
+    noises = resources.strategy_signal_noise(ghz, ms, n, phi)[1].tolist()
+    floors = resources._min_signals(ghz, ms, n, 1.0).tolist()
     up = all(b > a + tol for a, b in zip(noises, noises[1:]))
     down = all(b < a - tol for a, b in zip(floors, floors[1:]))
     passed = up and down
@@ -240,7 +239,7 @@ def check_fisher_consistency(tol: float, seed: int = 0) -> CheckResult:
     circle = estimation.classical_fisher_values(math.pi / 2.0, phi_bs, phis)
     worst_circle = float(np.max(np.abs(circle - 1.0)))
     kind = resources.StrategyKind
-    fq = resources.StrategyConfig(kind.ENSEMBLE, 1, 1).quantum_fisher_information
+    fq = float(resources.quantum_fisher_information(kind.ENSEMBLE, (1,))[0])
     mesh = estimation.classical_fisher_values(
         np.linspace(0.0, math.pi, 100)[:, None],
         np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False),
@@ -252,9 +251,8 @@ def check_fisher_consistency(tol: float, seed: int = 0) -> CheckResult:
     worst_curv = 0.0
     for strat, m, k in ((kind.ENSEMBLE, 1, 1.0), (kind.PRODUCT, 5, 1.0),
                         (kind.GHZ, 5, 1.0), (kind.NONLINEAR, 3, 2.0)):
-        cfg = resources.StrategyConfig(strat, m, 1, nonlinear_exponent=k)
-        sig, _ = resources.strategy_signal_noise(cfg, h)
-        fq_k = cfg.quantum_fisher_information
+        sig = float(resources.strategy_signal_noise(strat, (m,), 1, h, k)[0][0])
+        fq_k = float(resources.quantum_fisher_information(strat, (m,), k)[0])
         worst_curv = max(worst_curv, abs(4.0 * sig / (h * h) - fq_k) / fq_k)
     passed = worst_circle <= 1e-10 and worst_over <= 1e-10 and worst_curv <= tol
     return _result(

@@ -24,10 +24,10 @@ from metrotrade.estimation import (
     monte_carlo_report,
 )
 from metrotrade.resources import (
-    StrategyConfig,
     StrategyKind,
     _min_signals,
     fit_scaling,
+    quantum_fisher_information,
     strategy_signal_noise,
 )
 from metrotrade.verify import format_report, run_all
@@ -214,9 +214,8 @@ def test_criterion_8_resource_scaling():
 
 def test_criterion_9_noise_amplification():
     phi, ms = 0.01, (1, 2, 4, 8)
-    noises = [strategy_signal_noise(StrategyConfig(StrategyKind.GHZ, m, 100), phi)[1]
-              for m in ms]
-    floors = _min_signals(StrategyConfig(StrategyKind.GHZ, 1, 100), ms).tolist()
+    noises = strategy_signal_noise(StrategyKind.GHZ, ms, 100, phi)[1].tolist()
+    floors = _min_signals(StrategyKind.GHZ, ms, 100, 1.0).tolist()
     noise_up = all(b > a for a, b in zip(noises, noises[1:]))
     floor_down = all(b < a for a, b in zip(floors, floors[1:]))
     ok = _report(
@@ -248,9 +247,8 @@ def test_criterion_10_fisher_consistency():
         (StrategyKind.GHZ, 6, 1.0),
         (StrategyKind.NONLINEAR, 3, 2.0),
     ):
-        cfg = StrategyConfig(kind, m, 1, nonlinear_exponent=k)
-        curv = 4.0 * strategy_signal_noise(cfg, h)[0] / (h * h)
-        fq = cfg.quantum_fisher_information
+        curv = 4.0 * float(strategy_signal_noise(kind, (m,), 1, h, k)[0][0]) / (h * h)
+        fq = float(quantum_fisher_information(kind, (m,), k)[0])
         worst_curv = max(worst_curv, abs(curv - fq) / fq)
     ok = _report(
         10,

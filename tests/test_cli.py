@@ -970,11 +970,11 @@ def test_runtime_does_not_import_scipy():
     (["tradeoff"], []),
     (["inherent"], []),
     (["basis-sweep"], ["basis"]),
-    (["resources"], ["errors", "resources"]),
-    (["bias-mc"], ["errors", "estimation", "sampling"]),
-    (["verify"], ["basis", "errors", "estimation", "resources", "sampling", "verify"]),
+    (["resources"], ["resources"]),
+    (["bias-mc"], ["estimation", "sampling"]),
+    (["verify"], ["basis", "estimation", "resources", "sampling", "verify"]),
     (["tradeoff", "--format", "svg"], ["svgchart"]),
-    (["resources", "--format", "svg"], ["errors", "resources", "svgchart"]),
+    (["resources", "--format", "svg"], ["resources", "svgchart"]),
     (["inherent", "--format", "both", "--out", "{tmp}/q"], ["svgchart"]),
 ])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):

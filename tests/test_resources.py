@@ -1,16 +1,16 @@
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
 
-from metrotrade.errors import BranchError
 from metrotrade.resources import (
-    StrategyConfig,
     StrategyKind,
     _min_signals,
     _probe_model,
     fit_scaling,
+    quantum_fisher_information,
     strategy_signal_noise,
 )
 from metrotrade.sampling import draw_count_matrix
@@ -25,25 +25,24 @@ from helpers import (
 EPS = sys.float_info.epsilon
 
 
-def _floor(cfg):
-    return float(_min_signals(cfg, (cfg.m,))[0])
+def _floor(strat, m, n, alpha=1.0, k=1.0):
+    return float(_min_signals(strat, (m,), n, alpha, k)[0])
 
 
 def test_ensemble_noise_value():
-    cfg = StrategyConfig(StrategyKind.ENSEMBLE, 10, 10)
-    sig, noise = strategy_signal_noise(cfg, 0.2)
+    (sig,), (noise,) = strategy_signal_noise(StrategyKind.ENSEMBLE, (10,), 10, 0.2)
     assert abs(sig - 0.5 * (1.0 - math.cos(0.2))) < 1e-15
     assert abs(noise - math.sin(0.2) / 20.0) < 1e-12
 
 
 def test_ghz_m1_reduces_to_ensemble():
-    a = StrategyConfig(StrategyKind.GHZ, 1, 50)
-    b = StrategyConfig(StrategyKind.ENSEMBLE, 1, 50)
-    for phi in (0.01, 0.4, 1.5, 3.0):
-        assert strategy_signal_noise(a, phi) == strategy_signal_noise(b, phi)
+    phis = (0.01, 0.4, 1.5, 3.0)
+    a = strategy_signal_noise(StrategyKind.GHZ, (1,), 50, phis)
+    b = strategy_signal_noise(StrategyKind.ENSEMBLE, (1,), 50, phis)
+    assert [x.tolist() for x in a] == [x.tolist() for x in b]
     # 2 arccos(sqrt(f0)) vs arccos(2 f0 - 1): equal numbers, different
     # rounding paths, so compare at float resolution instead of by bit
-    fa, fb = _floor(a), _floor(b)
+    fa, fb = _floor(StrategyKind.GHZ, 1, 50), _floor(StrategyKind.ENSEMBLE, 1, 50)
     assert math.isclose(fa, fb, rel_tol=1e-14)
 
 
@@ -51,10 +50,9 @@ def test_all_strategies_reduce_at_m1():
     # one body is one single-qubit probe, so every strategy's floor is the
     # same bound, bit for bit
     for alpha, n in ((1.0, 100), (2.3, 77), (3.0, 7), (0.25, 10**18)):
-        ref = _floor(StrategyConfig(StrategyKind.ENSEMBLE, 1, n, alpha=alpha))
+        ref = _floor(StrategyKind.ENSEMBLE, 1, n, alpha)
         for strat in StrategyKind:
-            cfg = StrategyConfig(strat, 1, n, alpha=alpha, nonlinear_exponent=2.0)
-            assert _floor(cfg) == ref, (strat, alpha, n)
+            assert _floor(strat, 1, n, alpha, 2.0) == ref, (strat, alpha, n)
 
 
 def test_unit_exponent_floor_is_the_bound_over_the_fringe_frequency():
@@ -64,16 +62,15 @@ def test_unit_exponent_floor_is_the_bound_over_the_fringe_frequency():
     for strat in (StrategyKind.GHZ, StrategyKind.NONLINEAR):
         for k in (1.7, 14.3):
             for alpha, n in ((1.0, 100), (2.3, 77), (0.25, 10**18)):
-                cfg = StrategyConfig(strat, 3, n, alpha=alpha, nonlinear_exponent=k)
-                f, e, s = _probe_model(cfg, ms)
+                f, e, s = _probe_model(strat, ms, n, k)
                 assert (e == 1.0).all()
                 ref = (2.0 / f) * np.arctan(alpha / np.sqrt(s))
-                assert _min_signals(cfg, ms).tolist() == ref.tolist(), (strat, k, alpha, n)
+                assert _min_signals(strat, ms, n, alpha, k).tolist() == ref.tolist(), \
+                    (strat, k, alpha, n)
 
 
 def test_product_signal_matches_bruteforce():
-    cfg = StrategyConfig(StrategyKind.PRODUCT, 2, 10)
-    sig, _ = strategy_signal_noise(cfg, math.pi / 2.0)
+    (sig,), _ = strategy_signal_noise(StrategyKind.PRODUCT, (2,), 10, math.pi / 2.0)
     oracle = 1.0 - product_fidelity_bruteforce(math.pi / 2.0, 0.0, 2)
     assert abs(sig - 0.75) < 1e-15
     assert abs(sig - oracle) < 1e-12
@@ -81,63 +78,105 @@ def test_product_signal_matches_bruteforce():
 
 def test_product_noise_approximation():
     # sqrt(F(1-F)/N) tracks sqrt(M) phi / (2 sqrt(N)) for small phi
-    for m in (1, 4, 16):
-        for n in (10, 100):
-            cfg = StrategyConfig(StrategyKind.PRODUCT, m, n)
-            phi = 0.1 / math.sqrt(m)
-            _, noise = strategy_signal_noise(cfg, phi)
-            approx = math.sqrt(m) * phi / (2.0 * math.sqrt(n))
-            assert abs(noise - approx) <= 0.1 * approx
+    ms = np.array([1, 4, 16])
+    phis = 0.1 / np.sqrt(ms)
+    for n in (10, 100):
+        _, noise = strategy_signal_noise(StrategyKind.PRODUCT, ms, n, phis)
+        approx = np.sqrt(ms) * phis / (2.0 * math.sqrt(n))
+        assert (np.abs(noise - approx) <= 0.1 * approx).all()
 
 
 def test_ensemble_pool_equivalence():
     # M by N and 1 by MN are the same resource, bit for bit
     for m, n in ((2, 50), (10, 10), (25, 4)):
-        a = _floor(StrategyConfig(StrategyKind.ENSEMBLE, m, n))
-        b = _floor(StrategyConfig(StrategyKind.ENSEMBLE, 1, m * n))
+        a = _floor(StrategyKind.ENSEMBLE, m, n)
+        b = _floor(StrategyKind.ENSEMBLE, 1, m * n)
         assert a == b
 
 
 def test_min_signal_reference_points():
     # single-qubit bound at M=1, N=100
     ref = math.acos(99.0 / 101.0)
-    got = _floor(StrategyConfig(StrategyKind.GHZ, 1, 100))
+    got = _floor(StrategyKind.GHZ, 1, 100)
     assert abs(got - ref) < 1e-15
     # asymptotic laws at M=4, N=100
-    prod = _floor(StrategyConfig(StrategyKind.PRODUCT, 4, 100))
+    prod = _floor(StrategyKind.PRODUCT, 4, 100)
     assert abs(prod - 0.1) <= 0.002
-    ghz = _floor(StrategyConfig(StrategyKind.GHZ, 4, 100))
+    ghz = _floor(StrategyKind.GHZ, 4, 100)
     assert abs(ghz - 0.05) <= 0.001
 
 
 def test_signal_equals_alpha_noise_at_floor():
     for strat in StrategyKind:
         for alpha in (0.5, 1.0, 2.0):
-            cfg = StrategyConfig(strat, 4, 100, alpha=alpha, nonlinear_exponent=2.0)
-            floor = _floor(cfg)
-            sig, noise = strategy_signal_noise(cfg, floor)
+            floor = _floor(strat, 4, 100, alpha, 2.0)
+            (sig,), (noise,) = strategy_signal_noise(strat, (4,), 100, floor, 2.0)
             assert abs(sig - alpha * noise) < 1e-12
 
 
+def _refusal(line):
+    return pytest.raises(ValueError, match=f"^{re.escape(line)}$")
+
+
 def test_branch_enforcement():
-    cfg = StrategyConfig(StrategyKind.GHZ, 4, 100)
-    with pytest.raises(BranchError):
-        strategy_signal_noise(cfg, math.pi / 2.0)
-    with pytest.raises(BranchError):
-        strategy_signal_noise(cfg, 0.0)
-    # pi/4 is inside the branch for M=4
-    strategy_signal_noise(cfg, math.pi / 8.0)
+    ghz = StrategyKind.GHZ
+    with _refusal("phi=1.5708 outside the monotone branch (0, 0.785398)"):
+        strategy_signal_noise(ghz, (4,), 100, math.pi / 2.0)
+    with _refusal("phi=0 outside the monotone branch (0, 0.785398)"):
+        strategy_signal_noise(ghz, (4,), 100, 0.0)
+    # over a grid, the branch of the first probe size that excludes phi
+    with _refusal("phi=1.5708 outside the monotone branch (0, 1.5708)"):
+        strategy_signal_noise(ghz, (1, 2, 4), 100, math.pi / 2.0)
+    # pi/8 is inside the branch for M=4
+    strategy_signal_noise(ghz, (4,), 100, math.pi / 8.0)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        StrategyConfig(StrategyKind.GHZ, 0, 10)
-    with pytest.raises(ValueError):
-        StrategyConfig(StrategyKind.GHZ, 2, 0)
-    with pytest.raises(ValueError):
-        StrategyConfig(StrategyKind.GHZ, 2, 10, alpha=-1.0)
-    with pytest.raises(ValueError):
-        StrategyConfig(StrategyKind.NONLINEAR, 2, 10, nonlinear_exponent=0.3)
+    ghz, nonlinear = StrategyKind.GHZ, StrategyKind.NONLINEAR
+    with _refusal("m must be a positive integer"):
+        fit_scaling(ghz, [0, 2], 10, 1.0)
+    with _refusal("n must be a positive integer"):
+        fit_scaling(ghz, [2, 3], 0, 1.0)
+    with _refusal("alpha must be positive and finite"):
+        fit_scaling(ghz, [2, 3], 10, -1.0)
+    with _refusal("nonlinear_exponent must be >= 1"):
+        fit_scaling(nonlinear, [2, 3], 10, 1.0, nonlinear_exponent=0.3)
+    # the kernels share the check
+    with _refusal("m must be a positive integer"):
+        strategy_signal_noise(ghz, (0,), 10, 0.1)
+    with _refusal("n must be a positive integer"):
+        _min_signals(ghz, (2,), 0, 1.0)
+    with _refusal("nonlinear_exponent must be >= 1"):
+        quantum_fisher_information(nonlinear, (2,), 0.3)
+
+
+def test_refusal_order():
+    # M, n, alpha, k, then the M**k overflow: each line names the first
+    # bad input, whichever come after it
+    ghz, nonlinear = StrategyKind.GHZ, StrategyKind.NONLINEAR
+    with _refusal("m must be a positive integer"):
+        fit_scaling(ghz, [0, 2], 0, -1.0)
+    with _refusal("n must be a positive integer"):
+        fit_scaling(ghz, [1, 2], 0, -1.0, nonlinear_exponent=0.3)
+    with _refusal("alpha must be positive and finite"):
+        fit_scaling(nonlinear, [1, 2], 10, -1.0, nonlinear_exponent=0.3)
+    with _refusal("nonlinear_exponent must be >= 1"):
+        fit_scaling(nonlinear, [1, 2], 10, 1.0, nonlinear_exponent=0.3)
+    with _refusal("M**k = 2**1e+308 overflows a float"):
+        fit_scaling(nonlinear, [1, 2], 10, 1.0, nonlinear_exponent=1e308)
+
+
+def test_grid_must_hold_integers():
+    # int() would truncate 2.5 and 4.9 to 2 and 4; a float M is refused,
+    # even a whole one, and numpy integers pass as ints
+    with _refusal("m must be a positive integer"):
+        fit_scaling(StrategyKind.GHZ, [2.5, 4.9], 100, 1.0)
+    with _refusal("m must be a positive integer"):
+        fit_scaling(StrategyKind.GHZ, [2.0, 4.0], 100, 1.0)
+    rep = fit_scaling(StrategyKind.GHZ, np.array([2, 4]), 100, 1.0)
+    assert rep.m_values == (2, 4)
+    assert all(type(m) is int for m in rep.m_values)
+    assert rep == fit_scaling(StrategyKind.GHZ, [2, 4], 100, 1.0)
 
 
 def test_fitted_slopes():
@@ -159,10 +198,9 @@ def test_fit_scaling_report_shape():
     # the critical value, so the floor noise is the same for every M
     assert rep.phis[0] > rep.phis[1] > rep.phis[2]
     ref_noise = math.sqrt((100.0 / 101.0) * (1.0 / 101.0) / 100.0)
-    for m, floor in zip(rep.m_values, rep.phis):
-        sig, noise = strategy_signal_noise(StrategyConfig(StrategyKind.GHZ, m, 100), floor)
-        assert abs(noise - ref_noise) < 1e-12
-        assert abs(sig - noise) < 1e-12
+    sig, noise = strategy_signal_noise(StrategyKind.GHZ, rep.m_values, 100, rep.phis)
+    assert (np.abs(noise - ref_noise) < 1e-12).all()
+    assert (np.abs(sig - noise) < 1e-12).all()
 
 
 def test_fit_scaling_degenerate_grid():
@@ -173,13 +211,9 @@ def test_fit_scaling_degenerate_grid():
 def test_noise_amplification_with_probe_size():
     # at fixed phase the bigger entangled probe is noisier, yet its
     # detection floor is lower: the gain is all in the signal
-    phi = 0.01
-    noises = []
-    floors = []
-    for m in (1, 2, 4, 8):
-        cfg = StrategyConfig(StrategyKind.GHZ, m, 100)
-        noises.append(strategy_signal_noise(cfg, phi)[1])
-        floors.append(_floor(cfg))
+    ms = (1, 2, 4, 8)
+    noises = strategy_signal_noise(StrategyKind.GHZ, ms, 100, 0.01)[1].tolist()
+    floors = _min_signals(StrategyKind.GHZ, ms, 100, 1.0).tolist()
     assert all(b > a for a, b in zip(noises, noises[1:]))
     assert all(b < a for a, b in zip(floors, floors[1:]))
 
@@ -208,9 +242,8 @@ def test_monte_carlo_confirms_floor():
     # empirical test passes exactly when at least one shot misses
     reps = 10**4
     for i, strat in enumerate(StrategyKind):
-        cfg = StrategyConfig(strat, 4, 100, alpha=1.0, nonlinear_exponent=2.0)
-        n_eff = int(_probe_model(cfg, (cfg.m,))[2][0])
-        floor = _floor(cfg)
+        n_eff = int(_probe_model(strat, (4,), 100, 2.0)[2][0])
+        floor = _floor(strat, 4, 100, 1.0, 2.0)
         for j, phi in enumerate((floor, 0.5 * floor)):
             f_true = _strategy_fidelity(strat, 4, phi, 2.0)
             expected = 1.0 - f_true**n_eff
@@ -235,16 +268,15 @@ def test_floor_and_signal_match_mpmath(strat):
     for e in range(19):
         for alpha in (0.25, 1.0, 3.0):
             grid = fit_scaling(strat, ms, 10**e, alpha, nonlinear_exponent=k).phis
-            for m, grid_floor in zip(ms, grid):
-                cfg = StrategyConfig(strat, m, 10**e, alpha=alpha, nonlinear_exponent=k)
-                floor = _floor(cfg)
+            floors = _min_signals(strat, ms, 10**e, alpha, k)
+            sigs, noises = strategy_signal_noise(strat, ms, 10**e, floors, k)
+            assert (noises > 0.0).all()
+            for m, grid_floor, floor, sig in zip(ms, grid, floors.tolist(), sigs.tolist()):
                 ref = strategy_floor_mp(strat.value, m, 10**e, alpha, k)
                 worst_floor = max(worst_floor, abs(floor - ref) / ref,
                                   abs(grid_floor - ref) / ref)
-                sig, noise = strategy_signal_noise(cfg, floor)
                 ref = strategy_signal_mp(strat.value, m, floor, k)
                 worst_signal = max(worst_signal, abs(sig - ref) / ref)
-                assert noise > 0.0
     assert worst_floor <= 4.0 * EPS
     assert worst_signal <= 4.0 * EPS
 

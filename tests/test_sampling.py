@@ -12,7 +12,6 @@ import pytest
 
 from helpers import binomial_cdf_mp
 from metrotrade import sampling
-from metrotrade.errors import BudgetError
 from metrotrade.estimation import monte_carlo_report
 from metrotrade.sampling import (
     _MC_CHUNK,
@@ -88,7 +87,7 @@ def test_enumerate_binomial_matches_mpmath():
 
 
 def test_enumerate_binomial_budget():
-    with pytest.raises(BudgetError):
+    with pytest.raises(ValueError, match=f"^exact enumeration supports n <= {EXACT_ENUM_LIMIT}$"):
         enumerate_binomial(0.5, EXACT_ENUM_LIMIT + 1)
 
 
@@ -172,7 +171,7 @@ def test_windowed_table_fixes_off_by_one_draw():
     # n = 1e7 and inverted this draw one count low
     n, p = 10**7, (1.0 + math.cos(0.9)) / 2.0
     lo, cdf = _binomial_cdf_table(p, n)
-    u = _substream_uniforms(12345, 1, 0, 105301)
+    u = _substream_uniforms(12345, 1, 105301)
     k = int(lo + _window_index(cdf, u)[0])
     u = u[0]
     assert k == 8112212
@@ -188,23 +187,27 @@ def _mix64_ref(z):
     return z ^ (z >> 31)
 
 
-def _uniform_ref(seed, trial, draw):
-    """The (seed, trial, draw) uniform in plain integers masked to 64 bits."""
+def _uniform_ref(seed, trial):
+    """The (seed, trial) uniform in plain integers masked to 64 bits."""
     golden = 0x9E3779B97F4A7C15
     h = _mix64_ref((seed + golden * (trial + 1)) & _M64)
-    h = _mix64_ref((h + golden * (draw + 1)) & _M64)
+    h = _mix64_ref((h + golden) & _M64)
     return ((h >> 11) + 0.5) * 2.0**-53
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
-@pytest.mark.parametrize("draw", [0, 1])
+@pytest.mark.parametrize("cuts", [0, 1])
 @pytest.mark.parametrize("first", [0, 2**32 - 3])
-def test_substream_uniforms_match_splitmix_reference(seed, draw, first):
+def test_substream_uniforms_match_splitmix_reference(seed, cuts, first):
     # the hash in place on uint64 arrays is the splitmix finalizer on
-    # integers, also for trial indices past 2**32
-    u = _substream_uniforms(seed, 6, draw, first)
+    # integers, also for trial indices past 2**32, and a run cut into
+    # calls at later first trials (as count_histogram draws its chunks)
+    # is the same run
+    starts = [first, first + 2][:cuts + 1]
+    ends = starts[1:] + [first + 6]
+    u = np.concatenate([_substream_uniforms(seed, b - a, a) for a, b in zip(starts, ends)])
     assert u.dtype == np.float64
-    assert u.tolist() == [_uniform_ref(seed, t, draw) for t in range(first, first + 6)]
+    assert u.tolist() == [_uniform_ref(seed, t) for t in range(first, first + 6)]
 
 
 def _placed(cdf, i0, counts):
@@ -226,7 +229,7 @@ def test_window_histogram_is_a_bincount_of_the_draws(phi, n, trials):
     p = (1.0 + math.cos(phi)) / 2.0
     lo, cdf = _binomial_cdf_table(p, n)
     k = draw_count_matrix(p, n, 9, trials)
-    i0, counts = _window_histogram(cdf, _substream_uniforms(9, trials, 0))
+    i0, counts = _window_histogram(cdf, _substream_uniforms(9, trials))
     assert counts.sum() == trials
     assert np.array_equal(_placed(cdf, i0, counts), np.bincount(k - lo, minlength=cdf.size))
 
@@ -348,7 +351,7 @@ def test_draw_mean_and_prefix_at_large_budget():
     assert np.array_equal(draw_count_matrix(p, n, seed=17, trials=300), counts[:300])
     lo, cdf = _binomial_cdf_table(p, n)
     assert np.array_equal(
-        lo + _window_index(cdf, _substream_uniforms(17, 700, 0, 1300)), counts[1300:]
+        lo + _window_index(cdf, _substream_uniforms(17, 700, 1300)), counts[1300:]
     )
 
 

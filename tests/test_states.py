@@ -4,16 +4,16 @@ brute-force state vectors, and the quantum Fisher information -2 F''(0)
 of one probe."""
 
 import math
+import re
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from metrotrade.errors import BranchError
 from metrotrade.resources import (
-    StrategyConfig,
     StrategyKind,
     _probe_model,
+    quantum_fisher_information,
     strategy_signal_noise,
 )
 
@@ -28,12 +28,12 @@ PROBES = [
 ]
 
 
-def _probe(kind, m, k=1.0):
-    return StrategyConfig(kind, m, 1, nonlinear_exponent=k)
+def _qfi(kind, m, k=1.0):
+    return float(quantum_fisher_information(kind, (m,), k)[0])
 
 
 def _signal(kind, m, phi, k=1.0):
-    return strategy_signal_noise(_probe(kind, m, k), phi)[0]
+    return float(strategy_signal_noise(kind, (m,), 1, phi, k)[0][0])
 
 
 def test_fidelity_single_pi_over_3():
@@ -74,7 +74,8 @@ def test_signal_zero_at_zero_shift():
     # F -> 1 as the shift does: at 1e-200 the squared half-angle
     # underflows, so signal and noise are exactly 0 for every probe
     for kind, m, k in PROBES:
-        assert strategy_signal_noise(_probe(kind, m, k), 1e-200) == (0.0, 0.0)
+        sig, noise = strategy_signal_noise(kind, (m,), 1, 1e-200, k)
+        assert (sig.tolist(), noise.tolist()) == ([0.0], [0.0])
 
 
 def test_signal_ghz_complement():
@@ -86,16 +87,15 @@ def test_signal_small_angle():
     # 1 - F = Fq d**2 / 4 + O(d**4); at spread 1/2 that is (d / 2)**2
     assert abs(_signal(StrategyKind.ENSEMBLE, 1, 0.01) - 2.5e-5) < 1e-9
     for kind, m, k in PROBES:
-        cfg = _probe(kind, m, k)
-        phi = 1e-3 / float(_probe_model(cfg, (m,))[0][0])
-        sig = strategy_signal_noise(cfg, phi)[0]
-        assert abs(sig - cfg.quantum_fisher_information * phi * phi / 4.0) <= 1e-5 * sig
+        phi = 1e-3 / float(_probe_model(kind, (m,), 1, k)[0][0])
+        sig = _signal(kind, m, phi, k)
+        assert abs(sig - _qfi(kind, m, k) * phi * phi / 4.0) <= 1e-5 * sig
 
 
 def test_qfi_unit_spread():
     # one body, spread 1/2: Fq = 1 for every strategy
     for kind in StrategyKind:
-        assert _probe(kind, 1, 2.0).quantum_fisher_information == 1.0
+        assert _qfi(kind, 1, 2.0) == 1.0
 
 
 def test_qfi_matches_fidelity_curvature():
@@ -103,9 +103,8 @@ def test_qfi_matches_fidelity_curvature():
     # difference is 4 (1 - F(h)) / h**2
     h = 1e-4
     for kind, m, k in PROBES:
-        cfg = _probe(kind, m, k)
-        curv = 4.0 * strategy_signal_noise(cfg, h)[0] / (h * h)
-        fq = cfg.quantum_fisher_information
+        curv = 4.0 * _signal(kind, m, h, k) / (h * h)
+        fq = _qfi(kind, m, k)
         assert abs(curv - fq) < 1e-4 * max(1.0, fq)
 
 
@@ -114,7 +113,7 @@ def test_canonical_spreads():
     expect = {StrategyKind.ENSEMBLE: 1.0, StrategyKind.PRODUCT: 4.0,
               StrategyKind.GHZ: 16.0, StrategyKind.NONLINEAR: 256.0}
     for kind, fq in expect.items():
-        assert _probe(kind, 4, 2.0).quantum_fisher_information == fq
+        assert _qfi(kind, 4, 2.0) == fq
 
 
 def test_m1_reductions():
@@ -126,13 +125,14 @@ def test_m1_reductions():
 
 
 def test_constructor_rejects_bad_input():
-    with pytest.raises(ValueError):
-        _probe(StrategyKind.GHZ, 0)
-    with pytest.raises(ValueError):
-        _probe(StrategyKind.PRODUCT, 2.0)
-    with pytest.raises(ValueError):
-        _probe(StrategyKind.NONLINEAR, 2, 0.5)
-    with pytest.raises(BranchError):
+    with pytest.raises(ValueError, match="^m must be a positive integer$"):
+        _qfi(StrategyKind.GHZ, 0)
+    with pytest.raises(ValueError, match="^m must be a positive integer$"):
+        _qfi(StrategyKind.PRODUCT, 2.0)
+    with pytest.raises(ValueError, match="^nonlinear_exponent must be >= 1$"):
+        _qfi(StrategyKind.NONLINEAR, 2, 0.5)
+    line = "phi=nan outside the monotone branch (0, 3.14159)"
+    with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
         _signal(StrategyKind.ENSEMBLE, 1, math.nan)
 
 
@@ -143,11 +143,10 @@ def test_constructor_rejects_bad_input():
 )
 @example(0.9999999999999999, 1, StrategyKind.PRODUCT)  # sin2 rounds to 1
 def test_fidelity_always_in_unit_interval(frac, m, kind):
-    cfg = _probe(kind, m, 2.0)
-    f = float(_probe_model(cfg, (m,))[0][0])
+    f = float(_probe_model(kind, (m,), 1, 2.0)[0][0])
     phi = frac * math.pi / f
     if not 0.0 < phi < math.pi / f:
         return  # frac * limit rounded onto an end of the branch
-    sig, noise = strategy_signal_noise(cfg, phi)
+    (sig,), (noise,) = strategy_signal_noise(kind, (m,), 1, phi, 2.0)
     assert 0.0 <= sig <= 1.0
     assert noise >= 0.0
