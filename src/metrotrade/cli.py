@@ -133,6 +133,18 @@ def _check_name(text: str) -> str:
     return text
 
 
+@contextlib.contextmanager
+def _refuse_past_a_double(what: str):
+    """Re-raise an int's OverflowError on conversion to a float, which
+    names no input, as a ValueError that names what overflowed and the
+    limit: from 2**1024 - 2**970 on, an int rounds past the largest double."""
+    try:
+        yield
+    except OverflowError:
+        raise ValueError(f"{what} must be below 2**1024 - 2**970 to convert "
+                         "to a float") from None
+
+
 # Lines formatted by one % in _csv_text (a mesh band holds at least one
 # whole outer row), and the most grid rows a command may write (the same
 # cap as the sampler's CDF window).
@@ -306,7 +318,8 @@ def cmd_tradeoff(cfg: RunConfig):
     header = ["n", "alpha", "exact_bound", "asymptotic_bound", "qcrb",
               "correction_ratio"]
     # one kernel call over the n-major (n, alpha) mesh
-    n_col = np.asarray(cfg.n_list, dtype=np.float64)[:, None]
+    with _refuse_past_a_double("--n"):
+        n_col = np.asarray(cfg.n_list, dtype=np.float64)[:, None]
     alphas = np.asarray(cfg.alpha_list, dtype=np.float64)
     exact = min_detectable_signal(alphas, n_col)
     with np.errstate(over="ignore"):  # 2 alpha past a double reads inf
@@ -348,7 +361,8 @@ def cmd_inherent(cfg: RunConfig):
             raise ValueError(f"grid must be <= {_GRID_ROWS_MAX - 1}")
         phi0 = _inherent_grid(cfg.grid)
     header = ["phi0", "resolution", "accuracy"]
-    delta, accuracy = inherent_precision(phi0, n)
+    with _refuse_past_a_double("--n"):
+        delta, accuracy = inherent_precision(phi0, n)
     resolution = 1.0 / delta
     # a mesh of one inner row: every column is a cell
     rows = _Mesh("ccc", phi0[:, None], resolution[:, None], accuracy[:, None])
@@ -372,7 +386,8 @@ def cmd_basis_sweep(cfg: RunConfig):
         raise ValueError(f"grid must be <= {math.isqrt(_GRID_ROWS_MAX)} points per axis")
     header = ["theta", "phi_b", "snr"]
     _bind("snr_grid")
-    thetas, phibs, values = snr_grid(phi, n, grid)
+    with _refuse_past_a_double("--n"):
+        thetas, phibs, values = snr_grid(phi, n, grid)
     analytic = math.sqrt(n) * abs(math.tan(phi / 2.0))
     rows = _RowBlocks(_Mesh("oic", thetas, phibs, values),
                       _Mesh("occ", ["summary"], [[values.max()]], [[analytic]]))
@@ -394,8 +409,10 @@ def cmd_resources(cfg: RunConfig):
     alpha = cfg.alpha
     _bind("StrategyKind", "fit_scaling")
     names = [strat.value for strat in StrategyKind]
-    reps = [fit_scaling(strat, cfg.m_grid, cfg.big_n, alpha, nonlinear_exponent=cfg.k)
-            for strat in StrategyKind]
+    # an M of --m-grid, or the ensemble's M N shots, past a double
+    with _refuse_past_a_double("--big-n times M"):
+        reps = [fit_scaling(strat, cfg.m_grid, cfg.big_n, alpha, nonlinear_exponent=cfg.k)
+                for strat in StrategyKind]
     # strategy by M; the M and N cells are ints
     rows = _Mesh("oiocc", names, reps[0].m_values, [cfg.big_n] * len(reps),
                  [rep.phis for rep in reps], [[rep.fitted_exponent] for rep in reps])
@@ -518,7 +535,16 @@ def _attach_dash_values(argv):
     return args
 
 
-def build_parser() -> _Parser:
+def build_parser(args=None) -> _Parser:
+    """The parser of argv args.  Every command is a subparser, so usage
+    lines and invalid-choice errors name them all, but only the command
+    args name (their first token that is not an option; all of them when
+    args is None) gets its flags, as only that one parses any."""
+    command = None if args is None else next((a for a in args if a[:1] != "-"), None)
+
+    def flagged(name):
+        return args is None or name == command
+
     parser = _Parser(prog="metrotrade", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
@@ -527,6 +553,8 @@ def build_parser() -> _Parser:
     def add(name, help_text, **defaults):
         """A command taking --out, --format and the _FLAGS named in defaults."""
         p = sub.add_parser(name, help=help_text)
+        if not flagged(name):
+            return
         for key, default in defaults.items():
             flag, metavar, kind, flag_help = _FLAGS[key]
             p.add_argument(flag, dest=key, metavar=metavar, type=kind, default=default,
@@ -546,6 +574,8 @@ def build_parser() -> _Parser:
     add("bias-mc", "estimator bias, exact vs Monte Carlo",
         n=10, phi=math.pi / 4.0, trials=10**5, seed=0)
     pv = sub.add_parser("verify", help="run the built-in invariant suite")
+    if not flagged("verify"):
+        return parser
     pv.add_argument("--seed", type=_uint64, default=0)
     pv.add_argument("--corrupt", type=_check_name, default=None, metavar="NAME",
                     help="test hook: sabotage the tolerance of check NAME")
@@ -565,9 +595,10 @@ def run_verify(seed: int, corrupt, out) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    args = _attach_dash_values(argv)
+    parser = build_parser(args)
     try:
-        cfg = parser.parse_args(_attach_dash_values(argv), RunConfig())
+        cfg = parser.parse_args(args, RunConfig())
         if cfg.command == "verify":
             return run_verify(cfg.seed, cfg.corrupt, cfg.out)
         cfg.validate()

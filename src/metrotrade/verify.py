@@ -5,6 +5,10 @@ it against its expected value at a fixed tolerance.  run_all returns
 the results in a fixed order with deterministic formatting, so two
 runs with the same seed produce byte-identical reports.
 
+run_all runs the checks at the same time on a pool of threads (numpy
+releases the interpreter lock inside their kernels, and they share no
+mutable state), and reports them in their fixed order.
+
 The corrupt hook exists for testing the harness itself: naming a check
 replaces its tolerance with an impossible one, which must flip that
 check (and only that check) to FAIL.
@@ -13,10 +17,12 @@ check (and only that check) to FAIL.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _mc_workers
 from . import basis as basis_mod
 from . import bounds, estimation, resources, sampling
 
@@ -303,11 +309,18 @@ CHECK_NAMES = tuple(name for name, _, _, _ in _CHECKS)
 
 
 def run_all(seed: int = 0, corrupt: str | None = None):
-    """Run every check; corrupt (if given) sabotages that check's tolerance."""
+    """Run every check; corrupt (if given) sabotages that check's tolerance.
+
+    The checks of _CHECKS, read when called, run on up to _mc_workers()
+    threads; the results, and the first check's exception if any raise,
+    come in _CHECKS order.
+    """
     if corrupt is not None and corrupt not in CHECK_NAMES:
         raise ValueError(f"unknown check name: {corrupt}")
-    return [fn(bad_tol if corrupt == name else tol, seed)
-            for name, fn, tol, bad_tol in _CHECKS]
+    with ThreadPoolExecutor(_mc_workers()) as pool:
+        futures = [pool.submit(fn, bad_tol if corrupt == name else tol, seed)
+                   for name, fn, tol, bad_tol in _CHECKS]
+    return [future.result() for future in futures]
 
 
 def format_report(results) -> str:

@@ -61,6 +61,11 @@ ARGVS = [
     ["resources", "--alpha", "1e-170", "--m-grid", "1,2,7,32"],
     ["resources", "--format", "svg"],
     ["verify", "--seed", "9"],
+    # an n past a double, refused by a line that names its flag
+    ["tradeoff", "--n", str(10**400)],
+    ["inherent", "--n", str(10**400)],
+    ["basis-sweep", "--n", str(10**400)],
+    ["resources", "--big-n", str(10**400)],
 ]
 
 

@@ -142,6 +142,50 @@ def test_basis_snr_refuses_a_bad_shift_or_budget(phi, n, message):
         basis_snr(np.array([0.0, HALF_PI]), np.array([[0.5], [1.0]]), phi, n)
 
 
+def _plain_snr(theta, phi_b, phi, n):
+    """basis_snr's quotient written out in one expression."""
+    st, ct = np.sin(theta), np.cos(theta)
+    numerator = 2.0 * math.sqrt(n) * abs(math.sin(phi / 2.0)) * np.abs(
+        st * np.sin(phi_b - phi / 2.0))
+    return numerator / (np.sqrt((st * np.sin(phi_b)) ** 2 + ct * ct)
+                        + np.sqrt((st * np.sin(phi - phi_b)) ** 2 + ct * ct))
+
+
+def _nearest_double_to_pi_times(x):
+    with mpmath.workdps(50):
+        return float(x * mpmath.pi)
+
+
+# The double of least |cos|: about -4.69e-19, whose square is a normal double.
+_LEAST_COS_THETA = 6381956970095103 * 2.0**797
+
+
+@pytest.mark.parametrize("theta", [
+    _nearest_double_to_pi_times(0.5), _nearest_double_to_pi_times(1.5), _LEAST_COS_THETA,
+])
+def test_snr_where_cos_theta_is_least(theta):
+    # each noise term is at least |cos theta|, so the denominator stays
+    # above 0 at the doubles nearest the zeros of cos; phi_b = phi puts the
+    # other projection on the state, phi_b = phi / 2 zeroes the separation
+    assert 0.0 < math.cos(theta) ** 2 < 1e-30
+    with mpmath.workdps(60):
+        assert abs(mpmath.cos(mpmath.mpf(theta))) >= 4.68e-19
+    phi = 0.3
+    for phi_b in (0.0, phi / 2.0, phi, HALF_PI, 2.0, np.array([[1.0, 5.0]])):
+        for n in (1, 10**6):
+            got = basis_snr(theta, phi_b, phi, n)
+            assert np.array_equal(got, _plain_snr(theta, phi_b, phi, n))
+            assert np.all(np.isfinite(got) & (got >= 0.0))
+
+
+def test_snr_mesh_equals_the_plain_quotient():
+    thetas = np.linspace(0.0, math.pi, 37)[:, None]
+    phibs = np.linspace(-7.0, 7.0, 41)
+    for phi, n in ((math.pi / 10.0, 1), (1e-6, 3), (-2.5, 10**12)):
+        assert np.array_equal(basis_snr(thetas, phibs, phi, n),
+                              _plain_snr(thetas, phibs, phi, n))
+
+
 def test_find_optimal_basis_searches_on_meshes(monkeypatch):
     # every search step is a mesh of the kernel, and the search stops at
     # the first mesh whose cells are below 1e-9 rad on both axes; the

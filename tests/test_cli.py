@@ -516,6 +516,34 @@ def test_flags_a_command_cannot_use_exit_one(argv):
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
+def _help_text(parser, argv):
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit):
+        parser.parse_args(argv)
+    return out.getvalue()
+
+
+def _usage_error(parser, argv):
+    with pytest.raises(cli.UsageError) as refused:
+        parser.parse_args(argv)
+    return str(refused.value)
+
+
+@pytest.mark.parametrize("command", [*cli._COMMANDS, "verify"])
+def test_parser_of_an_argv_flags_only_its_command(command):
+    # the full parser's help and usage lines for the command argv names,
+    # while every other command keeps its name and help but takes no flag
+    full = cli.build_parser()
+    built = cli.build_parser(["--", command, "--out", "x.csv"])
+    assert _help_text(built, ["-h"]) == _help_text(full, ["-h"])
+    assert _help_text(built, [command, "-h"]) == _help_text(full, [command, "-h"])
+    assert _usage_error(built, ["nosuch"]) == _usage_error(full, ["nosuch"])
+    for other in {*cli._COMMANDS, "verify"} - {command}:
+        assert _usage_error(built, [other, "--out", "x"]) == "unrecognized arguments: --out x"
+    assert vars(built.parse_args([command], cli.RunConfig())) == vars(
+        full.parse_args([command], cli.RunConfig()))
+
+
 def test_csv_output_renders_no_chart(monkeypatch):
     def refuse(panels):
         raise AssertionError("render_chart called for --format csv")
@@ -635,6 +663,7 @@ _N_LINE = "error: n must be a positive integer\n"
 _GRID_LINE = "error: degenerate grid: need at least two distinct m values\n"
 _ALPHA_LINE = "error: alpha must be positive and finite\n"
 _K_LINE = "error: nonlinear_exponent must be >= 1\n"
+_PAST_A_DOUBLE = " must be below 2**1024 - 2**970 to convert to a float\n"
 _REFUSAL_LINES = {
     ("basis-sweep", "--n", "0", "--grid", "100"): _N_LINE,
     ("basis-sweep", "--n", "0", "--phi", "nan", "--grid", "300"): _N_LINE,
@@ -656,6 +685,10 @@ _REFUSAL_LINES = {
     ("resources", "--m-grid", "0,2", "--big-n", "0"): _M_LINE,
     ("resources", "--big-n", "0", "--alpha", "0"): _N_LINE,
     ("resources", "--k", "1e308"): "error: M**k = 2**1e+308 overflows a float\n",
+    ("tradeoff", "--n", str(10**400)): "error: --n" + _PAST_A_DOUBLE,
+    ("inherent", "--n", str(10**400)): "error: --n" + _PAST_A_DOUBLE,
+    ("basis-sweep", "--n", str(10**400)): "error: --n" + _PAST_A_DOUBLE,
+    ("resources", "--big-n", str(10**400)): "error: --big-n times M" + _PAST_A_DOUBLE,
     ("bias-mc", "--n", str(2**62), "--trials", "100"):
         "error: binomial CDF window of 18222003129 entries exceeds 4194304; "
         "n p (1 - p) is too large to sample\n",
@@ -737,6 +770,27 @@ def test_out_of_range_inputs_exit_two_with_one_line(argv):
     assert err.startswith("error: ") and err.count("\n") == 1
     if tuple(argv) in _REFUSAL_LINES:
         assert err == _REFUSAL_LINES[tuple(argv)]
+
+
+# The largest int that converts to a double: one more rounds up to 2**1024.
+_LAST_DOUBLE_INT = 2**1024 - 2**970 - 1
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["tradeoff", "--n", "{n}"], "--n"),
+    (["inherent", "--n", "{n}"], "--n"),
+    (["basis-sweep", "--n", "{n}", "--grid", "200"], "--n"),
+    # the ensemble's M N shots, and an M past a double
+    (["resources", "--m-grid", "1,2", "--big-n", "{half_n}"], "--big-n times M"),
+    (["resources", "--m-grid", "1,{n}", "--big-n", "1", "--k", "1"], "--big-n times M"),
+])
+def test_int_past_a_double_names_its_flag_and_the_limit(argv, what):
+    def run(n):
+        return run_cli([arg.format(n=n, half_n=n // 2) for arg in argv])
+
+    code, out, err = run(_LAST_DOUBLE_INT)
+    assert (code, err) == (0, "") and out
+    assert run(_LAST_DOUBLE_INT + 2) == (2, "", "error: " + what + _PAST_A_DOUBLE)
 
 
 @pytest.mark.parametrize("phi", ["1e-9", "3.14159265", "3.1415926"])

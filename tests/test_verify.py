@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -56,6 +58,66 @@ def test_fisher_consistency_detail_matches_scalar_loop(seed):
 def test_corrupt_flips_only_the_named_check(name):
     results = verify.run_all(seed=5, corrupt=name)
     assert [r.name for r in results if not r.passed] == [name]
+
+
+def run_in_order(seed, corrupt=None):
+    """Each check of _CHECKS called in turn on this thread."""
+    return [fn(bad_tol if corrupt == name else tol, seed)
+            for name, fn, tol, bad_tol in verify._CHECKS]
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("seed", [0, 3, 9, 2**64 - 1])
+def test_pooled_run_all_equals_the_checks_in_order(monkeypatch, seed, workers):
+    monkeypatch.setattr(verify, "_mc_workers", lambda: workers)
+    assert verify.run_all(seed=seed) == run_in_order(seed)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("name", verify.CHECK_NAMES)
+def test_pooled_run_all_equals_the_checks_in_order_when_corrupted(monkeypatch, name, workers):
+    monkeypatch.setattr(verify, "_mc_workers", lambda: workers)
+    assert verify.run_all(seed=7, corrupt=name) == run_in_order(7, corrupt=name)
+
+
+def test_run_all_is_the_same_under_frequent_thread_switches(monkeypatch):
+    # more workers than cores, switching threads every few microseconds
+    monkeypatch.setattr(verify, "_mc_workers", lambda: 4)
+    expected = run_in_order(3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        reports = [verify.run_all(seed=3) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports == [expected] * 3
+
+
+class _CheckRaised(Exception):
+    pass
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_run_all_raises_the_first_failing_check_in_order(monkeypatch, workers):
+    # the later check raises first in time, the earlier one after a wait;
+    # run_all still raises the earlier one, once every check has ended
+    ended = []
+
+    def raising(label, delay):
+        def check(tol, seed=0):
+            time.sleep(delay)
+            ended.append(label)
+            raise _CheckRaised(label)
+        return check
+
+    checks = list(verify._CHECKS)
+    checks[1] = ("inherent_optimum", raising("early", 0.05), 0.0, 0.0)
+    checks[5] = ("bound_vs_oracle", raising("late", 0.0), 0.0, 0.0)
+    monkeypatch.setattr(verify, "_CHECKS", tuple(checks))
+    monkeypatch.setattr(verify, "_mc_workers", lambda: workers)
+    with pytest.raises(_CheckRaised, match="^early$"):
+        verify.run_all(seed=0)
+    assert sorted(ended) == ["early", "late"]
 
 
 N_GRID = np.arange(1, 10**4 + 1, dtype=np.float64)
