@@ -23,15 +23,14 @@ import os
 
 __version__ = "0.1.0"
 
-# The most threads that draw Monte Carlo chunks (sampling.count_histogram)
-# or run verify's checks (verify.run_all), and the most processes that
-# format a CSV mesh (cli._mesh_text).
+# The most threads that draw Monte Carlo chunks (sampling.count_histogram),
+# and the most processes that format a CSV mesh (cli._mesh_text).
 _MC_WORKERS = 4
 
 
 def _mc_workers():
-    """Workers for a Monte Carlo pool, verify's pool or a CSV mesh: the
-    CPUs this process may run on, at most _MC_WORKERS."""
+    """Workers for a Monte Carlo pool or a CSV mesh: the CPUs this process
+    may run on, at most _MC_WORKERS."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform

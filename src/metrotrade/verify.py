@@ -3,11 +3,10 @@
 Each check recomputes one headline property from scratch and compares
 it against its expected value at a fixed tolerance.  run_all returns
 the results in a fixed order with deterministic formatting, so two
-runs with the same seed produce byte-identical reports.
-
-run_all runs the checks at the same time on a pool of threads (numpy
-releases the interpreter lock inside their kernels, and they share no
-mutable state), and reports them in their fixed order.
+runs with the same seed produce byte-identical reports.  The checks run
+in turn on the calling thread: their numpy calls on 10**4-element arrays
+hold the interpreter lock for most of their time, so a thread pool would
+gain little.
 
 The corrupt hook exists for testing the harness itself: naming a check
 replaces its tolerance with an impossible one, which must flip that
@@ -17,12 +16,10 @@ check (and only that check) to FAIL.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _mc_workers
 from . import basis as basis_mod
 from . import bounds, estimation, resources, sampling
 
@@ -132,24 +129,24 @@ def _detects(phi, n_arr: np.ndarray, alpha: float) -> np.ndarray:
 
 def _newton_min_signal(n_arr: np.ndarray, alpha: float) -> np.ndarray:
     """Oracle: root of the inequality's margin sep - alpha sqrt(p sep / n)
-    by six Newton steps, with no reference to the closed form.
+    by six Newton steps on y = cos phi, with no reference to the closed form.
 
-    sin phi = 2 sqrt(p sep) on (0, pi), so the slope needs no second trig
-    call.  The start 2 alpha / sqrt(n) lies at or right of the root, as
-    atan x <= x, and 2.8 caps it above every root on the grid
-    (2 atan 4 ~ 2.652).  Convergence is not assumed: check_bound_vs_oracle
-    certifies each root with _detects.
+    With c = alpha / sqrt(n), twice the margin is (1 - y) - c sqrt((1 - y)
+    (1 + y)), whose slope c y / sqrt(1 - y**2) - 1 reuses the root term, so
+    the steps need no trig call.  The start cos(min(2c, 2.8)) lies at or
+    left of the root y = cos(2 atan c), as atan x <= x and 2.8 caps 2c above
+    every root on the grid (2 atan 4 ~ 2.652).  The margin is convex in y
+    and positive there, so the steps rise to the root without overshoot.
+    Convergence is not assumed: check_bound_vs_oracle certifies each root
+    with _detects.
     """
-    root_n = np.sqrt(n_arr)
-    phi = np.minimum(2.0 * alpha / root_n, 2.8)
+    c = alpha / np.sqrt(n_arr)
+    y = np.cos(np.minimum(2.0 * c, 2.8))
     for _ in range(6):
-        p = (1.0 + np.cos(phi)) / 2.0
-        sep = 1.0 - p
-        amp = np.sqrt(p * sep)
-        margin = sep - alpha * amp / root_n
-        slope = amp - alpha * (p - sep) / (2.0 * root_n)
-        phi = phi - margin / slope
-    return phi
+        sep = 1.0 - y
+        amp = np.sqrt(sep * (1.0 + y))
+        y = y - (sep - c * amp) / (c * y / amp - 1.0)
+    return np.arccos(y)
 
 
 def check_bound_vs_oracle(tol: float, seed: int = 0) -> CheckResult:
@@ -235,11 +232,11 @@ def check_noise_amplification(tol: float, seed: int = 0) -> CheckResult:
 
 def check_fisher_consistency(tol: float, seed: int = 0) -> CheckResult:
     """Measured information saturates the quantum value on the equator only."""
-    # row by row, the stream order of a loop drawing phi, then phi_b
-    rng = np.random.default_rng(seed + 1)
-    phis, phi_bs = rng.uniform(
-        (0.05, 0.0), (math.pi - 0.05, 2.0 * math.pi), size=(100, 2)
-    ).T
+    # point i takes uniforms 2i (phi) and 2i + 1 (phi_b) of the substream
+    # at seed + 1
+    u = sampling._substream_uniforms((seed + 1) % 2**64, 200).reshape(100, 2)
+    phis = 0.05 + (math.pi - 0.1) * u[:, 0]
+    phi_bs = 2.0 * math.pi * u[:, 1]
     gap = np.abs(phis - phi_bs) % math.pi
     phi_bs = np.where(np.minimum(gap, math.pi - gap) < 1e-3, phi_bs + 0.01, phi_bs)
     circle = estimation.classical_fisher_values(math.pi / 2.0, phi_bs, phis)
@@ -311,16 +308,14 @@ CHECK_NAMES = tuple(name for name, _, _, _ in _CHECKS)
 def run_all(seed: int = 0, corrupt: str | None = None):
     """Run every check; corrupt (if given) sabotages that check's tolerance.
 
-    The checks of _CHECKS, read when called, run on up to _mc_workers()
-    threads; the results, and the first check's exception if any raise,
-    come in _CHECKS order.
+    The checks of _CHECKS, read when called, run in turn in _CHECKS order
+    on the calling thread.  The first check that raises propagates, and
+    the checks after it do not run.
     """
     if corrupt is not None and corrupt not in CHECK_NAMES:
         raise ValueError(f"unknown check name: {corrupt}")
-    with ThreadPoolExecutor(_mc_workers()) as pool:
-        futures = [pool.submit(fn, bad_tol if corrupt == name else tol, seed)
-                   for name, fn, tol, bad_tol in _CHECKS]
-    return [future.result() for future in futures]
+    return [fn(bad_tol if corrupt == name else tol, seed)
+            for name, fn, tol, bad_tol in _CHECKS]
 
 
 def format_report(results) -> str:

@@ -161,6 +161,24 @@ def povm_statistic_scalar(p, p_final, n) -> float:
     return math.sqrt(n) * math.sqrt(total)
 
 
+_M64 = 2**64 - 1
+
+
+def _mix64_ref(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def substream_uniform_ref(seed: int, trial: int) -> float:
+    """The (seed, trial) uniform of sampling._substream_uniforms, in plain
+    integers masked to 64 bits."""
+    golden = 0x9E3779B97F4A7C15
+    h = _mix64_ref((seed + golden * (trial + 1)) & _M64)
+    h = _mix64_ref((h + golden) & _M64)
+    return ((h >> 11) + 0.5) * 2.0**-53
+
+
 def classical_fisher_scalar(theta: float, phi_b: float, phi: float) -> float:
     """Fisher information of the two-outcome measurement along
     (theta, phi_b) at phase phi, with math-module scalars: the reference

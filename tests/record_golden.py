@@ -55,12 +55,14 @@ ARGVS = [
     ["bias-mc", "--n", "9223372036854775808", "--trials", "4294967297"],
     ["bias-mc", "--phi", "4", "--trials", "10"],
     # resources off its defaults: a fractional k, an ensemble pool past
-    # 2**53, floors where alpha**2 / n underflows, the chart; verify reseeded
+    # 2**53, floors where alpha**2 / n underflows, the chart; verify reseeded,
+    # and at the largest seed, whose fisher points come from seed 0
     ["resources", "--k", "3.5", "--m-grid", "1,3,1000"],
     ["resources", "--alpha", "1e-200", "--big-n", "1000000000000000000"],
     ["resources", "--alpha", "1e-170", "--m-grid", "1,2,7,32"],
     ["resources", "--format", "svg"],
     ["verify", "--seed", "9"],
+    ["verify", "--seed", "18446744073709551615"],
     # an n past a double, refused by a line that names its flag
     ["tradeoff", "--n", str(10**400)],
     ["inherent", "--n", str(10**400)],

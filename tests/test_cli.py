@@ -1016,6 +1016,27 @@ def test_runtime_does_not_import_scipy():
     assert proc.stdout.split() == ["[0,", "0]", "[]"]
 
 
+def test_verify_loads_no_pool_logging_or_numpy_random():
+    # verify runs its checks in turn and draws its points from the
+    # package's own substream, so it pays for neither a thread pool
+    # (concurrent.futures, which loads logging) nor numpy.random
+    script = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "import metrotrade.cli as c\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = c.main(['verify'])\n"
+        "banned = ('numpy.random', 'concurrent.futures', 'logging')\n"
+        "added = set(sys.modules) - before\n"
+        "print(code, sorted(m for m in added\n"
+        "                   if any(m == b or m.startswith(b + '.') for b in banned)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "[]"]
+
+
 # The package modules a command loads beyond those of `tradeoff` (cli and
 # bounds).  basis-sweep's default 160k-line mesh spans several
 # bands and is formatted on several processes, whose count the package

@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import binomial_cdf_mp
+from helpers import binomial_cdf_mp, substream_uniform_ref
 from metrotrade import sampling
 from metrotrade.estimation import monte_carlo_report
 from metrotrade.sampling import (
@@ -178,23 +178,6 @@ def test_windowed_table_fixes_off_by_one_draw():
     assert binomial_cdf_mp(n, p, k - 1) < mpmath.mpf(u) <= binomial_cdf_mp(n, p, k)
 
 
-_M64 = 2**64 - 1
-
-
-def _mix64_ref(z):
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return z ^ (z >> 31)
-
-
-def _uniform_ref(seed, trial):
-    """The (seed, trial) uniform in plain integers masked to 64 bits."""
-    golden = 0x9E3779B97F4A7C15
-    h = _mix64_ref((seed + golden * (trial + 1)) & _M64)
-    h = _mix64_ref((h + golden) & _M64)
-    return ((h >> 11) + 0.5) * 2.0**-53
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
 @pytest.mark.parametrize("cuts", [0, 1])
 @pytest.mark.parametrize("first", [0, 2**32 - 3])
@@ -207,7 +190,7 @@ def test_substream_uniforms_match_splitmix_reference(seed, cuts, first):
     ends = starts[1:] + [first + 6]
     u = np.concatenate([_substream_uniforms(seed, b - a, a) for a, b in zip(starts, ends)])
     assert u.dtype == np.float64
-    assert u.tolist() == [_uniform_ref(seed, t) for t in range(first, first + 6)]
+    assert u.tolist() == [substream_uniform_ref(seed, t) for t in range(first, first + 6)]
 
 
 def _placed(cdf, i0, counts):

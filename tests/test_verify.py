@@ -1,11 +1,14 @@
 import math
-import sys
-import time
 
 import numpy as np
 import pytest
 
-from helpers import bisection_min_signal_100, classical_fisher_scalar, povm_statistic_scalar
+from helpers import (
+    bisection_min_signal_100,
+    classical_fisher_scalar,
+    povm_statistic_scalar,
+    substream_uniform_ref,
+)
 from metrotrade import verify
 
 
@@ -20,16 +23,27 @@ def povm_detail_by_scalar_loop():
     return f"max |statistic - alpha| = {worst:.3e}"
 
 
-def fisher_detail_by_scalar_loop(seed):
-    """The circle and overshoot part of fisher_consistency's detail, one
-    basis at a time over the same seeded draws and mesh."""
-    rng = np.random.default_rng(seed + 1)
-    worst_circle = 0.0
-    for _ in range(100):
-        phi = float(rng.uniform(0.05, math.pi - 0.05))
-        phi_b = float(rng.uniform(0.0, 2.0 * math.pi))
+def fisher_points_by_scalar_loop(seed):
+    """fisher_consistency's 100 equator points (phi, phi_b), one at a time:
+    uniforms 2i and 2i + 1 of the substream at seed + 1, scaled onto
+    [0.05, pi - 0.05] and [0, 2 pi], with phi_b nudged off a degenerate
+    basis."""
+    points = []
+    for i in range(100):
+        u_phi, u_b = (substream_uniform_ref((seed + 1) % 2**64, t) for t in (2 * i, 2 * i + 1))
+        phi = 0.05 + (math.pi - 0.1) * u_phi
+        phi_b = 2.0 * math.pi * u_b
         if min(abs(phi - phi_b) % math.pi, math.pi - abs(phi - phi_b) % math.pi) < 1e-3:
             phi_b += 0.01
+        points.append((phi, phi_b))
+    return points
+
+
+def fisher_detail_by_scalar_loop(seed):
+    """The circle and overshoot part of fisher_consistency's detail, one
+    basis at a time over the same substream draws and mesh."""
+    worst_circle = 0.0
+    for phi, phi_b in fisher_points_by_scalar_loop(seed):
         fc = classical_fisher_scalar(math.pi / 2.0, phi_b, phi)
         worst_circle = max(worst_circle, abs(fc - 1.0))
     worst_over = 0.0
@@ -46,10 +60,22 @@ def test_povm_reduction_detail_matches_scalar_loop():
     assert result.detail == povm_detail_by_scalar_loop()
 
 
-@pytest.mark.parametrize("seed", [0, 5, 99])
-def test_fisher_consistency_detail_matches_scalar_loop(seed):
+@pytest.mark.parametrize("seed", [0, 5, 99, 2**64 - 1])
+def test_fisher_consistency_detail_matches_scalar_loop(monkeypatch, seed):
+    # both details read 0.00e+00 on any equator points, so the points the
+    # check evaluates on the equator are held to the scalar loop's too
+    calls = []
+    fisher_values = verify.estimation.classical_fisher_values
+
+    def recording(theta, phi_b, phi):
+        calls.append((phi, phi_b))
+        return fisher_values(theta, phi_b, phi)
+
+    monkeypatch.setattr(verify.estimation, "classical_fisher_values", recording)
     result = verify.check_fisher_consistency(1e-4, seed=seed)
     assert result.passed
+    phis, phi_bs = calls[0]
+    assert list(zip(phis.tolist(), phi_bs.tolist())) == fisher_points_by_scalar_loop(seed)
     circle_and_overshoot = result.detail.split(", curvature")[0]
     assert circle_and_overshoot == fisher_detail_by_scalar_loop(seed)
 
@@ -61,63 +87,50 @@ def test_corrupt_flips_only_the_named_check(name):
 
 
 def run_in_order(seed, corrupt=None):
-    """Each check of _CHECKS called in turn on this thread."""
+    """Each check of _CHECKS called in turn."""
     return [fn(bad_tol if corrupt == name else tol, seed)
             for name, fn, tol, bad_tol in verify._CHECKS]
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-@pytest.mark.parametrize("seed", [0, 3, 9, 2**64 - 1])
-def test_pooled_run_all_equals_the_checks_in_order(monkeypatch, seed, workers):
-    monkeypatch.setattr(verify, "_mc_workers", lambda: workers)
-    assert verify.run_all(seed=seed) == run_in_order(seed)
-
-
-@pytest.mark.parametrize("workers", [1, 4])
-@pytest.mark.parametrize("name", verify.CHECK_NAMES)
-def test_pooled_run_all_equals_the_checks_in_order_when_corrupted(monkeypatch, name, workers):
-    monkeypatch.setattr(verify, "_mc_workers", lambda: workers)
-    assert verify.run_all(seed=7, corrupt=name) == run_in_order(7, corrupt=name)
-
-
-def test_run_all_is_the_same_under_frequent_thread_switches(monkeypatch):
-    # more workers than cores, switching threads every few microseconds
-    monkeypatch.setattr(verify, "_mc_workers", lambda: 4)
-    expected = run_in_order(3)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        reports = [verify.run_all(seed=3) for _ in range(3)]
-    finally:
-        sys.setswitchinterval(interval)
-    assert reports == [expected] * 3
+@pytest.mark.parametrize("seed, corrupt", [
+    *((seed, None) for seed in (0, 3, 9, 2**64 - 1)),
+    *((7, name) for name in verify.CHECK_NAMES),
+])
+def test_run_all_equals_the_checks_in_order(seed, corrupt):
+    assert verify.run_all(seed=seed, corrupt=corrupt) == run_in_order(seed, corrupt)
 
 
 class _CheckRaised(Exception):
     pass
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_run_all_raises_the_first_failing_check_in_order(monkeypatch, workers):
-    # the later check raises first in time, the earlier one after a wait;
-    # run_all still raises the earlier one, once every check has ended
-    ended = []
+@pytest.mark.parametrize("first", [1, 2, 4])
+def test_run_all_raises_the_first_failing_check_in_order(monkeypatch, first):
+    # the check at index `first` raises, and so would the one at index 5;
+    # run_all raises the first, and no check after it runs
+    ran = []
 
-    def raising(label, delay):
+    def recording(name, fn):
         def check(tol, seed=0):
-            time.sleep(delay)
-            ended.append(label)
-            raise _CheckRaised(label)
+            ran.append(name)
+            return fn(tol, seed)
         return check
 
-    checks = list(verify._CHECKS)
-    checks[1] = ("inherent_optimum", raising("early", 0.05), 0.0, 0.0)
-    checks[5] = ("bound_vs_oracle", raising("late", 0.0), 0.0, 0.0)
+    def raising(name):
+        def check(tol, seed=0):
+            ran.append(name)
+            raise _CheckRaised(name)
+        return check
+
+    checks = [(name, recording(name, fn), tol, bad_tol)
+              for name, fn, tol, bad_tol in verify._CHECKS]
+    for index in (first, 5):
+        name = checks[index][0]
+        checks[index] = (name, raising(name), 0.0, 0.0)
     monkeypatch.setattr(verify, "_CHECKS", tuple(checks))
-    monkeypatch.setattr(verify, "_mc_workers", lambda: workers)
-    with pytest.raises(_CheckRaised, match="^early$"):
+    with pytest.raises(_CheckRaised, match=f"^{verify.CHECK_NAMES[first]}$"):
         verify.run_all(seed=0)
-    assert sorted(ended) == ["early", "late"]
+    assert ran == list(verify.CHECK_NAMES[:first + 1])
 
 
 N_GRID = np.arange(1, 10**4 + 1, dtype=np.float64)
@@ -139,11 +152,20 @@ def test_newton_oracle_is_certified_at_every_pair(alpha):
 
 @pytest.mark.parametrize("alpha", verify._ALPHA_GRID)
 def test_newton_oracle_agrees_with_bisection(alpha):
-    # Both oracles stop where the computed margin sep - alpha sqrt(p sep / n)
-    # changes sign.  Its rounding is at most ~8 eps (cos to 4 ulp, then p,
-    # sep and the root term), and its slope at the root 2 atan(c),
-    # c = alpha / sqrt(n), is exactly c / 2.  So each lies within 16 eps / c
-    # of the exact root, plus two spacings of the doubles it returns.
+    # Each oracle stops where its computed margin changes sign; with
+    # c = alpha / sqrt(n) the exact root is phi = 2 atan(c), y = cos phi.
+    # Bisection's margin sep - alpha sqrt(p sep / n) rounds by at most ~8 eps
+    # (cos to 4 ulp, then p, sep and the root term), and its slope in phi at
+    # the root is exactly c / 2, so it lies within 16 eps / c of the root,
+    # plus two spacings of the doubles it returns.  Newton's twice-margin
+    # (1 - y) - c sqrt((1 - y)(1 + y)) rounds by at most 4 eps (1 - y) from
+    # its two terms, each 1 - y = 2 c**2 / (1 + c**2) at the root, and its
+    # slope there is -(1 + c**2) / 2, so y lies within
+    # 16 eps c**2 / (1 + c**2)**2 of the root, plus one spacing of y (at
+    # most eps / 2).  arccos scales both by 1 / sin phi = (1 + c**2) / (2 c):
+    # 8 eps c / (1 + c**2) + eps (1 + c**2) / (4 c), which is below 16 eps / c
+    # for c <= 4, plus two spacings of the arccos it returns.  So one
+    # 16 eps / c + 2 spacings bounds either oracle's distance to the root.
     eps = np.finfo(np.float64).eps
     newton = verify._newton_min_signal(N_GRID, alpha)
     bisection = bisection_min_signal_100(N_GRID, alpha)
