@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -92,12 +94,54 @@ def run_in_order(seed, corrupt=None):
             for name, fn, tol, bad_tol in verify._CHECKS]
 
 
-@pytest.mark.parametrize("seed, corrupt", [
-    *((seed, None) for seed in (0, 3, 9, 2**64 - 1)),
-    *((7, name) for name in verify.CHECK_NAMES),
-])
-def test_run_all_equals_the_checks_in_order(seed, corrupt):
-    assert verify.run_all(seed=seed, corrupt=corrupt) == run_in_order(seed, corrupt)
+def draw_monte_carlo_on_pool(monkeypatch, workers):
+    """Cut bias_structure's 10**5 Monte Carlo trials into 25 chunks of 2**12,
+    counted on `workers` threads of count_histogram's pool; returns the list
+    that each counted chunk appends its thread to."""
+    kernel, callers = verify.sampling._window_histogram, []
+
+    def spy(*args):
+        callers.append(threading.current_thread())
+        return kernel(*args)
+
+    monkeypatch.setattr(verify.sampling, "_MC_CHUNK", 2**12)
+    monkeypatch.setattr(verify.sampling, "_mc_workers", lambda: workers)
+    monkeypatch.setattr(verify.sampling, "_window_histogram", spy)
+    return callers
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("seed", [0, 3, 9, 2**64 - 1])
+def test_pooled_run_all_equals_the_checks_in_order(monkeypatch, seed, workers):
+    # the checks run in turn; only the Monte Carlo inside one of them may
+    # draw on a pool, and its reports match the default chunking's
+    expected = run_in_order(seed)
+    callers = draw_monte_carlo_on_pool(monkeypatch, workers)
+    assert verify.run_all(seed=seed) == expected
+    assert len(callers) == 25
+    assert all(t is threading.main_thread() for t in callers) == (workers == 1)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("name", verify.CHECK_NAMES)
+def test_pooled_run_all_equals_the_checks_in_order_when_corrupted(monkeypatch, name, workers):
+    expected = run_in_order(7, corrupt=name)
+    draw_monte_carlo_on_pool(monkeypatch, workers)
+    assert verify.run_all(seed=7, corrupt=name) == expected
+
+
+def test_run_all_is_the_same_under_frequent_thread_switches(monkeypatch):
+    # the Monte Carlo on four threads, switching every few microseconds
+    expected = run_in_order(3)
+    callers = draw_monte_carlo_on_pool(monkeypatch, 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        reports = [verify.run_all(seed=3) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports == [expected] * 3
+    assert len(callers) == 3 * 25
 
 
 class _CheckRaised(Exception):
