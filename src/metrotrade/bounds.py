@@ -132,14 +132,17 @@ def inherent_precision(phi0, n: int):
     so it does not cancel when the step is small against phi0 (large n).
 
     Vectorized over phi0 (scalar or array, each in (0, pi)).  Returns
-    (delta_phi, accuracy); where the quantum cannot be bridged (arccos
-    argument above 1) both are NaN.
+    (delta_phi, accuracy); where the quantum cannot be bridged both are
+    NaN, with no warning: where the arccos argument exceeds 1, or where it
+    rounds to exactly 1 (theta2 = 0) while (1/n) / sin(phi0/2) exceeds 1
+    or divides by a zero sine.  At a reachable point the sine is at least
+    1/sqrt(n), so the asin argument stays below 1.
     """
     if not np.all(np.greater(phi0, 0.0) & np.less(phi0, math.pi)):
         raise ValueError("phi0 must lie in (0, pi)")
     if not (isinstance(n, int) and n >= 1):
         raise ValueError("n must be a positive integer")
-    with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         theta2 = np.arccos(2.0 / n + np.cos(phi0))
-    delta = 2.0 * np.arcsin((1.0 / n) / np.sin((phi0 + theta2) / 2.0))
+        delta = 2.0 * np.arcsin((1.0 / n) / np.sin((phi0 + theta2) / 2.0))
     return delta, accuracy_of(delta, n)

@@ -1,9 +1,10 @@
 """Self-verification harness: every module invariant at pinned parameters.
 
-Each check recomputes one headline property from scratch and compares
-it against its expected value at a fixed tolerance.  run_all returns
-the results in a fixed order with deterministic formatting, so two
-runs with the same seed produce byte-identical reports.  The checks run
+Each check recomputes one headline property from scratch, compares it
+against its expected value at a fixed tolerance and returns its verdict
+and a detail line.  run_all names each result from its _CHECKS entry and
+returns the results in a fixed order with deterministic formatting, so
+two runs with the same seed produce byte-identical reports.  The checks run
 in turn on the calling thread: their numpy calls on 10**4-element arrays
 hold the interpreter lock for most of their time, so a thread pool would
 gain little.
@@ -33,27 +34,18 @@ class CheckResult:
     detail: str
 
 
-def _result(name, passed, detail):
-    return CheckResult(name=name, passed=bool(passed), detail=detail)
-
-
-def check_factor2(tol: float, seed: int = 0) -> CheckResult:
+def check_factor2(tol: float, seed: int = 0) -> tuple[bool, str]:
     """Exact minimum signal approaches twice the inverse-root benchmark."""
     n = np.array([10**2, 10**3, 10**4, 10**5], dtype=np.float64)
     ratios = bounds._qcrb_and_ratio(bounds.min_detectable_signal(1.0, n), n)[1].tolist()
     at_1e4 = ratios[2]
     in_band = (1.99 - tol) <= at_1e4 <= (2.0 + tol)
     monotone = all(a < b for a, b in zip(ratios, ratios[1:])) and ratios[-1] <= 2.0
-    passed = in_band and monotone
-    return _result(
-        "factor2_correction",
-        passed,
-        f"ratio(1e4)={at_1e4:.12f} in [1.99,2] and monotone "
-        f"{'+'.join(f'{r:.10f}' for r in ratios)}",
-    )
+    return in_band and monotone, (f"ratio(1e4)={at_1e4:.12f} in [1.99,2] and monotone "
+                                  f"{'+'.join(f'{r:.10f}' for r in ratios)}")
 
 
-def check_inherent_optimum(tol: float, seed: int = 0) -> CheckResult:
+def check_inherent_optimum(tol: float, seed: int = 0) -> tuple[bool, str]:
     """Resolution and accuracy at phi0 = pi/2, n = 100, match their values."""
     n = 100
     dphi, acc = bounds.inherent_precision(math.pi / 2.0, n)
@@ -63,27 +55,19 @@ def check_inherent_optimum(tol: float, seed: int = 0) -> CheckResult:
     grid = np.linspace(0.0, math.pi, 2003)[1:-1]
     best_res = float(np.nanmax(1.0 / bounds.inherent_precision(grid, n)[0]))
     ok_peak = best_res - res <= tol * res
-    passed = ok_res and ok_acc and ok_peak
-    return _result(
-        "inherent_optimum",
-        passed,
+    return ok_res and ok_acc and ok_peak, (
         f"res={res:.6f} (vs 49.9967), acc={acc:.9f} (vs 0.100007), "
-        f"grid max {best_res:.6f} within tolerance of pi/2 value",
-    )
+        f"grid max {best_res:.6f} within tolerance of pi/2 value")
 
 
-def check_accuracy_decreases(tol: float, seed: int = 0) -> CheckResult:
+def check_accuracy_decreases(tol: float, seed: int = 0) -> tuple[bool, str]:
     """Inherent accuracy falls with the sample budget at phi0 = pi/2."""
     accs = [bounds.inherent_precision(math.pi / 2.0, n)[1] for n in (10, 10**2, 10**3, 10**4)]
-    passed = all(b < a - tol for a, b in zip(accs, accs[1:]))
-    return _result(
-        "accuracy_decreases",
-        passed,
-        "alpha(n) = " + ", ".join(f"{a:.6f}" for a in accs),
-    )
+    return (all(b < a - tol for a, b in zip(accs, accs[1:])),
+            "alpha(n) = " + ", ".join(f"{a:.6f}" for a in accs))
 
 
-def check_optimal_basis(tol: float, seed: int = 0) -> CheckResult:
+def check_optimal_basis(tol: float, seed: int = 0) -> tuple[bool, str]:
     """Mesh refinement recovers the analytic optimum at phi = pi/10, n = 1."""
     phi, n = math.pi / 10.0, 1
     analytic = math.tan(phi / 2.0)
@@ -91,15 +75,11 @@ def check_optimal_basis(tol: float, seed: int = 0) -> CheckResult:
     ok_snr = abs(snr - analytic) <= tol
     ok_theta = abs(best.theta - math.pi / 2.0) <= 1e-3
     ok_cap = snr <= analytic + 1e-9
-    passed = ok_snr and ok_theta and ok_cap
-    return _result(
-        "optimal_basis",
-        passed,
-        f"snr={snr:.10f} vs analytic {analytic:.10f}, theta={best.theta:.8f}",
-    )
+    return (ok_snr and ok_theta and ok_cap,
+            f"snr={snr:.10f} vs analytic {analytic:.10f}, theta={best.theta:.8f}")
 
 
-def check_povm_reduction(tol: float, seed: int = 0) -> CheckResult:
+def check_povm_reduction(tol: float, seed: int = 0) -> tuple[bool, str]:
     """The separation statistic equals alpha exactly at critical fidelity."""
     n = np.arange(1, 1001)[:, None]
     alpha = np.array(_ALPHA_GRID)
@@ -107,10 +87,7 @@ def check_povm_reduction(tol: float, seed: int = 0) -> CheckResult:
     final = np.stack((bounds.critical_fidelity(alpha, n), a2 / (n + a2)), axis=-1)
     stat = bounds.povm_statistics((1.0, 0.0), final, n)
     worst = float(np.max(np.abs(stat - alpha)))
-    passed = worst <= tol
-    return _result(
-        "povm_reduction", passed, f"max |statistic - alpha| = {worst:.3e}"
-    )
+    return worst <= tol, f"max |statistic - alpha| = {worst:.3e}"
 
 
 # Half-width of the bracket that certifies each Newton root: 100 times the
@@ -149,7 +126,7 @@ def _newton_min_signal(n_arr: np.ndarray, alpha: float) -> np.ndarray:
     return np.arccos(y)
 
 
-def check_bound_vs_oracle(tol: float, seed: int = 0) -> CheckResult:
+def check_bound_vs_oracle(tol: float, seed: int = 0) -> tuple[bool, str]:
     """Closed-form minimum signal agrees with a certified Newton root."""
     n_arr = np.arange(1, 10**4 + 1, dtype=np.float64)
     bound = bounds.min_detectable_signal(np.array(_ALPHA_GRID)[:, None], n_arr)
@@ -161,16 +138,12 @@ def check_bound_vs_oracle(tol: float, seed: int = 0) -> CheckResult:
         bracketed &= _detects(root + _CERTIFY_H, n_arr, alpha)
         certified += int(np.count_nonzero(bracketed))
         worst = max(worst, float(np.max(np.abs(closed - root))))
-    passed = certified == bound.size and worst <= tol
-    return _result(
-        "bound_vs_oracle",
-        passed,
+    return certified == bound.size and worst <= tol, (
         f"max |closed - newton| = {worst:.3e}, "
-        f"{certified}/{bound.size} roots certified at +-{_CERTIFY_H:.0e}",
-    )
+        f"{certified}/{bound.size} roots certified at +-{_CERTIFY_H:.0e}")
 
 
-def check_bias_structure(tol: float, seed: int = 0) -> CheckResult:
+def check_bias_structure(tol: float, seed: int = 0) -> tuple[bool, str]:
     """Frequency estimate unbiased, phase estimate biased, MC agrees."""
     exact = estimation.exact_bias_report(math.pi / 4.0, 10)
     ok_p = abs(exact.bias_p) < tol
@@ -181,17 +154,13 @@ def check_bias_structure(tol: float, seed: int = 0) -> CheckResult:
     mc = estimation.monte_carlo_report(math.pi / 4.0, 10, trials, seed)
     se = math.sqrt(mc.var_phi / trials)
     ok_mc = abs(mc.bias_phi - exact.bias_phi) <= 5.0 * se
-    passed = ok_p and ok_phi and ok_sym and ok_mc
-    return _result(
-        "bias_structure",
-        passed,
+    return ok_p and ok_phi and ok_sym and ok_mc, (
         f"bias_p={exact.bias_p:.2e}, bias_phi={exact.bias_phi:.9f}, "
         f"mc-exact={mc.bias_phi - exact.bias_phi:.2e} (5se={5 * se:.2e}), "
-        f"sym={sym.bias_phi:.2e}",
-    )
+        f"sym={sym.bias_phi:.2e}")
 
 
-def check_resource_scaling(tol: float, seed: int = 0) -> CheckResult:
+def check_resource_scaling(tol: float, seed: int = 0) -> tuple[bool, str]:
     """Fitted log-log slopes match -1/2, -1/2, -1 and -k."""
     grid = (2, 4, 8, 16, 32)
     expect = {
@@ -210,10 +179,10 @@ def check_resource_scaling(tol: float, seed: int = 0) -> CheckResult:
     )
     passed = passed and abs(rep.fitted_exponent - (-2.0)) <= 2.0 * tol
     pieces.append(f"nonlinear(k=2)={rep.fitted_exponent:.4f}")
-    return _result("resource_scaling", passed, "slopes " + ", ".join(pieces))
+    return passed, "slopes " + ", ".join(pieces)
 
 
-def check_noise_amplification(tol: float, seed: int = 0) -> CheckResult:
+def check_noise_amplification(tol: float, seed: int = 0) -> tuple[bool, str]:
     """Entanglement raises noise at fixed phase while lowering the floor."""
     phi, n, ms = 0.01, 100, (1, 2, 4, 8)
     ghz = resources.StrategyKind.GHZ
@@ -221,16 +190,11 @@ def check_noise_amplification(tol: float, seed: int = 0) -> CheckResult:
     floors = resources._min_signals(ghz, ms, n, 1.0).tolist()
     up = all(b > a + tol for a, b in zip(noises, noises[1:]))
     down = all(b < a - tol for a, b in zip(floors, floors[1:]))
-    passed = up and down
-    return _result(
-        "noise_amplification",
-        passed,
-        "noise " + "->".join(f"{x:.2e}" for x in noises)
-        + ", floor " + "->".join(f"{x:.4f}" for x in floors),
-    )
+    return up and down, ("noise " + "->".join(f"{x:.2e}" for x in noises)
+                         + ", floor " + "->".join(f"{x:.4f}" for x in floors))
 
 
-def check_fisher_consistency(tol: float, seed: int = 0) -> CheckResult:
+def check_fisher_consistency(tol: float, seed: int = 0) -> tuple[bool, str]:
     """Measured information saturates the quantum value on the equator only."""
     # point i takes uniforms 2i (phi) and 2i + 1 (phi_b) of the substream
     # at seed + 1
@@ -258,15 +222,11 @@ def check_fisher_consistency(tol: float, seed: int = 0) -> CheckResult:
         fq_k = float(resources.quantum_fisher_information(strat, (m,), k)[0])
         worst_curv = max(worst_curv, abs(4.0 * sig / (h * h) - fq_k) / fq_k)
     passed = worst_circle <= 1e-10 and worst_over <= 1e-10 and worst_curv <= tol
-    return _result(
-        "fisher_consistency",
-        passed,
-        f"|Fc-1| circle max {worst_circle:.2e}, overshoot {worst_over:.2e}, "
-        f"curvature rel err {worst_curv:.2e}",
-    )
+    return passed, (f"|Fc-1| circle max {worst_circle:.2e}, overshoot {worst_over:.2e}, "
+                    f"curvature rel err {worst_curv:.2e}")
 
 
-def check_reproducibility(tol: float, seed: int = 0) -> CheckResult:
+def check_reproducibility(tol: float, seed: int = 0) -> tuple[bool, str]:
     """Identical seeds reproduce identical sampled counts, bit for bit."""
     # The corrupt hook (negative tol) reruns with a different seed, which
     # must be caught as a mismatch; it wraps, as the seed is 64 bits.
@@ -276,12 +236,8 @@ def check_reproducibility(tol: float, seed: int = 0) -> CheckResult:
     c = sampling.draw_count_matrix(0.7, 50, seed, 500)
     same = np.array_equal(a, b)
     prefix = np.array_equal(a[:500], c)
-    passed = same and prefix
-    return _result(
-        "reproducibility",
-        passed,
-        f"rerun identical: {same}, prefix stable under trial count: {prefix}",
-    )
+    return same and prefix, (f"rerun identical: {same}, "
+                             f"prefix stable under trial count: {prefix}")
 
 
 # (name, function, tolerance, corrupted tolerance).  The corrupted value
@@ -314,8 +270,11 @@ def run_all(seed: int = 0, corrupt: str | None = None):
     """
     if corrupt is not None and corrupt not in CHECK_NAMES:
         raise ValueError(f"unknown check name: {corrupt}")
-    return [fn(bad_tol if corrupt == name else tol, seed)
-            for name, fn, tol, bad_tol in _CHECKS]
+    results = []
+    for name, fn, tol, bad_tol in _CHECKS:
+        passed, detail = fn(bad_tol if corrupt == name else tol, seed)
+        results.append(CheckResult(name, bool(passed), detail))
+    return results
 
 
 def format_report(results) -> str:

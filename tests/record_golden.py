@@ -9,8 +9,9 @@ purpose: the diff of the table then names every argv that moved.
 
 The table also records the numpy version and the CPU dispatch targets it
 was taken under.  numpy's SIMD dispatch picks float64 arccos and arcsin
-code that rounds differently per target, which moves `inherent`'s bytes,
-so a table holds only under the same two.
+code that rounds differently per target, which moves the bytes of the
+few argvs that tests/test_golden.py names as dispatch-bound; those hold
+only under the same targets, and every argv only under the same numpy.
 """
 
 from __future__ import annotations

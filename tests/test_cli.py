@@ -134,6 +134,25 @@ def test_inherent_flags_unreachable_rows():
         assert float(r[0]) < math.acos(1.0 - 2.0 / 3.0)
 
 
+@pytest.mark.parametrize("argv", [
+    # 2/n + cos phi0 rounds to exactly 1, so theta2 = 0 and the step's
+    # arcsine sees an argument above 1, or a sine of 0
+    ["--n", "100000000000000000", "--phi0", "1e-17"],
+    ["--n", "9223372036854775807", "--phi0", "5e-324"],
+    # 2/n + cos phi0 above 1
+    ["--phi0", "1e-300"],
+], ids=["sum-rounds-to-1", "zero-sine", "sum-above-1"])
+def test_unreachable_point_is_a_nan_row_with_empty_stderr(argv):
+    proc = subprocess.run([sys.executable, "-m", "metrotrade", "inherent", *argv],
+                          env=child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    header, rows = parse_csv(proc.stdout)
+    assert header == ["phi0", "resolution", "accuracy"]
+    assert rows == [[rows[0][0], "nan", "nan"]]
+    assert float(rows[0][0]) == float(argv[-1])
+
+
 def test_basis_sweep_summary_row():
     code, out, _ = run_cli(["basis-sweep", "--grid", "200"])
     assert code == 0

@@ -57,9 +57,9 @@ def fisher_detail_by_scalar_loop(seed):
 
 
 def test_povm_reduction_detail_matches_scalar_loop():
-    result = verify.check_povm_reduction(1e-12)
-    assert result.passed
-    assert result.detail == povm_detail_by_scalar_loop()
+    passed, detail = verify.check_povm_reduction(1e-12)
+    assert passed
+    assert detail == povm_detail_by_scalar_loop()
 
 
 @pytest.mark.parametrize("seed", [0, 5, 99, 2**64 - 1])
@@ -74,11 +74,11 @@ def test_fisher_consistency_detail_matches_scalar_loop(monkeypatch, seed):
         return fisher_values(theta, phi_b, phi)
 
     monkeypatch.setattr(verify.estimation, "classical_fisher_values", recording)
-    result = verify.check_fisher_consistency(1e-4, seed=seed)
-    assert result.passed
+    passed, detail = verify.check_fisher_consistency(1e-4, seed=seed)
+    assert passed
     phis, phi_bs = calls[0]
     assert list(zip(phis.tolist(), phi_bs.tolist())) == fisher_points_by_scalar_loop(seed)
-    circle_and_overshoot = result.detail.split(", curvature")[0]
+    circle_and_overshoot = detail.split(", curvature")[0]
     assert circle_and_overshoot == fisher_detail_by_scalar_loop(seed)
 
 
@@ -89,9 +89,12 @@ def test_corrupt_flips_only_the_named_check(name):
 
 
 def run_in_order(seed, corrupt=None):
-    """Each check of _CHECKS called in turn."""
-    return [fn(bad_tol if corrupt == name else tol, seed)
-            for name, fn, tol, bad_tol in verify._CHECKS]
+    """Each check of _CHECKS called in turn, named by its entry."""
+    results = []
+    for name, fn, tol, bad_tol in verify._CHECKS:
+        passed, detail = fn(bad_tol if corrupt == name else tol, seed)
+        results.append(verify.CheckResult(name, bool(passed), detail))
+    return results
 
 
 def draw_monte_carlo_on_pool(monkeypatch, workers):
@@ -230,6 +233,6 @@ def test_bound_vs_oracle_sees_a_shifted_closed_form(monkeypatch, shift, passed):
         return values
 
     monkeypatch.setattr(verify.bounds, "min_detectable_signal", shifted)
-    result = verify.check_bound_vs_oracle(1e-9)
-    assert result.passed is passed
-    assert result.detail.endswith("50000/50000 roots certified at +-1e-11")
+    verdict, detail = verify.check_bound_vs_oracle(1e-9)
+    assert bool(verdict) is passed
+    assert detail.endswith("50000/50000 roots certified at +-1e-11")
