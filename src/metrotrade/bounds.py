@@ -121,28 +121,31 @@ def povm_statistics(p, p_final, n):
     return np.where(vanished, np.inf, np.sqrt(n) * np.sqrt(total))
 
 
+def _outcome_law(phi):
+    """The outcome law (p, q) = (cos**2, sin**2)(phi / 2), each from its own factor."""
+    c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
+    return c * c, s * s
+
+
 def inherent_precision(phi0, n: int):
     """Smallest phase step down from each working point phi0 that raises
-    the outcome probability by one quantum 1/n, phi0 - theta2 with
-    theta2 = arccos(2/n + cos phi0), and the accuracy accuracy_of(step, n)
-    it carries.
+    the outcome probability p0 = cos**2(phi0 / 2) by one quantum 1/n, and
+    the accuracy accuracy_of(step, n) it carries.
 
-    The difference is evaluated as 2 asin((1/n) / sin((phi0 + theta2)/2)),
-    from cos theta2 - cos phi0 = 2 sin((phi0 + theta2)/2) sin((phi0 - theta2)/2),
-    so it does not cancel when the step is small against phi0 (large n).
+    sin**2 a - sin**2 b = sin(a + b) sin(a - b) gives the step from the law
+    (p0, q0) as 2 asin((1/n) / (sqrt(q0 (p0 + 1/n)) + sqrt(p0 (q0 - 1/n)))),
+    a sum of two roots that never cancels.
 
     Vectorized over phi0 (scalar or array, each in (0, pi)).  Returns
-    (delta_phi, accuracy); where the quantum cannot be bridged both are
-    NaN, with no warning: where the arccos argument exceeds 1, or where it
-    rounds to exactly 1 (theta2 = 0) while (1/n) / sin(phi0/2) exceeds 1
-    or divides by a zero sine.  At a reachable point the sine is at least
-    1/sqrt(n), so the asin argument stays below 1.
+    (delta_phi, accuracy); both are NaN, with no warning, where q0 < 1/n:
+    no step can raise p0 by a quantum.
     """
     if not np.all(np.greater(phi0, 0.0) & np.less(phi0, math.pi)):
         raise ValueError("phi0 must lie in (0, pi)")
     if not (isinstance(n, int) and n >= 1):
         raise ValueError("n must be a positive integer")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        theta2 = np.arccos(2.0 / n + np.cos(phi0))
-        delta = 2.0 * np.arcsin((1.0 / n) / np.sin((phi0 + theta2) / 2.0))
+    p0, q0 = _outcome_law(phi0)
+    with np.errstate(invalid="ignore"):  # q0 < 1/n: out of reach, NaN
+        sine = np.sqrt(q0 * (p0 + 1.0 / n)) + np.sqrt(p0 * (q0 - 1.0 / n))
+    delta = 2.0 * np.arcsin((1.0 / n) / sine)
     return delta, accuracy_of(delta, n)

@@ -1,15 +1,14 @@
 """Phase estimation from measured frequencies, and its bias structure.
 
-The observed frequency k/n is an unbiased estimate of the outcome
-probability, but pushing it through the arccos inversion to get a
-phase is not: the curvature of the inversion turns symmetric
-probability noise into a systematic phase offset.  Reports here expose
-that split (bias_p vs bias_phi) together with the variance and mean
-squared error of the phase estimate.
+The observed frequency k/n is an unbiased estimate of p = cos**2(phi/2),
+but its inversion phi_hat = 2 atan2(sqrt(n - k), sqrt(k)) is not: its
+curvature turns symmetric probability noise into a systematic phase
+offset.  Reports here expose that split (bias_p vs bias_phi) together
+with the variance and mean squared error of the phase estimate.
 
 Two routes are provided.  exact_bias_report enumerates the binomial
-distribution outright (n <= 64).  monte_carlo_report samples it at
-(p, n) and reads the sampler's count_histogram.  Both feed one moment
+distribution outright (n <= 64).  monte_carlo_report samples the law
+and reads the sampler's count_histogram.  Both feed one moment
 reduction over the distinct counts k with their weights (the pmf, or
 the fraction of trials that drew k), summed with math.fsum so that no
 accumulation order can shift the result.  The two must agree within
@@ -27,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _outcome_law
 # draw_count_matrix is not called here, but perfbench/tracing.py wraps
 # it by its name in this module, so the name stays bound.
 from .sampling import count_histogram, draw_count_matrix, enumerate_binomial
@@ -61,61 +61,62 @@ class EstimatorReport:
 
 
 def _fsum_slices(term, ks, weights):
-    """math.fsum of term(ks, weights), evaluated and fed _FSUM_SLICE
+    """math.fsum of weights * term(ks), evaluated and fed _FSUM_SLICE
     entries at a time, so that memory does not grow with ks.size."""
     return math.fsum(itertools.chain.from_iterable(
-        term(ks[i:i + _FSUM_SLICE], weights[i:i + _FSUM_SLICE]).tolist()
+        (weights[i:i + _FSUM_SLICE] * term(ks[i:i + _FSUM_SLICE])).tolist()
         for i in range(0, ks.size, _FSUM_SLICE)
     ))
 
 
 def _report_from_pmf(phi, p, n, ks, weights, mode):
-    """Estimator moments over the counts ks drawn with the given weights."""
+    """Estimator moments over the counts ks, relative to the weights' sum (a
+    pmf sums to (p + q)**n), from the deviations phi_hat - phi themselves."""
 
-    def phi_hats(k):
-        return np.arccos(2.0 * (k / n) - 1.0)
+    def deviations(k):
+        return 2.0 * np.arctan2(np.sqrt(n - k), np.sqrt(k)) - phi
 
-    mean_p = _fsum_slices(lambda k, w: w * (k / n), ks, weights)
-    mean_phi = _fsum_slices(lambda k, w: w * phi_hats(k), ks, weights)
-    var_phi = _fsum_slices(lambda k, w: w * (phi_hats(k) - mean_phi) ** 2, ks, weights)
-    mse_phi = _fsum_slices(lambda k, w: w * (phi_hats(k) - phi) ** 2, ks, weights)
+    total = _fsum_slices(lambda k: 1.0, ks, weights)
+    mean_p = _fsum_slices(lambda k: k / n, ks, weights) / total
+    bias_phi = _fsum_slices(deviations, ks, weights) / total
+    var_phi = _fsum_slices(lambda k: (deviations(k) - bias_phi) ** 2, ks, weights) / total
+    mse_phi = _fsum_slices(lambda k: deviations(k) ** 2, ks, weights) / total
     return EstimatorReport(
         mean_p_hat=mean_p,
         bias_p=mean_p - p,
-        mean_phi_hat=mean_phi,
-        bias_phi=mean_phi - phi,
+        mean_phi_hat=phi + bias_phi,
+        bias_phi=bias_phi,
         var_phi=var_phi,
         mse_phi=mse_phi,
         mode=mode,
     )
 
 
-def _phase_probability(phi: float) -> float:
-    """The outcome probability p = (1 + cos phi) / 2 at a true phase phi,
-    which must lie in (0, pi)."""
+def _phase_law(phi: float):
+    """The outcome law (p, q) as floats at a true phase phi in (0, pi)."""
     if not (0.0 < phi < math.pi):
         raise ValueError("phi must lie in (0, pi)")
-    return (1.0 + math.cos(phi)) / 2.0
+    return tuple(map(float, _outcome_law(phi)))
 
 
 def exact_bias_report(phi: float, n: int) -> EstimatorReport:
     """Estimator moments by full enumeration of the binomial outcome law."""
-    p = _phase_probability(phi)
+    p, q = _phase_law(phi)
     return _report_from_pmf(
-        phi, p, n, np.arange(n + 1), enumerate_binomial(p, n), "ExactEnumeration"
+        phi, p, n, np.arange(n + 1), enumerate_binomial(p, q, n), "ExactEnumeration"
     )
 
 
 def monte_carlo_report(phi: float, n: int, trials: int, seed: int) -> EstimatorReport:
     """Estimator moments from sampled counts (seeded, reproducible).
 
-    The counts are the sampler's count_histogram(p, n, seed, trials);
+    The counts are the sampler's count_histogram(p, q, n, seed, trials);
     trials is an integer from 100 to 2**32.
     """
-    p = _phase_probability(phi)
+    p, q = _phase_law(phi)
     if not (isinstance(trials, int) and trials >= 100):
         raise ValueError("need an integer of at least 100 trials")
-    lo, hist = count_histogram(p, n, seed, trials)
+    lo, hist = count_histogram(p, q, n, seed, trials)
     ks = np.flatnonzero(hist)
     return _report_from_pmf(phi, p, n, lo + ks, hist[ks] / trials, "MonteCarlo")
 

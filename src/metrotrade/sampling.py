@@ -1,10 +1,10 @@
 """Finite-sample binomial statistics and reproducible sampling.
 
-A binary measurement of n shots at outcome probability p gives a count
-k ~ B(n, p), so the sampler takes the two numbers (p, n), checked once
-by _check_draw.  draw_count_matrix draws one count per trial, and
-count_histogram counts a seeded run over the CDF table without forming
-its counts; both invert the table with one kernel, _window_index.
+A binary measurement of n shots with outcome law (p, q) gives a count
+k ~ B(n, p), so the sampler takes (p, q, n), checked once by _check_draw;
+q is given, not formed from p.  draw_count_matrix draws one count per
+trial, and count_histogram counts a seeded run over the CDF table without
+forming its counts; both invert the table with one kernel, _window_index.
 
 Reproducibility contract: trial t consumes a substream derived only
 from (seed, t), so results are independent of evaluation order and of
@@ -45,17 +45,20 @@ _MC_CHUNK = 2**16
 _MC_TRIALS_MAX = 2**32
 
 
-def _check_draw(p: float, n: int, seed: int = 0, trials: int = 1):
-    """Refuse `trials` draws of n shots at probability p under seed: trials
-    must be an int from 1 to _MC_TRIALS_MAX (checked first), p lie in
-    [0, 1], n be an int from 1 to _COUNT_MAX (counts are int64), and seed
-    fit in 64 unsigned bits."""
+def _check_draw(p: float, q: float, n: int, seed: int = 0, trials: int = 1):
+    """Refuse `trials` draws of n shots with outcome law (p, q) under seed:
+    trials must be an int from 1 to _MC_TRIALS_MAX (checked first), p and q
+    lie in [0, 1] and sum to 1 within 4 ulp, n be an int from 1 to
+    _COUNT_MAX (counts are int64), and seed fit in 64 unsigned bits."""
     if not (isinstance(trials, int) and trials >= 1):
         raise ValueError("trials must be a positive integer")
     if trials > _MC_TRIALS_MAX:
         raise ValueError(f"trials must be <= {_MC_TRIALS_MAX}")
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("p must lie in [0, 1]")
+    for name, x in (("p", p), ("q", q)):
+        if not (0.0 <= x <= 1.0):
+            raise ValueError(f"{name} must lie in [0, 1]")
+    if abs((p + q) - 1.0) > 4 * 2.0**-52:
+        raise ValueError("p and q must sum to 1")
     if not (isinstance(n, int) and n >= 1):
         raise ValueError("n must be a positive integer")
     if n > _COUNT_MAX:
@@ -65,17 +68,16 @@ def _check_draw(p: float, n: int, seed: int = 0, trials: int = 1):
         raise ValueError("seed must be an unsigned 64-bit integer")
 
 
-def enumerate_binomial(p: float, n: int):
-    """Exact binomial pmf as a float64 array indexed by k = 0..n.
+def enumerate_binomial(p: float, q: float, n: int):
+    """Exact pmf of B(n, p) under the law (p, q), indexed by k = 0..n.
 
     Coefficients come from integer arithmetic (math.comb), so each term
     is correct to double rounding.  Limited to n <= 64 where that is
     cheap; beyond the limit a ValueError is raised.
     """
-    _check_draw(p, n)
+    _check_draw(p, q, n)
     if n > EXACT_ENUM_LIMIT:
         raise ValueError(f"exact enumeration supports n <= {EXACT_ENUM_LIMIT}")
-    q = 1.0 - p
     return np.array([math.comb(n, k) * p**k * q ** (n - k) for k in range(n + 1)])
 
 
@@ -113,11 +115,11 @@ def _substream_uniforms(seed: int, trials: int, first: int = 0) -> np.ndarray:
     return u
 
 
-def _binomial_cdf_table(p: float, n: int):
-    """Binomial CDF as (lo, cdf) with cdf[i] = P(K <= lo + i); the counts
-    lo..lo + cdf.size - 1 are every count that can be drawn.
+def _binomial_cdf_table(p: float, q: float, n: int):
+    """CDF of the law (p, q) as (lo, cdf) with cdf[i] = P(K <= lo + i); the
+    counts lo..lo + cdf.size - 1 are every count that can be drawn.
 
-    p in {0, 1}: the one certain count, (0 or n, [1.0]).
+    p or q zero: the one certain count, (0 or n, [1.0]).
     n <= EXACT_ENUM_LIMIT: exact math.comb terms over k = 0..n.  Beyond,
     a window lo..hi around the mode: the pmf relative to the mode comes
     from the ratio recurrence pmf[k+1]/pmf[k] = (n-k) p / ((k+1) q),
@@ -129,14 +131,10 @@ def _binomial_cdf_table(p: float, n: int):
     2**-54 in [2**-54, 1], so no draw below 1 can land in an excluded
     tail, and the table's last entry is exactly 1.
     """
-    if p in (0.0, 1.0):
+    if p == 0.0 or q == 0.0:
         return (0 if p == 0.0 else n), np.ones(1)
     if n <= EXACT_ENUM_LIMIT:
-        return 0, np.cumsum(enumerate_binomial(p, n))
-    q = 1.0 - p
-    # q rounds when p < 1/2: the exact 1 - p is q (1 + drift), so the j-th
-    # running product below is off by (1 + drift)**j, undone by exp(j drift).
-    drift = ((1.0 - q) - p) / q
+        return 0, np.cumsum(enumerate_binomial(p, q, n))
     mode = min(int((n + 1) * p), n)
     half = math.ceil(_WINDOW_SIGMAS * math.sqrt(n * p * q)) + _WINDOW_PAD
     while True:
@@ -148,10 +146,8 @@ def _binomial_cdf_table(p: float, n: int):
             )
         i = np.arange(hi - mode, dtype=np.float64)
         up = np.cumprod((float(n - mode) - i) * p / ((mode + 1.0 + i) * q))
-        up *= np.exp(-drift * (i + 1.0))
         i = np.arange(mode - lo, dtype=np.float64)
         down = np.cumprod((mode - i) * q / ((float(n - mode) + 1.0 + i) * p))
-        down *= np.exp(drift * (i + 1.0))
         # ratio to the first excluded term on each side, and the tail bound
         r_hi = (n - hi) * p / ((hi + 1) * q)
         r_lo = lo * q / ((n - lo + 1) * p)
@@ -195,18 +191,18 @@ def _window_histogram(cdf: np.ndarray, u: np.ndarray):
     return i0, np.bincount(k)
 
 
-def draw_count_matrix(p: float, n: int, seed: int, trials: int) -> np.ndarray:
+def draw_count_matrix(p: float, q: float, n: int, seed: int, trials: int) -> np.ndarray:
     """Binomial counts k ~ B(n, p) for `trials` independent trials, one
-    int64 count each: k inverts the binomial CDF at the trial's uniform."""
-    _check_draw(p, n, seed, trials)
-    lo, cdf = _binomial_cdf_table(p, n)
+    int64 count each: k inverts the CDF of the law (p, q) at a uniform."""
+    _check_draw(p, q, n, seed, trials)
+    lo, cdf = _binomial_cdf_table(p, q, n)
     return lo + _window_index(cdf, _substream_uniforms(seed, trials))
 
 
-def count_histogram(p: float, n: int, seed: int, trials: int):
+def count_histogram(p: float, q: float, n: int, seed: int, trials: int):
     """How many of `trials` draws k ~ B(n, p) fell at each count, as
     (lo, hist): hist[j] trials drew k = lo + j, the bincount of
-    draw_count_matrix(p, n, seed, trials) - lo.
+    draw_count_matrix(p, q, n, seed, trials) - lo.
 
     The inputs are checked and the CDF table built (or a too wide window
     refused) before any draw.  Trials are drawn in chunks of _MC_CHUNK,
@@ -218,8 +214,8 @@ def count_histogram(p: float, n: int, seed: int, trials: int):
     pool costs more than it saves.  Integer counts add exactly, so the
     result depends on neither the chunking nor the thread count.
     """
-    _check_draw(p, n, seed, trials)
-    lo, cdf = _binomial_cdf_table(p, n)
+    _check_draw(p, q, n, seed, trials)
+    lo, cdf = _binomial_cdf_table(p, q, n)
     hist = np.zeros(cdf.size, dtype=np.int64)
     lock = threading.Lock()
 

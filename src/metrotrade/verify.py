@@ -97,11 +97,10 @@ _CERTIFY_H = 1e-11
 
 
 def _detects(phi, n_arr: np.ndarray, alpha: float) -> np.ndarray:
-    """The defining inequality 1 - p >= alpha * sqrt(p (1 - p) / n), with
-    p = (1 + cos phi) / 2 the probability of the unshifted outcome."""
-    p = (1.0 + np.cos(phi)) / 2.0
-    sep = 1.0 - p
-    return sep >= alpha * np.sqrt(p * sep / n_arr)
+    """The defining inequality q >= alpha * sqrt(p q / n), with (p, q) the
+    outcome law at phi (p the probability of the unshifted outcome)."""
+    p, q = bounds._outcome_law(phi)
+    return q >= alpha * np.sqrt(p * q / n_arr)
 
 
 def _newton_min_signal(n_arr: np.ndarray, alpha: float) -> np.ndarray:
@@ -231,9 +230,9 @@ def check_reproducibility(tol: float, seed: int = 0) -> tuple[bool, str]:
     # The corrupt hook (negative tol) reruns with a different seed, which
     # must be caught as a mismatch; it wraps, as the seed is 64 bits.
     seed2 = seed if tol >= 0.0 else (seed + 1) % 2**64
-    a = sampling.draw_count_matrix(0.7, 50, seed, 2000)
-    b = sampling.draw_count_matrix(0.7, 50, seed2, 2000)
-    c = sampling.draw_count_matrix(0.7, 50, seed, 500)
+    a = sampling.draw_count_matrix(0.7, 0.3, 50, seed, 2000)
+    b = sampling.draw_count_matrix(0.7, 0.3, 50, seed2, 2000)
+    c = sampling.draw_count_matrix(0.7, 0.3, 50, seed, 500)
     same = np.array_equal(a, b)
     prefix = np.array_equal(a[:500], c)
     return same and prefix, (f"rerun identical: {same}, "

@@ -59,15 +59,64 @@ def bisect_inherent_shift(phi0: float, n: int, iters: int = 200):
     return hi
 
 
-def inherent_step_mp(phi0: float, n: int, prec: int = 200):
-    """phi0 - arccos(2/n + cos phi0) at `prec` bits, phi0 taken exactly,
-    as a float; None where the arccos argument exceeds 1."""
+def inherent_step_mp(phi0: float, n: int, prec: int = 250):
+    """phi0 - theta2 at `prec` bits, phi0 taken exactly, as a float, where
+    sin**2(theta2 / 2) = sin**2(phi0 / 2) - 1/n: the step that raises the
+    outcome probability cos**2(phi0 / 2) by 1/n.  None where that is out of
+    reach, sin**2(phi0 / 2) < 1/n."""
     with mpmath.workprec(prec):
         x = mpmath.mpf(phi0)
-        c = mpmath.mpf(2) / n + mpmath.cos(x)
-        if c > 1:
+        q2 = mpmath.sin(x / 2) ** 2 - mpmath.mpf(1) / n
+        if q2 < 0:
             return None
-        return float(x - mpmath.acos(c))
+        return float(x - 2 * mpmath.asin(mpmath.sqrt(q2)))
+
+
+def phase_estimate_moments_mp(phi: float, n: int, prec: int = 250):
+    """Moments of phi_hat = 2 atan2(sqrt(n - k), sqrt(k)) over
+    k ~ B(n, cos**2(phi / 2)) at `prec` bits, phi taken exactly.
+
+    Every count is summed for n <= 64.  Beyond, the counts k = n, n - 1, ...
+    are summed from the top by the pmf ratio until a term past the mean
+    falls below 2**-prec of the sum, so this suits only n sin**2(phi / 2)
+    of order 1.  Returns the moments as floats (mean_p, bias_phi, var_phi,
+    mse_phi, and the fourth moments m4c about the mean and m4 about phi)
+    and, as float arrays, each count's weight and phi_hat.
+    """
+    with mpmath.workprec(prec):
+        x = mpmath.mpf(phi)
+        p, q = mpmath.cos(x / 2) ** 2, mpmath.sin(x / 2) ** 2
+        if n <= 64:
+            ks = list(range(n + 1))
+            ws = [mpmath.binomial(n, k) * p**k * q ** (n - k) for k in ks]
+        else:
+            ks, ws, term, eps = [], [], p**n, mpmath.mpf(2) ** -prec
+            for j in range(n + 1):
+                ks.append(n - j)
+                ws.append(term)
+                if j > n * q and term < eps * mpmath.fsum(ws):
+                    break
+                term = term * (n - j) * q / ((j + 1) * p)
+        hats = [2 * mpmath.atan2(mpmath.sqrt(n - k), mpmath.sqrt(k)) for k in ks]
+        total = mpmath.fsum(ws)
+        ws = [w / total for w in ws]
+
+        def mean(values):
+            return mpmath.fsum(w * v for w, v in zip(ws, values))
+
+        mean_phi = mean(hats)
+        out = {
+            "mean_p": mean([mpmath.mpf(k) / n for k in ks]),
+            "bias_phi": mean_phi - x,
+            "var_phi": mean([(h - mean_phi) ** 2 for h in hats]),
+            "mse_phi": mean([(h - x) ** 2 for h in hats]),
+            "m4c": mean([(h - mean_phi) ** 4 for h in hats]),
+            "m4": mean([(h - x) ** 4 for h in hats]),
+        }
+        out = {key: float(value) for key, value in out.items()}
+        out["weights"] = np.array([float(w) for w in ws])
+        out["phi_hats"] = np.array([float(h) for h in hats])
+    return out
 
 
 def bisection_min_signal_100(n_arr: np.ndarray, alpha: float) -> np.ndarray:
@@ -234,8 +283,10 @@ def distinguishable_binary(p0: float, p1: float, n: int, alpha: float) -> bool:
     return separation >= alpha * noise
 
 
-def binomial_cdf_mp(n: int, p: float, k: int, prec: int = 160):
+def binomial_cdf_mp(n: int, p: float, k: int, q: float | None = None, prec: int = 160):
     """P(K <= k) for K ~ Binomial(n, p) as an mpmath float, p taken exactly.
+    Given q, the law is the one with odds p : q, both taken exactly (the
+    probabilities p / (p + q) and q / (p + q)); without it, q is 1 - p.
 
     The pmf at k comes from log-gamma at `prec` bits; the tail on the
     side of k away from the mean is summed term by term with the pmf
@@ -246,6 +297,9 @@ def binomial_cdf_mp(n: int, p: float, k: int, prec: int = 160):
     with mpmath.workprec(prec):
         big_p = mpmath.mpf(p)
         big_q = 1 - big_p
+        if q is not None:
+            norm = big_p + mpmath.mpf(q)
+            big_p, big_q = big_p / norm, mpmath.mpf(q) / norm
         lg = mpmath.loggamma
         term = mpmath.exp(
             lg(n + 1) - lg(k + 1) - lg(n - k + 1)

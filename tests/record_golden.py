@@ -8,7 +8,7 @@ text and exit code.  Re-record after a change that moves output bytes on
 purpose: the diff of the table then names every argv that moved.
 
 The table also records the numpy version and the CPU dispatch targets it
-was taken under.  numpy's SIMD dispatch picks float64 arccos and arcsin
+was taken under.  numpy's SIMD dispatch picks float64 arcsin and arctan2
 code that rounds differently per target, which moves the bytes of the
 few argvs that tests/test_golden.py names as dispatch-bound; those hold
 only under the same targets, and every argv only under the same numpy.

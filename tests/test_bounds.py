@@ -347,29 +347,93 @@ def test_inherent_precision_refuses_a_budget_that_is_no_positive_int(n):
         inherent_precision(np.array([0.5, 4.0]), n)
 
 
-@pytest.mark.parametrize("n", [3, 100, 10**6, 10**12, 10**15])
-def test_inherent_steps_match_mpmath(n):
-    # over the default `inherent` grid.  Rounding 2/n + cos(phi0) moves
-    # theta2 = arccos of it by up to eps (|cos phi0| + 2/n) / sin(theta2),
-    # which reaches the step relatively through cot((phi0 + theta2) / 2) / 2;
-    # the tolerance grows with that near the unreachable edge (theta2 -> 0)
-    # and is a few eps elsewhere.  phi0 - theta2 in doubles fails it from
-    # n = 100 on (relative error 0.13 at n = 10**15).
-    grid = _inherent_grid(999)
-    steps = inherent_precision(grid, n)[0]
-    arg = 2.0 / n + np.cos(grid)
-    assert np.array_equal(np.isnan(steps), arg > 1.0)
+_U = 2.0**-53
+# Relative error of one numpy float64 sin, cos or arcsin: 2 ulp.
+_TRIG = 4.0 * _U
+
+
+def _inherent_tolerance(phi0, n):
+    """First-order relative error bound of inherent_precision's step at the
+    working points phi0 (an array), from its roundings: the sine and cosine
+    of phi0 / 2 (exact), their squares p0 and q0, 1/n (n rounded to a
+    double, then divided), p0 + 1/n and q0 - 1/n, the two square roots of
+    products, their sum, the quotient, and the arcsine with its condition
+    number x / (sqrt(1 - x**2) asin x).  q0 - 1/n cancels near the edge of
+    reach, which the bound follows."""
+    p0 = np.cos(phi0 / 2.0) ** 2
+    q0 = np.sin(phi0 / 2.0) ** 2
+    inv = 1.0 / n
+    e_law = 2.0 * _TRIG + _U
+    e_inv = 2.0 * _U
+    p2, q2 = p0 + inv, q0 - inv
+    e_p2 = (e_law * p0 + e_inv * inv) / p2 + _U
+    e_q2 = (e_law * q0 + e_inv * inv) / q2 + _U
+    a, b = np.sqrt(q0 * p2), np.sqrt(p0 * q2)
+    e_a = (e_law + e_p2 + _U) / 2.0 + _U
+    e_b = (e_law + e_q2 + _U) / 2.0 + _U
+    e_sum = (e_a * a + e_b * b) / (a + b) + _U
+    x = inv / (a + b)
+    e_x = e_inv + e_sum + _U
+    cond = x / (np.sqrt((1.0 - x) * (1.0 + x)) * np.arcsin(x))
+    return cond * e_x + _TRIG
+
+
+def _assert_inherent_matches_mpmath(phi0, n):
+    """inherent_precision(phi0, n) against a 250-bit mpmath step: NaN rows
+    exactly where mpmath finds the quantum out of reach, and every other
+    step and accuracy within the derived bound (the accuracy's sqrt(n) and
+    product add 3 roundings)."""
+    steps, accs = inherent_precision(phi0, n)
     with np.errstate(invalid="ignore"):
-        theta2 = np.arccos(arg)
-    cond = np.abs(1.0 / np.tan((grid + theta2) / 2.0)) * (
-        (np.abs(np.cos(grid)) + 2.0 / n) / np.sin(theta2) + theta2
-    )
-    tol = 4.0 * np.finfo(float).eps * (1.0 + cond)
-    for phi0, step, t in zip(grid.tolist(), steps.tolist(), tol.tolist()):
-        ref = inherent_step_mp(phi0, n)
+        tol = _inherent_tolerance(phi0, n)
+    for x, step, acc, t in zip(phi0.tolist(), steps.tolist(), accs.tolist(), tol.tolist()):
+        ref = inherent_step_mp(x, n)
+        assert math.isnan(step) == (ref is None) == math.isnan(acc), (x, n, step)
         if ref is None:
             continue
-        assert abs(step - ref) <= t * ref, (phi0, step, ref)
+        assert abs(step - ref) <= t * ref, (x, n, step, ref, t)
+        acc_ref = ref * math.sqrt(n) / 2.0
+        assert abs(acc - acc_ref) <= (t + 3.0 * _U) * acc_ref, (x, n, acc, acc_ref)
+
+
+@pytest.mark.parametrize("n", [3, 100, 10**6, 10**12, 10**15])
+def test_inherent_steps_match_mpmath(n):
+    # over the default `inherent` grid
+    _assert_inherent_matches_mpmath(_inherent_grid(999), n)
+
+
+def test_inherent_steps_match_mpmath_up_to_int64_budgets():
+    # budgets log-uniform up to 2**63 - 1; at each, a working point drawn
+    # over the reachable range, one 1.01 times the edge of reach
+    # 2 asin(1/sqrt(n)), one within 1e-12 of pi, and an unreachable one
+    # 0.99 times the edge
+    rng = np.random.default_rng(2027)
+    logs = rng.uniform(math.log(2.0), math.log(2.0**63), 400).tolist()
+    for n in [min(int(math.exp(x)), 2**63 - 1) for x in logs] + [2**63 - 1]:
+        edge = 2.0 * math.asin(1.0 / math.sqrt(n))
+        points = [rng.uniform(edge, math.pi), 0.99 * edge, math.pi - rng.uniform(1e-15, 1e-12)]
+        if 1.01 * edge < math.pi:
+            points.append(1.01 * edge)
+        _assert_inherent_matches_mpmath(np.array(points), n)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("phi0, n", [
+    # the three points of test_unreachable_point_is_a_nan_row_with_empty_stderr
+    (1e-17, 10**17),
+    (5e-324, 2**63 - 1),
+    (1e-300, 100),
+    # just inside and outside reach at n = 10**6 and 2**53 + 1, and pi/2
+    # at n = 1
+    (2.0 * math.asin(1e-3) * (1 + 1e-9), 10**6),
+    (2.0 * math.asin(1e-3) * (1 - 1e-9), 10**6),
+    (2.0 * math.asin(2.0**-26.5) * (1 + 1e-6), 2**53 + 1),
+    (2.0 * math.asin(2.0**-26.5) * (1 - 1e-6), 2**53 + 1),
+    (math.pi / 2.0, 1),
+])
+def test_inherent_nan_rows_are_mpmath_reachability(phi0, n):
+    # NaN exactly where sin**2(phi0 / 2) < 1/n at 250 bits, with no warning
+    _assert_inherent_matches_mpmath(np.array([phi0]), n)
 
 
 def test_inherent_accuracy_decreases_with_budget():

@@ -135,11 +135,11 @@ def test_inherent_flags_unreachable_rows():
 
 
 @pytest.mark.parametrize("argv", [
-    # 2/n + cos phi0 rounds to exactly 1, so theta2 = 0 and the step's
-    # arcsine sees an argument above 1, or a sine of 0
+    # sin**2(phi0 / 2) below 1/n at each; the ids name how an earlier
+    # arccos form of the step met them: 2/n + cos phi0 rounding to 1, with
+    # an arcsine argument above 1 or a sine of 0, and the sum above 1
     ["--n", "100000000000000000", "--phi0", "1e-17"],
     ["--n", "9223372036854775807", "--phi0", "5e-324"],
-    # 2/n + cos phi0 above 1
     ["--phi0", "1e-300"],
 ], ids=["sum-rounds-to-1", "zero-sine", "sum-above-1"])
 def test_unreachable_point_is_a_nan_row_with_empty_stderr(argv):

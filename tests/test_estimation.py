@@ -18,11 +18,13 @@ from metrotrade.estimation import (
     monte_carlo_report,
 )
 from metrotrade import sampling
+from metrotrade.bounds import _outcome_law
 from metrotrade.sampling import _MC_CHUNK, draw_count_matrix
 
-from helpers import basis_probabilities, classical_fisher_scalar
+from helpers import basis_probabilities, classical_fisher_scalar, phase_estimate_moments_mp
 
 EPS = sys.float_info.epsilon
+_U = EPS / 2.0
 
 # Enumeration moments at phi = pi/4, n = 10, evaluated beforehand with
 # 50-digit arithmetic and rounded to the nearest double.
@@ -41,7 +43,8 @@ def test_exact_report_frozen_values():
 
 
 def test_exact_report_symmetry_at_half_pi():
-    # binomial symmetry at p = 1/2 meets arccos antisymmetry about 1/2
+    # binomial symmetry at p = 1/2 meets the estimate's antisymmetry,
+    # phi_hat(n - k) = pi - phi_hat(k)
     for n in (4, 10, 16, 33):
         rep = exact_bias_report(math.pi / 2.0, n)
         assert abs(rep.bias_phi) < 1e-12
@@ -53,6 +56,70 @@ def test_exact_report_unbiased_p_everywhere():
         for n in (3, 17, 64):
             rep = exact_bias_report(phi, n)
             assert abs(rep.bias_p) < 1e-12
+
+
+def _exact_report_tolerances(ref, phi, n):
+    """First-order bounds on the errors of exact_bias_report(phi, n), from
+    its roundings, sized by the mpmath law ref of phase_estimate_moments_mp.
+
+    Each normalized weight: the law (p, q), a cosine and a sine of phi / 2
+    2 ulp off and squared, raised to powers summing to n; math.comb to a
+    double, two powers and two products; then the fsum total and the
+    division.  Each deviation phi_hat - phi: 2 atan2 of two square roots
+    is off by 4 eps times phi_hat, and the subtraction rounds."""
+    e_law = 2.0 * (4.0 * _U) + _U
+    e_w = 2.0 * (n * e_law + 7.0 * _U) + 2.0 * _U
+    w, hats = ref["weights"], ref["phi_hats"]
+    dev = np.abs(hats - phi)
+    d = 4.0 * _U * hats + _U * dev
+
+    def fsum(values):
+        return math.fsum(values.tolist())
+
+    bias = fsum(w * d) + (e_w + _U) * fsum(w * dev) + _U * abs(ref["bias_phi"])
+    spread = np.abs(hats - phi - ref["bias_phi"])
+    eta = d + bias + _U * spread
+    mean_p = (e_w + 3.0 * _U) * ref["mean_p"]
+    return {
+        "mean_p_hat": mean_p,
+        "bias_p": mean_p + e_law * ref["mean_p"] + _U,
+        "bias_phi": bias,
+        "mean_phi_hat": bias + _U * (phi + ref["bias_phi"]),
+        "var_phi": fsum(w * (2.0 * spread * eta + eta * eta)) + (e_w + 4.0 * _U) * ref["var_phi"],
+        "mse_phi": fsum(w * (2.0 * dev * d + d * d)) + (e_w + 4.0 * _U) * ref["mse_phi"],
+    }
+
+
+@pytest.mark.parametrize("phi, n", [(1e-9, 10), (3.14, 64)])
+def test_exact_report_matches_mpmath(phi, n):
+    # near 0, p rounds to 1 while the law keeps q = 2.5e-19, so var_phi is
+    # the true 1.0e-18 and not 0; near pi the deviations at k = 0 carry the
+    # rounding of pi itself, which the bound holds
+    ref = phase_estimate_moments_mp(phi, n)
+    truth = {"mean_p_hat": ref["mean_p"], "bias_p": 0.0, "bias_phi": ref["bias_phi"],
+             "mean_phi_hat": phi + ref["bias_phi"], "var_phi": ref["var_phi"],
+             "mse_phi": ref["mse_phi"]}
+    rep = exact_bias_report(phi, n)
+    for name, tol in _exact_report_tolerances(ref, phi, n).items():
+        assert abs(getattr(rep, name) - truth[name]) <= tol, (name, getattr(rep, name), truth[name])
+
+
+def test_monte_carlo_at_a_budget_of_2_62_matches_mpmath():
+    # at n = 2**62 and phi = 1e-9, p rounds to 1 but n q = 1.15: n - k is
+    # close to Poisson(1.15), and every moment lies within 5 standard
+    # errors of the exact one
+    phi, n, trials = 1e-9, 2**62, 10**5
+    ref = phase_estimate_moments_mp(phi, n)
+    assert [f"{ref[key]:.3e}" for key in ("bias_phi", "var_phi", "mse_phi")] == [
+        "-1.973e-10", "3.556e-19", "3.945e-19"]
+    rep = monte_carlo_report(phi, n, trials, seed=0)
+    se = {
+        "bias_phi": math.sqrt(ref["var_phi"] / trials),
+        "var_phi": math.sqrt((ref["m4c"] - ref["var_phi"] ** 2) / trials),
+        "mse_phi": math.sqrt((ref["m4"] - ref["mse_phi"] ** 2) / trials),
+    }
+    for name, err in se.items():
+        assert abs(getattr(rep, name) - ref[name]) <= 5.0 * err, (name, getattr(rep, name))
 
 
 def test_mse_decomposition_enforced():
@@ -90,11 +157,17 @@ def test_monte_carlo_reproducible():
     assert a == b
 
 
+def _law(phi):
+    """The outcome law (p, q) at phi, as two Python floats."""
+    p, q = _outcome_law(phi)
+    return float(p), float(q)
+
+
 def test_monte_carlo_chunks_match_one_draw():
     # two chunks reduce to the report of one draw over all the trials
     phi, n, seed, trials = 0.9, 12, 5, _MC_CHUNK + 1000
-    p = (1.0 + math.cos(phi)) / 2.0
-    counts = draw_count_matrix(p, n, seed, trials)
+    p, q = _law(phi)
+    counts = draw_count_matrix(p, q, n, seed, trials)
     weights = np.bincount(counts, minlength=n + 1) / trials
     one_draw = _report_from_pmf(phi, p, n, np.arange(n + 1), weights, "MonteCarlo")
     assert monte_carlo_report(phi, n, trials, seed) == one_draw
@@ -102,8 +175,8 @@ def test_monte_carlo_chunks_match_one_draw():
 
 def _one_draw_report(phi, n, trials, seed):
     """The reduction of one unchunked draw_count_matrix call."""
-    p = (1.0 + math.cos(phi)) / 2.0
-    counts = draw_count_matrix(p, n, seed, trials)
+    p, q = _law(phi)
+    counts = draw_count_matrix(p, q, n, seed, trials)
     lo = int(counts.min())
     weights = np.bincount(counts - lo) / trials
     return _report_from_pmf(
@@ -118,7 +191,7 @@ def test_monte_carlo_pool_matches_one_draw(monkeypatch, workers):
     # module global, and the first finds the (p, n) table already built,
     # once
     phi, n, seed, trials = 0.9, 12, 5, 2**20
-    p = (1.0 + math.cos(phi)) / 2.0
+    p, q = _law(phi)
     table, kernel = sampling._binomial_cdf_table, sampling._window_histogram
     builds, callers, first_draw = [], [], []
     lock = threading.Lock()
@@ -139,8 +212,8 @@ def test_monte_carlo_pool_matches_one_draw(monkeypatch, workers):
     monkeypatch.setattr(sampling, "_window_histogram", spy)
     rep = monte_carlo_report(phi, n, trials, seed)
     assert len(callers) == trials // _MC_CHUNK
-    assert first_draw == [[(p, n)]]
-    assert builds == [(p, n)]
+    assert first_draw == [[(p, q, n)]]
+    assert builds == [(p, q, n)]
     on_main = [t is threading.main_thread() for t in callers]
     assert all(on_main) == (workers == 1)
     monkeypatch.undo()
@@ -149,10 +222,15 @@ def test_monte_carlo_pool_matches_one_draw(monkeypatch, workers):
 
 @pytest.mark.parametrize("phi", [1e-9, math.pi - 1e-9])
 def test_monte_carlo_at_a_certain_outcome_matches_one_draw(phi):
-    # p rounds to 1 or 0: the table holds the one count, n or 0
-    p = (1.0 + math.cos(phi)) / 2.0
-    assert p in (0.0, 1.0)
-    assert monte_carlo_report(phi, 100, 1000, 4) == _one_draw_report(phi, 100, 1000, 4)
+    # one outcome's probability is 2.5e-19, so n times it lies below the
+    # smallest uniform, 2**-54, and every draw is n or 0; the other
+    # probability rounds to 1, but the law keeps the small one
+    p, q = _law(phi)
+    small = min(p, q)
+    assert 0.0 < small and 100 * small < 2.0**-54 and max(p, q) == 1.0
+    rep = monte_carlo_report(phi, 100, 1000, 4)
+    assert rep == _one_draw_report(phi, 100, 1000, 4)
+    assert rep.mean_p_hat == (1.0 if p > q else 0.0) and rep.var_phi == 0.0
 
 
 def test_monte_carlo_builds_the_cdf_table_once(monkeypatch):
@@ -161,12 +239,12 @@ def test_monte_carlo_builds_the_cdf_table_once(monkeypatch):
     phi, n, seed, trials = math.pi / 2.0, 2**34, 11, 2**20
     assert trials >= 4 * _MC_CHUNK
     monkeypatch.setattr(sampling, "_mc_workers", lambda: _MC_WORKERS)
-    p = (1.0 + math.cos(phi)) / 2.0
+    p, q = _law(phi)
     table, builds = sampling._binomial_cdf_table, []
     monkeypatch.setattr(sampling, "_binomial_cdf_table",
                         lambda *args: builds.append(args) or table(*args))
     rep = monte_carlo_report(phi, n, trials, seed)
-    assert builds == [(p, n)]
+    assert builds == [(p, q, n)]
     monkeypatch.undo()
     assert rep == _one_draw_report(phi, n, trials, seed)
 
@@ -189,19 +267,20 @@ def test_monte_carlo_pool_starts_below_two_chunks_per_worker(monkeypatch, worker
 
 def test_monte_carlo_matches_per_trial_sums():
     # reference: the moments summed trial by trial, each weighted 1/trials;
-    # per term the two differ by at most two roundings, so the sums of
-    # these non-negative terms agree to 4 eps relative
+    # per term the two differ by at most four roundings (the histogram's
+    # weights are normalized by their sum), so the sums of these
+    # non-negative terms agree to 4 eps relative
     phi, n, seed, trials = 0.7, 10, 3, 10**5
-    p = (1.0 + math.cos(phi)) / 2.0
-    p_hat = draw_count_matrix(p, n, seed, trials) / n
-    phi_hat = np.arccos(2.0 * p_hat - 1.0)
+    p, q = _law(phi)
+    k = draw_count_matrix(p, q, n, seed, trials)
+    dev = 2.0 * np.arctan2(np.sqrt(n - k), np.sqrt(k)) - phi
     w = 1.0 / trials
-    mean_phi = math.fsum((w * phi_hat).tolist())
+    bias_phi = math.fsum((w * dev).tolist())
     ref = {
-        "mean_p_hat": math.fsum(p_hat.tolist()) / trials,
-        "mean_phi_hat": mean_phi,
-        "var_phi": math.fsum((w * (phi_hat - mean_phi) ** 2).tolist()),
-        "mse_phi": math.fsum((w * (phi_hat - phi) ** 2).tolist()),
+        "mean_p_hat": math.fsum((k / n).tolist()) / trials,
+        "mean_phi_hat": phi + bias_phi,
+        "var_phi": math.fsum((w * (dev - bias_phi) ** 2).tolist()),
+        "mse_phi": math.fsum((w * dev ** 2).tolist()),
     }
     rep = monte_carlo_report(phi, n, trials, seed)
     for name, value in ref.items():

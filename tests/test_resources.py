@@ -221,7 +221,7 @@ def test_noise_amplification_with_probe_size():
 def _empirical_rate(f_true: float, n_eff: int, seed: int, reps: int) -> float:
     """Fraction of repetitions whose sampled frequency passes the alpha=1
     test against p = 1."""
-    counts = draw_count_matrix(f_true, n_eff, seed, reps)
+    counts = draw_count_matrix(f_true, 1.0 - f_true, n_eff, seed, reps)
     hits = sum(distinguishable_binary(1.0, k / n_eff, n_eff, 1.0) for k in counts.tolist())
     return hits / reps
 

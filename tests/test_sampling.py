@@ -12,6 +12,7 @@ import pytest
 
 from helpers import binomial_cdf_mp, substream_uniform_ref
 from metrotrade import sampling
+from metrotrade.bounds import _outcome_law
 from metrotrade.estimation import monte_carlo_report
 from metrotrade.sampling import (
     _MC_CHUNK,
@@ -39,39 +40,69 @@ from metrotrade.sampling import (
         "seed-negative", "seed-past-64-bits"])
 def test_draws_refuse_bad_p_n_and_seed(p, n, seed, message):
     # one check refuses each bad input before any table is built, for the
-    # per-trial draws and for a report (whose p = (1 + cos phi) / 2 is
-    # always in [0, 1], so it meets only the n and seed cases)
+    # per-trial draws and for a report (whose law (cos**2, sin**2)(phi / 2)
+    # is always in [0, 1], so it meets only the n and seed cases)
     with pytest.raises(ValueError, match=message):
-        draw_count_matrix(p, n, seed, 5)
+        draw_count_matrix(p, 1.0 - p, n, seed, 5)
     if 0.0 <= p <= 1.0:
         with pytest.raises(ValueError, match=message):
             monte_carlo_report(math.pi / 2.0, n, 100, seed)
 
 
+def _law(phi):
+    """The outcome law (p, q) at phi, as two Python floats."""
+    p, q = _outcome_law(phi)
+    return float(p), float(q)
+
+
+@pytest.mark.parametrize("p, q, message", [
+    (0.5, -0.5, r"^q must lie in \[0, 1\]$"),
+    (0.5, 1.5, r"^q must lie in \[0, 1\]$"),
+    (0.5, math.nan, r"^q must lie in \[0, 1\]$"),
+    (0.3, 0.3, "^p and q must sum to 1$"),
+    (0.5, 0.5 + 5 * 2.0**-52, "^p and q must sum to 1$"),
+])
+def test_draws_refuse_a_law_whose_q_is_off(p, q, message):
+    # q is checked as p is, and the pair must sum to 1 within 4 ulp
+    for draw in (lambda: draw_count_matrix(p, q, 10, 0, 5),
+                 lambda: count_histogram(p, q, 10, 0, 5),
+                 lambda: enumerate_binomial(p, q, 10)):
+        with pytest.raises(ValueError, match=message):
+            draw()
+    assert draw_count_matrix(0.5, 0.5 + 4 * 2.0**-52, 10, 0, 5).shape == (5,)
+
+
+def test_law_of_a_phase_sums_to_one_within_an_ulp():
+    # the sampler's 4-ulp slack holds the law of every phase with room
+    phi = np.random.default_rng(5).uniform(0.0, math.pi, 10**5)
+    p, q = _outcome_law(phi)
+    assert np.max(np.abs((p + q) - 1.0)) <= 2.0**-52
+
+
 def test_enumerate_binomial_two_shots():
-    pmf = enumerate_binomial(0.5, 2)
+    pmf = enumerate_binomial(0.5, 0.5, 2)
     assert pmf.dtype == np.float64
     assert pmf.tolist() == [0.25, 0.5, 0.25]
 
 
 def test_enumerate_binomial_degenerate():
-    pmf = enumerate_binomial(0.0, 5)
+    pmf = enumerate_binomial(0.0, 1.0, 5)
     assert pmf[0] == 1.0
     assert all(pmf[k] == 0.0 for k in range(1, 6))
 
 
 def test_enumerate_binomial_mean_identity():
-    pmf = enumerate_binomial(0.3, 10)
+    pmf = enumerate_binomial(0.3, 0.7, 10)
     mean = math.fsum(k * w for k, w in enumerate(pmf.tolist()))
     assert abs(mean - 3.0) < 1e-12
 
 
 def test_enumerate_binomial_sums_to_one():
     for p in (0.01, 0.3, 0.5, 0.77, 0.999):
-        pmf = enumerate_binomial(p, 64)
+        q = 1.0 - p
+        pmf = enumerate_binomial(p, q, 64)
         assert pmf.shape == (65,)
         # each entry is the math.comb term, bit for bit
-        q = 1.0 - p
         assert pmf.tolist() == [math.comb(64, k) * p**k * q ** (64 - k)
                                 for k in range(65)]
         assert abs(math.fsum(pmf.tolist()) - 1.0) < 1e-12
@@ -83,12 +114,12 @@ def test_enumerate_binomial_matches_mpmath():
         big_p = mpmath.mpf(p)
         ref = [float(mpmath.binomial(n, k) * big_p**k * (1 - big_p) ** (n - k))
                for k in range(n + 1)]
-    assert np.allclose(enumerate_binomial(p, n), ref, rtol=1e-12, atol=1e-300)
+    assert np.allclose(enumerate_binomial(p, 1.0 - p, n), ref, rtol=1e-12, atol=1e-300)
 
 
 def test_enumerate_binomial_budget():
     with pytest.raises(ValueError, match=f"^exact enumeration supports n <= {EXACT_ENUM_LIMIT}$"):
-        enumerate_binomial(0.5, EXACT_ENUM_LIMIT + 1)
+        enumerate_binomial(0.5, 0.5, EXACT_ENUM_LIMIT + 1)
 
 
 @pytest.mark.parametrize("n", [7, 65, 2**40])
@@ -96,42 +127,42 @@ def test_enumerate_binomial_budget():
 def test_draw_samples_certain_outcome(p, n):
     # the table holds the one certain count below and above EXACT_ENUM_LIMIT
     k = 0 if p == 0.0 else n
-    lo, cdf = _binomial_cdf_table(p, n)
+    lo, cdf = _binomial_cdf_table(p, 1.0 - p, n)
     assert (lo, cdf.tolist()) == (k, [1.0])
-    counts = draw_count_matrix(p, n, seed=123, trials=20)
+    counts = draw_count_matrix(p, 1.0 - p, n, seed=123, trials=20)
     assert counts.dtype == np.int64
     assert counts.tolist() == [k] * 20
 
 
 def test_draw_refuses_counts_past_int64():
     with pytest.raises(ValueError, match=r"<= 2\*\*63 - 1"):
-        draw_count_matrix(1.0, 2**63, seed=0, trials=1)
-    assert draw_count_matrix(1.0, 2**63 - 1, seed=0, trials=1).tolist() == [2**63 - 1]
+        draw_count_matrix(1.0, 0.0, 2**63, seed=0, trials=1)
+    assert draw_count_matrix(1.0, 0.0, 2**63 - 1, seed=0, trials=1).tolist() == [2**63 - 1]
 
 
 def test_draw_samples_deterministic():
-    a = draw_count_matrix(0.42, 30, seed=99, trials=50)
-    b = draw_count_matrix(0.42, 30, seed=99, trials=50)
+    a = draw_count_matrix(0.42, 0.58, 30, seed=99, trials=50)
+    b = draw_count_matrix(0.42, 0.58, 30, seed=99, trials=50)
     assert np.array_equal(a, b)
 
 
 def test_draw_samples_prefix_stable():
     # the first T trials never depend on how many more are requested
-    short = draw_count_matrix(0.42, 30, seed=5, trials=100)
-    long = draw_count_matrix(0.42, 30, seed=5, trials=1000)
+    short = draw_count_matrix(0.42, 0.58, 30, seed=5, trials=100)
+    long = draw_count_matrix(0.42, 0.58, 30, seed=5, trials=1000)
     assert np.array_equal(short, long[:100])
 
 
 def test_draw_samples_seed_sensitivity():
-    a = draw_count_matrix(0.42, 30, seed=1, trials=200)
-    b = draw_count_matrix(0.42, 30, seed=2, trials=200)
+    a = draw_count_matrix(0.42, 0.58, 30, seed=1, trials=200)
+    b = draw_count_matrix(0.42, 0.58, 30, seed=2, trials=200)
     assert not np.array_equal(a, b)
 
 
 def test_draw_samples_clt_mean():
     # grand mean of k/n over T trials within 4 sigma of p
     n, trials = 10**4, 10**4
-    counts = draw_count_matrix(0.5, n, seed=2024, trials=trials)
+    counts = draw_count_matrix(0.5, 0.5, n, seed=2024, trials=trials)
     grand = counts.mean() / n
     assert abs(grand - 0.5) <= 2e-4
 
@@ -139,43 +170,43 @@ def test_draw_samples_clt_mean():
 def test_empirical_pmf_total_variation():
     trials = 10**5
     for n, p in ((4, 0.3), (4, 0.5), (16, 0.3), (16, 0.5)):
-        counts = draw_count_matrix(p, n, seed=7, trials=trials)
+        counts = draw_count_matrix(p, 1.0 - p, n, seed=7, trials=trials)
         hist = np.bincount(counts, minlength=n + 1) / trials
-        exact = enumerate_binomial(p, n)
+        exact = enumerate_binomial(p, 1.0 - p, n)
         tv = 0.5 * np.abs(hist - exact).sum()
         assert tv <= 0.01
 
 
 def test_multinomial_matches_exact_marginal():
-    # both outcomes of a binary draw are binomial: k ~ B(n, p), n - k ~ B(n, 1 - p)
-    n, p, trials = 12, 0.25, 10**5
-    k = draw_count_matrix(p, n, seed=3, trials=trials)
+    # both outcomes of a binary draw are binomial: k ~ B(n, p), n - k ~ B(n, q)
+    n, p, q, trials = 12, 0.25, 0.75, 10**5
+    k = draw_count_matrix(p, q, n, seed=3, trials=trials)
     assert ((k >= 0) & (k <= n)).all()
-    for counts, q in ((k, p), (n - k, 1.0 - p)):
+    for counts, law in ((k, (p, q)), (n - k, (q, p))):
         hist = np.bincount(counts, minlength=n + 1) / trials
-        exact = enumerate_binomial(q, n)
+        exact = enumerate_binomial(*law, n)
         assert 0.5 * np.abs(hist - exact).sum() <= 0.01
 
 
 def test_seed_validation():
     with pytest.raises(ValueError):
-        draw_count_matrix(0.5, 4, seed=0, trials=0)
+        draw_count_matrix(0.5, 0.5, 4, seed=0, trials=0)
     # seeds outside 64 unsigned bits are refused in
     # test_draws_refuse_bad_p_n_and_seed; the extreme seeds are legal
-    assert draw_count_matrix(0.5, 4, seed=2**64 - 1, trials=2).shape == (2,)
-    assert draw_count_matrix(0.5, 4, seed=0, trials=2).shape == (2,)
+    assert draw_count_matrix(0.5, 0.5, 4, seed=2**64 - 1, trials=2).shape == (2,)
+    assert draw_count_matrix(0.5, 0.5, 4, seed=0, trials=2).shape == (2,)
 
 
 def test_windowed_table_fixes_off_by_one_draw():
     # a log-gamma table over 0..n lost ~1e-9 of relative accuracy at
     # n = 1e7 and inverted this draw one count low
-    n, p = 10**7, (1.0 + math.cos(0.9)) / 2.0
-    lo, cdf = _binomial_cdf_table(p, n)
+    n, (p, q) = 10**7, _law(0.9)
+    lo, cdf = _binomial_cdf_table(p, q, n)
     u = _substream_uniforms(12345, 1, 105301)
     k = int(lo + _window_index(cdf, u)[0])
     u = u[0]
     assert k == 8112212
-    assert binomial_cdf_mp(n, p, k - 1) < mpmath.mpf(u) <= binomial_cdf_mp(n, p, k)
+    assert binomial_cdf_mp(n, p, k - 1, q) < mpmath.mpf(u) <= binomial_cdf_mp(n, p, k, q)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
@@ -200,18 +231,18 @@ def _placed(cdf, i0, counts):
 
 
 @pytest.mark.parametrize("phi, n, trials", [
-    (1e-9, 7, 1000),                    # p = 1: a one-entry window
-    (math.pi - 1e-9, 2**40, 1000),      # p = 0
-    (1e-9, 65, 1),                      # p = 1, the window as long as the chunk
+    (1e-9, 7, 1000),                    # p rounds to 1: every draw is n
+    (math.pi - 1e-9, 2**40, 1000),      # p = 2.5e-19: a short window at 0
+    (1e-9, 65, 1),                      # a short window at n, one draw
     (2.5, 40, 5000),                    # math.comb table whose last entry is below 1
     (0.9, 10, 2**16),
     (0.8, 10**7, 1000),                 # window longer than the chunk
     (0.8, 10**7, 2**16),                # a 3.5e4-entry window shorter than the chunk
 ])
 def test_window_histogram_is_a_bincount_of_the_draws(phi, n, trials):
-    p = (1.0 + math.cos(phi)) / 2.0
-    lo, cdf = _binomial_cdf_table(p, n)
-    k = draw_count_matrix(p, n, 9, trials)
+    p, q = _law(phi)
+    lo, cdf = _binomial_cdf_table(p, q, n)
+    k = draw_count_matrix(p, q, n, 9, trials)
     i0, counts = _window_histogram(cdf, _substream_uniforms(9, trials))
     assert counts.sum() == trials
     assert np.array_equal(_placed(cdf, i0, counts), np.bincount(k - lo, minlength=cdf.size))
@@ -223,7 +254,7 @@ def test_window_histogram_counts_ties_and_the_top_clamp(size):
     # the table's last entry (1 - 10 ulp, with 16 equal entries at the
     # top), in windows longer and shorter than the draws
     n, p = 40, (1.0 + math.cos(2.5)) / 2.0
-    lo, cdf = _binomial_cdf_table(p, n)
+    lo, cdf = _binomial_cdf_table(p, 1.0 - p, n)
     assert lo == 0 and cdf[-1] < 1.0 and cdf.size == n + 1
     pool = np.concatenate((cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), [1.0]))
     u = np.resize(np.random.default_rng(1).permutation(pool), size)
@@ -255,11 +286,11 @@ def test_count_histogram_is_a_bincount_of_the_draws(monkeypatch, p, n, workers):
 
     monkeypatch.setattr(sampling, "_mc_workers", lambda: workers)
     monkeypatch.setattr(sampling, "_window_histogram", spy)
-    lo, hist = count_histogram(p, n, 9, trials)
+    lo, hist = count_histogram(p, 1.0 - p, n, 9, trials)
     assert len(callers) == 5
     assert all(t is threading.main_thread() for t in callers) == (workers == 1)
-    lo_ref, cdf = _binomial_cdf_table(p, n)
-    k = draw_count_matrix(p, n, 9, trials)
+    lo_ref, cdf = _binomial_cdf_table(p, 1.0 - p, n)
+    k = draw_count_matrix(p, 1.0 - p, n, 9, trials)
     assert lo == lo_ref and hist.dtype == np.int64
     assert np.array_equal(hist, np.bincount(k - lo, minlength=cdf.size))
 
@@ -272,7 +303,7 @@ def test_count_histogram_builds_the_table_once_before_any_draw(monkeypatch):
     monkeypatch.setattr(sampling, "_substream_uniforms",
                         lambda *args: events.append("draw") or uniforms(*args))
     for _ in range(2):
-        count_histogram(0.3, 10**5, 1, 4 * _MC_CHUNK)
+        count_histogram(0.3, 0.7, 10**5, 1, 4 * _MC_CHUNK)
     assert events == 2 * (["build"] + 4 * ["draw"])
 
 
@@ -287,36 +318,40 @@ def test_count_histogram_refuses_trials_before_any_draw(monkeypatch, trials, mes
     monkeypatch.setattr(sampling, "_binomial_cdf_table", refuse)
     monkeypatch.setattr(sampling, "_substream_uniforms", refuse)
     with pytest.raises(ValueError, match=message):
-        count_histogram(0.5, 10, 0, trials)
+        count_histogram(0.5, 0.5, 10, 0, trials)
 
 
 @pytest.mark.parametrize("n", [65, 10**5, 10**7])
 @pytest.mark.parametrize("phi", [0.9, 2.5])
 def test_windowed_cdf_matches_mpmath(n, phi):
-    p = (1.0 + math.cos(phi)) / 2.0
-    lo, cdf = _binomial_cdf_table(p, n)
+    p, q = _law(phi)
+    lo, cdf = _binomial_cdf_table(p, q, n)
     mode = int((n + 1) * p)
-    sd = math.sqrt(n * p * (1.0 - p))
+    sd = math.sqrt(n * p * q)
     for k in (mode - round(5 * sd), mode, mode + round(5 * sd)):
         k = min(max(k, 0), n)
-        ref = binomial_cdf_mp(n, p, k)
+        ref = binomial_cdf_mp(n, p, k, q)
         assert abs(mpmath.mpf(cdf[k - lo]) - ref) <= 1e-12 * ref, (n, p, k)
 
 
 def test_windowed_cdf_corrects_rounded_complement():
-    # at phi = 2.5, 1 - p rounds by 6e-17 relative; uncorrected, the
-    # running product 5 sigma below the mode at n = 1e9 is off by 3e-12
-    n, p = 10**9, (1.0 + math.cos(2.5)) / 2.0
-    lo, cdf = _binomial_cdf_table(p, n)
-    k = int((n + 1) * p) - round(5 * math.sqrt(n * p * (1.0 - p)))
-    ref = binomial_cdf_mp(n, p, k)
+    # the table is the law with odds p : q, q taken as given.  At phi = 2.5
+    # the law's q is 1 - p rounded, 6e-17 relative below the exact
+    # complement; 5 sigma below the mode at n = 1e9 the two laws' CDFs part
+    # by 3e-12, and the table holds the one with odds p : q
+    n, (p, q) = 10**9, _law(2.5)
+    assert (1.0 - q) - p == 2.0**-54
+    lo, cdf = _binomial_cdf_table(p, q, n)
+    k = int((n + 1) * p) - round(5 * math.sqrt(n * p * q))
+    ref = binomial_cdf_mp(n, p, k, q)
     assert abs(mpmath.mpf(cdf[k - lo]) - ref) <= 1e-12 * ref
+    assert abs(binomial_cdf_mp(n, p, k) - ref) > 1e-12 * ref
 
 
 @pytest.mark.parametrize("n", [65, 10**9])
 @pytest.mark.parametrize("p", [1e-12, 0.5, 1.0 - 1e-12])
 def test_cdf_window_stays_near_the_mode(n, p):
-    lo, cdf = _binomial_cdf_table(p, n)
+    lo, cdf = _binomial_cdf_table(p, 1.0 - p, n)
     half = 12 * math.sqrt(n * p * (1.0 - p)) + 64
     assert cdf.size <= 4 * half + 1
     assert 0 <= lo and lo + cdf.size - 1 <= n
@@ -325,14 +360,14 @@ def test_cdf_window_stays_near_the_mode(n, p):
 
 def test_draw_mean_and_prefix_at_large_budget():
     n, p, trials = 10**6, 0.2, 2000
-    counts = draw_count_matrix(p, n, seed=17, trials=trials)
+    counts = draw_count_matrix(p, 1.0 - p, n, seed=17, trials=trials)
     assert ((counts >= 0) & (counts <= n)).all()
     se = math.sqrt(n * p * (1.0 - p) / trials)
     assert abs(counts.mean() - n * p) <= 4.0 * se
     # prefix contract: shorter runs repeat the leading counts exactly, and
     # a run that starts at a later trial repeats the counts from there on
-    assert np.array_equal(draw_count_matrix(p, n, seed=17, trials=300), counts[:300])
-    lo, cdf = _binomial_cdf_table(p, n)
+    assert np.array_equal(draw_count_matrix(p, 1.0 - p, n, seed=17, trials=300), counts[:300])
+    lo, cdf = _binomial_cdf_table(p, 1.0 - p, n)
     assert np.array_equal(
         lo + _window_index(cdf, _substream_uniforms(17, 700, 1300)), counts[1300:]
     )
@@ -347,15 +382,16 @@ try:
     from numpy._core._multiarray_umath import __cpu_features__
 except ImportError:  # numpy 1.x
     from numpy.core._multiarray_umath import __cpu_features__
+from metrotrade.bounds import _outcome_law
 from metrotrade.sampling import _binomial_cdf_table, draw_count_matrix
 
 def digests():
     out = []
     for phi in (math.pi / 4.0, 2.0, 2.5, 3.0):
-        p = (1.0 + math.cos(phi)) / 2.0
+        p, q = map(float, _outcome_law(phi))
         for n in (10, 10**3, 10**7, 10**9):
-            lo, cdf = _binomial_cdf_table(p, n)
-            counts = draw_count_matrix(p, n, 11, 4096)
+            lo, cdf = _binomial_cdf_table(p, q, n)
+            counts = draw_count_matrix(p, q, n, 11, 4096)
             out.append(f"{lo} {hashlib.sha256(cdf.tobytes() + counts.tobytes()).hexdigest()}")
     return out
 """
@@ -366,8 +402,9 @@ exec(_DISPATCH_PROBE, _PROBE)
 @pytest.mark.skipif(not _PROBE["__cpu_features__"].get("X86_V4"),
                     reason="needs AVX-512 (numpy's X86_V4 dispatch)")
 def test_counts_and_tables_do_not_depend_on_cpu_dispatch():
-    # numpy computes some transcendentals (arccos, exp, ...) to other bits
-    # with AVX-512 off; counts and tables must not move with them
+    # numpy computes some transcendentals (arcsin, arctan2, ...) to other
+    # bits with AVX-512 off; the law of a phase, the tables and the counts
+    # must not move with them
     path = [str(Path(sampling.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
            "NPY_DISABLE_CPU_FEATURES": "X86_V4"}
