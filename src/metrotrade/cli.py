@@ -101,18 +101,6 @@ _int_list = _list_of(int, "integers")
 _float_list = _list_of(float, "numbers")
 
 
-def _one(parse_list):
-    """Argument type for a flag that takes one value of parse_list's kind."""
-
-    def parse(text: str):
-        values = parse_list(text)
-        if len(values) != 1:
-            raise argparse.ArgumentTypeError(f"expected a single value: {text!r}")
-        return values[0]
-
-    return parse
-
-
 def _uint64(text: str) -> int:
     try:
         value = int(text)
@@ -122,15 +110,6 @@ def _uint64(text: str) -> int:
     if not 0 <= value <= _SEED_MAX:
         raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
     return value
-
-
-def _check_name(text: str) -> str:
-    """Argument type of verify --corrupt: the name of one verify check."""
-    _bind("CHECK_NAMES")
-    if text not in CHECK_NAMES:
-        raise argparse.ArgumentTypeError(
-            f"invalid choice: {text!r} (choose from {', '.join(map(repr, CHECK_NAMES))})")
-    return text
 
 
 @contextlib.contextmanager
@@ -350,8 +329,8 @@ def _inherent_grid(n_points: int):
 
 def cmd_inherent(cfg: RunConfig):
     n = cfg.n
-    if n < 3:
-        raise ValueError("n must be >= 3 for a reachable interior point")
+    if n < 1:  # inherent_precision checks it too, but after the grid
+        raise ValueError("n must be a positive integer")
     if cfg.phi0 is not None:  # inherent_precision checks it
         phi0 = np.array([cfg.phi0])
     else:  # --grid is read only without --phi0
@@ -499,14 +478,13 @@ _COMMANDS = {
 # Flags a command can take, by their RunConfig attribute, which is the
 # keyword build_parser's add() names them with: (flag, metavar, type,
 # help).  --n and --alpha take a comma list under n_list/alpha_list and a
-# single value under n/alpha; both forms show the list's metavar.
+# single value under n/alpha.
 _FLAGS = {
     "n_list": ("--n", "N_LIST", _int_list, "comma list of sample budgets"),
-    "n": ("--n", "N_LIST", _one(_int_list), "sample budget"),
+    "n": ("--n", None, int, "sample budget"),
     "alpha_list": ("--alpha", "ALPHA_LIST", _float_list,
                    "comma list of confidence levels in noise-sigma units"),
-    "alpha": ("--alpha", "ALPHA_LIST", _one(_float_list),
-              "confidence level in noise-sigma units"),
+    "alpha": ("--alpha", None, float, "confidence level in noise-sigma units"),
     "phi0": ("--phi0", None, float, "working-point phase in (0, pi)"),
     "phi": ("--phi", None, float, "phase shift under test"),
     "m_grid": ("--m-grid", None, _int_list, "comma list of probe sizes M"),
@@ -577,7 +555,8 @@ def build_parser(args=None) -> _Parser:
     if not flagged("verify"):
         return parser
     pv.add_argument("--seed", type=_uint64, default=0)
-    pv.add_argument("--corrupt", type=_check_name, default=None, metavar="NAME",
+    _bind("CHECK_NAMES")
+    pv.add_argument("--corrupt", choices=CHECK_NAMES, default=None, metavar="NAME",
                     help="test hook: sabotage the tolerance of check NAME")
     pv.add_argument("--out", type=str, default=None)
     return parser

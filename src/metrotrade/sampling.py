@@ -4,7 +4,7 @@ A binary measurement of n shots with outcome law (p, q) gives a count
 k ~ B(n, p), so the sampler takes (p, q, n), checked once by _check_draw;
 q is given, not formed from p.  draw_count_matrix draws one count per
 trial, and count_histogram counts a seeded run over the CDF table without
-forming its counts; both invert the table with one kernel, _window_index.
+forming its counts; both invert the table by np.searchsorted.
 
 Reproducibility contract: trial t consumes a substream derived only
 from (seed, t), so results are independent of evaluation order and of
@@ -12,10 +12,9 @@ how many trials are requested (the first T trials of a longer run are
 bit-identical to a run of T trials).  The substream is a counter-based
 hash (splitmix-style finalizer), not a stateful generator.  Counts are
 produced by exact inversion of the binomial CDF; no normal
-approximation anywhere.  For n <= EXACT_ENUM_LIMIT the CDF table holds
-every exact math.comb term; beyond it, the table covers only a window
-around the mode whose excluded tails each hold less than 2**-64 of the
-mass, built with numpy alone from the pmf ratio recurrence.
+approximation anywhere.  The CDF table covers a window around the mode
+whose excluded tails each hold less than 2**-64 of the mass, built with
+numpy alone from the pmf ratio recurrence, and ends at exactly 1.
 """
 
 from __future__ import annotations
@@ -119,22 +118,20 @@ def _binomial_cdf_table(p: float, q: float, n: int):
     """CDF of the law (p, q) as (lo, cdf) with cdf[i] = P(K <= lo + i); the
     counts lo..lo + cdf.size - 1 are every count that can be drawn.
 
-    p or q zero: the one certain count, (0 or n, [1.0]).
-    n <= EXACT_ENUM_LIMIT: exact math.comb terms over k = 0..n.  Beyond,
-    a window lo..hi around the mode: the pmf relative to the mode comes
+    p or q zero: the one certain count, (0 or n, [1.0]).  Otherwise a
+    window lo..hi around the mode: the pmf relative to the mode comes
     from the ratio recurrence pmf[k+1]/pmf[k] = (n-k) p / ((k+1) q),
     a running product on each side, and is normalised by the window's
-    sum.  The window starts at +-(12 sigma + 64) and doubles until a
-    geometric bound puts each excluded tail below 2**-64: the ratios
-    fall monotonically away from the mode, so the first ratio past an
-    edge bounds every later one.  Substream uniforms are multiples of
-    2**-54 in [2**-54, 1], so no draw below 1 can land in an excluded
-    tail, and the table's last entry is exactly 1.
+    sum.  The window starts at +-(12 sigma + 64), which spans 0..n for
+    n <= 64, and doubles until a geometric bound puts each excluded tail
+    below 2**-64: the ratios fall monotonically away from the mode, so
+    the first ratio past an edge bounds every later one.  Substream
+    uniforms are multiples of 2**-54 in [2**-54, 1], so no draw below 1
+    can land in an excluded tail, and the table's last entry is exactly
+    1: every uniform inverts inside the table.
     """
     if p == 0.0 or q == 0.0:
         return (0 if p == 0.0 else n), np.ones(1)
-    if n <= EXACT_ENUM_LIMIT:
-        return 0, np.cumsum(enumerate_binomial(p, q, n))
     mode = min(int((n + 1) * p), n)
     half = math.ceil(_WINDOW_SIGMAS * math.sqrt(n * p * q)) + _WINDOW_PAD
     while True:
@@ -162,30 +159,20 @@ def _binomial_cdf_table(p: float, q: float, n: int):
     return lo, cdf
 
 
-def _window_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The window index each uniform in u inverts to: the first k with
-    u <= cdf[k], and the last index for a u above cdf[-1]."""
-    k = np.searchsorted(cdf, u, side="left")
-    np.minimum(k, cdf.size - 1, out=k)
-    return k
-
-
 def _window_histogram(cdf: np.ndarray, u: np.ndarray):
     """How many of the uniforms u invert to each count of the CDF window
     cdf, as (i0, counts): counts[j] draws fell at window index i0 + j.
 
-    The same counts as a bincount of _window_index: u is sorted in place,
-    then a window shorter than u is searched for in u (cost W log T, no
-    index per draw), and a longer one is inverted by the sorted u with
-    _window_index (cost T log W, the keys in order).  In both, a uniform
-    equal to cdf[k] counts at k and one above cdf[-1] at the last index.
+    The same counts as a bincount of the first k with u <= cdf[k]: u is
+    sorted in place, then a window shorter than u is searched for in u
+    (cost W log T, no index per draw), and a longer one is inverted by
+    the sorted u (cost T log W, the keys in order).  In both, a uniform
+    equal to cdf[k] counts at k, and none lies above cdf[-1] = 1.
     """
     u.sort()
     if cdf.size < u.size:
-        edges = np.searchsorted(u, cdf, side="right")
-        edges[-1] = u.size
-        return 0, np.diff(edges, prepend=0)
-    k = _window_index(cdf, u)
+        return 0, np.diff(np.searchsorted(u, cdf, side="right"), prepend=0)
+    k = np.searchsorted(cdf, u)
     i0 = int(k[0])
     k -= i0
     return i0, np.bincount(k)
@@ -196,7 +183,7 @@ def draw_count_matrix(p: float, q: float, n: int, seed: int, trials: int) -> np.
     int64 count each: k inverts the CDF of the law (p, q) at a uniform."""
     _check_draw(p, q, n, seed, trials)
     lo, cdf = _binomial_cdf_table(p, q, n)
-    return lo + _window_index(cdf, _substream_uniforms(seed, trials))
+    return lo + np.searchsorted(cdf, _substream_uniforms(seed, trials))
 
 
 def count_histogram(p: float, q: float, n: int, seed: int, trials: int):

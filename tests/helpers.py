@@ -228,6 +228,28 @@ def substream_uniform_ref(seed: int, trial: int) -> float:
     return ((h >> 11) + 0.5) * 2.0**-53
 
 
+def _unmix64_ref(z):
+    """The inverse of _mix64_ref: each xorshift and odd multiply undone."""
+
+    def unshift(z, shift):
+        x = z
+        for _ in range(64 // shift):
+            x = z ^ (x >> shift)
+        return x
+
+    z = (unshift(z, 31) * pow(0x94D049BB133111EB, -1, 2**64)) & _M64
+    z = (unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64)) & _M64
+    return unshift(z, 30)
+
+
+def seed_of_draw_word(word: int, trial: int = 0) -> int:
+    """The seed whose hash word at trial is word: the uniform of that
+    (seed, trial) is ((word >> 11) + 0.5) * 2**-53."""
+    golden = 0x9E3779B97F4A7C15
+    h = (_unmix64_ref(word) - golden) & _M64
+    return (_unmix64_ref(h) - golden * (trial + 1)) & _M64
+
+
 def classical_fisher_scalar(theta: float, phi_b: float, phi: float) -> float:
     """Fisher information of the two-outcome measurement along
     (theta, phi_b) at phase phi, with math-module scalars: the reference

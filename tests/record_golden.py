@@ -69,6 +69,11 @@ ARGVS = [
     ["inherent", "--n", str(10**400)],
     ["basis-sweep", "--n", str(10**400)],
     ["resources", "--big-n", str(10**400)],
+    # inherent at two shots, nan below reach; a single-valued flag given a
+    # list, and an unknown check, refused by argparse's own int and choices
+    ["inherent", "--n", "2"],
+    ["inherent", "--n", "100,"],
+    ["verify", "--corrupt", "nosuch"],
 ]
 
 

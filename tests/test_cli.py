@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from helpers import assert_same_text, csv_text_per_cell
 from metrotrade import cli, estimation, resources, sampling, verify
+from metrotrade.bounds import _outcome_law
 from metrotrade.cli import main
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -132,6 +133,19 @@ def test_inherent_flags_unreachable_rows():
     for r in nan_rows:
         assert r[2] == "nan"
         assert float(r[0]) < math.acos(1.0 - 2.0 / 3.0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_inherent_at_one_or_two_shots_is_nan_out_of_reach(n):
+    # every row where q0 < 1/n is nan, and every other row finite: none
+    # at n = 1, those past about pi/2 at n = 2
+    code, out, err = run_cli(["inherent", "--n", str(n), "--grid", "199"])
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    _, q0 = _outcome_law(np.array([float(r[0]) for r in rows]))
+    cells = np.array([[float(r[1]), float(r[2])] for r in rows])
+    assert np.array_equal(np.isnan(cells).all(axis=1), q0 < 1.0 / n)
+    assert np.isfinite(cells).all(axis=1).any() == (n == 2)
 
 
 @pytest.mark.parametrize("argv", [
@@ -527,6 +541,7 @@ def test_usage_errors_exit_one():
     ["inherent", "--n", "100,5"],  # one budget only
     ["resources", "--alpha", "1,2"],  # one confidence level only
     ["basis-sweep", "--alpha", "3", "--trials", "7"],  # flags it does not read
+    ["inherent", "--n", "100,"],  # not even with a trailing comma
 ])
 def test_flags_a_command_cannot_use_exit_one(argv):
     code, out, err = run_cli(argv)
@@ -663,8 +678,6 @@ def test_domain_errors_exit_two():
     code, _, err = run_cli(["bias-mc", "--phi", "4.0"])
     assert code == 2
     assert "error" in err
-    code, _, _ = run_cli(["inherent", "--n", "2"])
-    assert code == 2
     code, _, _ = run_cli(["basis-sweep", "--grid", "100"])
     assert code == 2
     code, _, _ = run_cli(["resources", "--m-grid", "4,4"])
@@ -686,6 +699,7 @@ _PAST_A_DOUBLE = " must be below 2**1024 - 2**970 to convert to a float\n"
 _REFUSAL_LINES = {
     ("basis-sweep", "--n", "0", "--grid", "100"): _N_LINE,
     ("basis-sweep", "--n", "0", "--phi", "nan", "--grid", "300"): _N_LINE,
+    ("inherent", "--n", "0", "--grid", "0"): _N_LINE,
     ("inherent", "--phi0", "4"): "error: phi0 must lie in (0, pi)\n",
     ("inherent", "--phi0", "0"): "error: phi0 must lie in (0, pi)\n",
     ("resources", "--m-grid", "0,2"): _M_LINE,
@@ -759,6 +773,7 @@ _REFUSAL_LINES = {
     ["resources", "--alpha", "0", "--k", "0.5"],
     ["resources", "--m-grid", "0,2", "--big-n", "0"],
     ["resources", "--big-n", "0", "--alpha", "0"],
+    ["inherent", "--n", "0", "--grid", "0"],
 ])
 def test_rejected_flag_values_exit_two_with_one_line(argv):
     # one value per check the flags meet before any output is written,

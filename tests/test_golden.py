@@ -26,6 +26,7 @@ from record_golden import ARGVS, TABLE, environment, run_argv
 # X86_V4 off only these move.
 _DISPATCH_BOUND_ARGVS = [
     ["inherent"],
+    ["inherent", "--n", "2"],
     ["bias-mc", "--n", "10000000", "--trials", "1000", "--phi", "0.8", "--seed", "8"],
     ["bias-mc", "--n", "17179869184", "--trials", "1048576", "--phi", "1.5", "--seed", "11"],
 ]

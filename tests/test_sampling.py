@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import binomial_cdf_mp, substream_uniform_ref
+from helpers import binomial_cdf_mp, seed_of_draw_word, substream_uniform_ref
 from metrotrade import sampling
 from metrotrade.bounds import _outcome_law
 from metrotrade.estimation import monte_carlo_report
@@ -20,7 +20,6 @@ from metrotrade.sampling import (
     _binomial_cdf_table,
     _substream_uniforms,
     _window_histogram,
-    _window_index,
     count_histogram,
     draw_count_matrix,
     enumerate_binomial,
@@ -125,7 +124,7 @@ def test_enumerate_binomial_budget():
 @pytest.mark.parametrize("n", [7, 65, 2**40])
 @pytest.mark.parametrize("p", [0.0, 1.0])
 def test_draw_samples_certain_outcome(p, n):
-    # the table holds the one certain count below and above EXACT_ENUM_LIMIT
+    # the table holds the one certain count at small and large n
     k = 0 if p == 0.0 else n
     lo, cdf = _binomial_cdf_table(p, 1.0 - p, n)
     assert (lo, cdf.tolist()) == (k, [1.0])
@@ -203,7 +202,7 @@ def test_windowed_table_fixes_off_by_one_draw():
     n, (p, q) = 10**7, _law(0.9)
     lo, cdf = _binomial_cdf_table(p, q, n)
     u = _substream_uniforms(12345, 1, 105301)
-    k = int(lo + _window_index(cdf, u)[0])
+    k = int(lo + np.searchsorted(cdf, u)[0])
     u = u[0]
     assert k == 8112212
     assert binomial_cdf_mp(n, p, k - 1, q) < mpmath.mpf(u) <= binomial_cdf_mp(n, p, k, q)
@@ -216,12 +215,28 @@ def test_substream_uniforms_match_splitmix_reference(seed, cuts, first):
     # the hash in place on uint64 arrays is the splitmix finalizer on
     # integers, also for trial indices past 2**32, and a run cut into
     # calls at later first trials (as count_histogram draws its chunks)
-    # is the same run
+    # is the same run, of uniforms in [2**-54, 1]
     starts = [first, first + 2][:cuts + 1]
     ends = starts[1:] + [first + 6]
     u = np.concatenate([_substream_uniforms(seed, b - a, a) for a, b in zip(starts, ends)])
     assert u.dtype == np.float64
     assert u.tolist() == [substream_uniform_ref(seed, t) for t in range(first, first + 6)]
+    assert 2.0**-54 <= u.min() and u.max() <= 1.0
+
+
+@pytest.mark.parametrize("word, u_end", [(0, 2.0**-54), (2**64 - 1, 1.0)])
+def test_extreme_uniforms_invert_inside_every_table(word, u_end):
+    # the seeds whose first draw word is the least and the greatest draw
+    # the extreme uniforms, 2**-54 and exactly 1 (2**53 - 1/2 rounds up to
+    # 2**53); every table ends at exactly 1, so both invert inside it
+    seed = seed_of_draw_word(word)
+    assert _substream_uniforms(seed, 1).tolist() == [u_end]
+    for phi, n in ((2.5, 40), (0.9, 10), (0.8, 10**7), (math.pi - 1e-9, 2**40), (1e-9, 7)):
+        p, q = _law(phi)
+        lo, cdf = _binomial_cdf_table(p, q, n)
+        i = bisect.bisect_left(cdf.tolist(), u_end)
+        assert cdf[-1] == 1.0 and i < cdf.size
+        assert draw_count_matrix(p, q, n, seed, 1).tolist() == [lo + i]
 
 
 def _placed(cdf, i0, counts):
@@ -234,7 +249,7 @@ def _placed(cdf, i0, counts):
     (1e-9, 7, 1000),                    # p rounds to 1: every draw is n
     (math.pi - 1e-9, 2**40, 1000),      # p = 2.5e-19: a short window at 0
     (1e-9, 65, 1),                      # a short window at n, one draw
-    (2.5, 40, 5000),                    # math.comb table whose last entry is below 1
+    (2.5, 40, 5000),                    # a window over 0..n, 1.0 at its top entries
     (0.9, 10, 2**16),
     (0.8, 10**7, 1000),                 # window longer than the chunk
     (0.8, 10**7, 2**16),                # a 3.5e4-entry window shorter than the chunk
@@ -250,19 +265,21 @@ def test_window_histogram_is_a_bincount_of_the_draws(phi, n, trials):
 
 @pytest.mark.parametrize("size", [30, 500])
 def test_window_histogram_counts_ties_and_the_top_clamp(size):
-    # uniforms on, just below and just above each CDF entry, and 1 above
-    # the table's last entry (1 - 10 ulp, with 16 equal entries at the
-    # top), in windows longer and shorter than the draws
-    n, p = 40, (1.0 + math.cos(2.5)) / 2.0
-    lo, cdf = _binomial_cdf_table(p, 1.0 - p, n)
-    assert lo == 0 and cdf[-1] < 1.0 and cdf.size == n + 1
-    pool = np.concatenate((cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), [1.0]))
+    # uniforms on, just below and just above each CDF entry below 1, and
+    # on each entry at the top, all exactly 1 as the last one is, in
+    # windows longer and shorter than the draws: with no uniform above
+    # the last entry, no index needs a clamp
+    n, (p, q) = 40, _law(2.5)
+    lo, cdf = _binomial_cdf_table(p, q, n)
+    assert lo == 0 and cdf[-1] == 1.0 and cdf.size == n + 1
+    below = cdf[cdf < 1.0]
+    pool = np.concatenate((below, np.nextafter(below, 0.0), np.nextafter(below, 2.0),
+                           cdf[below.size:]))
     u = np.resize(np.random.default_rng(1).permutation(pool), size)
     # the reference inverts each uniform by plain bisection
     keys = cdf.tolist()
-    ref = np.bincount([min(bisect.bisect_left(keys, x), cdf.size - 1) for x in u.tolist()],
-                      minlength=cdf.size)
-    assert ref[-1] > 0
+    ref = np.bincount([bisect.bisect_left(keys, x) for x in u.tolist()], minlength=cdf.size)
+    assert ref.size == cdf.size and ref[below.size] > 0
     i0, counts = _window_histogram(cdf, u.copy())
     assert np.array_equal(_placed(cdf, i0, counts), ref)
 
@@ -271,7 +288,7 @@ def test_window_histogram_counts_ties_and_the_top_clamp(size):
 @pytest.mark.parametrize("p, n", [
     (0.0, 2**40),       # a one-entry window
     (1.0, 7),
-    (0.3, 40),          # math.comb table
+    (0.3, 40),          # a window over 0..n
     (0.6, 10**7),       # a 3.5e4-entry window, shorter than a chunk
     (0.5, 10**9),       # a 3.8e5-entry window, longer than a chunk
 ])
@@ -321,11 +338,12 @@ def test_count_histogram_refuses_trials_before_any_draw(monkeypatch, trials, mes
         count_histogram(0.5, 0.5, 10, 0, trials)
 
 
-@pytest.mark.parametrize("n", [65, 10**5, 10**7])
-@pytest.mark.parametrize("phi", [0.9, 2.5])
+@pytest.mark.parametrize("n", [65, 10**5, 10**7, 1, 2, 10, 40, 64])
+@pytest.mark.parametrize("phi", [0.9, 2.5, math.pi - 1e-9])  # p 0.81, 0.1 and 2.5e-19
 def test_windowed_cdf_matches_mpmath(n, phi):
     p, q = _law(phi)
     lo, cdf = _binomial_cdf_table(p, q, n)
+    assert cdf[-1] == 1.0
     mode = int((n + 1) * p)
     sd = math.sqrt(n * p * q)
     for k in (mode - round(5 * sd), mode, mode + round(5 * sd)):
@@ -369,12 +387,12 @@ def test_draw_mean_and_prefix_at_large_budget():
     assert np.array_equal(draw_count_matrix(p, 1.0 - p, n, seed=17, trials=300), counts[:300])
     lo, cdf = _binomial_cdf_table(p, 1.0 - p, n)
     assert np.array_equal(
-        lo + _window_index(cdf, _substream_uniforms(17, 700, 1300)), counts[1300:]
+        lo + np.searchsorted(cdf, _substream_uniforms(17, 700, 1300)), counts[1300:]
     )
 
 
 # Digests of sampled counts and CDF tables, with the table's first count,
-# at probes that take both the math.comb table and the windowed one; and
+# at probes whose window spans 0..n (n = 10) and a part of it; and
 # numpy's CPU features as dispatched.
 _DISPATCH_PROBE = """
 import hashlib, math
