@@ -590,6 +590,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
-
-if __name__ == "__main__":
-    sys.exit(main())

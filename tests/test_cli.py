@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import math
 import os
@@ -1027,6 +1028,56 @@ def test_module_entry_point():
     assert header[0] == "n"
     # n = alpha^2 pins the exact bound at a right angle
     assert float(rows[0][2]) == math.pi / 2.0
+
+
+# An exit hook runs after sys.exit, so it sees what the entry left for the
+# interpreter's shutdown collections; it reports on stderr, off the CSV.
+_ENTRY_CHILD = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))
+sys.argv = ["metrotrade", "tradeoff"]
+runpy.run_module("metrotrade", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_module_entry_freezes_the_heap_on_the_way_out():
+    proc = subprocess.run([sys.executable, "-c", _ENTRY_CHILD], env=child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert int(proc.stderr) > 0
+    assert proc.stdout == run_cli(["tradeoff"])[1]
+
+
+def test_cli_main_leaves_the_collector_as_it_found_it():
+    # cli.main is the library call: only the process entry may freeze
+    before = gc.get_freeze_count(), gc.isenabled()
+    run_cli(["tradeoff"])
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_console_script_is_the_module_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(Path(cli.__file__).resolve().parents[2] / "pyproject.toml", "rb") as file:
+        assert tomllib.load(file)["project"]["scripts"]["metrotrade"] == "metrotrade.__main__:main"
+
+
+@pytest.mark.parametrize("argv, written", [
+    # inherent's mesh is formatted on forked processes where two CPUs are free
+    (["inherent", "--n", "1000000", "--grid", "100000"], ["out.csv"]),
+    (["tradeoff", "--format", "both"], ["out.csv", "out.svg"]),
+], ids=["inherent-mesh", "tradeoff-both"])
+def test_cold_process_leaves_the_files_main_writes(tmp_path, argv, written):
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    cold.mkdir()
+    warm.mkdir()
+    proc = subprocess.run([sys.executable, "-m", "metrotrade", *argv,
+                           "--out", str(cold / "out.csv")],
+                          env=child_env(), capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert run_cli([*argv, "--out", str(warm / "out.csv")]) == (0, "", "")
+    assert sorted(path.name for path in cold.iterdir()) == written
+    for name in written:
+        assert (cold / name).read_bytes() == (warm / name).read_bytes()
 
 
 def test_runtime_does_not_import_scipy():
