@@ -513,16 +513,31 @@ def _attach_dash_values(argv):
     return args
 
 
+# The parser of each command an argv can name, and (under None) of an argv
+# naming none, built on first use and kept for the process: parsing reads
+# a parser and never changes it, and every default is immutable.
+_PARSERS = {}
+
+
 def build_parser(args=None) -> _Parser:
     """The parser of argv args.  Every command is a subparser, so usage
     lines and invalid-choice errors name them all, but only the command
     args name (their first token that is not an option; all of them when
-    args is None) gets its flags, as only that one parses any."""
-    command = None if args is None else next((a for a in args if a[:1] != "-"), None)
+    args is None) gets its flags, as only that one parses any.  An argv
+    gets the parser kept for its command, or for no command when it names
+    none or an unknown one, so no argv adds a parser past seven."""
+    names = (*_COMMANDS, "verify")
+    if args is None:
+        return _new_parser(names)
+    command = next((a for a in args if a[:1] != "-"), None)
+    key = command if command in names else None
+    if key not in _PARSERS:
+        _PARSERS[key] = _new_parser(() if key is None else (key,))
+    return _PARSERS[key]
 
-    def flagged(name):
-        return args is None or name == command
 
+def _new_parser(flagged) -> _Parser:
+    """A parser in which only the commands named in flagged take flags."""
     parser = _Parser(prog="metrotrade", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
@@ -531,7 +546,7 @@ def build_parser(args=None) -> _Parser:
     def add(name, help_text, **defaults):
         """A command taking --out, --format and the _FLAGS named in defaults."""
         p = sub.add_parser(name, help=help_text)
-        if not flagged(name):
+        if name not in flagged:
             return
         for key, default in defaults.items():
             flag, metavar, kind, flag_help = _FLAGS[key]
@@ -542,17 +557,17 @@ def build_parser(args=None) -> _Parser:
                        default="csv", help="output format")
 
     add("tradeoff", "detection bounds over an (n, alpha) grid",
-        n_list=[10, 100, 1000, 10000], alpha_list=[0.25, 0.5, 1.0, 2.0, 4.0])
+        n_list=(10, 100, 1000, 10000), alpha_list=(0.25, 0.5, 1.0, 2.0, 4.0))
     add("inherent", "quantization-limited resolution/accuracy vs phi0",
         n=100, phi0=None, grid=999)
     add("basis-sweep", "snr landscape over measurement directions",
         n=1, phi=math.pi / 10.0, grid=400)
     add("resources", "detection floor scaling per strategy",
-        m_grid=[2, 4, 8, 16, 32], big_n=100, alpha=1.0, k=2.0)
+        m_grid=(2, 4, 8, 16, 32), big_n=100, alpha=1.0, k=2.0)
     add("bias-mc", "estimator bias, exact vs Monte Carlo",
         n=10, phi=math.pi / 4.0, trials=10**5, seed=0)
     pv = sub.add_parser("verify", help="run the built-in invariant suite")
-    if not flagged("verify"):
+    if "verify" not in flagged:
         return parser
     pv.add_argument("--seed", type=_uint64, default=0)
     _bind("CHECK_NAMES")

@@ -197,8 +197,10 @@ def count_histogram(p: float, q: float, n: int, seed: int, trials: int):
     under a lock to one integer histogram, so memory does not grow with
     trials.  With at least two chunks per worker, W <= _mc_workers()
     threads draw (numpy releases the GIL), thread w taking every W-th
-    chunk from chunk w; smaller runs stay on the calling thread, where a
-    pool costs more than it saves.  Integer counts add exactly, so the
+    chunk from chunk w: the calling thread is thread 0 and starts the
+    other W - 1, and an exception raised on any of them is raised here
+    once all have ended.  Smaller runs stay on the calling thread, where
+    a pool costs more than it saves.  Integer counts add exactly, so the
     result depends on neither the chunking nor the thread count.
     """
     _check_draw(p, q, n, seed, trials)
@@ -217,9 +219,23 @@ def count_histogram(p: float, q: float, n: int, seed: int, trials: int):
     workers = _mc_workers()
     if workers < 2 or len(firsts) < 2 * workers:
         fill(firsts)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+        return lo, hist
+    failed = []
 
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fill, (firsts[w::workers] for w in range(workers))))
+    def work(w):
+        try:
+            fill(firsts[w::workers])
+        except BaseException as exc:  # re-raised on the calling thread
+            failed.append(exc)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        fill(firsts[0::workers])
+    finally:
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[0]
     return lo, hist

@@ -1,6 +1,9 @@
+import argparse
+import contextlib
 import csv
 import gc
 import io
+import json
 import math
 import os
 import subprocess
@@ -19,6 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import assert_same_text, csv_text_per_cell
+from record_golden import ARGVS, run_argv
 from metrotrade import cli, estimation, resources, sampling, verify
 from metrotrade.bounds import _outcome_law
 from metrotrade.cli import main
@@ -567,16 +571,110 @@ def _usage_error(parser, argv):
 @pytest.mark.parametrize("command", [*cli._COMMANDS, "verify"])
 def test_parser_of_an_argv_flags_only_its_command(command):
     # the full parser's help and usage lines for the command argv names,
-    # while every other command keeps its name and help but takes no flag
+    # while every other command keeps its name and help but takes no flag;
+    # a second argv naming the command gets the same parser, still so
     full = cli.build_parser()
-    built = cli.build_parser(["--", command, "--out", "x.csv"])
-    assert _help_text(built, ["-h"]) == _help_text(full, ["-h"])
-    assert _help_text(built, [command, "-h"]) == _help_text(full, [command, "-h"])
-    assert _usage_error(built, ["nosuch"]) == _usage_error(full, ["nosuch"])
-    for other in {*cli._COMMANDS, "verify"} - {command}:
-        assert _usage_error(built, [other, "--out", "x"]) == "unrecognized arguments: --out x"
-    assert vars(built.parse_args([command], cli.RunConfig())) == vars(
-        full.parse_args([command], cli.RunConfig()))
+    for _ in range(2):
+        built = cli.build_parser(["--", command, "--out", "x.csv"])
+        assert _help_text(built, ["-h"]) == _help_text(full, ["-h"])
+        assert _help_text(built, [command, "-h"]) == _help_text(full, [command, "-h"])
+        assert _usage_error(built, ["nosuch"]) == _usage_error(full, ["nosuch"])
+        for other in {*cli._COMMANDS, "verify"} - {command}:
+            assert _usage_error(built, [other, "--out", "x"]) == "unrecognized arguments: --out x"
+        assert vars(built.parse_args([command], cli.RunConfig())) == vars(
+            full.parse_args([command], cli.RunConfig()))
+    assert cli.build_parser([command]) is built
+
+
+def test_argvs_naming_no_command_share_one_parser():
+    shared = cli.build_parser([])
+    for argv in (["nosuch"], ["-h"], ["--version"], ["--n", "5", "tradeoff"],
+                 [str(k) for k in range(100)]):
+        assert cli.build_parser(argv) is shared
+    assert set(cli._PARSERS) <= {None, *cli._COMMANDS, "verify"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["tradeoff"],
+    ["inherent", "--phi0", "1"],
+    ["verify", "--corrupt", "nosuch"],  # a usage error
+    ["nosuch"],
+])
+def test_a_second_call_builds_no_parser(monkeypatch, argv):
+    first = run_cli(argv)
+    init, built = argparse.ArgumentParser.__init__, []
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run_cli(argv) == first
+    assert built == []
+
+
+@pytest.mark.parametrize("command, key", [
+    ("tradeoff", "n_list"), ("tradeoff", "alpha_list"), ("resources", "m_grid"),
+])
+def test_a_changed_list_flag_leaves_the_next_default(command, key):
+    cfg = cli.build_parser([command]).parse_args([command], cli.RunConfig())
+    # a list default would take this in place, and hand it to every later
+    # parse of the kept parser; the default refuses it
+    with contextlib.suppress(AttributeError):
+        getattr(cfg, key).append(7)
+    again = cli.build_parser([command]).parse_args([command], cli.RunConfig())
+    assert vars(again) == vars(cli.build_parser().parse_args([command], cli.RunConfig()))
+
+
+# Prints record_golden.run_argv(argv) for each argv of a JSON list, each
+# run in a process forked from an interpreter that has run no command.
+_PRISTINE_RUNS = """
+import json, os, sys
+from record_golden import run_argv
+
+for argv in json.loads(sys.argv[1]):
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_fd)
+        with open(write_fd, "w") as pipe:
+            pipe.write(json.dumps(run_argv(argv)))
+        os._exit(0)
+    os.close(write_fd)
+    with open(read_fd) as pipe:
+        print(pipe.read())
+    os.waitpid(pid, 0)
+"""
+
+# Calls put between the golden argvs: a usage error, a domain error, a
+# command's help and the version.
+_BETWEEN_GOLDEN = [
+    ["tradeoff", "--n", "abc"],
+    ["bias-mc", "--trials", "0"],
+    ["resources", "-h"],
+    ["--version"],
+]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_golden_argvs_between_refusals_match_fresh_processes(monkeypatch):
+    # each call in this process, through the parsers the calls before it
+    # kept, gives what it gives in a process that has built no parser
+    # (help wraps at COLUMNS, set alike on both sides)
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [argv for k, golden in enumerate(ARGVS)
+             for argv in (golden, _BETWEEN_GOLDEN[k % len(_BETWEEN_GOLDEN)])]
+    env = child_env()
+    env["PYTHONPATH"] += os.pathsep + str(Path(__file__).resolve().parent)
+    fresh = subprocess.Popen([sys.executable, "-c", _PRISTINE_RUNS, json.dumps(calls)],
+                             env=env, stdout=subprocess.PIPE, text=True)
+    here = [run_argv(argv) for argv in calls]
+    stdout, _ = fresh.communicate(timeout=600)
+    assert fresh.returncode == 0
+    expected = [json.loads(line) for line in stdout.splitlines()]
+    assert len(expected) == len(calls)
+    assert [argv for argv, got, want in zip(calls, here, expected) if got != want] == []
+    assert {result["exit"] for result in expected} == {0, 1, 2, 3}
 
 
 def test_csv_output_renders_no_chart(monkeypatch):
@@ -1031,10 +1129,14 @@ def test_module_entry_point():
 
 
 # An exit hook runs after sys.exit, so it sees what the entry left for the
-# interpreter's shutdown collections; it reports on stderr, off the CSV.
+# interpreter's shutdown collections; it reports on stderr, off the CSV,
+# the objects frozen when cli.main was called and those frozen at exit.
 _ENTRY_CHILD = """
 import atexit, gc, runpy, sys
-atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))
+import metrotrade.cli
+frozen, run = [], metrotrade.cli.main
+metrotrade.cli.main = lambda: frozen.append(gc.get_freeze_count()) or run()
+atexit.register(lambda: print(frozen[0], gc.get_freeze_count(), file=sys.stderr))
 sys.argv = ["metrotrade", "tradeoff"]
 runpy.run_module("metrotrade", run_name="__main__", alter_sys=True)
 """
@@ -1044,8 +1146,38 @@ def test_module_entry_freezes_the_heap_on_the_way_out():
     proc = subprocess.run([sys.executable, "-c", _ENTRY_CHILD], env=child_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0
-    assert int(proc.stderr) > 0
+    at_main, at_exit = map(int, proc.stderr.split())
+    assert 0 < at_main < at_exit
     assert proc.stdout == run_cli(["tradeoff"])[1]
+
+
+# A hook on every collection notes those that start before the entry has
+# bound cli.main; the exit hook reports them and whether the collector is
+# on.  The package is imported and the heap collected first, so that only
+# the entry's own allocations can start a collection.
+_COLLECTIONS_CHILD = """
+import atexit, gc, runpy, sys
+import metrotrade
+if sys.argv[1] == "off":
+    gc.disable()
+gc.collect()
+early = []
+gc.callbacks.append(lambda phase, info: phase == "start" and not hasattr(
+    sys.modules.get("metrotrade.cli"), "main") and early.append(info["generation"]))
+atexit.register(lambda: print(early, gc.isenabled(), file=sys.stderr))
+sys.argv = ["metrotrade", "tradeoff"]
+runpy.run_module("metrotrade", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("collector", ["on", "off"])
+def test_module_entry_imports_with_the_collector_off(collector):
+    # the entry holds the collector off while it imports, then leaves it
+    # as the importer had it
+    proc = subprocess.run([sys.executable, "-c", _COLLECTIONS_CHILD, collector],
+                          env=child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr.split() == ["[]", str(collector == "on")]
 
 
 def test_cli_main_leaves_the_collector_as_it_found_it():
@@ -1101,25 +1233,48 @@ def test_runtime_does_not_import_scipy():
     assert proc.stdout.split() == ["[0,", "0]", "[]"]
 
 
-def test_verify_loads_no_pool_logging_or_numpy_random():
-    # verify runs its checks in turn and draws its points from the
-    # package's own substream, so it pays for neither a thread pool
-    # (concurrent.futures, which loads logging) nor numpy.random
+def _pool_modules_loaded(argv, setup=""):
+    """What a child that runs setup and then cli.main(argv) prints: the
+    exit code, the list of concurrent.futures, logging and numpy.random
+    modules the run loaded, and whatever setup prints at exit."""
     script = (
         "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
         "import metrotrade.cli as c\n"
+        f"{setup}"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = c.main(['verify'])\n"
+        "    code = c.main(sys.argv[1:])\n"
         "banned = ('numpy.random', 'concurrent.futures', 'logging')\n"
         "added = set(sys.modules) - before\n"
         "print(code, sorted(m for m in added\n"
         "                   if any(m == b or m.startswith(b + '.') for b in banned)))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=child_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "[]"]
+    return proc.stdout.split()
+
+
+def test_verify_loads_no_pool_logging_or_numpy_random():
+    # verify runs its checks in turn and draws its points from the
+    # package's own substream, so it pays for neither a thread pool
+    # (concurrent.futures, which loads logging) nor numpy.random
+    assert _pool_modules_loaded(["verify"]) == ["0", "[]"]
+
+
+def test_pooled_bias_mc_loads_no_pool_logging_or_numpy_random():
+    # four chunks on two workers: the sampler starts its threads itself,
+    # and the run reports at exit how many threads drew
+    setup = (
+        "import atexit, threading\n"
+        "import metrotrade.sampling as s\n"
+        "drawn_on, kernel = set(), s._window_histogram\n"
+        "s._window_histogram = lambda *a: drawn_on.add(threading.get_ident()) or kernel(*a)\n"
+        "s._mc_workers = lambda: 2\n"
+        "atexit.register(lambda: print(len(drawn_on)))\n"
+    )
+    argv = ["bias-mc", "--trials", str(4 * sampling._MC_CHUNK)]
+    assert _pool_modules_loaded(argv, setup) == ["0", "[]", "2"]
 
 
 # The package modules a command loads beyond those of `tradeoff` (cli and

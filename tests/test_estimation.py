@@ -1,4 +1,3 @@
-import concurrent.futures
 import math
 import sys
 import threading
@@ -258,7 +257,7 @@ def test_monte_carlo_pool_starts_below_two_chunks_per_worker(monkeypatch, worker
         raise NoPool
 
     monkeypatch.setattr(sampling, "_mc_workers", lambda: workers)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(sampling.threading, "Thread", refuse)
     below = (2 * workers - 1) * _MC_CHUNK
     assert monte_carlo_report(1.0, 10, below, 0).mode == "MonteCarlo"
     with pytest.raises(NoPool):

@@ -324,6 +324,40 @@ def test_count_histogram_builds_the_table_once_before_any_draw(monkeypatch):
     assert events == 2 * (["build"] + 4 * ["draw"])
 
 
+def test_count_histogram_on_more_threads_than_cpus_loses_no_count(monkeypatch):
+    # five threads add to one histogram, switching as often as the
+    # interpreter allows; a lost update would break the bincount
+    trials = 11 * _MC_CHUNK + 3
+    monkeypatch.setattr(sampling, "_mc_workers", lambda: 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        lo, hist = count_histogram(0.3, 0.7, 40, 5, trials)
+    finally:
+        sys.setswitchinterval(interval)
+    k = draw_count_matrix(0.3, 0.7, 40, 5, trials)
+    assert np.array_equal(hist, np.bincount(k - lo, minlength=hist.size))
+
+
+def test_count_histogram_raises_a_workers_exception(monkeypatch):
+    # a chunk that fails on a started thread fails the call on the
+    # calling thread, and only once every thread has ended
+    class Failed(Exception):
+        pass
+
+    def fail_off_the_caller(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise Failed
+        return _window_histogram(*args)
+
+    monkeypatch.setattr(sampling, "_mc_workers", lambda: 3)
+    monkeypatch.setattr(sampling, "_window_histogram", fail_off_the_caller)
+    threads = threading.active_count()
+    with pytest.raises(Failed):
+        count_histogram(0.3, 0.7, 40, 1, 6 * _MC_CHUNK)
+    assert threading.active_count() == threads
+
+
 @pytest.mark.parametrize("trials, message", [
     (0, "^trials must be a positive integer$"),
     (2**32 + 1, rf"^trials must be <= {2**32}$"),
