@@ -46,7 +46,7 @@ _EXPORTS = {
                    "monte_carlo_report"),
     "resources": ("ScalingReport", "StrategyKind", "fit_scaling",
                   "quantum_fisher_information", "strategy_signal_noise"),
-    "sampling": ("EXACT_ENUM_LIMIT", "enumerate_binomial"),
+    "sampling": ("binomial_weights",),
     "verify": ("CheckResult", "format_report", "run_all"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

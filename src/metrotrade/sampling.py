@@ -2,9 +2,10 @@
 
 A binary measurement of n shots with outcome law (p, q) gives a count
 k ~ B(n, p), so the sampler takes (p, q, n), checked once by _check_draw;
-q is given, not formed from p.  draw_count_matrix draws one count per
-trial, and count_histogram counts a seeded run over the CDF table without
-forming its counts; both invert the table by np.searchsorted.
+q is given, not formed from p.  binomial_weights is the package's one
+binomial pmf.  draw_count_matrix draws one count per trial, and
+count_histogram counts a seeded run over the CDF table without forming
+its counts; both invert the table by np.searchsorted.
 
 Reproducibility contract: trial t consumes a substream derived only
 from (seed, t), so results are independent of evaluation order and of
@@ -12,7 +13,7 @@ how many trials are requested (the first T trials of a longer run are
 bit-identical to a run of T trials).  The substream is a counter-based
 hash (splitmix-style finalizer), not a stateful generator.  Counts are
 produced by exact inversion of the binomial CDF; no normal
-approximation anywhere.  The CDF table covers a window around the mode
+approximation anywhere.  The CDF table covers binomial_weights' window,
 whose excluded tails each hold less than 2**-64 of the mass, built with
 numpy alone from the pmf ratio recurrence, and ends at exactly 1.
 """
@@ -26,7 +27,6 @@ import numpy as np
 
 from . import _mc_workers
 
-EXACT_ENUM_LIMIT = 64
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
 _SEED_MAX = 2**64 - 1
@@ -67,19 +67,6 @@ def _check_draw(p: float, q: float, n: int, seed: int = 0, trials: int = 1):
         raise ValueError("seed must be an unsigned 64-bit integer")
 
 
-def enumerate_binomial(p: float, q: float, n: int):
-    """Exact pmf of B(n, p) under the law (p, q), indexed by k = 0..n.
-
-    Coefficients come from integer arithmetic (math.comb), so each term
-    is correct to double rounding.  Limited to n <= 64 where that is
-    cheap; beyond the limit a ValueError is raised.
-    """
-    _check_draw(p, q, n)
-    if n > EXACT_ENUM_LIMIT:
-        raise ValueError(f"exact enumeration supports n <= {EXACT_ENUM_LIMIT}")
-    return np.array([math.comb(n, k) * p**k * q ** (n - k) for k in range(n + 1)])
-
-
 def _mix64(z, scratch):
     """64-bit avalanche finalizer (Stafford mix 13), in place on the uint64
     array z; scratch is a uint64 array of z's size for the shifts."""
@@ -114,22 +101,20 @@ def _substream_uniforms(seed: int, trials: int, first: int = 0) -> np.ndarray:
     return u
 
 
-def _binomial_cdf_table(p: float, q: float, n: int):
-    """CDF of the law (p, q) as (lo, cdf) with cdf[i] = P(K <= lo + i); the
-    counts lo..lo + cdf.size - 1 are every count that can be drawn.
+def binomial_weights(p: float, q: float, n: int):
+    """The pmf of k ~ B(n, p) under the law (p, q) relative to its mode, as
+    (lo, weights) with weights[i] = P(K = lo + i) / P(K = mode).
 
     p or q zero: the one certain count, (0 or n, [1.0]).  Otherwise a
-    window lo..hi around the mode: the pmf relative to the mode comes
-    from the ratio recurrence pmf[k+1]/pmf[k] = (n-k) p / ((k+1) q),
-    a running product on each side, and is normalised by the window's
-    sum.  The window starts at +-(12 sigma + 64), which spans 0..n for
-    n <= 64, and doubles until a geometric bound puts each excluded tail
-    below 2**-64: the ratios fall monotonically away from the mode, so
-    the first ratio past an edge bounds every later one.  Substream
-    uniforms are multiples of 2**-54 in [2**-54, 1], so no draw below 1
-    can land in an excluded tail, and the table's last entry is exactly
-    1: every uniform inverts inside the table.
+    window lo..hi around the mode, from the ratio recurrence
+    pmf[k+1]/pmf[k] = (n-k) p / ((k+1) q), a running product on each side
+    of the mode's 1.0.  The window starts at +-(12 sigma + 64), which
+    spans 0..n for n <= 64, and doubles until a geometric bound puts each
+    excluded tail below 2**-64: the ratios fall monotonically away from
+    the mode, so the first ratio past an edge bounds every later one.
+    A window of more than _WINDOW_MAX entries is refused.
     """
+    _check_draw(p, q, n)
     if p == 0.0 or q == 0.0:
         return (0 if p == 0.0 else n), np.ones(1)
     mode = min(int((n + 1) * p), n)
@@ -154,7 +139,16 @@ def _binomial_cdf_table(p: float, q: float, n: int):
             if max(tail_hi, tail_lo) < _TAIL_MASS:
                 break
         half *= 2
-    cdf = np.cumsum(np.concatenate((down[::-1], [1.0], up)))
+    return lo, np.concatenate((down[::-1], [1.0], up))
+
+
+def _binomial_cdf_table(p: float, q: float, n: int):
+    """CDF of the law (p, q) as (lo, cdf) with cdf[i] = P(K <= lo + i), the
+    running sum of binomial_weights.  Substream uniforms are multiples of
+    2**-54 in [2**-54, 1], so none below 1 lands in an excluded tail, and
+    cdf ends at exactly 1: every uniform inverts inside the table."""
+    lo, weights = binomial_weights(p, q, n)
+    cdf = np.cumsum(weights)
     cdf /= cdf[-1]
     return lo, cdf
 

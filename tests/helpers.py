@@ -80,8 +80,9 @@ def phase_estimate_moments_mp(phi: float, n: int, prec: int = 250):
     are summed from the top by the pmf ratio until a term past the mean
     falls below 2**-prec of the sum, so this suits only n sin**2(phi / 2)
     of order 1.  Returns the moments as floats (mean_p, bias_phi, var_phi,
-    mse_phi, and the fourth moments m4c about the mean and m4 about phi)
-    and, as float arrays, each count's weight and phi_hat.
+    mse_phi, and the fourth moments m4c about the mean and m4 about phi),
+    the counts summed as an int array, and, as float arrays, each count's
+    weight and phi_hat.
     """
     with mpmath.workprec(prec):
         x = mpmath.mpf(phi)
@@ -114,6 +115,7 @@ def phase_estimate_moments_mp(phi: float, n: int, prec: int = 250):
             "m4": mean([(h - x) ** 4 for h in hats]),
         }
         out = {key: float(value) for key, value in out.items()}
+        out["counts"] = np.array(ks)
         out["weights"] = np.array([float(w) for w in ws])
         out["phi_hats"] = np.array([float(h) for h in hats])
     return out

@@ -88,14 +88,10 @@ def environment():
 
 
 def run_argv(argv):
-    """{"stdout_sha256", "stderr", "exit"} of cli.main(argv), run in process;
-    the exit code of -h or --version is that of the SystemExit it raises."""
+    """{"stdout_sha256", "stderr", "exit"} of cli.main(argv), run in process."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
+        code = main(list(argv))
     return {"stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
             "stderr": err.getvalue(), "exit": code}
 

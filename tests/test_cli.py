@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from helpers import assert_same_text, csv_text_per_cell
 from record_golden import ARGVS, run_argv
-from metrotrade import cli, estimation, resources, sampling, verify
+from metrotrade import __version__, cli, estimation, resources, sampling, verify
 from metrotrade.bounds import _outcome_law
 from metrotrade.cli import main
 
@@ -553,6 +553,18 @@ def test_flags_a_command_cannot_use_exit_one(argv):
     assert code == 1
     assert out == ""
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, first_line", [
+    (["--version"], f"{__version__}\n"),
+    (["tradeoff", "-h"], "usage: metrotrade tradeoff "),
+    (["--help"], "usage: metrotrade "),
+], ids=["version", "command-help", "help"])
+def test_help_and_version_return_exit_zero(argv, first_line):
+    # the library call returns argparse's exit code, and raises no SystemExit
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(first_line)
 
 
 def _help_text(parser, argv):

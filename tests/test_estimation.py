@@ -18,7 +18,7 @@ from metrotrade.estimation import (
 )
 from metrotrade import sampling
 from metrotrade.bounds import _outcome_law
-from metrotrade.sampling import _MC_CHUNK, draw_count_matrix
+from metrotrade.sampling import _MC_CHUNK, binomial_weights, draw_count_matrix
 
 from helpers import basis_probabilities, classical_fisher_scalar, phase_estimate_moments_mp
 
@@ -61,39 +61,48 @@ def _exact_report_tolerances(ref, phi, n):
     """First-order bounds on the errors of exact_bias_report(phi, n), from
     its roundings, sized by the mpmath law ref of phase_estimate_moments_mp.
 
-    Each normalized weight: the law (p, q), a cosine and a sine of phi / 2
-    2 ulp off and squared, raised to powers summing to n; math.comb to a
-    double, two powers and two products; then the fsum total and the
-    division.  Each deviation phi_hat - phi: 2 atan2 of two square roots
-    is off by 4 eps times phi_hat, and the subtraction rounds."""
+    The law (p, q): a cosine and a sine of phi / 2, 2 ulp off, squared.
+    The weight of a count j away from the mode is a running product of j
+    pmf ratios (n - k) p / ((k + 1) q), each off by the odds p / q (twice
+    the law's error) and four roundings: times p, times q, the division
+    and the product (counts below 2**53 are exact doubles).  Normalizing
+    by the fsum total adds the weighted mean of those errors, the fsum
+    and the division.  Each deviation phi_hat - phi: 2 atan2 of two
+    square roots is off by 4 eps times phi_hat, and the subtraction
+    rounds.  The window's excluded tails, each under 2**-64 of the mass,
+    are neglected."""
     e_law = 2.0 * (4.0 * _U) + _U
-    e_w = 2.0 * (n * e_law + 7.0 * _U) + 2.0 * _U
-    w, hats = ref["weights"], ref["phi_hats"]
-    dev = np.abs(hats - phi)
-    d = 4.0 * _U * hats + _U * dev
+    p = float(_outcome_law(phi)[0])
+    ks, w, hats = ref["counts"], ref["weights"], ref["phi_hats"]
+    e_ratio = np.abs(ks - min(int((n + 1) * p), n)) * (2.0 * e_law + 4.0 * _U)
 
     def fsum(values):
         return math.fsum(values.tolist())
 
-    bias = fsum(w * d) + (e_w + _U) * fsum(w * dev) + _U * abs(ref["bias_phi"])
+    e_w = e_ratio + fsum(w * e_ratio) + 2.0 * _U
+    dev = np.abs(hats - phi)
+    d = 4.0 * _U * hats + _U * dev
+    bias = fsum(w * d) + fsum(w * (e_w + _U) * dev) + _U * abs(ref["bias_phi"])
     spread = np.abs(hats - phi - ref["bias_phi"])
     eta = d + bias + _U * spread
-    mean_p = (e_w + 3.0 * _U) * ref["mean_p"]
+    mean_p = fsum(w * (e_w + 3.0 * _U) * (ks / n))
     return {
         "mean_p_hat": mean_p,
         "bias_p": mean_p + e_law * ref["mean_p"] + _U,
         "bias_phi": bias,
         "mean_phi_hat": bias + _U * (phi + ref["bias_phi"]),
-        "var_phi": fsum(w * (2.0 * spread * eta + eta * eta)) + (e_w + 4.0 * _U) * ref["var_phi"],
-        "mse_phi": fsum(w * (2.0 * dev * d + d * d)) + (e_w + 4.0 * _U) * ref["mse_phi"],
+        "var_phi": fsum(w * (2.0 * spread * eta + eta * eta + (e_w + 4.0 * _U) * spread**2)),
+        "mse_phi": fsum(w * (2.0 * dev * d + d * d + (e_w + 4.0 * _U) * dev**2)),
     }
 
 
-@pytest.mark.parametrize("phi, n", [(1e-9, 10), (3.14, 64)])
+@pytest.mark.parametrize("phi, n", [(1e-9, 10), (3.14, 64), (0.25, 65), (0.02, 10**4),
+                                    (1e-4, 10**8), (2e-5, 10**9)])
 def test_exact_report_matches_mpmath(phi, n):
     # near 0, p rounds to 1 while the law keeps q = 2.5e-19, so var_phi is
     # the true 1.0e-18 and not 0; near pi the deviations at k = 0 carry the
-    # rounding of pi itself, which the bound holds
+    # rounding of pi itself, which the bound holds.  Above n = 64 the window
+    # is the sampler's, with n q between 0.1 and 1
     ref = phase_estimate_moments_mp(phi, n)
     truth = {"mean_p_hat": ref["mean_p"], "bias_p": 0.0, "bias_phi": ref["bias_phi"],
              "mean_phi_hat": phi + ref["bias_phi"], "var_phi": ref["var_phi"],
@@ -143,6 +152,29 @@ def test_monte_carlo_matches_exact():
     se = math.sqrt(exact.var_phi / 10**5)
     assert abs(mc.bias_phi - exact.bias_phi) <= 5.0 * se
     assert abs(mc.mse_phi - (mc.var_phi + mc.bias_phi**2)) < 1e-10
+
+
+def test_monte_carlo_matches_exact_at_a_large_budget():
+    # at n = 10**7 the exact report reduces the sampler's window; each
+    # moment of 10**4 trials lies within 5 standard errors of it, verify's
+    # rule, with the fourth moments taken over the same window
+    phi, n, trials = 1.5, 10**7, 10**4
+    exact = exact_bias_report(phi, n)
+    lo, weights = binomial_weights(*_law(phi), n)
+    ks = lo + np.arange(weights.size)
+    dev = 2.0 * np.arctan2(np.sqrt(n - ks), np.sqrt(ks)) - phi
+    pmf = weights / math.fsum(weights.tolist())
+    m4c = math.fsum((pmf * (dev - exact.bias_phi) ** 4).tolist())
+    m4 = math.fsum((pmf * dev**4).tolist())
+    se = {
+        "bias_phi": math.sqrt(exact.var_phi / trials),
+        "var_phi": math.sqrt((m4c - exact.var_phi**2) / trials),
+        "mse_phi": math.sqrt((m4 - exact.mse_phi**2) / trials),
+    }
+    mc = monte_carlo_report(phi, n, trials, seed=0)
+    for name, err in se.items():
+        assert abs(getattr(mc, name) - getattr(exact, name)) <= 5.0 * err, (
+            name, getattr(mc, name), getattr(exact, name))
 
 
 def test_monte_carlo_symmetry_case():

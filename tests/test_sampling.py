@@ -16,13 +16,12 @@ from metrotrade.bounds import _outcome_law
 from metrotrade.estimation import monte_carlo_report
 from metrotrade.sampling import (
     _MC_CHUNK,
-    EXACT_ENUM_LIMIT,
     _binomial_cdf_table,
     _substream_uniforms,
     _window_histogram,
+    binomial_weights,
     count_histogram,
     draw_count_matrix,
-    enumerate_binomial,
 )
 
 
@@ -65,7 +64,7 @@ def test_draws_refuse_a_law_whose_q_is_off(p, q, message):
     # q is checked as p is, and the pair must sum to 1 within 4 ulp
     for draw in (lambda: draw_count_matrix(p, q, 10, 0, 5),
                  lambda: count_histogram(p, q, 10, 0, 5),
-                 lambda: enumerate_binomial(p, q, 10)):
+                 lambda: binomial_weights(p, q, 10)):
         with pytest.raises(ValueError, match=message):
             draw()
     assert draw_count_matrix(0.5, 0.5 + 4 * 2.0**-52, 10, 0, 5).shape == (5,)
@@ -78,47 +77,57 @@ def test_law_of_a_phase_sums_to_one_within_an_ulp():
     assert np.max(np.abs((p + q) - 1.0)) <= 2.0**-52
 
 
-def test_enumerate_binomial_two_shots():
-    pmf = enumerate_binomial(0.5, 0.5, 2)
-    assert pmf.dtype == np.float64
-    assert pmf.tolist() == [0.25, 0.5, 0.25]
+def _comb_pmf(p, q, n):
+    """The pmf of B(n, p) under the law (p, q) over k = 0..n, term by term
+    from math.comb."""
+    return np.array([math.comb(n, k) * p**k * q ** (n - k) for k in range(n + 1)])
 
 
-def test_enumerate_binomial_degenerate():
-    pmf = enumerate_binomial(0.0, 1.0, 5)
-    assert pmf[0] == 1.0
-    assert all(pmf[k] == 0.0 for k in range(1, 6))
+def _normalized(weights):
+    return weights / math.fsum(weights.tolist())
 
 
-def test_enumerate_binomial_mean_identity():
-    pmf = enumerate_binomial(0.3, 0.7, 10)
-    mean = math.fsum(k * w for k, w in enumerate(pmf.tolist()))
+def test_binomial_weights_two_shots():
+    lo, weights = binomial_weights(0.5, 0.5, 2)
+    assert weights.dtype == np.float64
+    assert (lo, weights.tolist()) == (0, [0.5, 1.0, 0.5])
+
+
+def test_binomial_weights_degenerate():
+    # a certain count is the window's one entry: every other count has no mass
+    assert [(lo, w.tolist()) for lo, w in (binomial_weights(0.0, 1.0, 5),
+                                           binomial_weights(1.0, 0.0, 5))] == [
+        (0, [1.0]), (5, [1.0])]
+
+
+def test_binomial_weights_mean_identity():
+    lo, weights = binomial_weights(0.3, 0.7, 10)
+    pmf = _normalized(weights)
+    mean = math.fsum(k * w for k, w in zip(range(lo, lo + pmf.size), pmf.tolist()))
     assert abs(mean - 3.0) < 1e-12
 
 
-def test_enumerate_binomial_sums_to_one():
+def test_binomial_weights_sum_to_one_after_normalizing():
     for p in (0.01, 0.3, 0.5, 0.77, 0.999):
         q = 1.0 - p
-        pmf = enumerate_binomial(p, q, 64)
-        assert pmf.shape == (65,)
-        # each entry is the math.comb term, bit for bit
-        assert pmf.tolist() == [math.comb(64, k) * p**k * q ** (64 - k)
-                                for k in range(65)]
+        lo, weights = binomial_weights(p, q, 64)
+        # the window spans 0..64, relative to the mode, whose weight is 1
+        assert (lo, weights.shape) == (0, (65,))
+        assert weights[min(int(65 * p), 64)] == 1.0 == weights.max()
+        pmf = _normalized(weights)
         assert abs(math.fsum(pmf.tolist()) - 1.0) < 1e-12
+        assert np.allclose(pmf, _comb_pmf(p, q, 64), rtol=1e-12, atol=0.0)
 
 
-def test_enumerate_binomial_matches_mpmath():
+def test_binomial_weights_match_mpmath():
     p, n = 0.37, 20
     with mpmath.workprec(160):
         big_p = mpmath.mpf(p)
         ref = [float(mpmath.binomial(n, k) * big_p**k * (1 - big_p) ** (n - k))
                for k in range(n + 1)]
-    assert np.allclose(enumerate_binomial(p, 1.0 - p, n), ref, rtol=1e-12, atol=1e-300)
-
-
-def test_enumerate_binomial_budget():
-    with pytest.raises(ValueError, match=f"^exact enumeration supports n <= {EXACT_ENUM_LIMIT}$"):
-        enumerate_binomial(0.5, 0.5, EXACT_ENUM_LIMIT + 1)
+    lo, weights = binomial_weights(p, 1.0 - p, n)
+    assert lo == 0
+    assert np.allclose(_normalized(weights), ref, rtol=1e-12, atol=1e-300)
 
 
 @pytest.mark.parametrize("n", [7, 65, 2**40])
@@ -171,7 +180,7 @@ def test_empirical_pmf_total_variation():
     for n, p in ((4, 0.3), (4, 0.5), (16, 0.3), (16, 0.5)):
         counts = draw_count_matrix(p, 1.0 - p, n, seed=7, trials=trials)
         hist = np.bincount(counts, minlength=n + 1) / trials
-        exact = enumerate_binomial(p, 1.0 - p, n)
+        exact = _comb_pmf(p, 1.0 - p, n)
         tv = 0.5 * np.abs(hist - exact).sum()
         assert tv <= 0.01
 
@@ -183,7 +192,7 @@ def test_multinomial_matches_exact_marginal():
     assert ((k >= 0) & (k <= n)).all()
     for counts, law in ((k, (p, q)), (n - k, (q, p))):
         hist = np.bincount(counts, minlength=n + 1) / trials
-        exact = enumerate_binomial(*law, n)
+        exact = _comb_pmf(*law, n)
         assert 0.5 * np.abs(hist - exact).sum() <= 0.01
 
 
