@@ -7,33 +7,16 @@ import sys
 # The imports below allocate tens of thousands of objects that live until
 # exit.  The collector is held off while they run, which it would
 # otherwise interrupt some thirty times, and they are then frozen, so that
-# the first collection after it is back (it stays off if it was off)
-# does not walk them all.
+# neither the first collection after it is back (it stays off if it was
+# off) nor the interpreter's shutdown collections walk them all.
 _collecting = gc.isenabled()
 gc.disable()
 try:
-    from . import cli
+    from .cli import main
 finally:
     gc.freeze()
     if _collecting:
         gc.enable()
-
-
-def main() -> int:
-    """Run the CLI on sys.argv and return its exit code.
-
-    The heap is frozen again on the way out: the interpreter's shutdown
-    runs several full collections, and each would walk every object the
-    run left behind, while frozen objects sit in the permanent
-    generation, which collections skip.  Only a process that is about
-    to exit calls this; cli.main, the library call, leaves the
-    collector as it found it.
-    """
-    try:
-        return cli.main()
-    finally:
-        gc.freeze()
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,16 @@ class EstimatorReport:
     mode: str
 
     def __post_init__(self):
+        # Each moment is one math.fsum of rounded products divided by the
+        # rounded total, and var_phi is taken about the rounded bias_phi,
+        # so the identity holds to about 20 unit roundoffs of mse_phi
+        # (mse 4, var 6, the bias cross term 6, the total 1, this sum 3);
+        # 2**-48 is 32 of them.  Below the normal range rounding is
+        # absolute, at most 2**-1075 an operation, and a few per term over
+        # the 2**22 terms of the largest window stay under the smallest
+        # normal, which is also the bound where mse_phi is 0.
         residual = abs(self.mse_phi - (self.var_phi + self.bias_phi**2))
-        if residual > 1e-10:
+        if residual > max(2.0**-48 * self.mse_phi, sys.float_info.min):
             raise ValueError(
                 f"mse/variance/bias decomposition violated by {residual:.3e}"
             )

@@ -1154,12 +1154,15 @@ runpy.run_module("metrotrade", run_name="__main__", alter_sys=True)
 """
 
 
-def test_module_entry_freezes_the_heap_on_the_way_out():
+def test_module_entry_freezes_only_the_import_heap():
+    # the import heap is frozen before cli.main runs, and nothing after it;
+    # frozen objects that the run frees leave the count, so it may fall
     proc = subprocess.run([sys.executable, "-c", _ENTRY_CHILD], env=child_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0
     at_main, at_exit = map(int, proc.stderr.split())
-    assert 0 < at_main < at_exit
+    assert 0 < at_main
+    assert at_exit <= at_main
     assert proc.stdout == run_cli(["tradeoff"])[1]
 
 

@@ -1,6 +1,10 @@
 import math
+import os
+import shutil
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,3 +240,63 @@ def test_bound_vs_oracle_sees_a_shifted_closed_form(monkeypatch, shift, passed):
     verdict, detail = verify.check_bound_vs_oracle(1e-9)
     assert bool(verdict) is passed
     assert detail.endswith("50000/50000 roots certified at +-1e-11")
+
+
+# One-line kernel faults a reader could plausibly write: the file, the exact
+# source line, its faulty replacement and the one check that must fail.
+# verify misses six more today (ROADMAP item 13); they join this table when
+# the checks that should see them can.
+KERNEL_FAULTS = {
+    "min_signal_at_n_plus_1": (
+        "bounds.py",
+        "    return 2.0 * np.arctan(alpha / np.sqrt(n))\n",
+        "    return 2.0 * np.arctan(alpha / np.sqrt(n + 1.0))\n",
+        "bound_vs_oracle"),
+    "min_signal_scaled": (
+        "bounds.py",
+        "    return 2.0 * np.arctan(alpha / np.sqrt(n))\n",
+        "    return 2.0 * np.arctan(alpha / np.sqrt(n)) * (1 + 1e-7)\n",
+        "bound_vs_oracle"),
+    "critical_fidelity_scaled": (
+        "bounds.py",
+        "    return m / (m + alpha * (alpha / scale))\n",
+        "    return m / (m + alpha * (alpha / scale)) * (1 + 1e-9)\n",
+        "povm_reduction"),
+    "phase_estimate_scaled": (
+        "estimation.py",
+        "        return 2.0 * np.arctan2(np.sqrt(n - k), np.sqrt(k)) - phi\n",
+        "        return 2.0 * np.arctan2(np.sqrt(n - k), np.sqrt(k)) * (1 + 1e-6) - phi\n",
+        "bias_structure"),
+    "histogram_counts_off_by_one": (
+        "estimation.py",
+        '    return _report_from_pmf(phi, p, n, lo + ks, hist[ks] / trials, "MonteCarlo")\n',
+        '    return _report_from_pmf(phi, p, n, lo + 1 + ks, hist[ks] / trials, "MonteCarlo")\n',
+        "bias_structure"),
+    "basis_snr_scaled": (
+        "basis.py",
+        "    return ratio\n",
+        "    return ratio * (1 + 1e-6)\n",
+        "optimal_basis"),
+    "quantum_fisher_scaled": (
+        "resources.py",
+        "    return e * f * f\n",
+        "    return e * f * f * (1 + 1e-3)\n",
+        "fisher_consistency"),
+}
+
+
+@pytest.mark.parametrize("fault", KERNEL_FAULTS)
+def test_verify_fails_the_check_a_kernel_fault_breaks(tmp_path, fault):
+    filename, line, faulty, check = KERNEL_FAULTS[fault]
+    package = Path(verify.__file__).resolve().parent
+    copy = tmp_path / "src" / package.name
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    source = (copy / filename).read_text()
+    assert source.count(line) == 1
+    (copy / filename).write_text(source.replace(line, faulty))
+    env = {**os.environ, "PYTHONPATH": str(tmp_path / "src")}
+    proc = subprocess.run([sys.executable, "-m", "metrotrade", "verify"], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    failed = [row.split()[1] for row in proc.stdout.splitlines() if row.startswith("FAIL ")]
+    assert failed == [check]
