@@ -432,10 +432,14 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
-def _write_stdout(text: str):
-    """Write text to stdout and flush it, so that a full disk or a closed
-    pipe raises here.  If it does, stdout is closed, dropping what its
-    buffer still holds, so that the interpreter's exit does not fail too."""
+def _write(out, text: str):
+    """Write text to the file out, or to stdout when out is empty.  stdout
+    is flushed, so that a full disk or a closed pipe raises here; if it
+    does, stdout is closed, dropping what its buffer still holds, so that
+    the interpreter's exit does not fail too."""
+    if out:
+        _write_text(out, text)
+        return
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -456,14 +460,10 @@ def _emit(cfg: RunConfig, header, rows, chart) -> int:
         for suffix in (".csv", ".svg"):
             if stem.endswith(suffix):
                 stem = stem[: -len(suffix)]
-        _write_text(stem + ".csv", _csv_text(header, rows))
-        _write_text(stem + ".svg", render_chart(chart()))
-        return EXIT_OK
-    text = _csv_text(header, rows) if cfg.fmt == "csv" else render_chart(chart())
-    if cfg.out:
-        _write_text(cfg.out, text)
+        _write(stem + ".csv", _csv_text(header, rows))
+        _write(stem + ".svg", render_chart(chart()))
     else:
-        _write_stdout(text)
+        _write(cfg.out, _csv_text(header, rows) if cfg.fmt == "csv" else render_chart(chart()))
     return EXIT_OK
 
 
@@ -580,11 +580,7 @@ def _new_parser(flagged) -> _Parser:
 def run_verify(seed: int, corrupt, out) -> int:
     _bind("run_all", "format_report")
     results = run_all(seed=seed, corrupt=corrupt)
-    report = format_report(results)
-    if out:
-        _write_text(out, report)
-    else:
-        _write_stdout(report)
+    _write(out, format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 

@@ -174,8 +174,9 @@ def fit_scaling(
 ) -> ScalingReport:
     """Least-squares slope of log(min signal) against log(m).
 
-    Needs at least two distinct m values; fewer is a degenerate grid.  A
-    floor that underflows to 0 has no slope and is refused.
+    Needs at least two distinct m values; fewer is a degenerate grid, and
+    so is a grid whose logs are too close to fit (2**63 - 1 and 2**63 are
+    one double).  A floor that underflows to 0 has no slope and is refused.
     """
     ms = _grid(m_values)
     if len(set(ms)) < 2:
@@ -187,5 +188,7 @@ def fit_scaling(
                          "no log-log slope")
     # float64 before the log: an m past 2**64 would make an object array
     log_m = np.log(np.array(ms, dtype=np.float64))
-    slope = float(np.polyfit(log_m, np.log(phis), 1)[0])
-    return ScalingReport(tuple(ms), tuple(phis.tolist()), slope)
+    coeffs, _, rank, _, _ = np.polyfit(log_m, np.log(phis), 1, full=True)
+    if rank < 2:
+        raise ValueError("degenerate grid: the m values are too close for a log-log slope")
+    return ScalingReport(tuple(ms), tuple(phis.tolist()), float(coeffs[0]))

@@ -189,47 +189,39 @@ def count_histogram(p: float, q: float, n: int, seed: int, trials: int):
     refused) before any draw.  Trials are drawn in chunks of _MC_CHUNK,
     each counted over the table's window by _window_histogram and added
     under a lock to one integer histogram, so memory does not grow with
-    trials.  With at least two chunks per worker, W <= _mc_workers()
-    threads draw (numpy releases the GIL), thread w taking every W-th
-    chunk from chunk w: the calling thread is thread 0 and starts the
-    other W - 1, and an exception raised on any of them is raised here
-    once all have ended.  Smaller runs stay on the calling thread, where
-    a pool costs more than it saves.  Integer counts add exactly, so the
-    result depends on neither the chunking nor the thread count.
+    trials.  W = _mc_workers() threads draw (numpy releases the GIL),
+    thread w taking every W-th chunk from chunk w: the calling thread is
+    thread 0 and starts the other W - 1.  A run below two chunks per
+    worker, where a pool costs more than it saves, is a pool of one.  The
+    first exception on any thread, the calling one included, is raised
+    here once all have ended.  Integer counts add exactly, so the result
+    depends on neither the chunking nor the thread count.
     """
     _check_draw(p, q, n, seed, trials)
     lo, cdf = _binomial_cdf_table(p, q, n)
     hist = np.zeros(cdf.size, dtype=np.int64)
-    lock = threading.Lock()
-
-    def fill(firsts):
-        for first in firsts:
-            u = _substream_uniforms(seed, min(_MC_CHUNK, trials - first), first)
-            i0, counts = _window_histogram(cdf, u)
-            with lock:
-                hist[i0:i0 + counts.size] += counts
-
+    lock, failed = threading.Lock(), []
     firsts = range(0, trials, _MC_CHUNK)
     workers = _mc_workers()
-    if workers < 2 or len(firsts) < 2 * workers:
-        fill(firsts)
-        return lo, hist
-    failed = []
+    if len(firsts) < 2 * workers:
+        workers = 1
 
-    def work(w):
+    def fill(w):
         try:
-            fill(firsts[w::workers])
-        except BaseException as exc:  # re-raised on the calling thread
+            for first in firsts[w::workers]:
+                u = _substream_uniforms(seed, min(_MC_CHUNK, trials - first), first)
+                i0, counts = _window_histogram(cdf, u)
+                with lock:
+                    hist[i0:i0 + counts.size] += counts
+        except BaseException as exc:  # raised once every thread has ended
             failed.append(exc)
 
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    threads = [threading.Thread(target=fill, args=(w,)) for w in range(1, workers)]
     for thread in threads:
         thread.start()
-    try:
-        fill(firsts[0::workers])
-    finally:
-        for thread in threads:
-            thread.join()
+    fill(0)
+    for thread in threads:
+        thread.join()
     if failed:
         raise failed[0]
     return lo, hist

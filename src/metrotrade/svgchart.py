@@ -9,6 +9,7 @@ that embed generated ids or render lines as paths.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
@@ -19,6 +20,7 @@ _MARGIN_LEFT = 70
 _MARGIN_RIGHT = 20
 _MARGIN_TOP = 34
 _MARGIN_BOTTOM = 42
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -44,13 +46,21 @@ def _finite_points(series):
     return pts
 
 
-def _axis_range(values):
+def _axis(values, start, end):
+    """One axis over values as (ticks, to_pixel): the padded range's low
+    end, middle and high end, and the map of that range onto start..end.
+    The pad is 5% of the span (of |value| for one value), or 1 where that
+    rounds to 0, and the range is clamped to +-the largest double; the map
+    works on halves, so the span it divides by is finite and nonzero."""
     lo, hi = min(values), max(values)
-    if lo == hi:
-        pad = 1.0 if lo == 0.0 else abs(lo) * 0.05
-    else:
-        pad = (hi - lo) * 0.05
-    return lo - pad, hi + pad
+    pad = (hi - lo if lo != hi else abs(lo)) * 0.05 or 1.0
+    lo, hi = max(lo - pad, -_FLOAT_MAX), min(hi + pad, _FLOAT_MAX)
+    half_span = hi / 2 - lo / 2
+
+    def to_pixel(v):
+        return start + (v / 2 - lo / 2) / half_span * (end - start)
+
+    return (lo, lo + half_span, hi), to_pixel
 
 
 def _escape(text: str) -> str:
@@ -81,23 +91,15 @@ def render_chart(panels) -> str:
         plot_x1 = _WIDTH - _MARGIN_RIGHT
         plot_y0 = top + _MARGIN_TOP
         plot_y1 = top + _PANEL_HEIGHT - _MARGIN_BOTTOM
-        all_pts = [pt for s in panel.series for pt in _finite_points(s)]
+        series_pts = [_finite_points(s) for s in panel.series]
+        all_pts = [pt for pts in series_pts for pt in pts]
         if not all_pts:
             out.append(
                 f'<text x="{plot_x0}" y="{plot_y0}">no finite data</text>'
             )
             continue
-        x_lo, x_hi = _axis_range([pt[0] for pt in all_pts])
-        y_lo, y_hi = _axis_range([pt[1] for pt in all_pts])
-
-        def to_px(x, y):
-            fx = (x - x_lo) / (x_hi - x_lo)
-            fy = (y - y_lo) / (y_hi - y_lo)
-            return (
-                plot_x0 + fx * (plot_x1 - plot_x0),
-                plot_y1 - fy * (plot_y1 - plot_y0),
-            )
-
+        x_ticks, x_px = _axis([x for x, _ in all_pts], plot_x0, plot_x1)
+        y_ticks, y_px = _axis([y for _, y in all_pts], plot_y1, plot_y0)
         out.append(
             f'<text x="{plot_x0}" y="{top + 18}" font-size="14">'
             f"{_escape(panel.title)}</text>"
@@ -109,17 +111,13 @@ def render_chart(panels) -> str:
         out.append(
             f'<line x1="{plot_x0}" y1="{plot_y0}" x2="{plot_x0}" y2="{plot_y1}" {axis}/>'
         )
-        for frac in (0.0, 0.5, 1.0):
-            xv = x_lo + frac * (x_hi - x_lo)
-            yv = y_lo + frac * (y_hi - y_lo)
-            px, _ = to_px(xv, y_lo)
-            _, py = to_px(x_lo, yv)
+        for xv, yv in zip(x_ticks, y_ticks):
             out.append(
-                f'<text x="{_fmt(px)}" y="{plot_y1 + 16}" text-anchor="middle">'
+                f'<text x="{_fmt(x_px(xv))}" y="{plot_y1 + 16}" text-anchor="middle">'
                 f"{_escape(_tick_label(xv))}</text>"
             )
             out.append(
-                f'<text x="{plot_x0 - 6}" y="{_fmt(py + 4)}" text-anchor="end">'
+                f'<text x="{plot_x0 - 6}" y="{_fmt(y_px(yv) + 4)}" text-anchor="end">'
                 f"{_escape(_tick_label(yv))}</text>"
             )
         out.append(
@@ -131,12 +129,9 @@ def render_chart(panels) -> str:
             f'transform="rotate(-90 16 {(plot_y0 + plot_y1) / 2:.0f})">'
             f"{_escape(panel.y_label)}</text>"
         )
-        for s_idx, series in enumerate(panel.series):
+        for s_idx, (series, pts) in enumerate(zip(panel.series, series_pts)):
             color = _COLORS[s_idx % len(_COLORS)]
-            pts = _finite_points(series)
-            coords = " ".join(
-                f"{_fmt(px)},{_fmt(py)}" for px, py in (to_px(x, y) for x, y in pts)
-            )
+            coords = " ".join(f"{_fmt(x_px(x))},{_fmt(y_px(y))}" for x, y in pts)
             out.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                 f'points="{coords}"/>'

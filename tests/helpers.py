@@ -8,6 +8,7 @@ cancel out.
 
 import itertools
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -378,3 +379,10 @@ def assert_same_text(actual: str, expected: str):
     raise AssertionError(
         f"texts of {len(actual)} and {len(expected)} characters first differ "
         f"at line {number}: {got!r} != {want!r}")
+
+
+def svg_coordinates(svg: str) -> list:
+    """Every number in the x, y and points attributes of an SVG text."""
+    return [float(tok)
+            for attr in re.findall(r' (?:x|y|points)="([^"]*)"', svg)
+            for tok in re.split(r"[ ,]+", attr.strip()) if tok]

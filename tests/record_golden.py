@@ -74,6 +74,9 @@ ARGVS = [
     ["inherent", "--n", "2"],
     ["inherent", "--n", "100,"],
     ["verify", "--corrupt", "nosuch"],
+    # charts whose 5% pads round to 0 (bias_phi of -4.94e-324) and pass a double
+    ["bias-mc", "--phi", "5e-324", "--format", "svg"],
+    ["tradeoff", "--n", "1", "--alpha", "1e-300,8.9e307", "--format", "svg"],
 ]
 
 

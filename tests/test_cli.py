@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import assert_same_text, csv_text_per_cell
+from helpers import assert_same_text, csv_text_per_cell, svg_coordinates
 from record_golden import ARGVS, run_argv
 from metrotrade import __version__, cli, estimation, resources, sampling, verify
 from metrotrade.bounds import _outcome_law
@@ -523,6 +523,19 @@ def test_format_both_writes_pair(tmp_path):
     svg_text = (stem.with_suffix(".svg")).read_text()
     assert csv_text.startswith("strategy,")
     assert len(ET.fromstring(svg_text).findall(f".//{SVG_NS}polyline")) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    # both bias_phi cells are -4.94e-324, whose 5% pad rounds to 0
+    ["bias-mc", "--phi", "5e-324", "--format", "svg"],
+    # the 5% pad above 8.9e307 is past the largest double
+    ["tradeoff", "--n", "1", "--alpha", "1e-300,8.9e307", "--format", "svg"],
+])
+def test_chart_of_extreme_values_has_finite_coordinates(argv):
+    code, out, err = run_cli(argv)
+    assert code == 0 and err == ""
+    coordinates = svg_coordinates(out)
+    assert coordinates and all(map(math.isfinite, coordinates))
 
 
 def test_usage_errors_exit_one():
@@ -1114,6 +1127,17 @@ def test_full_stdout_exits_two_with_one_line(unbuffered):
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "metrotrade", "tradeoff"],
                               env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_of_verify_exits_two_with_one_line():
+    # the report goes through the same writer as a command's CSV
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "metrotrade", "verify"],
+                              env=child_env(), stdout=full, stderr=subprocess.PIPE,
+                              text=True)
     assert proc.returncode == 2
     assert proc.stderr == "error: [Errno 28] No space left on device\n"
 

@@ -208,6 +208,12 @@ def test_fit_scaling_degenerate_grid():
         fit_scaling(StrategyKind.GHZ, [4, 4, 4], 100, 1.0)
 
 
+def test_fit_scaling_refuses_m_values_of_one_double():
+    # 2**63 - 1 and 2**63 are distinct ints but one double: no slope to fit
+    with pytest.raises(ValueError, match="^degenerate grid: the m values are too close"):
+        fit_scaling(StrategyKind.GHZ, [2**63 - 1, 2**63], 100, 1.0)
+
+
 def test_noise_amplification_with_probe_size():
     # at fixed phase the bigger entangled probe is noisier, yet its
     # detection floor is lower: the gain is all in the signal

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import mpmath
@@ -365,6 +366,32 @@ def test_count_histogram_raises_a_workers_exception(monkeypatch):
     with pytest.raises(Failed):
         count_histogram(0.3, 0.7, 40, 1, 6 * _MC_CHUNK)
     assert threading.active_count() == threads
+
+
+def test_count_histogram_raises_the_calling_threads_exception_once_all_have_ended(
+        monkeypatch):
+    # the calling thread fails its first chunk, while the started threads
+    # are still drawing theirs: the call raises only after they have ended
+    class Failed(Exception):
+        pass
+
+    drawn = []
+
+    def fail_on_the_caller(*args):
+        if threading.current_thread() is threading.main_thread():
+            raise Failed
+        time.sleep(0.05)
+        drawn.append(threading.current_thread())
+        return _window_histogram(*args)
+
+    monkeypatch.setattr(sampling, "_mc_workers", lambda: 3)
+    monkeypatch.setattr(sampling, "_window_histogram", fail_on_the_caller)
+    threads = threading.active_count()
+    with pytest.raises(Failed):
+        count_histogram(0.3, 0.7, 40, 1, 6 * _MC_CHUNK)
+    assert threading.active_count() == threads
+    # each of the two started threads drew both of its chunks
+    assert len(drawn) == 4 and len(set(drawn)) == 2
 
 
 @pytest.mark.parametrize("trials, message", [
