@@ -7,7 +7,10 @@ neighbours, 1e308 and 8.9e307) and from ranges.  Grids and trial counts
 stay small enough that the module runs in a few seconds.  Whatever the
 argv, the run must end in a documented exit code with no traceback: a
 refusal is one stderr line and no stdout, a success prints nothing on
-stderr and raises no RuntimeWarning, and a chart's coordinates are finite.
+stderr and raises no RuntimeWarning, a chart's coordinates are finite,
+and so is every numeric CSV cell but the two documented kinds:
+inherent's unreachable rows, nan in both resolution and accuracy, and
+tradeoff's asymptotic_bound, inf past the largest double.
 """
 
 import io
@@ -65,6 +68,9 @@ _COMMAND_FLAGS = {
 }
 # Flags a command always gets, so that no run takes a costly default.
 _ALWAYS = {("basis-sweep", "--grid"), ("bias-mc", "--trials")}
+# The documented non-finite CSV cells, by command and column.
+_NONFINITE = {("inherent", "resolution"): "nan", ("inherent", "accuracy"): "nan",
+              ("tradeoff", "asymptotic_bound"): "inf"}
 
 
 @st.composite
@@ -75,6 +81,22 @@ def _argvs(draw):
         if (command, flag) in _ALWAYS or draw(st.booleans()):
             argv += [flag, draw(values)]
     return argv + ["--format", draw(st.sampled_from(["csv", "svg"]))]
+
+
+def _assert_cells_finite(command, csv):
+    header, _, body = csv.partition("\n")
+    if "nan" not in body and "inf" not in body:
+        return  # %.17g writes a non-finite number as nan, inf or -inf
+    for row in body.splitlines():
+        cells = dict(zip(header.split(","), row.split(",")))
+        for name, cell in cells.items():
+            try:
+                value = float(cell)
+            except ValueError:  # a label: a strategy, a mode or the summary line
+                continue
+            assert math.isfinite(value) or _NONFINITE.get((command, name)) == cell, (name, row)
+        if command == "inherent":
+            assert (cells["resolution"] == "nan") == (cells["accuracy"] == "nan"), row
 
 
 def _run(argv):
@@ -91,6 +113,8 @@ def _run(argv):
 @given(_argvs())
 @example(["bias-mc", "--phi", "5e-324", "--format", "svg"])
 @example(["tradeoff", "--n", "1", "--alpha", "1e-300,8.9e307", "--format", "svg"])
+@example(["tradeoff", "--n", "1", "--alpha", "1e-300,1e308", "--format", "csv"])
+@example(["inherent", "--n", "3", "--grid", "5", "--format", "csv"])
 def test_every_command_ends_in_its_exit_code_without_a_traceback(argv):
     code, out, err, caught = _run(argv)
     assert code in (0, 1, 2), (argv, code)
@@ -103,3 +127,5 @@ def test_every_command_ends_in_its_exit_code_without_a_traceback(argv):
         assert out
     if code == 0 and argv[-1] == "svg":
         assert all(map(math.isfinite, svg_coordinates(out))), argv
+    if code == 0 and argv[-1] == "csv":
+        _assert_cells_finite(argv[0], out)

@@ -261,6 +261,13 @@ def _placed(cdf, i0, counts):
     (1e-9, 65, 1),                      # a short window at n, one draw
     (2.5, 40, 5000),                    # a window over 0..n, 1.0 at its top entries
     (0.9, 10, 2**16),
+    (0.9, 1, 2**16),                    # narrow windows, counted unsorted
+    (0.9, 3, 2**16),
+    (0.9, 10, 100000 - 2**16),          # the last chunk of a default run
+    (0.9, 15, 2**16),
+    (0.0, 40, 2**16),                   # the certain count: a one-entry window
+    (2.8, 40, 2**16),                   # 17 entries below 1.0, then 24 at 1.0
+    (2.5, 40, 2**16),                   # 25 entries below 1.0: sorted
     (0.8, 10**7, 1000),                 # window longer than the chunk
     (0.8, 10**7, 2**16),                # a 3.5e4-entry window shorter than the chunk
 ])
@@ -294,11 +301,51 @@ def test_window_histogram_counts_ties_and_the_top_clamp(size):
     assert np.array_equal(_placed(cdf, i0, counts), ref)
 
 
+@pytest.mark.parametrize("trials", [1, 2, 4095, 2**16])
+def test_window_histogram_counts_ties_in_every_window_up_to_past_the_switch(trials):
+    # uniforms on, just below and just above each entry below 1, and on
+    # the entries at 1, in windows of 1 to 27 entries, one or a third of
+    # them at 1: a chunk of 2**16 counts a window with fewer than 24
+    # entries below 1.0 unsorted and sorts past it, one of 4095 switches
+    # at 18 and one of 2 at 2, and a single uniform is always sorted
+    rng = np.random.default_rng(trials)
+    unsorted = set()
+    for size in range(1, 28):
+        for ones in {1, (size + 2) // 3}:
+            below = np.sort(rng.random(size - ones))
+            if below.size > 2:
+                below[1] = below[2]     # a window entry that no draw reaches
+            cdf = np.concatenate((below, np.ones(ones)))
+            pool = np.concatenate((below, np.nextafter(below, 0.0),
+                                   np.nextafter(below, 2.0), np.ones(ones)))
+            u = np.resize(rng.permutation(pool), trials)
+            values, times = np.unique(u, return_counts=True)
+            keys = cdf.tolist()
+            ref = np.zeros(size, dtype=np.int64)
+            np.add.at(ref, [bisect.bisect_left(keys, x) for x in values.tolist()], times)
+            drawn = u.copy()
+            i0, counts = _window_histogram(cdf, drawn)
+            assert np.array_equal(_placed(cdf, i0, counts), ref), (size, ones)
+            # only the sorted path may sort the uniforms in place
+            if below.size < sampling._SORT_PASSES * math.log2(trials):
+                assert np.array_equal(drawn, u), (size, ones)
+                unsorted.add(below.size)
+            else:
+                assert np.array_equal(drawn, np.sort(u)), (size, ones)
+    # the switch falls inside the windows covered, two short of their end
+    assert max(unsorted, default=-1) == {1: -1, 2: 1, 4095: 17, 2**16: 23}[trials]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("p, n", [
     (0.0, 2**40),       # a one-entry window
     (1.0, 7),
-    (0.3, 40),          # a window over 0..n
+    (0.85, 1),          # narrow windows, counted unsorted
+    (0.85, 3),
+    (0.85, 10),
+    (0.85, 15),
+    (0.0289, 40),       # 17 entries below 1.0, then 24 at 1.0
+    (0.3, 40),          # a window over 0..n, sorted
     (0.6, 10**7),       # a 3.5e4-entry window, shorter than a chunk
     (0.5, 10**9),       # a 3.8e5-entry window, longer than a chunk
 ])
