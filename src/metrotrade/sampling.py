@@ -16,8 +16,9 @@ bit-identical to a run of T trials).  The substream is a counter-based
 hash (splitmix-style finalizer), not a stateful generator.  Counts are
 produced by exact inversion of the binomial CDF; no normal
 approximation anywhere.  The CDF table covers binomial_weights' window,
-whose excluded tails each hold less than 2**-64 of the mass, built with
-numpy alone from the pmf ratio recurrence, and ends at exactly 1.
++-(ceil(12 sigma) + 64) about the exact mode (all of 0..n for n <= 64),
+whose excluded tails each hold under e**-72 of the mass (Bernstein),
+built with numpy alone from the pmf ratio recurrence; it ends at exactly 1.
 """
 
 from __future__ import annotations
@@ -33,11 +34,10 @@ _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
 _SEED_MAX = 2**64 - 1
 _COUNT_MAX = 2**63 - 1
-# CDF window: starting half-width in standard deviations plus a pad,
-# the tail mass each excluded side may hold, and the largest table built.
+# CDF window: half-width in standard deviations plus a pad, and the
+# largest table built.
 _WINDOW_SIGMAS = 12
 _WINDOW_PAD = 64
-_TAIL_MASS = 2.0**-64
 _WINDOW_MAX = 2**22
 # Trials per chunk in count_histogram, whose uniforms are counted over the
 # CDF window (arrays of 2**16 trials stay in L2), and the most trials a run
@@ -111,40 +111,38 @@ def binomial_weights(p: float, q: float, n: int):
     """The pmf of k ~ B(n, p) under the law (p, q) relative to its mode, as
     (lo, weights) with weights[i] = P(K = lo + i) / P(K = mode).
 
-    p or q zero: the one certain count, (0 or n, [1.0]).  Otherwise a
-    window lo..hi around the mode, from the ratio recurrence
-    pmf[k+1]/pmf[k] = (n-k) p / ((k+1) q), a running product on each side
-    of the mode's 1.0.  The window starts at +-(12 sigma + 64), which
-    spans 0..n for n <= 64, and doubles until a geometric bound puts each
-    excluded tail below 2**-64: the ratios fall monotonically away from
-    the mode, so the first ratio past an edge bounds every later one.
-    A window of more than _WINDOW_MAX entries is refused.
+    p or q zero: the one certain count, (0 or n, [1.0]).  Otherwise the
+    mode of the law with odds p : q, floor((n + 1) P), P = p / (p + q), is
+    exact, in integers (below n + 1, as q > 0), and the window mode +- h,
+    h = ceil(12 sigma) + 64, sigma = sqrt(n p q), is clipped to 0..n and
+    refused past _WINDOW_MAX entries.  The weights are running products of
+    pmf[k+1]/pmf[k] = (n-k) p / ((k+1) q) on each side of the mode's 1.0.
+
+    Each excluded tail holds under e**-72 (2**-103.8) of the mass.  The
+    mode lies in (mean - Q, mean + P], so excluded counts are h or more
+    from the mean.  The law's sigma' is sigma / (p + q), p + q within 4 ulp
+    of 1, and 12 sigma carries five roundings, so h > t = 12 sigma' + 63
+    (sigma' < 2**31).  By Bernstein's inequality each tail is below
+    exp(-t**2 / (2 sigma'**2 + 2 t / 3)), whose exponent rises with t and
+    exceeds 72 at every sigma' = s >= 0, as (12 s + 63)**2 - 72 (2 s**2 +
+    8 s + 42) = 936 s + 945.
     """
     _check_draw(p, q, n)
     if p == 0.0 or q == 0.0:
         return (0 if p == 0.0 else n), np.ones(1)
-    mode = min(int((n + 1) * p), n)
+    (a, da), (b, db) = p.as_integer_ratio(), q.as_integer_ratio()
+    mode = (n + 1) * a * db // (a * db + b * da)
     half = math.ceil(_WINDOW_SIGMAS * math.sqrt(n * p * q)) + _WINDOW_PAD
-    while True:
-        lo, hi = max(mode - half, 0), min(mode + half, n)
-        if hi - lo + 1 > _WINDOW_MAX:
-            raise ValueError(
-                f"binomial CDF window of {hi - lo + 1} entries exceeds "
-                f"{_WINDOW_MAX}; n p (1 - p) is too large to sample"
-            )
-        i = np.arange(hi - mode, dtype=np.float64)
-        up = np.cumprod((float(n - mode) - i) * p / ((mode + 1.0 + i) * q))
-        i = np.arange(mode - lo, dtype=np.float64)
-        down = np.cumprod((mode - i) * q / ((float(n - mode) + 1.0 + i) * p))
-        # ratio to the first excluded term on each side, and the tail bound
-        r_hi = (n - hi) * p / ((hi + 1) * q)
-        r_lo = lo * q / ((n - lo + 1) * p)
-        if max(r_hi, r_lo) < 1.0:
-            tail_hi = up[-1] * r_hi / (1.0 - r_hi) if hi < n else 0.0
-            tail_lo = down[-1] * r_lo / (1.0 - r_lo) if lo > 0 else 0.0
-            if max(tail_hi, tail_lo) < _TAIL_MASS:
-                break
-        half *= 2
+    lo, hi = max(mode - half, 0), min(mode + half, n)
+    if hi - lo + 1 > _WINDOW_MAX:
+        raise ValueError(
+            f"binomial CDF window of {hi - lo + 1} entries exceeds "
+            f"{_WINDOW_MAX}; n p (1 - p) is too large to sample"
+        )
+    i = np.arange(hi - mode, dtype=np.float64)
+    up = np.cumprod((float(n - mode) - i) * p / ((mode + 1.0 + i) * q))
+    i = np.arange(mode - lo, dtype=np.float64)
+    down = np.cumprod((mode - i) * q / ((float(n - mode) + 1.0 + i) * p))
     return lo, np.concatenate((down[::-1], [1.0], up))
 
 

@@ -9,6 +9,7 @@ cancel out.
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -306,6 +307,12 @@ def distinguishable_binary(p0: float, p1: float, n: int, alpha: float) -> bool:
     if separation == 0.0 and noise == 0.0:
         return False
     return separation >= alpha * noise
+
+
+def binomial_mode(n: int, p: float, q: float) -> int:
+    """The mode floor((n + 1) P) of k ~ B(n, P) for the law with odds
+    p : q, P = p / (p + q), in exact rationals."""
+    return math.floor((n + 1) * Fraction(p) / (Fraction(p) + Fraction(q)))
 
 
 def binomial_cdf_mp(n: int, p: float, k: int, q: float | None = None, prec: int = 160):

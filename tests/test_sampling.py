@@ -1,18 +1,27 @@
 import bisect
+import io
 import math
 import os
 import subprocess
 import sys
 import threading
 import time
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
-from helpers import binomial_cdf_mp, seed_of_draw_word, substream_uniform_ref
-from metrotrade import sampling
+from helpers import (
+    binomial_cdf_mp,
+    binomial_mode,
+    phase_estimate_moments_mp,
+    seed_of_draw_word,
+    substream_uniform_ref,
+)
+from metrotrade import cli, sampling
 from metrotrade.bounds import _outcome_law
 from metrotrade.estimation import monte_carlo_report
 from metrotrade.sampling import (
@@ -483,14 +492,69 @@ def test_windowed_cdf_corrects_rounded_complement():
     assert abs(binomial_cdf_mp(n, p, k) - ref) > 1e-12 * ref
 
 
+def _assert_one_window(p, q, n):
+    # the table is the one span mode +- (ceil(12 sigma) + 64) about the
+    # exact mode, clipped to 0..n
+    lo, cdf = _binomial_cdf_table(p, q, n)
+    mode, h = binomial_mode(n, p, q), math.ceil(12 * math.sqrt(n * p * q)) + 64
+    assert (lo, cdf.size) == (max(mode - h, 0), min(mode + h, n) - max(mode - h, 0) + 1)
+    assert cdf[-1] == 1.0 and (np.diff(cdf) >= 0.0).all()
+
+
 @pytest.mark.parametrize("n", [65, 10**9])
 @pytest.mark.parametrize("p", [1e-12, 0.5, 1.0 - 1e-12])
 def test_cdf_window_stays_near_the_mode(n, p):
-    lo, cdf = _binomial_cdf_table(p, 1.0 - p, n)
-    half = 12 * math.sqrt(n * p * (1.0 - p)) + 64
-    assert cdf.size <= 4 * half + 1
-    assert 0 <= lo and lo + cdf.size - 1 <= n
-    assert cdf[-1] == 1.0 and (np.diff(cdf) >= 0.0).all()
+    _assert_one_window(p, 1.0 - p, n)
+
+
+def test_cdf_window_stays_near_the_exact_mode_at_a_huge_n():
+    # p = 1 - q rounds to 1 and n q = 2.3: the mode is n - 2, 214 counts
+    # above the float (n + 1) p
+    _assert_one_window(1.0, math.sin(5e-10) ** 2, 2**63 - 808)
+
+
+def test_huge_n_windows_hold_the_exact_mode_and_match_mpmath():
+    # 200 seeded laws with n in [2**53, 2**63) and phi log-uniform in
+    # [1e-10, 1e-6]: p is near 1 and sigma runs from 0.1 to 1500 counts,
+    # while a float mode (n + 1) p could miss by hundreds and overflow the
+    # weights.  Every weight is finite and at most the mode's 1.0 plus
+    # 4 ulp, the 1.0 sits at the exact mode, and at every fourth law
+    # (mpmath sums ~12 sigma terms for each) the CDF at the mode matches
+    rng = np.random.default_rng(16)
+    ns = rng.integers(2**53, 2**63, 200).tolist()
+    phis = (10.0 ** rng.uniform(-10.0, -6.0, 200)).tolist()
+    for i, (n, phi) in enumerate(zip(ns, phis)):
+        p, q = _law(phi)
+        lo, weights = binomial_weights(p, q, n)
+        mode = binomial_mode(n, p, q)
+        assert np.isfinite(weights).all() and weights.max() <= 1.0 + 4 * 2.0**-52, (n, phi)
+        assert lo <= mode <= lo + weights.size - 1 and weights[mode - lo] == 1.0, (n, phi)
+        if i % 4 == 0:
+            lo, cdf = _binomial_cdf_table(p, q, n)
+            ref = binomial_cdf_mp(n, p, mode, q)
+            assert abs(mpmath.mpf(cdf[mode - lo]) - ref) <= 1e-12 * ref, (n, phi)
+
+
+def test_bias_mc_at_a_huge_n_near_phi_zero_samples_the_law():
+    # a window about a float mode 214 counts off overflowed at this argv:
+    # numpy warned twice, every trial drew one count and var_phi printed 0.
+    # The run must be silent, each moment within 5 standard errors of the
+    # exact one
+    n, trials = 2**63 - 808, 1000
+    argv = ["bias-mc", "--n", str(n), "--phi", "1e-9", "--trials", str(trials)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+    assert (code, err.getvalue()) == (0, "")
+    header, row = out.getvalue().splitlines()
+    rep = dict(zip(header.split(","), row.split(",")))
+    ref = phase_estimate_moments_mp(1e-9, n)
+    se = {"bias_phi": math.sqrt(ref["var_phi"] / trials),
+          "var_phi": math.sqrt((ref["m4c"] - ref["var_phi"] ** 2) / trials)}
+    for name, tol in se.items():
+        assert abs(float(rep[name]) - ref[name]) <= 5.0 * tol, (name, rep[name], ref[name])
 
 
 def test_draw_mean_and_prefix_at_large_budget():

@@ -137,7 +137,8 @@ def test_pooled_run_all_equals_the_checks_in_order_when_corrupted(monkeypatch, n
     assert verify.run_all(seed=7, corrupt=name) == expected
 
 
-def test_run_all_is_the_same_under_frequent_thread_switches(monkeypatch):
+def test_run_all_with_a_pooled_count_histogram_is_the_same_under_frequent_thread_switches(
+        monkeypatch):
     # the Monte Carlo on four threads, switching every few microseconds
     expected = run_in_order(3)
     callers = draw_monte_carlo_on_pool(monkeypatch, 4)
