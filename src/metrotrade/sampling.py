@@ -13,9 +13,12 @@ Reproducibility contract: trial t consumes a substream derived only
 from (seed, t), so results are independent of evaluation order and of
 how many trials are requested (the first T trials of a longer run are
 bit-identical to a run of T trials).  The substream is a counter-based
-hash (splitmix-style finalizer), not a stateful generator.  Counts are
-produced by exact inversion of the binomial CDF; no normal
-approximation anywhere.  The CDF table covers binomial_weights' window,
+hash (splitmix-style finalizer), not a stateful generator: trial t's
+counter word is seed + (t + 1) G mod 2**64, G the golden-ratio constant,
+so a call drawing trials from `first` on forms trial first + i's word as
+i G + ((first + 1) G + seed), from a table of i G built once per
+process.  Counts are produced by exact inversion of the binomial CDF; no
+normal approximation anywhere.  The CDF table covers binomial_weights' window,
 +-(ceil(12 sigma) + 64) about the exact mode (all of 0..n for n <= 64),
 whose excluded tails each hold under e**-72 of the mass (Bernstein),
 built with numpy alone from the pmf ratio recurrence; it ends at exactly 1.
@@ -44,6 +47,13 @@ _WINDOW_MAX = 2**22
 # takes, so that no trial count runs for hours.
 _MC_CHUNK = 2**16
 _MC_TRIALS_MAX = 2**32
+# The counter steps i * _GOLDEN mod 2**64 for i < _MC_CHUNK (512 kB): a
+# call's counter words are these plus one offset, so a call takes at most
+# _MC_CHUNK trials.  Built in place, as freeing a 512 kB temporary here
+# would move malloc's mmap threshold for every later array of the process.
+_STEPS = np.arange(_MC_CHUNK, dtype=np.uint64)
+_STEPS *= _GOLDEN
+_STEPS.flags.writeable = False
 # Comparison passes over T uniforms that cost as much as sorting them, per
 # log2 T: a window needing fewer passes is counted unsorted (the breakeven
 # measured at T = 2**16, _window_histogram).
@@ -84,24 +94,30 @@ def _mix64(z, scratch):
     z ^= scratch
 
 
-def _substream_uniforms(seed: int, trials: int, first: int = 0) -> np.ndarray:
+def _substream_uniforms(seed: int, trials: int, first: int = 0,
+                        words: np.ndarray | None = None) -> np.ndarray:
     """One uniform in (0, 1] for each trial first..first+trials-1, from the
-    (seed, trial) counter.
+    (seed, trial) counter, for at most _MC_CHUNK trials (the length of
+    _STEPS).
 
-    The hash runs in place in one uint64 buffer, with one scratch buffer
-    for its shifts that then holds the uniforms; uint64 arrays wrap
-    silently, which is the point of the hash.
+    words is a uint64 buffer of shape (2, >= trials), or None for a fresh
+    one.  The hash runs in place in words[0], whose counters are _STEPS
+    plus one offset, with words[1] as scratch for its shifts; words[1]
+    then holds the uniforms, which are returned as a float64 view of it
+    and stay valid until the buffer is drawn into again.  uint64 arrays
+    wrap silently, which is the point of the hash.
     """
-    h = np.arange(first + 1, first + trials + 1, dtype=np.uint64)
-    scratch = np.empty_like(h)
-    h *= _GOLDEN
-    h += _U64(seed)
+    if words is None:
+        words = np.empty((2, trials), dtype=np.uint64)
+    h, scratch = words[0, :trials], words[1, :trials]
+    np.add(_STEPS[:trials], _U64(((first + 1) * int(_GOLDEN) + seed) % 2**64), out=h)
     _mix64(h, scratch)
     h += _GOLDEN  # the draw word: one draw per trial, (0 + 1) * _GOLDEN
     _mix64(h, scratch)
     h >>= _U64(11)
     u = scratch.view(np.float64)
-    np.copyto(u, h, casting="unsafe")
+    # below 2**53, so exact; numpy converts int64 faster than uint64
+    np.copyto(u, h.view(np.int64))
     u += 0.5
     u *= 2.0**-53
     return u
@@ -196,7 +212,13 @@ def draw_count_matrix(p: float, q: float, n: int, seed: int, trials: int) -> np.
     int64 count each: k inverts the CDF of the law (p, q) at a uniform."""
     _check_draw(p, q, n, seed, trials)
     lo, cdf = _binomial_cdf_table(p, q, n)
-    return lo + np.searchsorted(cdf, _substream_uniforms(seed, trials))
+    k = np.empty(trials, dtype=np.int64)
+    words = np.empty((2, min(trials, _MC_CHUNK)), dtype=np.uint64)
+    for first in range(0, trials, _MC_CHUNK):
+        u = _substream_uniforms(seed, min(_MC_CHUNK, trials - first), first, words)
+        k[first:first + u.size] = np.searchsorted(cdf, u)
+    k += lo
+    return k
 
 
 def count_histogram(p: float, q: float, n: int, seed: int, trials: int):
@@ -218,6 +240,14 @@ def count_histogram(p: float, q: float, n: int, seed: int, trials: int):
     first exception on any thread, the calling one included, is raised
     here once all have ended.  Integer counts add exactly, so the result
     depends on neither the chunking nor the thread count.
+
+    Each thread hashes its chunks into one (2, _MC_CHUNK) uint64 buffer
+    of its own, which lasts the call.  Kept past it (per thread or per
+    module), no large array would be freed, so glibc's dynamic mmap
+    threshold would never rise from its 128 kB start, and every array of
+    a wide table would be mapped afresh: the n = 10**7 table took 525-554
+    us to build with a 1 MB array held and 359-369 us once one was freed
+    (medians of 60 builds in a process, three processes, 2 cores).
     """
     _check_draw(p, q, n, seed, trials)
     lo, cdf = _binomial_cdf_table(p, q, n)
@@ -230,8 +260,10 @@ def count_histogram(p: float, q: float, n: int, seed: int, trials: int):
 
     def fill(w):
         try:
+            words = np.empty((2, min(trials, _MC_CHUNK)), dtype=np.uint64)
             for first in firsts[w::workers]:
-                u = _substream_uniforms(seed, min(_MC_CHUNK, trials - first), first)
+                u = _substream_uniforms(seed, min(_MC_CHUNK, trials - first), first,
+                                        words)
                 i0, counts = _window_histogram(cdf, u)
                 with lock:
                     hist[i0:i0 + counts.size] += counts

@@ -315,6 +315,32 @@ def binomial_mode(n: int, p: float, q: float) -> int:
     return math.floor((n + 1) * Fraction(p) / (Fraction(p) + Fraction(q)))
 
 
+def phase_estimate_bias_ref(phi: float, p: float, q: float, n: int):
+    """(bias_phi, var_phi) of phi_hat = 2 atan2(sqrt(n - k), sqrt(k)) over
+    k ~ B(n, P), the law with odds p : q, in plain floats: the pmf relative
+    to the exact mode (binomial_mode) by the ratio pmf[k+1]/pmf[k] =
+    (n - k) p / ((k + 1) q), summed out from the mode on each side until a
+    term falls below 2**-64 of the mode's or the count leaves 0..n.  The
+    cost grows with the window, so it suits n p q up to ~10**5."""
+    if p == 0.0 or q == 0.0:
+        ks, ws = [0 if p == 0.0 else n], [1.0]
+    else:
+        mode = binomial_mode(n, p, q)
+        ks, ws = [mode], [1.0]
+        for step in (1, -1):
+            k, w = mode, 1.0
+            while 0 <= k + step <= n and w >= 2.0**-64:
+                w *= (n - k) * p / ((k + 1) * q) if step == 1 else k * q / ((n - k + 1) * p)
+                k += step
+                ks.append(k)
+                ws.append(w)
+    hats = [2.0 * math.atan2(math.sqrt(n - k), math.sqrt(k)) for k in ks]
+    total = math.fsum(ws)
+    bias = math.fsum(w * (h - phi) for w, h in zip(ws, hats)) / total
+    var = math.fsum(w * (h - phi - bias) ** 2 for w, h in zip(ws, hats)) / total
+    return bias, var
+
+
 def binomial_cdf_mp(n: int, p: float, k: int, q: float | None = None, prec: int = 160):
     """P(K <= k) for K ~ Binomial(n, p) as an mpmath float, p taken exactly.
     Given q, the law is the one with odds p : q, both taken exactly (the

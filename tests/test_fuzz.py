@@ -7,23 +7,32 @@ values taken from edge pools (0, +-1, 2, 3, 64, 65, 2**53 + 1, 2**60 + 100,
 and from ranges.  Grids and trial counts stay small enough that the
 module runs in a few seconds.  Whatever the argv, the run must end in a
 documented exit code with no traceback: a refusal is one stderr line and
-no stdout, a success prints nothing on stderr and raises no
+no output, a success prints nothing on stderr and raises no
 RuntimeWarning, a chart's coordinates are finite, and so is every numeric
 CSV cell but the two documented kinds: inherent's unreachable rows, nan
 in both resolution and accuracy, and tradeoff's asymptotic_bound, inf
-past the largest double.
+past the largest double.  Output goes to stdout, or with --out to a file
+in a temporary directory, emptied after each argv, and with --format both
+to the CSV and SVG files of the path's stem.  Where bias-mc's window is short enough to
+sum cheaply, its Monte Carlo bias_phi must lie within 5 standard errors
+of the exact bias.
 """
 
 import io
 import math
+import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import svg_coordinates
-from metrotrade.cli import main
+from helpers import phase_estimate_bias_ref, svg_coordinates
+from metrotrade.bounds import _outcome_law
+from metrotrade.cli import _GRID_ROWS_MAX, main
+from metrotrade.sampling import binomial_weights
 
 # Non-round counts above 2**53, where a float (n + 1) p misses the mode,
 # meet phases whose law has p near 1.
@@ -84,7 +93,9 @@ def _argvs(draw):
     for flag, values in _COMMAND_FLAGS[command].items():
         if (command, flag) in _ALWAYS or draw(st.booleans()):
             argv += [flag, draw(values)]
-    return argv + ["--format", draw(st.sampled_from(["csv", "svg"]))]
+    if draw(st.booleans()):
+        argv += ["--out", draw(st.sampled_from(["out", "out.csv", "out.svg"]))]
+    return argv + ["--format", draw(st.sampled_from(["csv", "svg", "both"]))]
 
 
 def _assert_cells_finite(command, csv):
@@ -101,6 +112,46 @@ def _assert_cells_finite(command, csv):
             assert math.isfinite(value) or _NONFINITE.get((command, name)) == cell, (name, row)
         if command == "inherent":
             assert (cells["resolution"] == "nan") == (cells["accuracy"] == "nan"), row
+
+
+# The largest bias-mc window whose moments the fuzz sums.
+_EXACT_WINDOW_MAX = 2**14
+
+
+def _assert_bias_near_exact(flags, csv):
+    """bias-mc's Monte Carlo bias_phi within 5 standard errors, plus 4 ulp
+    of phi, of the exact bias summed by the independent reference, where
+    binomial_weights' window has at most _EXACT_WINDOW_MAX entries.  The
+    package's exact_bias_report would be no reference: it reads the same
+    window as the sampler, so a misplaced window moves both alike."""
+    phi = float(flags.get("--phi", math.pi / 4.0))
+    n, trials = int(flags.get("--n", "10")), int(flags["--trials"])
+    p, q = map(float, _outcome_law(phi))
+    if binomial_weights(p, q, n)[1].size > _EXACT_WINDOW_MAX:
+        return
+    header, *rows = csv.splitlines()
+    drawn = dict(zip(header.split(","), rows[-1].split(",")))
+    assert drawn["mode"] == "MonteCarlo"
+    bias, var = phase_estimate_bias_ref(phi, p, q, n)
+    tol = 5.0 * math.sqrt(var / trials) + 4.0 * math.ulp(phi)
+    assert abs(float(drawn["bias_phi"]) - bias) <= tol, (drawn, bias, var)
+
+
+def _expected_files(flags, fmt):
+    """The files that --out names, each mapped to its format."""
+    if "--out" not in flags:
+        return {}
+    if fmt != "both":
+        return {flags["--out"]: fmt}
+    stem = flags["--out"].removesuffix(".csv").removesuffix(".svg")
+    return {stem + ".csv": "csv", stem + ".svg": "svg"}
+
+
+@pytest.fixture(scope="module")
+def out_dir():
+    """A directory for --out, emptied after each argv."""
+    with tempfile.TemporaryDirectory() as tmp:
+        yield Path(tmp)
 
 
 def _run(argv):
@@ -121,17 +172,50 @@ def _run(argv):
 @example(["tradeoff", "--n", "1", "--alpha", "1e-300,8.9e307", "--format", "svg"])
 @example(["tradeoff", "--n", "1", "--alpha", "1e-300,1e308", "--format", "csv"])
 @example(["inherent", "--n", "3", "--grid", "5", "--format", "csv"])
-def test_every_command_ends_in_its_exit_code_without_a_traceback(argv):
+@example(["resources", "--out", "out.svg", "--format", "both"])
+@example(["inherent", "--grid", "3", "--format", "both"])
+@example(["tradeoff", "--n", ",".join(["1"] * 2049), "--alpha", ",".join(["1"] * 2049),
+          "--out", "out", "--format", "csv"])
+def test_every_command_ends_in_its_exit_code_without_a_traceback(out_dir, argv):
+    command, fmt = argv[0], argv[-1]
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    if "--out" in flags:
+        at = argv.index("--out") + 1
+        argv = [*argv[:at], str(out_dir / flags["--out"]), *argv[at + 1:]]
     code, out, err, caught = _run(argv)
+    written = {}
+    for path in out_dir.iterdir():
+        written[path.name] = path.read_text(encoding="utf-8")
+        path.unlink()
     assert code in (0, 1, 2), (argv, code)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (argv, caught)
+    # the two refusals that span flags; an absent list is its default,
+    # at most 5 long, so only two given lists can pass the row cap
+    if fmt == "both" and "--out" not in flags:
+        assert code == 1, argv
+    elif command == "tradeoff" and math.prod(
+            len(flags.get(flag, "").split(",")) for flag in ("--n", "--alpha")
+    ) > _GRID_ROWS_MAX:
+        assert code == 2, argv
+        assert err == f"error: n and alpha lists must give <= {_GRID_ROWS_MAX} rows\n"
     if code:
-        assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+        assert out == "" and not written, (argv, written)
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
         assert err.startswith("usage error: " if code == 1 else "error: "), (argv, err)
+        return
+    assert err == "", (argv, err)
+    outputs = _expected_files(flags, fmt)
+    assert set(written) == set(outputs), (argv, written)
+    if not outputs:
+        outputs, written = {"stdout": fmt}, {"stdout": out}
     else:
-        assert err == "", (argv, err)
-        assert out
-    if code == 0 and argv[-1] == "svg":
-        assert all(map(math.isfinite, svg_coordinates(out))), argv
-    if code == 0 and argv[-1] == "csv":
-        _assert_cells_finite(argv[0], out)
+        assert out == ""
+    for name, kind in outputs.items():
+        text = written[name]
+        assert text, (argv, name)
+        if kind == "svg":
+            assert all(map(math.isfinite, svg_coordinates(text))), argv
+        else:
+            _assert_cells_finite(command, text)
+            if command == "bias-mc":
+                _assert_bias_near_exact(flags, text)

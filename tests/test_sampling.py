@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -243,6 +244,47 @@ def test_substream_uniforms_match_splitmix_reference(seed, cuts, first):
     assert 2.0**-54 <= u.min() and u.max() <= 1.0
 
 
+def test_substream_uniforms_do_not_read_or_share_their_buffers():
+    # a buffer left full of stale words draws the same uniforms as a fresh
+    # one, here for the 3-trial last chunk of a run of 30 chunks and 3
+    first = 30 * _MC_CHUNK
+    stale = np.full((2, _MC_CHUNK), 2**64 - 1, dtype=np.uint64)
+    u = _substream_uniforms(7, 3, first, stale)
+    assert u.tolist() == _substream_uniforms(7, 3, first).tolist()
+    assert u.tolist() == [substream_uniform_ref(7, t) for t in range(first, first + 3)]
+    # calls without a buffer each draw into a fresh one
+    a = _substream_uniforms(7, 5)
+    kept = a.copy()
+    b = _substream_uniforms(8, 5)
+    assert np.array_equal(a, kept) and not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("workers", [2, 5])
+def test_count_histogram_gives_each_thread_its_own_buffer(monkeypatch, workers):
+    # every chunk a thread draws goes into that thread's one buffer, and
+    # no two threads draw into the same memory; the spy keeps each buffer
+    # alive, so no address is reused within the call
+    trials = 2 * workers * _MC_CHUNK + 3
+    uniforms, drawn = _substream_uniforms, []
+
+    def spy(*args):
+        drawn.append((threading.current_thread(), args[3]))
+        return uniforms(*args)
+
+    monkeypatch.setattr(sampling, "_mc_workers", lambda: workers)
+    monkeypatch.setattr(sampling, "_substream_uniforms", spy)
+    lo, hist = count_histogram(0.3, 0.7, 10, 4, trials)
+    assert len(drawn) == 2 * workers + 1
+    addresses = {}
+    for thread, words in drawn:
+        addresses.setdefault(thread, set()).add(words.ctypes.data)
+    assert len(addresses) == workers
+    assert all(len(owned) == 1 for owned in addresses.values())
+    assert len(set.union(*addresses.values())) == workers
+    k = draw_count_matrix(0.3, 0.7, 10, 4, trials)
+    assert np.array_equal(hist, np.bincount(k - lo, minlength=hist.size))
+
+
 @pytest.mark.parametrize("word, u_end", [(0, 2.0**-54), (2**64 - 1, 1.0)])
 def test_extreme_uniforms_invert_inside_every_table(word, u_end):
     # the seeds whose first draw word is the least and the greatest draw
@@ -388,6 +430,25 @@ def test_count_histogram_builds_the_table_once_before_any_draw(monkeypatch):
     for _ in range(2):
         count_histogram(0.3, 0.7, 10**5, 1, 4 * _MC_CHUNK)
     assert events == 2 * (["build"] + 4 * ["draw"])
+
+
+def test_count_histogram_memory_does_not_grow_with_trials(monkeypatch):
+    # each thread draws every chunk into one buffer that lasts the call,
+    # so a run of 40 chunks peaks where one of 3 does, within one buffer
+    # (two uint64 words a trial), and a pool of two holds two buffers
+    buffer = 2 * 8 * _MC_CHUNK
+
+    def peak(workers, chunks):
+        monkeypatch.setattr(sampling, "_mc_workers", lambda: workers)
+        tracemalloc.start()
+        try:
+            count_histogram(0.3, 0.7, 10, 2, chunks * _MC_CHUNK)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert abs(peak(1, 40) - peak(1, 3)) <= buffer
+    assert peak(2, 40) < 3 * buffer
 
 
 def test_count_histogram_on_more_threads_than_cpus_loses_no_count(monkeypatch):
