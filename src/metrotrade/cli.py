@@ -281,16 +281,31 @@ def _csv_text(header, rows) -> str:
     return "".join(parts)
 
 
+def _stem(out: str) -> str:
+    """The path --format both writes <stem>.csv and <stem>.svg at."""
+    for suffix in (".csv", ".svg"):
+        if out.endswith(suffix):
+            return out[: -len(suffix)]
+    return out
+
+
 class RunConfig(argparse.Namespace):
     """The parsed flags of one CLI invocation: the command, and an
     attribute per flag it registers, defaults from build_parser."""
 
     def validate(self):
-        """Check what spans commands: --format both needs --out.  Each
-        command checks what no library call checks before it allocates,
-        and every other flag value is checked where the library reads it."""
-        if self.fmt == "both" and self.out is None:
-            raise UsageError("--format both requires --out")
+        """Check what spans commands: --out names a file, and --format both
+        needs --out with a file name before its suffix.  Each command
+        checks what no library call checks before it allocates, and every
+        other flag value is checked where the library reads it."""
+        if self.out == "":
+            raise UsageError("--out must name a file")
+        if getattr(self, "fmt", None) == "both":  # verify takes no --format
+            if self.out is None:
+                raise UsageError("--format both requires --out")
+            if not os.path.basename(_stem(self.out)):
+                raise UsageError(f"--format both needs a file name before .csv or .svg: "
+                                 f"{self.out!r}")
 
 
 def cmd_tradeoff(cfg: RunConfig):
@@ -433,11 +448,11 @@ def _write_text(path: str, text: str):
 
 
 def _write(out, text: str):
-    """Write text to the file out, or to stdout when out is empty.  stdout
+    """Write text to the file out, or to stdout when out is None.  stdout
     is flushed, so that a full disk or a closed pipe raises here; if it
     does, stdout is closed, dropping what its buffer still holds, so that
     the interpreter's exit does not fail too."""
-    if out:
+    if out is not None:
         _write_text(out, text)
         return
     try:
@@ -456,10 +471,7 @@ def _emit(cfg: RunConfig, header, rows, chart) -> int:
     if cfg.fmt != "csv":
         _bind("Panel", "Series", "render_chart")
     if cfg.fmt == "both":
-        stem = cfg.out
-        for suffix in (".csv", ".svg"):
-            if stem.endswith(suffix):
-                stem = stem[: -len(suffix)]
+        stem = _stem(cfg.out)
         _write(stem + ".csv", _csv_text(header, rows))
         _write(stem + ".svg", render_chart(chart()))
     else:
@@ -589,9 +601,9 @@ def main(argv=None) -> int:
     parser = build_parser(args)
     try:
         cfg = parser.parse_args(args, RunConfig())
+        cfg.validate()
         if cfg.command == "verify":
             return run_verify(cfg.seed, cfg.corrupt, cfg.out)
-        cfg.validate()
         header, rows, chart = _COMMANDS[cfg.command](cfg)
         return _emit(cfg, header, rows, chart)
     except SystemExit as exc:  # argparse's exit after -h, --help or --version

@@ -106,6 +106,8 @@ def test_grid_never_beats_analytic():
             b = MeasurementBasis(theta, 2.0 * math.pi * j / 100.0)
             worst = max(worst, basis_snr(b.theta, b.phi_b, phi, n))
     assert worst <= best + 1e-9
+    # and over basis-sweep's default 400 x 400 grid
+    assert snr_grid(phi, n, 400)[2].max() <= best + 1e-9
 
 
 def test_find_optimal_basis_small_shift():

@@ -21,6 +21,7 @@ from metrotrade.cli import _inherent_grid, main
 from helpers import (
     bisect_inherent_shift,
     bisect_min_signal,
+    bisection_min_signal_100,
     distinguishable_binary,
     inherent_step_mp,
     povm_statistic_scalar,
@@ -98,7 +99,7 @@ def test_min_signal_factor_two():
 
 
 def test_correction_ratio_window_and_monotonicity():
-    n = np.array([1, 2, 5, 10, 100, 1000, 10**4], dtype=np.float64)
+    n = np.array([1, 2, 5, 10, 100, 1000, 10**4, 10**5], dtype=np.float64)
     ratio = min_detectable_signal(1.0, n) * np.sqrt(n)
     assert np.all((2.0 * (1.0 - 1.0 / n) < ratio) & (ratio <= 2.0))
     assert np.all(np.diff(ratio) > 0.0) and ratio[0] > 0.0
@@ -127,6 +128,11 @@ def test_min_signal_vs_bisection_oracle():
     for i, n in enumerate(ns):
         for j, alpha in enumerate(alphas):
             assert abs(exact[i, j] - bisect_min_signal(n, alpha)) < 1e-9
+    # and every n from 1 to 1000, bisected at once
+    grid = np.arange(1, 1001, dtype=np.float64)
+    for alpha in alphas:
+        oracle = bisection_min_signal_100(grid, alpha)
+        assert np.max(np.abs(min_detectable_signal(alpha, grid) - oracle)) <= 1e-9
 
 
 def test_bound_kernels_refuse_bad_input():
@@ -218,6 +224,12 @@ def test_povm_statistic_reduction_identity():
             stat = povm_statistics((1.0, 0.0), (f, 1.0 - f), n)
             assert abs(stat - math.sqrt(n * (1.0 - f) / f)) < 1e-12
             assert abs(stat - alpha) < 1e-12
+    # and every n from 1 to 1000 in one call
+    n = np.arange(1, 1001)[:, None]
+    alpha = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
+    f = n / (n + alpha**2)
+    stat = povm_statistics((1.0, 0.0), np.stack((f, 1.0 - f), axis=-1), n)
+    assert np.max(np.abs(stat - alpha)) <= 1e-12
 
 
 def test_povm_statistic_length_check():
@@ -434,6 +446,28 @@ def test_inherent_steps_match_mpmath_up_to_int64_budgets():
 def test_inherent_nan_rows_are_mpmath_reachability(phi0, n):
     # NaN exactly where sin**2(phi0 / 2) < 1/n at 250 bits, with no warning
     _assert_inherent_matches_mpmath(np.array([phi0]), n)
+
+
+def test_inherent_optimum_is_the_closed_form_at_arccos_of_minus_one_over_n():
+    # The step is least where the chord cos(phi0 + step) - cos(phi0) = -2/n
+    # is centred on pi/2, at phi0* = arccos(-1/n): there it is 2 asin(1/n),
+    # and the accuracy sqrt(n) asin(1/n).  phi0* is stationary, so its
+    # rounding moves the step only at second order; the step and accuracy
+    # are held to 250-bit mpmath within the derived bound.  A working point
+    # 1e-7 to 1e-3 away gives a step larger by about d**2 / 2 relative,
+    # far above that bound; nearer ones differ by less than the rounding.
+    for n in (3, 100, 10**4, 10**8, 10**12, 2**53 + 1, 2**63 - 1):
+        phi0 = np.array([math.acos(-1.0 / n)])
+        (step,), (acc,) = (a.tolist() for a in inherent_precision(phi0, n))
+        with mpmath.workprec(250):
+            half = mpmath.asin(mpmath.mpf(1) / n)
+            step_ref, acc_ref = float(2 * half), float(mpmath.sqrt(n) * half)
+        tol = float(_inherent_tolerance(phi0, n)[0])
+        assert abs(step - step_ref) <= tol * step_ref, n
+        assert abs(acc - acc_ref) <= (tol + 3.0 * _U) * acc_ref, n
+        offsets = np.geomspace(1e-7, 1e-3, 400)
+        near = inherent_precision(np.concatenate([phi0 - offsets, phi0 + offsets]), n)[0]
+        assert np.all(near >= step), n
 
 
 def test_inherent_accuracy_decreases_with_budget():

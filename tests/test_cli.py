@@ -276,8 +276,10 @@ def test_csv_determinism():
     for argv in (
         ["tradeoff"],
         ["inherent", "--grid", "49"],
+        ["basis-sweep", "--grid", "200"],
         ["resources"],
         ["bias-mc", "--trials", "1000", "--seed", "9"],
+        ["verify"],
     ):
         _, out1, _ = run_cli(list(argv))
         _, out2, _ = run_cli(list(argv))
@@ -538,7 +540,7 @@ def test_chart_of_extreme_values_has_finite_coordinates(argv):
     assert coordinates and all(map(math.isfinite, coordinates))
 
 
-def test_usage_errors_exit_one():
+def test_usage_errors_exit_one(monkeypatch, tmp_path):
     code, _, err = run_cli(["tradeoff", "--n", "abc"])
     assert code == 1
     assert "usage error" in err
@@ -553,6 +555,15 @@ def test_usage_errors_exit_one():
     for argv in (["inherent", "--grid", "-5", "--format", "both"],
                  ["basis-sweep", "--grid", "3000", "--format", "both"]):
         assert run_cli(argv) == (1, "", "usage error: --format both requires --out\n")
+    # an empty --out names no file, for every command, and a both path
+    # must leave a file name once its suffix is cut
+    monkeypatch.chdir(tmp_path)
+    for argv in (["tradeoff", "--format", "both", "--out", ""], ["inherent", "--out", ""],
+                 ["verify", "--out", ""]):
+        assert run_cli(argv) == (1, "", "usage error: --out must name a file\n")
+    assert run_cli(["tradeoff", "--format", "both", "--out", ".csv"]) == (
+        1, "", "usage error: --format both needs a file name before .csv or .svg: '.csv'\n")
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [

@@ -161,11 +161,12 @@ def test_mse_decomposition_enforced():
 
 def test_monte_carlo_matches_exact():
     exact = exact_bias_report(math.pi / 4.0, 10)
-    mc = monte_carlo_report(math.pi / 4.0, 10, trials=10**5, seed=0)
-    assert mc.mode == "MonteCarlo"
-    se = math.sqrt(exact.var_phi / 10**5)
-    assert abs(mc.bias_phi - exact.bias_phi) <= 5.0 * se
-    assert abs(mc.mse_phi - (mc.var_phi + mc.bias_phi**2)) < 1e-10
+    for trials in (10**5, 10**6):
+        mc = monte_carlo_report(math.pi / 4.0, 10, trials=trials, seed=0)
+        assert mc.mode == "MonteCarlo"
+        se = math.sqrt(exact.var_phi / trials)
+        assert abs(mc.bias_phi - exact.bias_phi) <= 5.0 * se
+        assert abs(mc.mse_phi - (mc.var_phi + mc.bias_phi**2)) < 1e-10
 
 
 def test_monte_carlo_matches_exact_at_a_large_budget():
@@ -387,6 +388,9 @@ def test_fisher_equator_is_unit():
         if abs(math.cos(0.7 - phi_b)) == 1.0:
             continue
         assert abs(fc - 1.0) < 1e-10
+    # and at 100 seeded (phi, phi_b) pairs in one call
+    phi, phi_b = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, (100, 2)).T
+    assert np.max(np.abs(classical_fisher_values(math.pi / 2.0, phi_b, phi) - 1.0)) <= 1e-10
 
 
 def test_fisher_pole_is_zero():
@@ -424,6 +428,10 @@ def test_fisher_never_exceeds_quantum_limit():
             phi_b = 2.0 * math.pi * j / 50.0
             fc = classical_fisher_values(theta, phi_b, 0.8)
             assert fc <= 1.0 + 1e-10
+    # and over a 100 x 100 mesh in one call
+    theta = np.linspace(0.0, math.pi, 100)[:, None]
+    phi_b = np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False)
+    assert np.max(classical_fisher_values(theta, phi_b, 0.8)) <= 1.0 + 1e-10
 
 
 _ANGLES = st.floats(min_value=-50.0, max_value=50.0)

@@ -13,9 +13,12 @@ CSV cell but the two documented kinds: inherent's unreachable rows, nan
 in both resolution and accuracy, and tradeoff's asymptotic_bound, inf
 past the largest double.  Output goes to stdout, or with --out to a file
 in a temporary directory, emptied after each argv, and with --format both
-to the CSV and SVG files of the path's stem.  Where bias-mc's window is short enough to
-sum cheaply, its Monte Carlo bias_phi must lie within 5 standard errors
-of the exact bias.
+to the CSV and SVG files of the path's stem; an empty --out, or a both
+path with no file name before its suffix, is a usage error.  Half of the
+bias-mc argvs take every flag in range, and where bias-mc's window is
+short enough to sum cheaply, its Monte Carlo bias_phi must lie within 5
+standard errors of the exact bias.  verify is drawn in a test of its own,
+with its seed, --corrupt and --out: it fails exactly the corrupted check.
 """
 
 import io
@@ -33,6 +36,7 @@ from helpers import phase_estimate_bias_ref, svg_coordinates
 from metrotrade.bounds import _outcome_law
 from metrotrade.cli import _GRID_ROWS_MAX, main
 from metrotrade.sampling import binomial_weights
+from metrotrade.verify import CHECK_NAMES
 
 # Non-round counts above 2**53, where a float (n + 1) p misses the mode,
 # meet phases whose law has p near 1.
@@ -79,6 +83,13 @@ _COMMAND_FLAGS = {
     "bias-mc": {"--n": _ints(1, 10**6), "--phi": _floats(0.0, math.pi),
                 "--trials": _small(1000), "--seed": _ints(0, 2**64 - 1)},
 }
+# Values in range for every bias-mc flag, drawn for half of its argvs, so
+# that more of them reach the value check.
+_BIAS_MC_VALID = {"--n": st.integers(1, 10**4).map(str),
+                  "--phi": st.floats(1e-3, math.pi - 1e-3).map(repr),
+                  "--trials": st.integers(100, 1000).map(str)}
+# Paths --out may name; "" and a both stem of ".csv" are refused.
+_OUTS = ["", ".csv", "out", "out.csv", "out.svg"]
 # Flags a command always gets, so that no run takes a costly default.
 _ALWAYS = {("basis-sweep", "--grid"), ("bias-mc", "--trials")}
 # The documented non-finite CSV cells, by command and column.
@@ -90,11 +101,14 @@ _NONFINITE = {("inherent", "resolution"): "nan", ("inherent", "accuracy"): "nan"
 def _argvs(draw):
     command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
     argv = [command]
-    for flag, values in _COMMAND_FLAGS[command].items():
+    flags = _COMMAND_FLAGS[command]
+    if command == "bias-mc" and draw(st.booleans()):
+        flags = {**flags, **_BIAS_MC_VALID}
+    for flag, values in flags.items():
         if (command, flag) in _ALWAYS or draw(st.booleans()):
             argv += [flag, draw(values)]
     if draw(st.booleans()):
-        argv += ["--out", draw(st.sampled_from(["out", "out.csv", "out.svg"]))]
+        argv += ["--out", draw(st.sampled_from(_OUTS))]
     return argv + ["--format", draw(st.sampled_from(["csv", "svg", "both"]))]
 
 
@@ -154,13 +168,34 @@ def out_dir():
         yield Path(tmp)
 
 
-def _run(argv):
+def _run(argv, out_dir):
+    """Run argv, with a non-empty --out path taken inside out_dir, and
+    assert that it raised no RuntimeWarning.  Returns the exit code,
+    stdout, stderr and the text of each file written, by name; the files
+    are removed."""
+    if "--out" in argv:
+        at = argv.index("--out") + 1
+        if argv[at]:
+            argv = [*argv[:at], str(out_dir / argv[at]), *argv[at + 1:]]
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
-    return code, out.getvalue(), err.getvalue(), caught
+    written = {}
+    for path in out_dir.iterdir():
+        written[path.name] = path.read_text(encoding="utf-8")
+        path.unlink()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (argv, caught)
+    return code, out.getvalue(), err.getvalue(), written
+
+
+def _assert_refused(argv, code, out, err, written):
+    """A refusal: one stderr line, usage error or domain error by code,
+    and no output."""
+    assert out == "" and not written, (argv, written)
+    assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+    assert err.startswith("usage error: " if code == 1 else "error: "), (argv, err)
 
 
 @settings(max_examples=600, deadline=None, derandomize=True,
@@ -179,19 +214,11 @@ def _run(argv):
 def test_every_command_ends_in_its_exit_code_without_a_traceback(out_dir, argv):
     command, fmt = argv[0], argv[-1]
     flags = dict(zip(argv[1::2], argv[2::2]))
-    if "--out" in flags:
-        at = argv.index("--out") + 1
-        argv = [*argv[:at], str(out_dir / flags["--out"]), *argv[at + 1:]]
-    code, out, err, caught = _run(argv)
-    written = {}
-    for path in out_dir.iterdir():
-        written[path.name] = path.read_text(encoding="utf-8")
-        path.unlink()
+    code, out, err, written = _run(argv, out_dir)
     assert code in (0, 1, 2), (argv, code)
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (argv, caught)
-    # the two refusals that span flags; an absent list is its default,
-    # at most 5 long, so only two given lists can pass the row cap
-    if fmt == "both" and "--out" not in flags:
+    # the refusals that span flags; an absent list is its default, at most
+    # 5 long, so only two given lists can pass the row cap
+    if flags.get("--out") == "" or fmt == "both" and flags.get("--out") in (None, ".csv"):
         assert code == 1, argv
     elif command == "tradeoff" and math.prod(
             len(flags.get(flag, "").split(",")) for flag in ("--n", "--alpha")
@@ -199,9 +226,7 @@ def test_every_command_ends_in_its_exit_code_without_a_traceback(out_dir, argv):
         assert code == 2, argv
         assert err == f"error: n and alpha lists must give <= {_GRID_ROWS_MAX} rows\n"
     if code:
-        assert out == "" and not written, (argv, written)
-        assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
-        assert err.startswith("usage error: " if code == 1 else "error: "), (argv, err)
+        _assert_refused(argv, code, out, err, written)
         return
     assert err == "", (argv, err)
     outputs = _expected_files(flags, fmt)
@@ -219,3 +244,41 @@ def test_every_command_ends_in_its_exit_code_without_a_traceback(out_dir, argv):
             _assert_cells_finite(command, text)
             if command == "bias-mc":
                 _assert_bias_near_exact(flags, text)
+
+
+_VERIFY_FLAGS = {"--seed": _ints(0, 2**64 - 1),
+                 "--corrupt": st.sampled_from([*CHECK_NAMES, "no_such_check"]),
+                 "--out": st.sampled_from(["", "report"])}
+
+
+@st.composite
+def _verify_argvs(draw):
+    argv = ["verify"]
+    for flag, values in _VERIFY_FLAGS.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+# A verify run takes ~30 ms in process, so it is drawn far less often.
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_verify_argvs())
+def test_verify_fails_exactly_the_corrupted_check(out_dir, argv):
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    code, out, err, written = _run(argv, out_dir)
+    if (flags.get("--out") == "" or flags.get("--corrupt") == "no_such_check"
+            or not 0 <= int(flags.get("--seed", 0)) < 2**64):
+        assert code == 1, argv
+        _assert_refused(argv, code, out, err, written)
+        return
+    assert err == "", (argv, err)
+    corrupt = flags.get("--corrupt")
+    assert code == (3 if corrupt else 0), (argv, code)
+    if "--out" in flags:
+        assert out == "" and set(written) == {flags["--out"]}, (argv, written)
+        out = written[flags["--out"]]
+    else:
+        assert not written, (argv, written)
+    failed = [row.split()[1] for row in out.splitlines() if row.startswith("FAIL ")]
+    assert failed == ([corrupt] if corrupt else []), (argv, out)

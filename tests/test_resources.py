@@ -184,10 +184,11 @@ def test_fitted_slopes():
     assert abs(fit_scaling(StrategyKind.ENSEMBLE, grid, 100, 1.0).fitted_exponent + 0.5) <= 0.05
     assert abs(fit_scaling(StrategyKind.PRODUCT, grid, 100, 1.0).fitted_exponent + 0.5) <= 0.05
     assert abs(fit_scaling(StrategyKind.GHZ, grid, 100, 1.0).fitted_exponent + 1.0) <= 0.05
-    slope = fit_scaling(
-        StrategyKind.NONLINEAR, [2, 4, 8, 16], 100, 1.0, nonlinear_exponent=2.0
-    ).fitted_exponent
-    assert abs(slope + 2.0) <= 0.1
+    for nonlinear_grid in ([2, 4, 8, 16], grid):
+        slope = fit_scaling(
+            StrategyKind.NONLINEAR, nonlinear_grid, 100, 1.0, nonlinear_exponent=2.0
+        ).fitted_exponent
+        assert abs(slope + 2.0) <= 0.1
 
 
 def test_fit_scaling_report_shape():
