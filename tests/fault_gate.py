@@ -10,7 +10,7 @@ today (ROADMAP item 13) but other tests must still catch.  The tree is
 first run unfaulted; a fault counts as caught by a test only if that test
 passes on the clean copy.  For each fault the script prints how many
 tests fail and which, and it exits 1 if some fault fails none.  Each run
-is one Tier-1 pass: about 30 s on a 2-core host, so 14 runs for all.
+is one Tier-1 pass: about 14 s on a 2-core host, so 14 runs for all.
 """
 
 import os

@@ -15,29 +15,6 @@ import mpmath
 import numpy as np
 
 
-def bisect_min_signal(n: int, alpha: float, iters: int = 200) -> float:
-    """Smallest phase x where a perfect reference beats projection noise.
-
-    Solves  (1 - F(x)) >= alpha * sqrt(F(x) (1 - F(x)) / n)  for the
-    single-qubit overlap F(x) = (1 + cos x) / 2 by bisection, with no
-    reference to the arccos closed form.
-    """
-
-    def margin(x):
-        f = 0.5 * (1.0 + math.cos(x))
-        return (1.0 - f) - alpha * math.sqrt(max(f * (1.0 - f), 0.0) / n)
-
-    lo, hi = 0.0, math.pi
-    assert margin(hi) > 0.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if margin(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def bisect_inherent_shift(phi0: float, n: int, iters: int = 200):
     """Smallest downward shift d with p(phi0 - d) - p(phi0) >= 1/n.
 
@@ -123,18 +100,23 @@ def phase_estimate_moments_mp(phi: float, n: int, prec: int = 250):
     return out
 
 
+def min_signal_inequality_holds(phi, n, alpha):
+    """Whether 1 - p >= alpha * sqrt(p (1 - p) / n) at p = (1 + cos phi) / 2,
+    elementwise: a shift phi from a perfect reference beats alpha times the
+    projection noise of the single-qubit overlap p over n shots."""
+    p = (1.0 + np.cos(phi)) / 2.0
+    return 1.0 - p >= alpha * np.sqrt(p * (1.0 - p) / n)
+
+
 def bisection_min_signal_100(n_arr: np.ndarray, alpha: float) -> np.ndarray:
-    """Smallest phi where 1 - p >= alpha * sqrt(p (1 - p) / n), elementwise
-    over n_arr, by 100 bisection steps: the reference for verify's Newton
-    oracle."""
+    """Smallest phi where min_signal_inequality_holds, elementwise over
+    n_arr, by 100 bisection steps with no reference to the closed form:
+    the reference for the bound and for verify's Newton oracle."""
     lo = np.full(n_arr.shape, 1e-12)
     hi = np.full(n_arr.shape, math.pi - 1e-12)
     for _ in range(100):
         mid = (lo + hi) / 2.0
-        p = (1.0 + np.cos(mid)) / 2.0
-        sep = 1.0 - p
-        noise = np.sqrt(p * (1.0 - p) / n_arr)
-        ok = sep >= alpha * noise
+        ok = min_signal_inequality_holds(mid, n_arr, alpha)
         hi = np.where(ok, mid, hi)
         lo = np.where(ok, lo, mid)
     return hi

@@ -20,7 +20,6 @@ from metrotrade.cli import _inherent_grid, main
 
 from helpers import (
     bisect_inherent_shift,
-    bisect_min_signal,
     bisection_min_signal_100,
     distinguishable_binary,
     inherent_step_mp,
@@ -121,18 +120,14 @@ def test_min_signal_matches_mpmath_oracle(alpha):
 
 
 def test_min_signal_vs_bisection_oracle():
-    ns = (1, 2, 7, 31, 100, 999, 10**4)
+    # every n from 1 to 1000, and 10**4, as a column against a row of
+    # alphas: one broadcast call of the bound, bisected alpha by alpha
+    ns = np.append(np.arange(1, 1001), 10**4).astype(np.float64)
     alphas = (0.25, 0.5, 1.0, 2.0, 4.0)
-    exact = min_detectable_signal(np.array(alphas), np.array(ns)[:, None])
-    assert exact.shape == (len(ns), len(alphas))
-    for i, n in enumerate(ns):
-        for j, alpha in enumerate(alphas):
-            assert abs(exact[i, j] - bisect_min_signal(n, alpha)) < 1e-9
-    # and every n from 1 to 1000, bisected at once
-    grid = np.arange(1, 1001, dtype=np.float64)
-    for alpha in alphas:
-        oracle = bisection_min_signal_100(grid, alpha)
-        assert np.max(np.abs(min_detectable_signal(alpha, grid) - oracle)) <= 1e-9
+    exact = min_detectable_signal(np.array(alphas), ns[:, None])
+    oracle = np.stack([bisection_min_signal_100(ns, alpha) for alpha in alphas], axis=1)
+    assert exact.shape == oracle.shape == (ns.size, len(alphas))
+    assert np.max(np.abs(exact - oracle)) < 1e-9
 
 
 def test_bound_kernels_refuse_bad_input():

@@ -809,19 +809,7 @@ def test_benchmark_monte_carlo_argvs_pass_its_checks(monkeypatch, seed, index):
         assert checks.check(argv, out.encode("ascii")) is None
 
 
-def test_domain_errors_exit_two():
-    code, _, err = run_cli(["bias-mc", "--phi", "4.0"])
-    assert code == 2
-    assert "error" in err
-    code, _, _ = run_cli(["basis-sweep", "--grid", "100"])
-    assert code == 2
-    code, _, _ = run_cli(["resources", "--m-grid", "4,4"])
-    assert code == 2
-    code, _, _ = run_cli(["bias-mc", "--trials", "10"])
-    assert code == 2
-
-
-# The exact line of some refusals above and below: a bad n is reported
+# The exact line of some refusals below: a bad n is reported
 # before a bad grid or phi, and a working point outside (0, pi) by the
 # kernel's check.  resources checks its M grid, then M, n, alpha, k and
 # last the M**k overflow.
@@ -832,6 +820,7 @@ _ALPHA_LINE = "error: alpha must be positive and finite\n"
 _K_LINE = "error: nonlinear_exponent must be >= 1\n"
 _PAST_A_DOUBLE = " must be below 2**1024 - 2**970 to convert to a float\n"
 _REFUSAL_LINES = {
+    ("basis-sweep", "--grid", "100"): "error: grid must be an integer >= 200 points per axis\n",
     ("basis-sweep", "--n", "0", "--grid", "100"): _N_LINE,
     ("basis-sweep", "--n", "0", "--phi", "nan", "--grid", "300"): _N_LINE,
     ("inherent", "--n", "0", "--grid", "0"): _N_LINE,
@@ -853,6 +842,8 @@ _REFUSAL_LINES = {
     ("resources", "--m-grid", "0,2", "--big-n", "0"): _M_LINE,
     ("resources", "--big-n", "0", "--alpha", "0"): _N_LINE,
     ("resources", "--k", "1e308"): "error: M**k = 2**1e+308 overflows a float\n",
+    ("bias-mc", "--phi", "4.0"): "error: phi must lie in (0, pi)\n",
+    ("bias-mc", "--trials", "10"): "error: need an integer of at least 100 trials\n",
     ("tradeoff", "--n", str(10**400)): "error: --n" + _PAST_A_DOUBLE,
     ("inherent", "--n", str(10**400)): "error: --n" + _PAST_A_DOUBLE,
     ("basis-sweep", "--n", str(10**400)): "error: --n" + _PAST_A_DOUBLE,
@@ -909,6 +900,9 @@ _REFUSAL_LINES = {
     ["resources", "--m-grid", "0,2", "--big-n", "0"],
     ["resources", "--big-n", "0", "--alpha", "0"],
     ["inherent", "--n", "0", "--grid", "0"],
+    ["basis-sweep", "--grid", "100"],
+    ["bias-mc", "--phi", "4.0"],
+    ["bias-mc", "--trials", "10"],
 ])
 def test_rejected_flag_values_exit_two_with_one_line(argv):
     # one value per check the flags meet before any output is written,

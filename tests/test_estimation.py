@@ -1,6 +1,5 @@
 import math
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from metrotrade import _MC_WORKERS
 from metrotrade.estimation import (
     EstimatorReport,
     classical_fisher_values,
@@ -16,9 +14,8 @@ from metrotrade.estimation import (
     _report_from_pmf,
     monte_carlo_report,
 )
-from metrotrade import sampling
 from metrotrade.bounds import _outcome_law
-from metrotrade.sampling import _MC_CHUNK, binomial_weights, draw_count_matrix
+from metrotrade.sampling import binomial_weights, draw_count_matrix
 
 from helpers import (
     basis_probabilities,
@@ -197,26 +194,10 @@ def test_monte_carlo_symmetry_case():
     assert abs(mc.bias_phi) <= 5.0 * math.sqrt(mc.var_phi / 10**5)
 
 
-def test_monte_carlo_reproducible():
-    a = monte_carlo_report(1.2, 25, trials=2000, seed=77)
-    b = monte_carlo_report(1.2, 25, trials=2000, seed=77)
-    assert a == b
-
-
 def _law(phi):
     """The outcome law (p, q) at phi, as two Python floats."""
     p, q = _outcome_law(phi)
     return float(p), float(q)
-
-
-def test_monte_carlo_chunks_match_one_draw():
-    # two chunks reduce to the report of one draw over all the trials
-    phi, n, seed, trials = 0.9, 12, 5, _MC_CHUNK + 1000
-    p, q = _law(phi)
-    counts = draw_count_matrix(p, q, n, seed, trials)
-    weights = np.bincount(counts, minlength=n + 1) / trials
-    one_draw = _report_from_pmf(phi, p, n, np.arange(n + 1), weights, "MonteCarlo")
-    assert monte_carlo_report(phi, n, trials, seed) == one_draw
 
 
 def _one_draw_report(phi, n, trials, seed):
@@ -230,42 +211,6 @@ def _one_draw_report(phi, n, trials, seed):
     )
 
 
-@pytest.mark.parametrize("workers", [1, _MC_WORKERS])
-def test_monte_carlo_pool_matches_one_draw(monkeypatch, workers):
-    # 16 chunks: drawn on the calling thread alone, or on the widest pool
-    # whatever this host's CPU count; every chunk is counted through the
-    # module global, and the first finds the (p, n) table already built,
-    # once
-    phi, n, seed, trials = 0.9, 12, 5, 2**20
-    p, q = _law(phi)
-    table, kernel = sampling._binomial_cdf_table, sampling._window_histogram
-    builds, callers, first_draw = [], [], []
-    lock = threading.Lock()
-
-    def build(*args):
-        builds.append(args)
-        return table(*args)
-
-    def spy(*args, **kwargs):
-        with lock:
-            if not callers:
-                first_draw.append(list(builds))
-            callers.append(threading.current_thread())
-        return kernel(*args, **kwargs)
-
-    monkeypatch.setattr(sampling, "_mc_workers", lambda: workers)
-    monkeypatch.setattr(sampling, "_binomial_cdf_table", build)
-    monkeypatch.setattr(sampling, "_window_histogram", spy)
-    rep = monte_carlo_report(phi, n, trials, seed)
-    assert len(callers) == trials // _MC_CHUNK
-    assert first_draw == [[(p, q, n)]]
-    assert builds == [(p, q, n)]
-    on_main = [t is threading.main_thread() for t in callers]
-    assert all(on_main) == (workers == 1)
-    monkeypatch.undo()
-    assert rep == _one_draw_report(phi, n, trials, seed)
-
-
 @pytest.mark.parametrize("phi", [1e-9, math.pi - 1e-9])
 def test_monte_carlo_at_a_certain_outcome_matches_one_draw(phi):
     # one outcome's probability is 2.5e-19, so n times it lies below the
@@ -277,38 +222,6 @@ def test_monte_carlo_at_a_certain_outcome_matches_one_draw(phi):
     rep = monte_carlo_report(phi, 100, 1000, 4)
     assert rep == _one_draw_report(phi, 100, 1000, 4)
     assert rep.mean_p_hat == (1.0 if p > q else 0.0) and rep.var_phi == 0.0
-
-
-def test_monte_carlo_builds_the_cdf_table_once(monkeypatch):
-    # n = 2**34 at p = 1/2 needs a 1.57M-entry window; the chunks share it,
-    # also when drawn on a pool
-    phi, n, seed, trials = math.pi / 2.0, 2**34, 11, 2**20
-    assert trials >= 4 * _MC_CHUNK
-    monkeypatch.setattr(sampling, "_mc_workers", lambda: _MC_WORKERS)
-    p, q = _law(phi)
-    table, builds = sampling._binomial_cdf_table, []
-    monkeypatch.setattr(sampling, "_binomial_cdf_table",
-                        lambda *args: builds.append(args) or table(*args))
-    rep = monte_carlo_report(phi, n, trials, seed)
-    assert builds == [(p, q, n)]
-    monkeypatch.undo()
-    assert rep == _one_draw_report(phi, n, trials, seed)
-
-
-@pytest.mark.parametrize("workers", [2, _MC_WORKERS])
-def test_monte_carlo_pool_starts_below_two_chunks_per_worker(monkeypatch, workers):
-    class NoPool(Exception):
-        pass
-
-    def refuse(*args, **kwargs):
-        raise NoPool
-
-    monkeypatch.setattr(sampling, "_mc_workers", lambda: workers)
-    monkeypatch.setattr(sampling.threading, "Thread", refuse)
-    below = (2 * workers - 1) * _MC_CHUNK
-    assert monte_carlo_report(1.0, 10, below, 0).mode == "MonteCarlo"
-    with pytest.raises(NoPool):
-        monte_carlo_report(1.0, 10, below + 1, 0)
 
 
 def test_monte_carlo_matches_per_trial_sums():
@@ -331,17 +244,6 @@ def test_monte_carlo_matches_per_trial_sums():
     rep = monte_carlo_report(phi, n, trials, seed)
     for name, value in ref.items():
         assert abs(getattr(rep, name) - value) <= 4.0 * EPS * value, name
-
-
-def test_monte_carlo_memory_does_not_grow_with_trials(monkeypatch):
-    monkeypatch.setattr(sampling, "_mc_workers", lambda: _MC_WORKERS)
-    tracemalloc.start()
-    try:
-        monte_carlo_report(1.0, 10, trials=2**22, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
 
 
 def test_moment_reduction_memory_does_not_grow_with_distinct_counts():

@@ -1,9 +1,16 @@
+"""Resource strategies, as `metrotrade.resources` models them: each
+probe's signal 1 - F inside the monotone branch against brute-force state
+vectors, its quantum Fisher information -2 F''(0), the detection floor
+against mpmath, and the floor's scaling with the probe size."""
+
 import math
 import re
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from metrotrade.resources import (
     StrategyKind,
@@ -17,6 +24,7 @@ from metrotrade.sampling import draw_count_matrix
 
 from helpers import (
     distinguishable_binary,
+    ghz_fidelity_bruteforce,
     product_fidelity_bruteforce,
     strategy_floor_mp,
     strategy_signal_mp,
@@ -24,9 +32,111 @@ from helpers import (
 
 EPS = sys.float_info.epsilon
 
+# (strategy, M, k) at which each probe's curvature is checked
+PROBES = [
+    (StrategyKind.ENSEMBLE, 1, 1.0),
+    (StrategyKind.PRODUCT, 5, 1.0),
+    (StrategyKind.GHZ, 5, 1.0),
+    (StrategyKind.NONLINEAR, 3, 2.0),
+]
+
+
+def _qfi(kind, m, k=1.0):
+    return float(quantum_fisher_information(kind, (m,), k)[0])
+
+
+def _signal(kind, m, phi, k=1.0):
+    return float(strategy_signal_noise(kind, (m,), 1, phi, k)[0][0])
+
 
 def _floor(strat, m, n, alpha=1.0, k=1.0):
     return float(_min_signals(strat, (m,), n, alpha, k)[0])
+
+
+def test_fidelity_single_pi_over_3():
+    # F = (1 + cos(pi/3)) / 2 = 3/4
+    assert abs(_signal(StrategyKind.ENSEMBLE, 1, math.pi / 3.0) - 0.25) < 1e-15
+
+
+def test_fidelity_ghz_m3():
+    # cos(3 * pi/6) = 0, so the overlap sits at exactly one half
+    sig = _signal(StrategyKind.GHZ, 3, math.pi / 6.0)
+    assert abs(sig - 0.5) < 1e-15
+    assert abs(sig - (1.0 - ghz_fidelity_bruteforce(math.pi / 6.0, 0.0, 3))) < 1e-15
+
+
+def test_fidelity_product_random_vs_bruteforce():
+    # the product branch is (0, pi) for every M
+    for m in (1, 2, 3):
+        for delta in (0.1, 0.7, 1.9, 3.0):
+            oracle = 1.0 - product_fidelity_bruteforce(delta, 0.0, m)
+            assert abs(_signal(StrategyKind.PRODUCT, m, delta) - oracle) < 1e-12
+
+
+def test_fidelity_ghz_random_vs_bruteforce():
+    # the ghz branch is (0, pi / M)
+    for m in (1, 2, 3, 4):
+        for frac in (0.03, 0.2, 0.6, 0.95):
+            delta = frac * math.pi / m
+            oracle = 1.0 - ghz_fidelity_bruteforce(delta, 0.0, m)
+            assert abs(_signal(StrategyKind.GHZ, m, delta) - oracle) < 1e-12
+
+
+def test_signal_zero_at_zero_shift():
+    # F -> 1 as the shift does: at 1e-200 the squared half-angle
+    # underflows, so signal and noise are exactly 0 for every probe
+    for kind, m, k in PROBES:
+        sig, noise = strategy_signal_noise(kind, (m,), 1, 1e-200, k)
+        assert (sig.tolist(), noise.tolist()) == ([0.0], [0.0])
+
+
+def test_signal_small_angle():
+    # 1 - F = Fq d**2 / 4 + O(d**4); at spread 1/2 that is (d / 2)**2
+    assert abs(_signal(StrategyKind.ENSEMBLE, 1, 0.01) - 2.5e-5) < 1e-9
+    for kind, m, k in PROBES:
+        phi = 1e-3 / float(_probe_model(kind, (m,), 1, k)[0][0])
+        sig = _signal(kind, m, phi, k)
+        assert abs(sig - _qfi(kind, m, k) * phi * phi / 4.0) <= 1e-5 * sig
+
+
+def test_qfi_unit_spread():
+    # one body, spread 1/2: Fq = 1 for every strategy
+    for kind in StrategyKind:
+        assert _qfi(kind, 1, 2.0) == 1.0
+
+
+def test_qfi_matches_fidelity_curvature():
+    # Fq = -2 F''(0) by central finite difference; F is even, so the
+    # difference is 4 (1 - F(h)) / h**2
+    h = 1e-4
+    for kind, m, k in PROBES:
+        curv = 4.0 * _signal(kind, m, h, k) / (h * h)
+        fq = _qfi(kind, m, k)
+        assert abs(curv - fq) < 1e-4 * max(1.0, fq)
+
+
+def test_canonical_spreads():
+    # Fq = 4 spread**2 with spreads 1/2, sqrt(M)/2, M/2 and M**k/2 at M = 4
+    expect = {StrategyKind.ENSEMBLE: 1.0, StrategyKind.PRODUCT: 4.0,
+              StrategyKind.GHZ: 16.0, StrategyKind.NONLINEAR: 256.0}
+    for kind, fq in expect.items():
+        assert _qfi(kind, 4, 2.0) == fq
+
+
+@given(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from(list(StrategyKind)),
+)
+@example(0.9999999999999999, 1, StrategyKind.PRODUCT)  # sin2 rounds to 1
+def test_fidelity_always_in_unit_interval(frac, m, kind):
+    f = float(_probe_model(kind, (m,), 1, 2.0)[0][0])
+    phi = frac * math.pi / f
+    if not 0.0 < phi < math.pi / f:
+        return  # frac * limit rounded onto an end of the branch
+    (sig,), (noise,) = strategy_signal_noise(kind, (m,), 1, phi, 2.0)
+    assert 0.0 <= sig <= 1.0
+    assert noise >= 0.0
 
 
 def test_ensemble_noise_value():
@@ -35,21 +145,15 @@ def test_ensemble_noise_value():
     assert abs(noise - math.sin(0.2) / 20.0) < 1e-12
 
 
-def test_ghz_m1_reduces_to_ensemble():
-    phis = (0.01, 0.4, 1.5, 3.0)
-    a = strategy_signal_noise(StrategyKind.GHZ, (1,), 50, phis)
-    b = strategy_signal_noise(StrategyKind.ENSEMBLE, (1,), 50, phis)
-    assert [x.tolist() for x in a] == [x.tolist() for x in b]
-    # 2 arccos(sqrt(f0)) vs arccos(2 f0 - 1): equal numbers, different
-    # rounding paths, so compare at float resolution instead of by bit
-    fa, fb = _floor(StrategyKind.GHZ, 1, 50), _floor(StrategyKind.ENSEMBLE, 1, 50)
-    assert math.isclose(fa, fb, rel_tol=1e-14)
-
-
 def test_all_strategies_reduce_at_m1():
-    # one body is one single-qubit probe, so every strategy's floor is the
-    # same bound, bit for bit
-    for alpha, n in ((1.0, 100), (2.3, 77), (3.0, 7), (0.25, 10**18)):
+    # one body is one single-qubit probe, so every strategy's signal, noise
+    # and floor are the ensemble's, bit for bit
+    phis = (0.01, 0.3, 0.4, 1.1, 1.5, 2.5, 3.0)
+    ref = [x.tolist() for x in strategy_signal_noise(StrategyKind.ENSEMBLE, (1,), 50, phis)]
+    for strat in StrategyKind:
+        got = strategy_signal_noise(strat, (1,), 50, phis, 2.0)
+        assert [x.tolist() for x in got] == ref, strat
+    for alpha, n in ((1.0, 50), (1.0, 100), (2.3, 77), (3.0, 7), (0.25, 10**18)):
         ref = _floor(StrategyKind.ENSEMBLE, 1, n, alpha)
         for strat in StrategyKind:
             assert _floor(strat, 1, n, alpha, 2.0) == ref, (strat, alpha, n)
@@ -70,10 +174,12 @@ def test_unit_exponent_floor_is_the_bound_over_the_fringe_frequency():
 
 
 def test_product_signal_matches_bruteforce():
-    (sig,), _ = strategy_signal_noise(StrategyKind.PRODUCT, (2,), 10, math.pi / 2.0)
+    # the signal does not depend on the repetitions n
     oracle = 1.0 - product_fidelity_bruteforce(math.pi / 2.0, 0.0, 2)
-    assert abs(sig - 0.75) < 1e-15
-    assert abs(sig - oracle) < 1e-12
+    for n in (1, 10):
+        (sig,), _ = strategy_signal_noise(StrategyKind.PRODUCT, (2,), n, math.pi / 2.0)
+        assert abs(sig - 0.75) < 1e-15
+        assert abs(sig - oracle) < 1e-12
 
 
 def test_product_noise_approximation():
@@ -127,6 +233,8 @@ def test_branch_enforcement():
     # over a grid, the branch of the first probe size that excludes phi
     with _refusal("phi=1.5708 outside the monotone branch (0, 1.5708)"):
         strategy_signal_noise(ghz, (1, 2, 4), 100, math.pi / 2.0)
+    with _refusal("phi=nan outside the monotone branch (0, 3.14159)"):
+        strategy_signal_noise(StrategyKind.ENSEMBLE, (1,), 1, math.nan)
     # pi/8 is inside the branch for M=4
     strategy_signal_noise(ghz, (4,), 100, math.pi / 8.0)
 
@@ -146,6 +254,8 @@ def test_config_validation():
         strategy_signal_noise(ghz, (0,), 10, 0.1)
     with _refusal("n must be a positive integer"):
         _min_signals(ghz, (2,), 0, 1.0)
+    with _refusal("m must be a positive integer"):
+        quantum_fisher_information(ghz, (0,))
     with _refusal("nonlinear_exponent must be >= 1"):
         quantum_fisher_information(nonlinear, (2,), 0.3)
 
@@ -173,6 +283,8 @@ def test_grid_must_hold_integers():
         fit_scaling(StrategyKind.GHZ, [2.5, 4.9], 100, 1.0)
     with _refusal("m must be a positive integer"):
         fit_scaling(StrategyKind.GHZ, [2.0, 4.0], 100, 1.0)
+    with _refusal("m must be a positive integer"):
+        quantum_fisher_information(StrategyKind.PRODUCT, (2.0,))
     rep = fit_scaling(StrategyKind.GHZ, np.array([2, 4]), 100, 1.0)
     assert rep.m_values == (2, 4)
     assert all(type(m) is int for m in rep.m_values)

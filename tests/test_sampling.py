@@ -22,7 +22,7 @@ from helpers import (
     seed_of_draw_word,
     substream_uniform_ref,
 )
-from metrotrade import cli, sampling
+from metrotrade import _MC_WORKERS, cli, sampling
 from metrotrade.bounds import _outcome_law
 from metrotrade.estimation import monte_carlo_report
 from metrotrade.sampling import (
@@ -263,8 +263,9 @@ def test_substream_uniforms_do_not_read_or_share_their_buffers():
 def test_count_histogram_gives_each_thread_its_own_buffer(monkeypatch, workers):
     # every chunk a thread draws goes into that thread's one buffer, and
     # no two threads draw into the same memory; the spy keeps each buffer
-    # alive, so no address is reused within the call
-    trials = 2 * workers * _MC_CHUNK + 3
+    # alive, so no address is reused within the call.  A run below two
+    # chunks per worker is drawn on the calling thread alone
+    below = (2 * workers - 1) * _MC_CHUNK
     uniforms, drawn = _substream_uniforms, []
 
     def spy(*args):
@@ -273,16 +274,19 @@ def test_count_histogram_gives_each_thread_its_own_buffer(monkeypatch, workers):
 
     monkeypatch.setattr(sampling, "_mc_workers", lambda: workers)
     monkeypatch.setattr(sampling, "_substream_uniforms", spy)
-    lo, hist = count_histogram(0.3, 0.7, 10, 4, trials)
-    assert len(drawn) == 2 * workers + 1
-    addresses = {}
-    for thread, words in drawn:
-        addresses.setdefault(thread, set()).add(words.ctypes.data)
-    assert len(addresses) == workers
-    assert all(len(owned) == 1 for owned in addresses.values())
-    assert len(set.union(*addresses.values())) == workers
-    k = draw_count_matrix(0.3, 0.7, 10, 4, trials)
-    assert np.array_equal(hist, np.bincount(k - lo, minlength=hist.size))
+    for trials, threads in ((below, 1), (below + 1, workers),
+                            (2 * workers * _MC_CHUNK + 3, workers)):
+        drawn.clear()
+        lo, hist = count_histogram(0.3, 0.7, 10, 4, trials)
+        assert len(drawn) == math.ceil(trials / _MC_CHUNK)
+        addresses = {}
+        for thread, words in drawn:
+            addresses.setdefault(thread, set()).add(words.ctypes.data)
+        assert len(addresses) == threads and threading.main_thread() in addresses
+        assert all(len(owned) == 1 for owned in addresses.values())
+        assert len(set.union(*addresses.values())) == threads
+        k = draw_count_matrix(0.3, 0.7, 10, 4, trials)
+        assert np.array_equal(hist, np.bincount(k - lo, minlength=hist.size))
 
 
 @pytest.mark.parametrize("word, u_end", [(0, 2.0**-54), (2**64 - 1, 1.0)])
@@ -421,21 +425,30 @@ def test_count_histogram_is_a_bincount_of_the_draws(monkeypatch, p, n, workers):
 
 
 def test_count_histogram_builds_the_table_once_before_any_draw(monkeypatch):
+    # once a call, however many chunks share it: 4 at n = 1e5 on a pool of
+    # two, twice, and 16 at n = 2**34 and p = 1/2, a 1.57M-entry window, on
+    # the calling thread alone and on the widest pool; the chunks count
+    # what one draw of all the trials does
     table, uniforms, events = _binomial_cdf_table, _substream_uniforms, []
-    monkeypatch.setattr(sampling, "_mc_workers", lambda: 2)
     monkeypatch.setattr(sampling, "_binomial_cdf_table",
                         lambda *args: events.append("build") or table(*args))
     monkeypatch.setattr(sampling, "_substream_uniforms",
                         lambda *args: events.append("draw") or uniforms(*args))
-    for _ in range(2):
-        count_histogram(0.3, 0.7, 10**5, 1, 4 * _MC_CHUNK)
-    assert events == 2 * (["build"] + 4 * ["draw"])
+    for p, n, chunks, workers in ((0.3, 10**5, 4, 2), (0.3, 10**5, 4, 2),
+                                  (0.5, 2**34, 16, 1), (0.5, 2**34, 16, _MC_WORKERS)):
+        monkeypatch.setattr(sampling, "_mc_workers", lambda: workers)
+        events.clear()
+        lo, hist = count_histogram(p, 1.0 - p, n, 1, chunks * _MC_CHUNK)
+        assert events == ["build"] + chunks * ["draw"], (n, workers)
+        k = draw_count_matrix(p, 1.0 - p, n, 1, chunks * _MC_CHUNK)
+        assert np.array_equal(hist, np.bincount(k - lo, minlength=hist.size))
 
 
 def test_count_histogram_memory_does_not_grow_with_trials(monkeypatch):
     # each thread draws every chunk into one buffer that lasts the call,
     # so a run of 40 chunks peaks where one of 3 does, within one buffer
-    # (two uint64 words a trial), and a pool of two holds two buffers
+    # (two uint64 words a trial), and a pool of W holds W buffers, also
+    # over 2**22 trials on the widest pool
     buffer = 2 * 8 * _MC_CHUNK
 
     def peak(workers, chunks):
@@ -449,6 +462,7 @@ def test_count_histogram_memory_does_not_grow_with_trials(monkeypatch):
 
     assert abs(peak(1, 40) - peak(1, 3)) <= buffer
     assert peak(2, 40) < 3 * buffer
+    assert peak(_MC_WORKERS, 64) < (_MC_WORKERS + 1) * buffer
 
 
 def test_count_histogram_on_more_threads_than_cpus_loses_no_count(monkeypatch):

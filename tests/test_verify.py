@@ -12,6 +12,7 @@ import pytest
 from helpers import (
     bisection_min_signal_100,
     classical_fisher_scalar,
+    min_signal_inequality_holds,
     povm_statistic_scalar,
     substream_uniform_ref,
 )
@@ -181,18 +182,12 @@ def test_run_all_raises_the_first_failing_check_in_order(monkeypatch, first):
 N_GRID = np.arange(1, 10**4 + 1, dtype=np.float64)
 
 
-def inequality_holds(phi, n, alpha):
-    """1 - p >= alpha * sqrt(p (1 - p) / n) at p = (1 + cos phi) / 2."""
-    p = (1.0 + np.cos(phi)) / 2.0
-    return 1.0 - p >= alpha * np.sqrt(p * (1.0 - p) / n)
-
-
 @pytest.mark.parametrize("alpha", verify._ALPHA_GRID)
 def test_newton_oracle_is_certified_at_every_pair(alpha):
     # the inequality fails just left of each root and holds just right of it
     root = verify._newton_min_signal(N_GRID, alpha)
-    assert not np.any(inequality_holds(root - 1e-11, N_GRID, alpha))
-    assert np.all(inequality_holds(root + 1e-11, N_GRID, alpha))
+    assert not np.any(min_signal_inequality_holds(root - 1e-11, N_GRID, alpha))
+    assert np.all(min_signal_inequality_holds(root + 1e-11, N_GRID, alpha))
 
 
 @pytest.mark.parametrize("alpha", verify._ALPHA_GRID)
