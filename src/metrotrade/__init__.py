@@ -39,11 +39,10 @@ def _mc_workers():
 
 # The public API: each module with the names it exports here.
 _EXPORTS = {
-    "basis": ("MeasurementBasis", "find_optimal_basis"),
+    "basis": ("MeasurementBasis", "classical_fisher_values", "find_optimal_basis"),
     "bounds": ("accuracy_of", "critical_fidelity", "inherent_precision",
                "min_detectable_signal", "povm_statistics"),
-    "estimation": ("EstimatorReport", "classical_fisher_values", "exact_bias_report",
-                   "monte_carlo_report"),
+    "estimation": ("EstimatorReport", "exact_bias_report", "monte_carlo_report"),
     "resources": ("ScalingReport", "StrategyKind", "fit_scaling",
                   "quantum_fisher_information", "strategy_signal_noise"),
     "sampling": ("binomial_weights",),

@@ -13,6 +13,9 @@ phi_b anywhere in [phi, pi] or [phi + pi, 2 pi) is optimal, where the
 ratio reaches sqrt(n) |tan(phi / 2)|; find_optimal_basis recovers that
 point numerically: a coarse mesh over the sphere, then ever finer
 meshes centred on the best direction so far.
+
+classical_fisher_values, the Fisher information the measurement carries,
+shares the ratio's transverse term (sin(theta) sin(x))**2 via _transverse.
 """
 
 from __future__ import annotations
@@ -45,12 +48,18 @@ class MeasurementBasis:
         object.__setattr__(self, "phi_b", self.phi_b % TWO_PI)
 
 
+def _transverse(st, x):
+    """(sin(theta) sin(x))**2, a new array (even for scalar angles) over
+    the broadcast shape of st and x."""
+    out = np.asarray(st * np.sin(x))
+    return np.square(out, out=out)
+
+
 def _noise(st, ct2, x):
     """sqrt(1 - sin2(theta) cos2(x)), over the broadcast shape of st and x,
     as sqrt(sin2(theta) sin2(x) + cos2(theta)): the two radicands are
     algebraically identical, this one stays accurate near zero."""
-    out = np.asarray(st * np.sin(x))  # an array even for scalar angles
-    np.square(out, out=out)
+    out = _transverse(st, x)
     out += ct2
     return np.sqrt(out, out=out)
 
@@ -125,3 +134,28 @@ def find_optimal_basis(phi: float, n: int):
         i, j = np.unravel_index(np.argmax(values), values.shape)
         theta, phib, snr = float(ths[i]), float(pbs[j]), float(values[i, j])
     return MeasurementBasis(theta, phib), snr
+
+
+def classical_fisher_values(theta, phi_b, phi):
+    """Fisher information of two-outcome measurements about the phase,
+    vectorized over broadcast arrays of Bloch angles and phases.
+
+    For outcome probability p = (1 + sin(theta) cos(phi - phi_b)) / 2
+    the information (dp/dphi)**2 * (1/p + 1/(1-p)) reduces to
+
+        sin2(theta) sin2(phi - phi_b)
+        -----------------------------------------
+        sin2(theta) sin2(phi - phi_b) + cos2(theta)
+
+    which is bounded by 1 and equals 1 on the theta = pi/2 circle.  The
+    denominator is _noise's radicand, not 1 - sin2 cos2, so like
+    basis_snr's it never vanishes.  phi_b is reduced modulo 2 pi first,
+    as MeasurementBasis does.  Where p lands exactly on {0, 1} (only
+    possible on that circle, where the numerator vanishes at the same
+    rate) the on-circle limit 1 is returned.
+    """
+    st = np.sin(theta)
+    delta = phi - np.mod(phi_b, TWO_PI)
+    num = _transverse(st, delta)
+    values = num / (num + np.square(np.cos(theta)))
+    return np.where(np.abs(st * np.cos(delta)) == 1.0, 1.0, values)

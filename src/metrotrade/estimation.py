@@ -12,9 +12,6 @@ moment reduction over the distinct counts k with their weights (the pmf
 relative to its mode, or the fraction of trials that drew k), summed
 with math.fsum so that no accumulation order can shift the result.  The
 two must agree within sampling error; the tests hold them to that.
-
-classical_fisher_values is the Fisher information the measurement
-itself carries, an array kernel over Bloch directions and phases.
 """
 
 from __future__ import annotations
@@ -130,32 +127,3 @@ def monte_carlo_report(phi: float, n: int, trials: int, seed: int) -> EstimatorR
     lo, hist = count_histogram(p, q, n, seed, trials)
     ks = np.flatnonzero(hist)
     return _report_from_pmf(phi, p, n, lo + ks, hist[ks] / trials, "MonteCarlo")
-
-
-def classical_fisher_values(theta, phi_b, phi):
-    """Fisher information of two-outcome measurements about the phase,
-    vectorized over broadcast arrays of Bloch angles and phases.
-
-    For outcome probability p = (1 + sin(theta) cos(phi - phi_b)) / 2
-    the information (dp/dphi)**2 * (1/p + 1/(1-p)) reduces to
-
-        sin2(theta) sin2(phi - phi_b)
-        -----------------------------------------
-        sin2(theta) sin2(phi - phi_b) + cos2(theta)
-
-    which is bounded by 1 and equals 1 on the theta = pi/2 circle.  The
-    denominator is written in this cancellation-free form rather than
-    1 - sin2 cos2.  phi_b is reduced modulo 2 pi first, as
-    MeasurementBasis does.  Where p lands exactly on {0, 1} (only
-    possible on that circle, where the numerator vanishes at the same
-    rate) the on-circle limit 1 is returned.
-    """
-    st = np.sin(theta)
-    ct = np.cos(theta)
-    delta = phi - np.mod(phi_b, math.tau)
-    s = st * np.cos(delta)
-    x = st * np.sin(delta)
-    num = x * x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = num / (num + ct * ct)
-    return np.where(np.abs(s) == 1.0, 1.0, values)

@@ -202,11 +202,11 @@ def check_fisher_consistency(tol: float, seed: int = 0) -> tuple[bool, str]:
     phi_bs = 2.0 * math.pi * u[:, 1]
     gap = np.abs(phis - phi_bs) % math.pi
     phi_bs = np.where(np.minimum(gap, math.pi - gap) < 1e-3, phi_bs + 0.01, phi_bs)
-    circle = estimation.classical_fisher_values(math.pi / 2.0, phi_bs, phis)
+    circle = basis_mod.classical_fisher_values(math.pi / 2.0, phi_bs, phis)
     worst_circle = float(np.max(np.abs(circle - 1.0)))
     kind = resources.StrategyKind
     fq = float(resources.quantum_fisher_information(kind.ENSEMBLE, (1,))[0])
-    mesh = estimation.classical_fisher_values(
+    mesh = basis_mod.classical_fisher_values(
         np.linspace(0.0, math.pi, 100)[:, None],
         np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False),
         0.7,

@@ -4,13 +4,13 @@ repository, and report which tests catch it.
     PYTHONPATH=src python3 tests/fault_gate.py [FAULT ...]
 
 pytest does not collect this file (its name does not start with test_).
-The faults are the seven of test_verify.KERNEL_FAULTS, each of which
+The faults are the eight of test_verify.KERNEL_FAULTS, each of which
 verify must fail, and VERIFY_MISSES below, six that verify's checks pass
 today (ROADMAP item 13) but other tests must still catch.  The tree is
 first run unfaulted; a fault counts as caught by a test only if that test
 passes on the clean copy.  For each fault the script prints how many
 tests fail and which, and it exits 1 if some fault fails none.  Each run
-is one Tier-1 pass: about 14 s on a 2-core host, so 14 runs for all.
+is one Tier-1 pass: about 14 s on a 2-core host, so 15 runs for all.
 """
 
 import os

@@ -239,7 +239,7 @@ def seed_of_draw_word(word: int, trial: int = 0) -> int:
 def classical_fisher_scalar(theta: float, phi_b: float, phi: float) -> float:
     """Fisher information of the two-outcome measurement along
     (theta, phi_b) at phase phi, with math-module scalars: the reference
-    for estimation.classical_fisher_values.  phi_b is reduced modulo
+    for basis.classical_fisher_values.  phi_b is reduced modulo
     2 pi as MeasurementBasis does; where sin(theta) cos(phi - phi_b) is
     exactly +-1 the on-circle limit 1 is returned."""
     phi_b = phi_b % (2.0 * math.pi)

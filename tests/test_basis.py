@@ -11,13 +11,13 @@ from metrotrade import basis
 from metrotrade.basis import (
     MeasurementBasis,
     basis_snr,
+    classical_fisher_values,
     find_optimal_basis,
     snr_grid,
 )
 from metrotrade.bounds import min_detectable_signal
-from metrotrade.estimation import classical_fisher_values
 
-from helpers import basis_probabilities, basis_snr_mp
+from helpers import basis_probabilities, basis_snr_mp, classical_fisher_scalar
 
 HALF_PI = math.pi / 2.0
 EPS = sys.float_info.epsilon
@@ -309,3 +309,84 @@ def test_fisher_flat_where_snr_varies():
     for phi_b in (phi / 2.0, phi, 2.0, 3.0):
         fc = classical_fisher_values(HALF_PI, phi_b, phi)
         assert abs(fc - 1.0) < 1e-10
+
+
+def test_fisher_equator_is_unit():
+    # five phi_b at phi = 0.7, and 100 seeded (phi, phi_b) pairs, in one call
+    phi, phi_b = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, (100, 2)).T
+    phi = np.concatenate(([0.7] * 5, phi))
+    phi_b = np.concatenate(([0.0, 1.0, 2.5, 4.0, 6.0], phi_b))
+    assert np.max(np.abs(classical_fisher_values(HALF_PI, phi_b, phi) - 1.0)) <= 1e-10
+
+
+def test_fisher_values_on_circle_limit():
+    # sin(pi/2) cos(0) and sin(pi/2) cos(pi) are exactly +-1 in floats:
+    # a certain outcome, where the on-circle limit 1 is returned
+    got = classical_fisher_values(HALF_PI, np.array([0.7, 0.0]), np.array([0.7, math.pi]))
+    assert got.tolist() == [1.0, 1.0]
+    assert classical_fisher_values(HALF_PI, 0.0, 0.0) == 1.0
+
+
+def test_fisher_pole_is_zero():
+    assert classical_fisher_values(0.0, 0.3, 1.1) == 0.0
+
+
+def test_fisher_interior_value():
+    fc = classical_fisher_values(math.pi / 4.0, 0.0, math.pi / 6.0)
+    assert 0.0 < fc < 1.0
+    # sin2(pi/4) sin2(pi/6) / (same + cos2(pi/4)) = (1/8) / (1/8 + 1/2)
+    assert abs(fc - 0.2) < 1e-15
+
+
+def test_fisher_matches_finite_difference():
+    h = 1e-5
+    cases = [
+        (math.pi / 4.0, 0.0, math.pi / 6.0),
+        (1.0, 0.5, 2.0),
+        (2.0, 3.0, 0.9),
+    ]
+    for theta, phi_b, phi in cases:
+        _, p_m = basis_probabilities(theta, phi_b, phi - h)
+        _, p_p = basis_probabilities(theta, phi_b, phi + h)
+        _, p = basis_probabilities(theta, phi_b, phi)
+        dp = (p_p - p_m) / (2.0 * h)
+        ref = dp * dp * (1.0 / p + 1.0 / (1.0 - p))
+        got = classical_fisher_values(theta, phi_b, phi)
+        assert abs(got - ref) < 1e-6 * max(ref, 1e-12)
+
+
+def test_fisher_never_exceeds_quantum_limit():
+    # over a 50 x 50 and a 100 x 100 mesh of directions
+    for size in (50, 100):
+        theta = np.linspace(0.0, math.pi, size)[:, None]
+        phi_b = np.linspace(0.0, 2.0 * math.pi, size, endpoint=False)
+        assert np.max(classical_fisher_values(theta, phi_b, 0.8)) <= 1.0 + 1e-10
+
+
+_ANGLES = st.floats(min_value=-50.0, max_value=50.0)
+
+
+@given(
+    st.one_of(
+        st.sampled_from([0.0, math.pi / 2.0, math.pi]),
+        st.floats(min_value=0.0, max_value=math.pi),
+    ),
+    st.lists(_ANGLES, min_size=1, max_size=8),
+    _ANGLES,
+    st.sampled_from([None, 0.0, math.pi]),
+)
+# phi_b outside [0, 2 pi), and |sin(theta) cos(phi - phi_b)| == 1 exactly
+@example(math.pi / 2.0, [-3.0, 7.5, 2.0 * math.pi], 0.3, 0.0)
+@example(math.pi / 2.0, [0.4, 12.0], 0.0, math.pi)
+def test_fisher_values_match_scalar_reference(theta, phi_bs, phi, offset):
+    # offset pins phi on phi_b's reduced value (or opposite it), where
+    # the outcome is certain and the on-circle limit applies
+    phi_b = np.array(phi_bs)
+    if offset is not None:
+        phi = (phi_b % (2.0 * math.pi)) + offset
+    got = classical_fisher_values(theta, phi_b, phi)
+    phis = np.broadcast_to(phi, phi_b.shape).tolist()
+    ref = np.array([
+        classical_fisher_scalar(theta, b, x) for b, x in zip(phi_bs, phis)
+    ])
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))

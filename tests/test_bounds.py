@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from metrotrade.bounds import (
+    _qcrb_and_ratio,
     accuracy_of,
     critical_fidelity,
     inherent_precision,
@@ -109,14 +110,16 @@ def test_min_signal_matches_mpmath_oracle(alpha):
     # arccos((n - a2)/(n + a2)) at 200 bits over n = 1 .. 1e18 and 2**63 - 1;
     # an arccos of that argument in doubles reads 0 from n ~ 1e16
     ns = sorted({round(10 ** (k / 4)) for k in range(73)} | {2**53 + 1, 2**63 - 1})
-    exact = min_detectable_signal(alpha, ns).tolist()
-    for n, got in zip(ns, exact):
+    exact = min_detectable_signal(alpha, ns)
+    # tradeoff's qcrb and correction_ratio columns
+    qcrb, ratio = _qcrb_and_ratio(exact, np.array(ns, dtype=np.float64))
+    for n, got, q, r in zip(ns, exact.tolist(), qcrb.tolist(), ratio.tolist()):
         with mpmath.workprec(200):
             a2 = mpmath.mpf(alpha) ** 2
             ref = float(mpmath.acos((n - a2) / (n + a2)))
         assert abs(got - ref) <= 3 * math.ulp(ref), n
-        ratio = got / (1.0 / math.sqrt(n))  # tradeoff's correction_ratio
-        assert abs(ratio - ref * math.sqrt(n)) <= 4 * math.ulp(ratio), n
+        assert (q, r) == (1.0 / math.sqrt(n), got / q), n
+        assert abs(r - ref * math.sqrt(n)) <= 4 * math.ulp(r), n
 
 
 def test_min_signal_vs_bisection_oracle():

@@ -4,12 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from metrotrade.estimation import (
     EstimatorReport,
-    classical_fisher_values,
     exact_bias_report,
     _report_from_pmf,
     monte_carlo_report,
@@ -17,12 +14,7 @@ from metrotrade.estimation import (
 from metrotrade.bounds import _outcome_law
 from metrotrade.sampling import binomial_weights, draw_count_matrix
 
-from helpers import (
-    basis_probabilities,
-    binomial_mode,
-    classical_fisher_scalar,
-    phase_estimate_moments_mp,
-)
+from helpers import binomial_mode, phase_estimate_moments_mp
 
 EPS = sys.float_info.epsilon
 _U = EPS / 2.0
@@ -280,96 +272,7 @@ def test_report_rejects_bad_domain():
         exact_bias_report(0.0, 10)
     with pytest.raises(ValueError):
         exact_bias_report(math.pi, 10)
-    with pytest.raises(ValueError):
-        monte_carlo_report(1.0, 10, trials=50, seed=0)
-
-
-def test_fisher_equator_is_unit():
-    for phi_b in (0.0, 1.0, 2.5, 4.0, 6.0):
-        fc = classical_fisher_values(math.pi / 2.0, phi_b, 0.7)
-        if abs(math.cos(0.7 - phi_b)) == 1.0:
-            continue
-        assert abs(fc - 1.0) < 1e-10
-    # and at 100 seeded (phi, phi_b) pairs in one call
-    phi, phi_b = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, (100, 2)).T
-    assert np.max(np.abs(classical_fisher_values(math.pi / 2.0, phi_b, phi) - 1.0)) <= 1e-10
-
-
-def test_fisher_pole_is_zero():
-    assert classical_fisher_values(0.0, 0.3, 1.1) == 0.0
-
-
-def test_fisher_interior_value():
-    fc = classical_fisher_values(math.pi / 4.0, 0.0, math.pi / 6.0)
-    assert 0.0 < fc < 1.0
-    # sin2(pi/4) sin2(pi/6) / (same + cos2(pi/4)) = (1/8) / (1/8 + 1/2)
-    assert abs(fc - 0.2) < 1e-15
-
-
-def test_fisher_matches_finite_difference():
-    h = 1e-5
-    cases = [
-        (math.pi / 4.0, 0.0, math.pi / 6.0),
-        (1.0, 0.5, 2.0),
-        (2.0, 3.0, 0.9),
-    ]
-    for theta, phi_b, phi in cases:
-        _, p_m = basis_probabilities(theta, phi_b, phi - h)
-        _, p_p = basis_probabilities(theta, phi_b, phi + h)
-        _, p = basis_probabilities(theta, phi_b, phi)
-        dp = (p_p - p_m) / (2.0 * h)
-        ref = dp * dp * (1.0 / p + 1.0 / (1.0 - p))
-        got = classical_fisher_values(theta, phi_b, phi)
-        assert abs(got - ref) < 1e-6 * max(ref, 1e-12)
-
-
-def test_fisher_never_exceeds_quantum_limit():
-    for i in range(50):
-        theta = math.pi * i / 49.0
-        for j in range(50):
-            phi_b = 2.0 * math.pi * j / 50.0
-            fc = classical_fisher_values(theta, phi_b, 0.8)
-            assert fc <= 1.0 + 1e-10
-    # and over a 100 x 100 mesh in one call
-    theta = np.linspace(0.0, math.pi, 100)[:, None]
-    phi_b = np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False)
-    assert np.max(classical_fisher_values(theta, phi_b, 0.8)) <= 1.0 + 1e-10
-
-
-_ANGLES = st.floats(min_value=-50.0, max_value=50.0)
-
-
-@given(
-    st.one_of(
-        st.sampled_from([0.0, math.pi / 2.0, math.pi]),
-        st.floats(min_value=0.0, max_value=math.pi),
-    ),
-    st.lists(_ANGLES, min_size=1, max_size=8),
-    _ANGLES,
-    st.sampled_from([None, 0.0, math.pi]),
-)
-# phi_b outside [0, 2 pi), and |sin(theta) cos(phi - phi_b)| == 1 exactly
-@example(math.pi / 2.0, [-3.0, 7.5, 2.0 * math.pi], 0.3, 0.0)
-@example(math.pi / 2.0, [0.4, 12.0], 0.0, math.pi)
-def test_fisher_values_match_scalar_reference(theta, phi_bs, phi, offset):
-    # offset pins phi on phi_b's reduced value (or opposite it), where
-    # the outcome is certain and the on-circle limit applies
-    phi_b = np.array(phi_bs)
-    if offset is not None:
-        phi = (phi_b % (2.0 * math.pi)) + offset
-    got = classical_fisher_values(theta, phi_b, phi)
-    phis = np.broadcast_to(phi, phi_b.shape).tolist()
-    ref = np.array([
-        classical_fisher_scalar(theta, b, x) for b, x in zip(phi_bs, phis)
-    ])
-    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
-
-
-def test_fisher_values_on_circle_limit():
-    # sin(pi/2) cos(0) and sin(pi/2) cos(pi) are exactly +-1 in floats:
-    # a certain outcome, where the on-circle limit 1 is returned
-    got = classical_fisher_values(
-        math.pi / 2.0, np.array([0.7, 0.0]), np.array([0.7, math.pi])
-    )
-    assert got.tolist() == [1.0, 1.0]
-    assert classical_fisher_values(math.pi / 2.0, 0.0, 0.0) == 1.0
+    # 100 trials are the least accepted
+    assert monte_carlo_report(1.0, 10, trials=100, seed=0).mode == "MonteCarlo"
+    with pytest.raises(ValueError, match="^need an integer of at least 100 trials$"):
+        monte_carlo_report(1.0, 10, trials=99, seed=0)

@@ -130,6 +130,17 @@ def test_binomial_weights_sum_to_one_after_normalizing():
         assert np.allclose(pmf, _comb_pmf(p, q, 64), rtol=1e-12, atol=0.0)
 
 
+def test_binomial_weights_take_a_window_of_exactly_the_cap(monkeypatch):
+    # with the cap at the window's size the window is built; one below, refused
+    size = binomial_weights(0.3, 0.7, 10**4)[1].size
+    monkeypatch.setattr(sampling, "_WINDOW_MAX", size)
+    assert binomial_weights(0.3, 0.7, 10**4)[1].size == size
+    monkeypatch.setattr(sampling, "_WINDOW_MAX", size - 1)
+    with pytest.raises(ValueError, match=f"^binomial CDF window of {size} entries "
+                                         f"exceeds {size - 1}; "):
+        binomial_weights(0.3, 0.7, 10**4)
+
+
 def test_binomial_weights_match_mpmath():
     p, n = 0.37, 20
     with mpmath.workprec(160):
@@ -537,6 +548,20 @@ def test_count_histogram_refuses_trials_before_any_draw(monkeypatch, trials, mes
     monkeypatch.setattr(sampling, "_substream_uniforms", refuse)
     with pytest.raises(ValueError, match=message):
         count_histogram(0.5, 0.5, 10, 0, trials)
+
+
+def test_count_histogram_accepts_trials_at_the_cap(monkeypatch):
+    # 2**32 trials pass the checks: the table is built next, and building
+    # it stops the run before any draw
+    class Accepted(Exception):
+        pass
+
+    def accepted(*args):
+        raise Accepted
+
+    monkeypatch.setattr(sampling, "_binomial_cdf_table", accepted)
+    with pytest.raises(Accepted):
+        count_histogram(0.5, 0.5, 10, 0, sampling._MC_TRIALS_MAX)
 
 
 @pytest.mark.parametrize("n", [65, 10**5, 10**7, 1, 2, 10, 40, 64])

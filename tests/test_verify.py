@@ -72,13 +72,13 @@ def test_fisher_consistency_detail_matches_scalar_loop(monkeypatch, seed):
     # both details read 0.00e+00 on any equator points, so the points the
     # check evaluates on the equator are held to the scalar loop's too
     calls = []
-    fisher_values = verify.estimation.classical_fisher_values
+    fisher_values = verify.basis_mod.classical_fisher_values
 
     def recording(theta, phi_b, phi):
         calls.append((phi, phi_b))
         return fisher_values(theta, phi_b, phi)
 
-    monkeypatch.setattr(verify.estimation, "classical_fisher_values", recording)
+    monkeypatch.setattr(verify.basis_mod, "classical_fisher_values", recording)
     passed, detail = verify.check_fisher_consistency(1e-4, seed=seed)
     assert passed
     phis, phi_bs = calls[0]
@@ -270,6 +270,11 @@ KERNEL_FAULTS = {
         "resources.py",
         "    return e * f * f\n",
         "    return e * f * f * (1 + 1e-3)\n",
+        "fisher_consistency"),
+    "classical_fisher_scaled": (
+        "basis.py",
+        "    return np.where(np.abs(st * np.cos(delta)) == 1.0, 1.0, values)\n",
+        "    return np.where(np.abs(st * np.cos(delta)) == 1.0, 1.0, values) * (1 + 1e-9)\n",
         "fisher_consistency"),
 }
 
